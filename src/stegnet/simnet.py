@@ -13,6 +13,13 @@ routers forward; monitors apply a first-match rule list, optional
 address translation, and a checksum anomaly counter; covert gateways
 wrap a fuse/extract engine around everything crossing toward or from
 their peer.
+
+Set-up computes every topology fact once per ``Simulation``: one
+sorted adjacency map, one BFS per node for the next-hop tables (the
+runs from the gateways also keep the hop counts that decide which side
+of a gateway pair a host sits on, for client targets and secret
+registries), each node's address and MAC as an int and bytes, and each
+monitor's rules with their addresses resolved.  Packets are then handled without parsing strings.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from . import packet as pk
 from . import topology as topo_mod
 from . import trace as trace_mod
-from .engine import CovertGateway, DesyncError, EngineConfig
+from .engine import CovertGateway, DesyncError, EngineConfig, _child_seed
 
 MICROS = 1_000_000
 
@@ -109,8 +116,7 @@ def parse_workload(text: str) -> WorkloadSpec:
 
 
 def _child_rng(seed: int, name: str) -> random.Random:
-    digest = hashlib.sha256(("%d:%s" % (seed, name)).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(_child_seed(seed, name))
 
 
 def _stable_hash(*parts) -> int:
@@ -123,6 +129,24 @@ def _safe_isn(*parts) -> int:
     never be mistaken for a synchronization header code."""
     h = _stable_hash("isn", *parts)
     return ((0x40 | (h >> 56) & 0x3F) << 24) | (h & 0xFFFFFF)
+
+
+_PROTO_NUMBERS = {"any": None, "tcp": pk.PROTO_TCP, "udp": pk.PROTO_UDP, "icmp": pk.PROTO_ICMP}
+
+
+def _compile_rules(rules: List[topo_mod.RuleDef]) -> Dict[str, List[tuple]]:
+    """Each node's rules in order as (index, action, protocol number,
+    source, destination, destination port); ``None`` matches anything."""
+    compiled: Dict[str, List[tuple]] = {}
+    for rule in rules:
+        own = compiled.setdefault(rule.node, [])
+        own.append((
+            len(own), rule.action, _PROTO_NUMBERS[rule.proto],
+            None if rule.src == "any" else pk.str_to_ip(rule.src),
+            None if rule.dst == "any" else pk.str_to_ip(rule.dst),
+            rule.dst_port,
+        ))
+    return compiled
 
 
 @dataclass
@@ -185,6 +209,7 @@ class _WorkloadClient:
         self.emitted_octets = 0
         self.kind_counts: Dict[str, int] = {k: 0 for k in DEFAULT_MIX}
         self.icmp_seq = 0
+        self.addresses = sim._addresses(host, target)
 
     def start(self, offset_us: int) -> None:
         self.sim._schedule(offset_us, self.tick)
@@ -200,29 +225,29 @@ class _WorkloadClient:
 
     def tick(self) -> None:
         sim = self.sim
-        me = sim.topology.nodes[self.host]
-        peer = sim.topology.nodes[self.target]
+        src_ip, dst_ip, src_mac, dst_mac = self.addresses
         kind = self._pick_kind()
         self.kind_counts[kind] += 1
         if kind in SERVICE_PORTS:
-            p = self._tcp_request(me, peer, kind)
+            p = self._tcp_request(kind)
         elif kind == "udp":
             payload = self.rng.randbytes(self.rng.randint(80, 400))
-            p = pk.build_udp(me.ip, peer.ip, 30000 + (self.flow_serial % 1000), UDP_SERVICE_PORT,
-                             payload=payload, src_mac=me.mac, dst_mac=peer.mac)
+            p = pk.build_udp(src_ip, dst_ip, 30000 + (self.flow_serial % 1000), UDP_SERVICE_PORT,
+                             payload=payload, src_mac=src_mac, dst_mac=dst_mac)
         else:
             payload = self.rng.randbytes(self.spec.icmp_payload)
             self.icmp_seq += 1
-            p = pk.build_icmp_echo(me.ip, peer.ip, identifier=_stable_hash("ping", self.host) & 0x7FFF,
+            p = pk.build_icmp_echo(src_ip, dst_ip, identifier=_stable_hash("ping", self.host) & 0x7FFF,
                                    sequence=self.icmp_seq & 0xFFFF, payload=payload,
-                                   src_mac=me.mac, dst_mac=peer.mac)
+                                   src_mac=src_mac, dst_mac=dst_mac)
         size = p.wire_len
         self.emitted_octets += size
         sim.send_from(self.host, p)
         gap = -(-size * MICROS // self.spec.budget)
         sim._schedule(sim.now + gap, self.tick)
 
-    def _tcp_request(self, me, peer, kind: str) -> pk.ParsedPacket:
+    def _tcp_request(self, kind: str) -> pk.ParsedPacket:
+        src_ip, dst_ip, src_mac, dst_mac = self.addresses
         port = SERVICE_PORTS[kind]
         flow = self.flows.get(kind)
         if flow is None or flow.requests >= self.spec.restart_every:
@@ -230,13 +255,13 @@ class _WorkloadClient:
             sport = 20000 + len(SERVICE_PORTS) * self.flow_serial + port % 3
             flow = _FlowState(sport=sport, seq=_safe_isn(self.host, kind, self.flow_serial))
             self.flows[kind] = flow
-            return pk.build_tcp(me.ip, peer.ip, flow.sport, port, seq=flow.seq,
-                                flags=pk.TCP_SYN, src_mac=me.mac, dst_mac=peer.mac)
+            return pk.build_tcp(src_ip, dst_ip, flow.sport, port, seq=flow.seq,
+                                flags=pk.TCP_SYN, src_mac=src_mac, dst_mac=dst_mac)
         payload = self.rng.randbytes(self.rng.randint(self.spec.min_frame, self.spec.max_frame))
         flow.requests += 1
-        p = pk.build_tcp(me.ip, peer.ip, flow.sport, port, seq=flow.seq,
+        p = pk.build_tcp(src_ip, dst_ip, flow.sport, port, seq=flow.seq,
                          ack=1, flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                         src_mac=me.mac, dst_mac=peer.mac)
+                         src_mac=src_mac, dst_mac=dst_mac)
         flow.seq = (flow.seq + len(payload)) & 0xFFFFFFFF
         return p
 
@@ -244,10 +269,12 @@ class _WorkloadClient:
 class _BulkTransfer:
     """Covert payload drain: all packets offered up front."""
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, start_us: int):
+    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, start_us: int,
+                 sport: int):
         self.sim = sim
         self.src = src
         self.dst = dst
+        self.sport = sport
         self.payload_octets = payload_octets
         self.packet_size = packet_size
         self.start_us = start_us
@@ -260,17 +287,16 @@ class _BulkTransfer:
 
     def start(self) -> None:
         rng = _child_rng(self.sim.seed, "bulk:%s:%s" % (self.src, self.dst))
-        me = self.sim.topology.nodes[self.src]
-        peer = self.sim.topology.nodes[self.dst]
+        src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         remaining = self.payload_octets
         seq = _safe_isn(self.src, "bulk")
         while remaining > 0:
             size = min(self.packet_size, remaining)
             payload = rng.randbytes(size)
             self.digest_parts.append(payload)
-            p = pk.build_tcp(me.ip, peer.ip, 41000, SECRET_PORT, seq=seq,
+            p = pk.build_tcp(src_ip, dst_ip, self.sport, SECRET_PORT, seq=seq,
                              flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                             src_mac=me.mac, dst_mac=peer.mac)
+                             src_mac=src_mac, dst_mac=dst_mac)
             seq = (seq + size) & 0xFFFFFFFF
             self.sim.send_from(self.src, p)
             self.sent_packets += 1
@@ -319,14 +345,13 @@ class _PacedTransfer:
         self._emit(self.next_index)
 
     def _emit(self, index: int) -> None:
-        me = self.sim.topology.nodes[self.src]
-        peer = self.sim.topology.nodes[self.dst]
+        src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         rng = _child_rng(self.sim.seed, "paced:%s:%d" % (self.src, index))
         payload = rng.randbytes(self.packet_size)
-        p = pk.build_tcp(me.ip, peer.ip, 42000, SECRET_PORT,
+        p = pk.build_tcp(src_ip, dst_ip, 42000, SECRET_PORT,
                          seq=(_safe_isn(self.src, "paced") + index) & 0xFFFFFFFF,
                          flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                         src_mac=me.mac, dst_mac=peer.mac)
+                         src_mac=src_mac, dst_mac=dst_mac)
         self.sim.send_from(self.src, p)
         deadline_index = index
         self.sim._schedule(self.sim.now + self.rto_us, lambda: self._timeout(deadline_index))
@@ -380,11 +405,20 @@ class Simulation:
             n: trace_mod.TraceFile(records=[]) for n in capture_nodes
         }
 
-        self._ip_to_node: Dict[int, str] = {}
+        self._node_ip: Dict[str, Optional[int]] = {}
+        self._node_mac: Dict[str, Optional[bytes]] = {}
         for node in topology.nodes.values():
-            if node.ip is not None:
-                self._ip_to_node[pk.str_to_ip(node.ip)] = node.name
-        self._next_hop = self._build_routes()
+            self._node_ip[node.name] = pk.str_to_ip(node.ip) if node.ip is not None else None
+            self._node_mac[node.name] = pk.str_to_mac(node.mac) if node.mac is not None else None
+        self._ip_to_node: Dict[int, str] = {ip: name for name, ip in self._node_ip.items() if ip is not None}
+        self._secret_ips: Set[int] = {
+            self._node_ip[n.name] for n in topology.nodes.values() if n.secret and n.ip is not None
+        }
+        pairs = topology.gateway_pairs()
+        # Hop counts from each gateway, filled by _build_routes; links
+        # are undirected, so they also give every node's distance to it.
+        self._gateway_dist: Dict[str, Dict[str, int]] = {}
+        self._next_hop = self._build_routes(topology.adjacency(), {gw for pair in pairs for gw in pair})
         self._pipes: Dict[Tuple[str, str], _Pipe] = {}
         for link in topology.links:
             self._pipes[(link.a, link.b)] = _Pipe(link.a, link.b, link.capacity, link.delay_us)
@@ -396,24 +430,14 @@ class Simulation:
         self._secret_registry: Dict[str, Set[int]] = {}
         self._phys_nat: Dict[str, Dict[Tuple[int, int], Tuple[int, int, str]]] = {}
         self._phys_nat_next: Dict[str, int] = {}
-        for a, b in topology.gateway_pairs():
+        for a, b in pairs:
             for gw, peer in ((a, b), (b, a)):
-                node = topology.nodes[gw]
-                cfg = EngineConfig(
-                    enabled_handlers=base_config.enabled_handlers,
-                    cost_overrides=dict(base_config.cost_overrides),
-                    encryption=base_config.encryption,
-                    augmented_allowed=base_config.augmented_allowed,
-                    preserve_icmp_timestamp=base_config.preserve_icmp_timestamp,
-                    seed=seed,
-                    chunk_size=base_config.chunk_size,
-                    augment_probability=base_config.augment_probability,
-                )
-                engine = CovertGateway(gw, peer, cfg, local_mac=pk.str_to_mac(node.mac))
+                cfg = replace(base_config, seed=seed)
+                engine = CovertGateway(gw, peer, cfg, local_mac=self._node_mac[gw])
                 self.gateways[gw] = engine
                 self._gateway_side[gw] = self._toward(gw, peer)
                 self._secret_registry[gw] = {
-                    pk.str_to_ip(h.ip)
+                    self._node_ip[h.name]
                     for h in topology.nodes.values()
                     if h.secret and self._closer_to(h.name, peer, gw)
                 }
@@ -422,43 +446,52 @@ class Simulation:
         for node in topology.nodes.values():
             if node.kind == topo_mod.KIND_MONITOR:
                 self.monitor_stats[node.name] = MonitorStats()
+        self._monitor_rules = _compile_rules(topology.rules)
         self._nat_flows: Dict[str, Set[tuple]] = {n: set() for n in self.monitor_stats}
         self._nat_pings: Dict[str, Set[tuple]] = {n: set() for n in self.monitor_stats}
 
         self.clients: Dict[str, _WorkloadClient] = {}
         self.transfers: List[object] = []
+        self._bulk_count: Dict[str, int] = {}
+        self._bulk_by_port: Dict[Tuple[str, int], _BulkTransfer] = {}
         self._paced_by_src: Dict[str, _PacedTransfer] = {}
-        self._build_clients()
+        self._build_clients(pairs)
         if self.covert and base_config.encryption:
             for engine in self.gateways.values():
                 engine.start_key_exchange()
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_routes(self) -> Dict[str, Dict[str, str]]:
+    def _build_routes(self, adjacency: Dict[str, List[str]], gateways: Set[str]) -> Dict[str, Dict[str, str]]:
+        """Next hop from every node to every node it reaches: one BFS per
+        origin over sorted neighbours, so equal-length paths resolve to
+        the one through the lowest names.  The BFS from each of
+        ``gateways`` also fills ``_gateway_dist``."""
         tables: Dict[str, Dict[str, str]] = {}
         names = list(self.topology.nodes)
         for origin in names:
-            parent: Dict[str, Optional[str]] = {origin: None}
+            # The origin's neighbours are their own first hop; everything
+            # further inherits the first hop of the node that reached it.
+            first_hop: Dict[str, Optional[str]] = {origin: None}
+            depth = {origin: 0}
             frontier = [origin]
             while frontier:
                 nxt = []
                 for name in frontier:
-                    for n in sorted(self.topology.neighbors(name)):
-                        if n not in parent:
-                            parent[n] = name
+                    for n in adjacency[name]:
+                        if n not in first_hop:
+                            first_hop[n] = first_hop[name] or n
+                            depth[n] = depth[name] + 1
                             nxt.append(n)
                 frontier = nxt
-            table: Dict[str, str] = {}
-            for dest in names:
-                if dest == origin or dest not in parent:
-                    continue
-                step = dest
-                while parent[step] != origin:
-                    step = parent[step]
-                table[dest] = step
-            tables[origin] = table
+            tables[origin] = {dest: first_hop[dest] for dest in names if dest != origin and dest in first_hop}
+            if origin in gateways:
+                self._gateway_dist[origin] = depth
         return tables
+
+    def _addresses(self, src: str, dst: str) -> Tuple[Optional[int], Optional[int], Optional[bytes], Optional[bytes]]:
+        """Source and destination address and MAC, resolved at set-up."""
+        return self._node_ip[src], self._node_ip[dst], self._node_mac[src], self._node_mac[dst]
 
     def _toward(self, origin: str, dest: str) -> str:
         try:
@@ -467,16 +500,25 @@ class Simulation:
             raise SimError("no path from %r to %r" % (origin, dest)) from None
 
     def _closer_to(self, node: str, a: str, b: str) -> bool:
-        da = self.topology.hop_count(node, a)
-        db = self.topology.hop_count(node, b)
+        """Whether ``node`` is strictly fewer hops from gateway ``a``
+        than from gateway ``b``; unreachable counts as infinitely far."""
+        da = self._gateway_dist[a].get(node)
+        db = self._gateway_dist[b].get(node)
         return da is not None and (db is None or da < db)
 
-    def _build_clients(self) -> None:
-        pairs = self.topology.gateway_pairs()
+    def _build_clients(self, pairs: List[Tuple[str, str]]) -> None:
+        visible = sorted(
+            n.name for n in self.topology.nodes.values() if n.kind == topo_mod.KIND_HOST and not n.secret
+        )
+        # Visible hosts on the far side of each gateway pair, by name.
+        far_hosts: Dict[Tuple[str, str], List[str]] = {}
+        for a, b in pairs:
+            for far, near in ((a, b), (b, a)):
+                far_hosts[(far, near)] = [n for n in visible if self._closer_to(n, far, near)]
         for node in sorted(self.topology.nodes.values(), key=lambda n: n.name):
             if not node.workload:
                 continue
-            target = self._cross_target(node.name, pairs)
+            target = self._cross_target(node.name, pairs, far_hosts)
             if target is None:
                 continue
             rng = _child_rng(self.seed, "workload:%s" % node.name)
@@ -485,24 +527,28 @@ class Simulation:
             offset = len(self.clients) * 937
             client.start(offset)
 
-    def _cross_target(self, host: str, pairs) -> Optional[str]:
+    def _cross_target(self, host: str, pairs, far_hosts) -> Optional[str]:
+        """The first visible host, by name, on the far side of the first
+        gateway pair that has one."""
         for a, b in pairs:
             near, far = (a, b) if self._closer_to(host, a, b) else (b, a)
-            options = sorted(
-                n.name
-                for n in self.topology.nodes.values()
-                if n.kind == topo_mod.KIND_HOST and not n.secret and n.name != host
-                and self._closer_to(n.name, far, near)
-            )
-            if options:
-                return options[0]
+            for name in far_hosts[(far, near)]:
+                if name != host:
+                    return name
         return None
 
     # -- public API ----------------------------------------------------------
 
     def add_bulk_transfer(self, src: str, dst: str, payload_octets: int, packet_size: int = 512, start_us: int = 0) -> _BulkTransfer:
-        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, start_us)
+        # The n-th bulk transfer to a host sends from port 41000 + n (mod
+        # 1000), so the host tells its packets from those of a concurrent
+        # or stalled transfer.
+        index = self._bulk_count.get(dst, 0)
+        self._bulk_count[dst] = index + 1
+        sport = 41000 + index % 1000
+        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, start_us, sport)
         self.transfers.append(transfer)
+        self._bulk_by_port[(dst, sport)] = transfer
         self._schedule(start_us, transfer.start)
         return transfer
 
@@ -590,35 +636,38 @@ class Simulation:
     # -- hosts -----------------------------------------------------------------
 
     def _host_receive(self, node: str, p: pk.ParsedPacket) -> None:
-        me = self.topology.nodes[node]
-        my_ip = pk.str_to_ip(me.ip) if me.ip else None
-        if p.ipv4 is None or p.ipv4.dst_ip != my_ip:
+        if p.ipv4 is None or p.ipv4.dst_ip != self._node_ip[node]:
             self.node_stats[node].dropped += 1
             return
         if p.tcp is not None and p.tcp.dst_port == SECRET_PORT and p.app_payload:
-            for transfer in self.transfers:
-                if isinstance(transfer, _BulkTransfer) and transfer.dst == node:
-                    transfer.delivered_octets += len(p.app_payload)
-                    transfer.delivered_packets += 1
-                    transfer.delivered_parts.append(p.app_payload)
-                    transfer.finished_us = self.now
-        reply = self._respond(node, me, p)
+            sport = p.tcp.src_port
+            # A gateway lending its address also remapped the port.
+            nat = self._phys_nat.get(self._ip_to_node.get(p.ipv4.src_ip))
+            if nat and (pk.PROTO_TCP, sport) in nat:
+                sport = nat[(pk.PROTO_TCP, sport)][1]
+            transfer = self._bulk_by_port.get((node, sport))
+            if transfer is not None:
+                transfer.delivered_octets += len(p.app_payload)
+                transfer.delivered_packets += 1
+                transfer.delivered_parts.append(p.app_payload)
+                transfer.finished_us = self.now
+        reply = self._respond(node, p)
         if reply is not None:
             self.send_from(node, reply)
 
-    def _respond(self, node: str, me, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
+    def _respond(self, node: str, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
         """Stateless service behavior: the reply is a pure function of
         the request, so reruns with one seed are bit-identical."""
         src_name = self._ip_to_node.get(p.ipv4.src_ip)
-        src_def = self.topology.nodes.get(src_name) if src_name else None
-        dst_mac = src_def.mac if src_def is not None else pk.mac_to_str(p.link.src_mac)
-        src_ip = pk.ip_to_str(p.ipv4.dst_ip)
-        dst_ip = pk.ip_to_str(p.ipv4.src_ip)
+        my_mac = self._node_mac[node]
+        dst_mac = self._node_mac[src_name] if src_name else p.link.src_mac
+        src_ip = p.ipv4.dst_ip
+        dst_ip = p.ipv4.src_ip
         if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
             return pk.build_icmp_echo(
                 src_ip, dst_ip, icmp_type=pk.ICMP_ECHO_REPLY,
                 identifier=p.icmp.identifier, sequence=p.icmp.sequence,
-                payload=p.icmp.payload, src_mac=me.mac, dst_mac=dst_mac,
+                payload=p.icmp.payload, src_mac=my_mac, dst_mac=dst_mac,
             )
         if p.tcp is not None:
             flags = p.tcp.flags
@@ -627,20 +676,20 @@ class Simulation:
                 return pk.build_tcp(
                     src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
                     seq=isn, ack=(p.tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_SYN | pk.TCP_ACK, src_mac=me.mac, dst_mac=dst_mac,
+                    flags=pk.TCP_SYN | pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
                 )
             if flags & pk.TCP_SYN and flags & pk.TCP_ACK:
                 return pk.build_tcp(
                     src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
                     seq=p.tcp.ack, ack=(p.tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_ACK, src_mac=me.mac, dst_mac=dst_mac,
+                    flags=pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
                 )
             if p.app_payload and p.tcp.dst_port == SECRET_PORT:
                 ack_value = (p.tcp.seq + len(p.app_payload)) & 0xFFFFFFFF
                 return pk.build_tcp(
                     src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
                     seq=p.tcp.ack, ack=ack_value, flags=pk.TCP_ACK,
-                    src_mac=me.mac, dst_mac=dst_mac,
+                    src_mac=my_mac, dst_mac=dst_mac,
                 )
             if p.app_payload and p.tcp.dst_port in SERVICE_PORTS.values():
                 size = 100 + (p.tcp.seq % 400)
@@ -650,7 +699,7 @@ class Simulation:
                     src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
                     seq=p.tcp.ack, ack=(p.tcp.seq + len(p.app_payload)) & 0xFFFFFFFF,
                     flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                    src_mac=me.mac, dst_mac=dst_mac,
+                    src_mac=my_mac, dst_mac=dst_mac,
                 )
             if flags & pk.TCP_ACK and not p.app_payload and p.tcp.src_port == SECRET_PORT:
                 transfer = self._paced_by_src.get(node)
@@ -662,7 +711,7 @@ class Simulation:
             body = hashlib.sha256(bytes(p.app_payload[:16]) + b"udp").digest()
             return pk.build_udp(
                 src_ip, dst_ip, p.udp.dst_port, p.udp.src_port,
-                payload=body + body[:28], src_mac=me.mac, dst_mac=dst_mac,
+                payload=body + body[:28], src_mac=my_mac, dst_mac=dst_mac,
             )
         return None
 
@@ -672,19 +721,24 @@ class Simulation:
         stats = self.monitor_stats[node]
         stats.seen += 1
         spec = self.topology.nodes[node]
-        if p.ipv4 is not None:
-            stats.addresses.add((p.ipv4.src_ip, p.ipv4.dst_ip))
+        verdict = None
+        ip = p.ipv4
+        if ip is not None:
+            stats.addresses.add((ip.src_ip, ip.dst_ip))
             if not pk.validate_ipv4_checksum(p):
                 stats.checksum_anomalies += 1
-        verdict = None
-        for index, rule in enumerate(r for r in self.topology.rules if r.node == node):
-            if self._rule_matches(rule, p):
-                stats.rule_hits[index] = stats.rule_hits.get(index, 0) + 1
-                if rule.action == "log":
-                    stats.log_hits += 1
-                    continue
-                verdict = rule.action
-                break
+            port = p.transport.dst_port if isinstance(p.transport, (pk.Tcp, pk.Udp)) else None
+            for index, action, proto, src, dst, dst_port in self._monitor_rules.get(node, ()):
+                if ((proto is None or ip.protocol == proto)
+                        and (src is None or ip.src_ip == src)
+                        and (dst is None or ip.dst_ip == dst)
+                        and (dst_port is None or port == dst_port)):
+                    stats.rule_hits[index] = stats.rule_hits.get(index, 0) + 1
+                    if action == "log":
+                        stats.log_hits += 1
+                        continue
+                    verdict = action
+                    break
         if verdict is None:
             verdict = spec.default_action
             if verdict == "drop":
@@ -701,27 +755,6 @@ class Simulation:
             return
         self.node_stats[node].forwarded += 1
         self._route(node, p)
-
-    def _rule_matches(self, rule: topo_mod.RuleDef, p: pk.ParsedPacket) -> bool:
-        if p.ipv4 is None:
-            return False
-        if rule.proto != "any":
-            proto = {"tcp": pk.PROTO_TCP, "udp": pk.PROTO_UDP, "icmp": pk.PROTO_ICMP}[rule.proto]
-            if p.ipv4.protocol != proto:
-                return False
-        if rule.src != "any" and p.ipv4.src_ip != pk.str_to_ip(rule.src):
-            return False
-        if rule.dst != "any" and p.ipv4.dst_ip != pk.str_to_ip(rule.dst):
-            return False
-        if rule.dst_port is not None:
-            port = None
-            if p.tcp is not None:
-                port = p.tcp.dst_port
-            elif p.udp is not None:
-                port = p.udp.dst_port
-            if port != rule.dst_port:
-                return False
-        return True
 
     def _nat_permits(self, node: str, spec, p: pk.ParsedPacket, came_from: str) -> bool:
         """Flow-tracking address translation: outbound traffic opens a
@@ -768,7 +801,7 @@ class Simulation:
         for blob in secrets:
             self._deliver_secret(node, blob)
         me = self.topology.nodes[node]
-        if me.nat and forwarded.ipv4 is not None and me.ip and forwarded.ipv4.dst_ip == pk.str_to_ip(me.ip):
+        if me.nat and forwarded.ipv4 is not None and forwarded.ipv4.dst_ip == self._node_ip[node]:
             unmapped = self._phys_nat_in(node, forwarded)
             if unmapped is not None:
                 self.node_stats[node].forwarded += 1
@@ -783,13 +816,8 @@ class Simulation:
         if p.ipv4 is not None and p.ipv4.dst_ip in registry:
             engine.enqueue_secret(pk.serialize_packet(p))
             return
-        src_is_secret = (
-            p.ipv4 is not None
-            and self.topology.nodes.get(self._ip_to_node.get(p.ipv4.src_ip, ""), None) is not None
-            and self.topology.nodes[self._ip_to_node[p.ipv4.src_ip]].secret
-        )
-        if me.nat and src_is_secret:
-            p = self._phys_nat_out(node, me, p)
+        if me.nat and p.ipv4 is not None and p.ipv4.src_ip in self._secret_ips:
+            p = self._phys_nat_out(node, p)
         p = engine.adjust_flow(p)
         # Only traffic actually crossing to the peer side carries the
         # stream; anything staying local would never reach extraction.
@@ -814,9 +842,9 @@ class Simulation:
     # physical address translation at a gateway: secret flows leave with
     # the gateway's own address and a remapped source port.
 
-    def _phys_nat_out(self, node: str, me, p: pk.ParsedPacket) -> pk.ParsedPacket:
+    def _phys_nat_out(self, node: str, p: pk.ParsedPacket) -> pk.ParsedPacket:
         table = self._phys_nat[node]
-        my_ip = pk.str_to_ip(me.ip)
+        my_ip, my_mac = self._node_ip[node], self._node_mac[node]
         if p.tcp is not None or p.udp is not None:
             proto = p.ipv4.protocol
             sport = p.tcp.src_port if p.tcp is not None else p.udp.src_port
@@ -834,7 +862,7 @@ class Simulation:
             transport = replace(p.tcp, src_port=mapped) if p.tcp is not None else replace(p.udp, src_port=mapped)
             updated = replace(
                 p,
-                link=replace(p.link, src_mac=pk.str_to_mac(me.mac)),
+                link=replace(p.link, src_mac=my_mac),
                 ipv4=replace(p.ipv4, src_ip=my_ip),
                 transport=transport,
             )
@@ -845,7 +873,7 @@ class Simulation:
                 table[key] = (p.ipv4.src_ip, p.icmp.identifier, self._ip_to_node.get(p.ipv4.src_ip, ""))
             updated = replace(
                 p,
-                link=replace(p.link, src_mac=pk.str_to_mac(me.mac)),
+                link=replace(p.link, src_mac=my_mac),
                 ipv4=replace(p.ipv4, src_ip=my_ip),
             )
             return pk.fix_checksums(updated)
@@ -861,10 +889,10 @@ class Simulation:
                 return None
             oip, oport, _ = entry
             transport = replace(p.tcp, dst_port=oport) if p.tcp is not None else replace(p.udp, dst_port=oport)
-            host = self.topology.nodes.get(self._ip_to_node.get(oip, ""), None)
+            host = self._ip_to_node.get(oip)
             updated = replace(
                 p,
-                link=replace(p.link, dst_mac=pk.str_to_mac(host.mac) if host else p.link.dst_mac),
+                link=replace(p.link, dst_mac=self._node_mac[host] if host else p.link.dst_mac),
                 ipv4=replace(p.ipv4, dst_ip=oip),
                 transport=transport,
             )

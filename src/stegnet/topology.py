@@ -110,6 +110,17 @@ class Topology:
                 out.append(link.a)
         return out
 
+    def adjacency(self) -> Dict[str, List[str]]:
+        """Every node's neighbours in sorted order, from one pass over
+        the links.  A snapshot: later changes to ``links`` do not show."""
+        adjacent: Dict[str, List[str]] = {name: [] for name in self.nodes}
+        for link in self.links:
+            adjacent.setdefault(link.a, []).append(link.b)
+            adjacent.setdefault(link.b, []).append(link.a)
+        for names in adjacent.values():
+            names.sort()
+        return adjacent
+
     def gateway_pairs(self) -> List[Tuple[str, str]]:
         seen = set()
         pairs = []

@@ -1,6 +1,7 @@
 """Deterministic desk-scale network simulator."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,10 @@ from stegnet.simnet import (
     WorkloadSpec,
     parse_workload,
 )
-from stegnet.topology import ConfigError
+from stegnet.topology import ConfigError, Topology, load_topology
 
 SECRET_IPS = ("10.0.1.2", "10.0.2.3")
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.topo"))
 
 
 def _sim(seed=0, visible_users=2, covert=True, **kw):
@@ -238,3 +240,175 @@ def test_sent_series_buckets_by_interval():
     assert len(series) == 3
     assert sum(series) == sim.node_stats["vis_a_1"].sent
     assert all(v > 0 for v in series)
+
+
+def test_sequential_bulk_transfers_to_one_host_stay_apart():
+    sim = _sim(seed=3, visible_users=4)
+    transfers = []
+    for _ in range(3):
+        transfer = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
+        sim.run_until(lambda: transfer.delivered_octets >= 4096, max_us=sim.now + 60 * MICROS)
+        transfers.append((transfer, transfer.finished_us))
+    for transfer, finished_us in transfers:
+        assert transfer.delivered_octets == 4096
+        assert transfer.delivered_packets == transfer.sent_packets
+        assert transfer.delivered_digest == transfer.sent_digest
+        # later transfers' packets never move an earlier completion time
+        assert transfer.finished_us == finished_us
+    finished = [t.finished_us for t, _ in transfers]
+    assert finished == sorted(set(finished))
+
+
+def test_a_lost_packet_stalls_only_its_own_transfer():
+    sim = _sim(seed=3, visible_users=4)
+    receive = sim._host_receive
+    lost = []
+
+    def lossy(node, p):
+        if not lost and p.tcp is not None and p.tcp.dst_port == SECRET_PORT and p.app_payload:
+            lost.append(p)
+            return
+        receive(node, p)
+
+    sim._host_receive = lossy
+    stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
+    sim.run(30 * MICROS)
+    assert lost and stalled.delivered_octets == 4096 - 512
+    after = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
+    sim.run_until(lambda: after.delivered_octets >= 4096, max_us=sim.now + 60 * MICROS)
+    assert stalled.delivered_octets == 4096 - 512
+    assert after.delivered_packets == after.sent_packets
+    assert after.delivered_digest == after.sent_digest
+
+
+def test_concurrent_bulk_transfers_to_one_host_stay_apart():
+    sim = _sim(seed=4, visible_users=2, covert=False)
+    transfers = [sim.add_bulk_transfer(src, "secret_a", 3072, packet_size=256)
+                 for src in ("secret_b", "server_b")]
+    sim.run_until(lambda: all(t.delivered_octets >= 3072 for t in transfers), max_us=60 * MICROS)
+    for transfer in transfers:
+        assert transfer.delivered_octets == 3072
+        assert transfer.delivered_digest == transfer.sent_digest
+
+
+def test_bulk_transfer_through_gateway_address_translation_is_credited():
+    sim = Simulation(line_topology(visible_users=1, gateway_nat=True), workload=WorkloadSpec(), seed=4)
+    transfer = sim.add_bulk_transfer("secret_a", "server_b", 2048)
+    sim.run_until(lambda: transfer.delivered_octets >= 2048, max_us=10 * MICROS)
+    assert sim._phys_nat["gw_a"]
+    assert transfer.delivered_octets == 2048
+    assert transfer.delivered_digest == transfer.sent_digest
+
+
+def _node(name, kind, ip=None, **extra):
+    lines = ["[node]", "name = %s" % name, "kind = %s" % kind]
+    if ip:
+        lines.append("ip = %s" % ip)
+    lines.extend("%s = %s" % item for item in extra.items())
+    return "\n".join(lines)
+
+
+# Two equal-length paths between the gateways, declared against name
+# order; a workload host as far from one gateway as from the other; and
+# one cut off from everything.
+TIES = "\n\n".join([
+    _node("gw_a", "cgateway", "10.0.1.1", peer="gw_b"),
+    _node("gw_b", "cgateway", "10.0.2.1", peer="gw_a"),
+    _node("secret_a", "host", "10.0.1.2", secret="true"),
+    _node("secret_b", "host", "10.0.2.2", secret="true"),
+    _node("vis_a", "host", "10.0.1.3", workload="true"),
+    _node("vis_b", "host", "10.0.2.3", workload="true"),
+    _node("r2", "router"),
+    _node("r1", "router"),
+    _node("mid", "host", "10.0.3.1", workload="true"),
+    _node("lone", "host", "10.0.4.1", workload="true"),
+] + [
+    "[link]\na = %s\nb = %s\ncapacity = 125000" % pair
+    for pair in (("secret_a", "gw_a"), ("vis_a", "gw_a"), ("gw_a", "r2"), ("gw_a", "r1"),
+                 ("r2", "gw_b"), ("r1", "gw_b"), ("gw_b", "secret_b"), ("gw_b", "vis_b"),
+                 ("mid", "r1"))
+])
+
+
+class _BruteForce:
+    """Set-up facts recomputed from ``Topology.hop_count`` and
+    ``Topology.neighbors`` alone, the slow way."""
+
+    def __init__(self, topo):
+        self.topo = topo
+        self.hops = {}
+
+    def hop_count(self, a, b):
+        if (a, b) not in self.hops:
+            self.hops[(a, b)] = self.topo.hop_count(a, b)
+        return self.hops[(a, b)]
+
+    def closer_to(self, node, a, b):
+        da, db = self.hop_count(node, a), self.hop_count(node, b)
+        return da is not None and (db is None or da < db)
+
+    def target(self, host):
+        for a, b in self.topo.gateway_pairs():
+            near, far = (a, b) if self.closer_to(host, a, b) else (b, a)
+            options = sorted(
+                n.name for n in self.topo.nodes.values()
+                if n.kind == "host" and not n.secret and n.name != host
+                and self.closer_to(n.name, far, near)
+            )
+            if options:
+                return options[0]
+        return None
+
+    def secret_addresses(self, gw, peer):
+        return {
+            pk.str_to_ip(h.ip) for h in self.topo.nodes.values()
+            if h.secret and self.closer_to(h.name, peer, gw)
+        }
+
+    def first_hop(self, origin, dest):
+        """The lowest-named neighbour on a shortest path."""
+        hops = self.hop_count(origin, dest)
+        return min(n for n in self.topo.neighbors(origin) if self.hop_count(n, dest) == hops - 1)
+
+
+@pytest.mark.parametrize(
+    "make_topology",
+    [lambda path=path: load_topology(str(path)) for path in CONFIGS]
+    + [lambda n=n: line_topology(visible_users=n) for n in (1, 7, 33)]
+    + [lambda: load_topology(TIES, is_path=False)],
+    ids=[path.stem for path in CONFIGS] + ["line_%d" % n for n in (1, 7, 33)] + ["ties"],
+)
+def test_setup_facts_match_brute_force(make_topology):
+    topo = make_topology()
+    sim = Simulation(topo, workload=WorkloadSpec(), seed=0)
+    ref = _BruteForce(topo)
+    expected_targets = {}
+    for node in topo.nodes.values():
+        if node.workload and ref.target(node.name) is not None:
+            expected_targets[node.name] = ref.target(node.name)
+    assert {host: client.target for host, client in sim.clients.items()} == expected_targets
+    pairs = topo.gateway_pairs()
+    assert pairs
+    for a, b in pairs:
+        for gw, peer in ((a, b), (b, a)):
+            assert sim._secret_registry[gw] == ref.secret_addresses(gw, peer)
+            assert sim._gateway_side[gw] == ref.first_hop(gw, peer)
+
+
+def test_setup_walks_the_topology_a_bounded_number_of_times(monkeypatch):
+    topo = line_topology(visible_users=200)
+    calls = {"neighbors": 0, "hop_count": 0}
+
+    def counted(name):
+        original = getattr(Topology, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Topology, name, counted(name))
+    sim = Simulation(topo, workload=WorkloadSpec(), seed=0)
+    assert len(sim.clients) == 200
+    assert calls["neighbors"] + calls["hop_count"] <= len(topo.nodes)

@@ -7,6 +7,7 @@ import pytest
 from stegnet.topology import (
     ConfigError,
     InvalidTopology,
+    NodeDef,
     load_topology,
     parse_topology,
     validate_topology,
@@ -280,3 +281,12 @@ def test_comments_hex_and_explicit_macs():
     topo = _load(text)
     assert topo.links[0].capacity == 0x400
     assert topo.nodes["h_b"].mac == "02:aa:bb:cc:dd:ee"
+
+
+def test_adjacency_agrees_with_the_link_scan():
+    topo = line_topology(visible_users=3)
+    topo.nodes["lone"] = NodeDef(name="lone", kind="router")
+    adjacency = topo.adjacency()
+    assert set(adjacency) == set(topo.nodes)
+    for name in topo.nodes:
+        assert adjacency[name] == sorted(topo.neighbors(name))
