@@ -23,9 +23,8 @@ from .engine import (
     CovertGateway,
     DesyncError,
     EngineConfig,
+    CarrierStats,
     EngineError,
-    ExtractStats,
-    FusionStats,
     Oversize,
 )
 from .handlers import (
@@ -52,14 +51,13 @@ __all__ = [
     "BadThresholds",
     "CalibrationPlan",
     "CalibrationResult",
+    "CarrierStats",
     "ConfigError",
     "CovertGateway",
     "DEFAULT_ENABLED",
     "DesyncError",
     "EngineConfig",
     "EngineError",
-    "ExtractStats",
-    "FusionStats",
     "HandlerRegistry",
     "HandlerSpec",
     "ICMP_PAYLOAD_ID",

@@ -19,28 +19,25 @@ import hashlib
 import os
 import random
 import sys
-import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import packet as pk
 from . import trace as tr
 from .calibration import CalibrationPlan, calibrate_handler
-from .engine import CovertGateway, DesyncError, EngineConfig
+from .engine import CovertGateway, DesyncError, EngineConfig, _child_seed
 from .handlers import UnknownHandler, build_registry
-from .report import SessionReport, render_report, write_report
+from .report import SessionReport, _write_atomic, render_report, write_report
 from .scenarios import calibration_report, simulation_runner
 from .simnet import MICROS, Simulation, WorkloadSpec, parse_workload
-from .topology import ConfigError, InvalidTopology, Topology, load_topology
+from .topology import ConfigError, InvalidTopology, Topology, _parse_bool, load_topology
 
 EXIT_CONFIG = 2
 EXIT_TOPOLOGY = 3
 EXIT_HANDLER = 4
 EXIT_CAPACITY = 5
 
-_ENGINE_KEYS = (
-    "handlers", "encryption", "augmented", "augment_probability",
-    "preserve_icmp_timestamp", "seed", "chunk_size",
-)
+# Engine file keys whose EngineConfig field has another name.
+_CONFIG_FIELDS = {"handlers": "enabled_handlers", "augmented": "augmented_allowed"}
 
 
 class CliError(Exception):
@@ -51,15 +48,6 @@ class CliError(Exception):
 
 def _fail(code: int, message: str) -> "CliError":
     return CliError(code, message)
-
-
-def _parse_bool(text: str, line: int) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise _fail(EXIT_CONFIG, "line %d: expected a boolean, got %r" % (line, text))
 
 
 def _parse_handler_list(text: str) -> Tuple[int, ...]:
@@ -133,16 +121,7 @@ def _engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
         values["preserve_icmp_timestamp"] = True
     if getattr(args, "seed", None) is not None:
         values.setdefault("seed", args.seed)
-    config = EngineConfig(
-        enabled_handlers=values.get("handlers", EngineConfig.enabled_handlers),
-        cost_overrides=dict(values.get("cost_overrides", {})),
-        encryption=bool(values.get("encryption", False)),
-        augmented_allowed=bool(values.get("augmented", False)),
-        preserve_icmp_timestamp=bool(values.get("preserve_icmp_timestamp", False)),
-        seed=int(values.get("seed", 0)),
-        chunk_size=int(values.get("chunk_size", 1480)),
-        augment_probability=float(values.get("augment_probability", 0.0)),
-    )
+    config = EngineConfig(**{_CONFIG_FIELDS.get(key, key): value for key, value in values.items()})
     try:
         config.validate()
         build_registry(config.enabled_handlers, config.cost_overrides,
@@ -177,9 +156,7 @@ def _load_workload(path: Optional[str]) -> Optional[WorkloadSpec]:
 
 
 def _seeded_payload(size: int, seed: int) -> bytes:
-    rng = random.Random(int.from_bytes(
-        hashlib.sha256(b"cli-payload:%d" % seed).digest()[:8], "big"))
-    return rng.randbytes(size)
+    return random.Random(_child_seed("cli-payload", seed)).randbytes(size)
 
 
 def _emit_report(report: SessionReport, out: Optional[str]) -> None:
@@ -190,19 +167,9 @@ def _emit_report(report: SessionReport, out: Optional[str]) -> None:
         sys.stdout.write(render_report(report))
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _note_unparsed(count: int) -> None:
+    if count:
+        print("unparseable frames %d, copied unchanged" % count)
 
 
 def _secret_pair(topology: Topology) -> Tuple[str, str]:
@@ -333,9 +300,14 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
 
     gateway.enqueue_payload(payload)
     fused: List[pk.RawPacket] = []
-    carrying = excluded = 0
+    carrying = excluded = unparsed = 0
     for record in source.records:
-        carrier = pk.parse_packet(record.data)
+        try:
+            carrier = pk.parse_packet(record.data)
+        except pk.PacketError:
+            unparsed += 1
+            fused.append(record)
+            continue
         carrier, stats = gateway.fuse(carrier)
         if stats.excluded:
             excluded += 1
@@ -353,6 +325,7 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
     counters = gateway.counters
     print("fused %d of %d carriers, stamped %d idle matches excluded"
           % (carrying, len(source.records), excluded))
+    _note_unparsed(unparsed)
     print("payload octets %d  sha256 %s"
           % (len(payload), hashlib.sha256(payload).hexdigest()))
     print("sync octets %d  data octets %d"
@@ -369,9 +342,14 @@ def _cmd_extract_trace(args: argparse.Namespace) -> int:
         raise _fail(EXIT_CONFIG, "cannot read trace: %s" % exc)
     chunks: List[bytes] = []
     repaired_records: List[pk.RawPacket] = []
-    matched = desyncs = 0
+    matched = desyncs = unparsed = 0
     for record in source.records:
-        carrier = pk.parse_packet(record.data)
+        try:
+            carrier = pk.parse_packet(record.data)
+        except pk.PacketError:
+            unparsed += 1
+            repaired_records.append(record)
+            continue
         try:
             repaired, packets, stats = gateway.extract(carrier)
         except DesyncError as exc:
@@ -388,12 +366,13 @@ def _cmd_extract_trace(args: argparse.Namespace) -> int:
         ))
     payload = b"".join(chunks)
     print("matched %d of %d carriers" % (matched, len(source.records)))
+    _note_unparsed(unparsed)
     if desyncs:
         print("desyncs %d" % desyncs, file=sys.stderr)
     print("recovered %d octets in %d chunks  sha256 %s"
           % (len(payload), len(chunks), hashlib.sha256(payload).hexdigest()))
     if args.out:
-        _write_bytes(args.out, payload)
+        _write_atomic(args.out, payload)
         print("payload written to %s" % args.out)
     if args.trace_out:
         tr.write_trace(tr.TraceFile(records=repaired_records,

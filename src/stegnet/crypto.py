@@ -27,7 +27,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -356,21 +356,3 @@ class CryptoSession:
             raise NotEstablished("no symmetric key installed")
         return decrypt_stream(self.key, self.rx_iv, ciphertext)
 
-
-def negotiate_keys(
-    local: Tuple[RsaPublicKey, bytes],
-    remote: Tuple[RsaPublicKey, bytes],
-    rng: random.Random,
-) -> Tuple[str, List[bytes]]:
-    """Decide roles from MAC tails and produce outbound key messages.
-
-    The generator side invents the 16-octet secret and returns the
-    encrypted-key message; the receiver returns no messages and waits.
-    """
-    local_pub, local_mac = local
-    remote_pub, remote_mac = remote
-    if choose_generator(local_mac, remote_mac):
-        secret = rng.randbytes(SECRET_LEN)
-        message = encode_ke_message(KE_SYMKEY, local_mac, rsa_encrypt(remote_pub, secret))
-        return ROLE_GENERATOR, [message]
-    return ROLE_RECEIVER, []

@@ -95,20 +95,12 @@ class EngineConfig:
 
 
 @dataclass
-class FusionStats:
+class CarrierStats:
+    """What ``fuse`` or ``extract`` did with one carrier.  ``modified``
+    is set only by ``fuse``."""
+
     matched: bool = False
     modified: bool = False
-    excluded: bool = False
-    handler_id: Optional[int] = None
-    sync_octets: int = 0
-    data_octets: int = 0
-    item_kind: Optional[str] = None
-    item_completed: bool = False
-
-
-@dataclass
-class ExtractStats:
-    matched: bool = False
     excluded: bool = False
     handler_id: Optional[int] = None
     sync_octets: int = 0
@@ -144,9 +136,11 @@ class _RxItem:
     buf: bytearray = field(default_factory=bytearray)
 
 
-def _child_seed(seed: int, name: str) -> int:
-    digest = hashlib.sha256(("%d:%s" % (seed, name)).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def _child_seed(*parts) -> int:
+    """64-bit seed from the SHA-256 of ``parts`` joined by colons: every
+    derived seed and stable hash in the package comes from here."""
+    text = ":".join(str(part) for part in parts)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 class CovertGateway:
@@ -275,14 +269,14 @@ class CovertGateway:
         self._tx_item = item
         return item
 
-    def fuse(self, carrier: pk.ParsedPacket) -> Tuple[pk.ParsedPacket, FusionStats]:
+    def fuse(self, carrier: pk.ParsedPacket) -> Tuple[pk.ParsedPacket, CarrierStats]:
         """Embed the next stream slice into ``carrier``.
 
         Unmatched carriers pass through untouched.  Matched carriers
         either receive a segment or are stamped with the exclusion
         marker, so the peer never has to guess.
         """
-        stats = FusionStats()
+        stats = CarrierStats()
         self.counters["carriers_seen"] += 1
         candidates = self.registry.match(carrier)
         if not candidates:
@@ -345,7 +339,7 @@ class CovertGateway:
             self._tx_item = None
         return modified, stats
 
-    def _exclude(self, carrier: pk.ParsedPacket, stats: FusionStats) -> Tuple[pk.ParsedPacket, FusionStats]:
+    def _exclude(self, carrier: pk.ParsedPacket, stats: CarrierStats) -> Tuple[pk.ParsedPacket, CarrierStats]:
         stats.excluded = True
         stats.modified = True
         self.counters["carriers_excluded"] += 1
@@ -400,13 +394,13 @@ class CovertGateway:
         self._rx_item = None
         raise DesyncError(why, forwarded=carrier)
 
-    def extract(self, carrier: pk.ParsedPacket) -> Tuple[pk.ParsedPacket, List[bytes], ExtractStats]:
+    def extract(self, carrier: pk.ParsedPacket) -> Tuple[pk.ParsedPacket, List[bytes], CarrierStats]:
         """Recover the stream slice from ``carrier``.
 
         Returns the repaired carrier to forward, any secret packets
         completed by this carrier, and per-carrier accounting.
         """
-        stats = ExtractStats()
+        stats = CarrierStats()
         if wire.is_excluded(carrier):
             stats.excluded = True
             return wire.clear_exclusion(carrier), [], stats
@@ -473,17 +467,20 @@ class CovertGateway:
         if item is not None and item.expected is not None and len(item.buf) == item.expected:
             stats.item_completed = True
             self._rx_item = None
-            data = bytes(item.buf)
-            if item.encrypted:
-                data = self._ensure_session().decrypt_item(data)
-            if item.kind == ITEM_DATA:
-                secrets.append(data)
-                self.counters["secret_octets_delivered"] += len(data)
-                self.counters["secret_packets_delivered"] += 1
-            elif item.kind == ITEM_KEY_EXCHANGE:
-                self._handle_key_exchange(data)
-            elif item.kind == ITEM_RECOVERY:
-                self._handle_recovery(data, carrier)
+            try:
+                data = bytes(item.buf)
+                if item.encrypted:
+                    data = self._ensure_session().decrypt_item(data)
+                if item.kind == ITEM_DATA:
+                    secrets.append(data)
+                    self.counters["secret_octets_delivered"] += len(data)
+                    self.counters["secret_packets_delivered"] += 1
+                elif item.kind == ITEM_KEY_EXCHANGE:
+                    self._handle_key_exchange(data)
+                elif item.kind == ITEM_RECOVERY:
+                    self._handle_recovery(data, carrier)
+            except (wire.MalformedRecord, crypto.CryptoError) as exc:
+                self._desync(self._repair(carrier, hid), "undecodable %s item: %s" % (item.kind, exc))
 
         return self._repair(carrier, hid), secrets, stats
 

@@ -106,7 +106,6 @@ class SelectionContext:
     augmented_allowed: bool = False
     opening: bool = True
     active_multiplicity: int = 1
-    flow_state: Optional[dict] = None
 
 
 def _default_vectors(seed: int = 0x5EED) -> List[pk.ParsedPacket]:
@@ -180,13 +179,6 @@ class HandlerRegistry:
             return self._specs[handler_id]
         except KeyError:
             raise UnknownHandler("no handler with id %d" % handler_id) from None
-
-    def known(self, handler_id: int) -> bool:
-        return handler_id in self._specs
-
-    def enable(self, handler_id: int, on: bool = True) -> None:
-        self.get(handler_id)
-        self._enabled[handler_id] = on
 
     def is_enabled(self, handler_id: int) -> bool:
         return self._enabled.get(handler_id, False)

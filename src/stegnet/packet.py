@@ -4,7 +4,7 @@ Parsing and serialization are inverses: a well formed frame survives
 ``parse_packet`` -> ``serialize_packet`` without a single bit changing,
 and a packet built through the constructors survives the reverse trip.
 Length and offset fields (IHL, total length, data offset, UDP length)
-are always recomputed from structure during serialization; checksum
+are not stored: serialization derives them from structure.  Checksum
 fields are emitted exactly as stored, so a deliberately overwritten
 checksum stays overwritten until someone recomputes it on purpose.
 
@@ -124,10 +124,7 @@ class Ethernet:
 
 @dataclass(frozen=True)
 class Ipv4:
-    version: int
-    ihl: int
     tos: int
-    total_length: int
     identification: int
     flags: int
     frag_offset: int
@@ -145,7 +142,6 @@ class Tcp:
     dst_port: int
     seq: int
     ack: int
-    data_offset: int
     flags: int
     window: int
     checksum: int
@@ -157,7 +153,6 @@ class Tcp:
 class Udp:
     src_port: int
     dst_port: int
-    length: int
     checksum: int
 
 
@@ -450,10 +445,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
         raise Truncated("IPv4 options truncated")
     options = data[ETHER_SIZE + MIN_IPV4_HEADER : ETHER_SIZE + header_len]
     ipv4 = Ipv4(
-        version=4,
-        ihl=ihl,
         tos=tos,
-        total_length=total,
         identification=ident,
         flags=flags_frag >> 13,
         frag_offset=flags_frag & 0x1FFF,
@@ -476,7 +468,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
         offset = off_bits >> 4
         if offset < 5 or offset * 4 > len(body):
             raise Truncated("TCP data offset inconsistent with segment")
-        transport = Tcp(sport, dport, seq, ack, offset, flags, window, chk, urg, options=body[_TCP.size : offset * 4])
+        transport = Tcp(sport, dport, seq, ack, flags, window, chk, urg, options=body[_TCP.size : offset * 4])
         payload = body[offset * 4 :]
     elif proto == PROTO_UDP:
         if len(body) < _UDP.size:
@@ -484,7 +476,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
         sport, dport, length, chk = _UDP.unpack_from(body, 0)
         if length != len(body) or length < _UDP.size:
             raise Truncated("UDP length inconsistent with IPv4 payload")
-        transport = Udp(sport, dport, length, chk)
+        transport = Udp(sport, dport, chk)
         payload = body[_UDP.size :]
     elif proto == PROTO_ICMP:
         if len(body) < _ICMP.size:
@@ -504,39 +496,21 @@ def parse_packet(data: bytes) -> ParsedPacket:
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
     """Replace the TCP options region with ``options``.
 
-    Pads with NOP (0x01) octets to 4-octet alignment, recomputes the
-    data offset, and recomputes both checksums since the segment and
-    total lengths change.
+    Pads with NOP (0x01) octets to 4-octet alignment and recomputes
+    both checksums, since the segment and total lengths change.
     """
     if p.tcp is None:
         raise UnsupportedProtocol("packet has no TCP header")
     if len(options) > MAX_TCP_OPTIONS:
         raise OptionsOverflow("TCP options of %d octets exceed 40" % len(options))
     padded = options + bytes([TCP_OPT_NOP]) * (-len(options) % 4)
-    offset = (_TCP.size + len(padded)) // 4
-    tcp = replace(p.tcp, options=padded, data_offset=offset)
-    updated = _refresh_lengths(replace(p, transport=tcp))
-    return fix_checksums(updated)
+    return fix_checksums(replace(p, transport=replace(p.tcp, options=padded)))
 
 
 def set_icmp_payload(p: ParsedPacket, payload: bytes) -> ParsedPacket:
     if p.icmp is None:
         raise UnsupportedProtocol("packet has no ICMP message")
-    updated = _refresh_lengths(replace(p, transport=replace(p.icmp, payload=payload)))
-    return fix_checksums(updated)
-
-
-def _refresh_lengths(p: ParsedPacket) -> ParsedPacket:
-    """Re-derive stored length/offset fields from structure."""
-    if p.ipv4 is None:
-        return p
-    ip = replace(p.ipv4, ihl=(MIN_IPV4_HEADER + len(p.ipv4.options)) // 4, total_length=_ipv4_total(p))
-    p = replace(p, ipv4=ip)
-    if p.udp is not None:
-        p = replace(p, transport=replace(p.udp, length=_UDP.size + len(p.app_payload)))
-    if p.tcp is not None:
-        p = replace(p, transport=replace(p.tcp, data_offset=(_TCP.size + len(p.tcp.options)) // 4))
-    return p
+    return fix_checksums(replace(p, transport=replace(p.icmp, payload=payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +535,14 @@ def build_tcp(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    tcp = Tcp(src_port, dst_port, seq, ack, 5, flags, window, 0, 0, options=options)
+    tcp = Tcp(src_port, dst_port, seq, ack, flags, window, 0, 0, options=options)
     p = ParsedPacket(
         link=Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4),
         ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_TCP, tos, ttl, identification),
         transport=tcp,
         app_payload=payload,
     )
-    return fix_checksums(_refresh_lengths(p))
+    return fix_checksums(p)
 
 
 def build_udp(
@@ -584,14 +558,14 @@ def build_udp(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    udp = Udp(src_port, dst_port, _UDP.size + len(payload), 0)
+    udp = Udp(src_port, dst_port, 0)
     p = ParsedPacket(
         link=Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4),
         ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_UDP, tos, ttl, identification),
         transport=udp,
         app_payload=payload,
     )
-    return fix_checksums(_refresh_lengths(p))
+    return fix_checksums(p)
 
 
 def build_icmp_echo(
@@ -614,15 +588,12 @@ def build_icmp_echo(
         ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_ICMP, tos, ttl, identification),
         transport=icmp,
     )
-    return fix_checksums(_refresh_lengths(p))
+    return fix_checksums(p)
 
 
 def _fresh_ipv4(src_ip, dst_ip, proto: int, tos: int, ttl: int, identification: int) -> Ipv4:
     return Ipv4(
-        version=4,
-        ihl=5,
         tos=tos,
-        total_length=0,  # refreshed before use
         identification=identification,
         flags=2,  # don't fragment, the common case
         frag_offset=0,

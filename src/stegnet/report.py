@@ -48,14 +48,12 @@ def render_report(report: SessionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: SessionReport, path: str) -> None:
-    """Render and atomically replace ``path``."""
-    text = render_report(report)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".report-", dir=directory)
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a sibling temp file, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -63,6 +61,11 @@ def write_report(report: SessionReport, path: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_report(report: SessionReport, path: str) -> None:
+    """Render and atomically replace ``path``."""
+    _write_atomic(path, render_report(report).encode("utf-8"))
 
 
 def parse_report(text: str) -> SessionReport:

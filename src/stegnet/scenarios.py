@@ -9,7 +9,6 @@ functions of their seed.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import packet as pk
@@ -21,6 +20,15 @@ from .simnet import MICROS, SECRET_PORT, Simulation, WorkloadSpec
 from .topology import Topology, load_topology
 
 DEFAULT_HANDLERS = (TCP_OPTIONS_ID, ICMP_PAYLOAD_ID)
+
+
+def _visible_ip(i: int) -> str:
+    """Visible user ``i`` (from 0) of ``line_topology``: 10.0.1.10-254 for
+    the first 245, then 10.0.3.1-254, 10.0.4.1-254 and so on."""
+    if i < 245:
+        return "10.0.1.%d" % (10 + i)
+    extra = i - 245
+    return "10.0.%d.%d" % (3 + extra // 254, 1 + extra % 254)
 
 
 def line_topology(
@@ -55,7 +63,7 @@ def line_topology(
 
     node("secret_a", "host", "10.0.1.2", secret="true")
     for i in range(visible_users):
-        node("vis_a_%d" % (i + 1), "host", "10.0.1.%d" % (10 + i), workload="true")
+        node("vis_a_%d" % (i + 1), "host", _visible_ip(i), workload="true")
     node("gw_a", "cgateway", "10.0.1.1", peer="gw_b")
     node("core", "monitor")
     node("gw_b", "cgateway", "10.0.2.1", peer="gw_a")

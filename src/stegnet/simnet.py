@@ -119,15 +119,10 @@ def _child_rng(seed: int, name: str) -> random.Random:
     return random.Random(_child_seed(seed, name))
 
 
-def _stable_hash(*parts) -> int:
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _safe_isn(*parts) -> int:
     """Deterministic initial sequence number whose leading octet can
     never be mistaken for a synchronization header code."""
-    h = _stable_hash("isn", *parts)
+    h = _child_seed("isn", *parts)
     return ((0x40 | (h >> 56) & 0x3F) << 24) | (h & 0xFFFFFF)
 
 
@@ -237,7 +232,7 @@ class _WorkloadClient:
         else:
             payload = self.rng.randbytes(self.spec.icmp_payload)
             self.icmp_seq += 1
-            p = pk.build_icmp_echo(src_ip, dst_ip, identifier=_stable_hash("ping", self.host) & 0x7FFF,
+            p = pk.build_icmp_echo(src_ip, dst_ip, identifier=_child_seed("ping", self.host) & 0x7FFF,
                                    sequence=self.icmp_seq & 0xFFFF, payload=payload,
                                    src_mac=src_mac, dst_mac=dst_mac)
         size = p.wire_len

@@ -13,8 +13,8 @@ capacity, and no handler is allowed to use the TOS octet as a region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from . import packet as pk
 
@@ -170,7 +170,7 @@ def handler_switch_needed(chosen: int, active: Optional[int], multiplicity: int,
 
 
 class SegmentCursor:
-    """Per-direction planning state shared by the sender and tests.
+    """Per-direction segment planner: the sender calls ``place`` once per carrier.
 
     Tracks the active handler and whether the carrier that established
     it was ambiguous (matched by more than one handler).  Excluded
@@ -209,62 +209,3 @@ class SegmentCursor:
             self.active_multiplicity = multiplicity
         self.active_handler = handler_id
         return header, data
-
-
-@dataclass(frozen=True)
-class SegmentEntry:
-    handler_id: Optional[int]
-    sync: Optional[SyncHeader]
-    data_octets: int
-    excluded: bool = False
-
-
-@dataclass
-class SegmentPlan:
-    secret_len: int
-    entries: List[SegmentEntry] = field(default_factory=list)
-
-    @property
-    def total_data(self) -> int:
-        return sum(e.data_octets for e in self.entries)
-
-    @property
-    def complete(self) -> bool:
-        return self.total_data == self.secret_len
-
-
-def plan_segments(
-    secret_len: int,
-    carriers: Sequence[Tuple[int, int, int]],
-    cursor: Optional[SegmentCursor] = None,
-) -> SegmentPlan:
-    """Lay one secret packet over an ordered carrier sequence.
-
-    ``carriers`` holds (handler id, capacity, match multiplicity)
-    tuples.  The first usable carrier gets a PACKET_START header whose
-    data field is the secret packet length; later carriers get a
-    handler-switch header exactly when ``handler_switch_needed`` says
-    so.  Carriers that cannot fit their required header plus one data
-    octet are planned as excluded and consume nothing.
-    """
-    if secret_len < 1:
-        raise ValueError("secret length must be positive")
-    if secret_len > 0xFFFF:
-        raise ValueError("secret length %d exceeds 16-bit start header field" % secret_len)
-    cursor = cursor if cursor is not None else SegmentCursor()
-    plan = SegmentPlan(secret_len=secret_len)
-    remaining = secret_len
-    opened = False
-    for handler_id, capacity, multiplicity in carriers:
-        if remaining == 0:
-            break
-        opening = None if opened else SyncHeader(CODE_PACKET_START, secret_len)
-        placed = cursor.place(handler_id, capacity, multiplicity, remaining, opening)
-        if placed is None:
-            plan.entries.append(SegmentEntry(handler_id=handler_id, sync=None, data_octets=0, excluded=True))
-            continue
-        header, data = placed
-        opened = True
-        remaining -= data
-        plan.entries.append(SegmentEntry(handler_id=handler_id, sync=header, data_octets=data))
-    return plan

@@ -197,6 +197,30 @@ def test_fuse_then_extract_round_trip(tmp_path, capsys):
         assert pk.validate_checksums(pk.parse_packet(record.data))
 
 
+def test_trace_commands_copy_unparseable_frames(tmp_path, capsys):
+    good = tr.read_trace(_carrier_trace(tmp_path / "carriers.pcap")).records
+    bad_version = bytearray(good[0].data)
+    bad_version[pk.ETHER_SIZE] = 0x65  # IPv6 version nibble
+    truncated = good[1].data[: pk.ETHER_SIZE + 10]
+    bad = [pk.RawPacket(bytes(bad_version), 500), pk.RawPacket(truncated, 1500)]
+    mixed = good[:1] + bad[:1] + good[1:20] + bad[1:] + good[20:]
+    source = tmp_path / "mixed.pcap"
+    tr.write_trace(tr.TraceFile(records=mixed), str(source))
+
+    fused, repaired, recovered = (tmp_path / n for n in ("fused.pcap", "repaired.pcap", "payload.bin"))
+    assert main(["fuse-trace", "--in", str(source), "--out", str(fused),
+                 "--payload", "256", "--seed", "5"]) == 0
+    assert "unparseable frames 2" in capsys.readouterr().out
+    assert main(["extract-trace", "--in", str(fused), "--out", str(recovered),
+                 "--trace-out", str(repaired)]) == 0
+    assert "unparseable frames 2" in capsys.readouterr().out
+    assert recovered.read_bytes() == _seeded_payload(256, 5)
+
+    for path in (fused, repaired):
+        records = tr.read_trace(str(path)).records
+        assert [records[1], records[21]] == bad
+
+
 def test_fuse_payload_file(tmp_path, capsys):
     trace = _carrier_trace(tmp_path / "carriers.pcap")
     blob = tmp_path / "blob.bin"

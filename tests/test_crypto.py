@@ -115,18 +115,17 @@ def test_public_key_codec():
 
 
 def test_negotiate_roles_and_session():
-    rng = random.Random(12)
-    role_a, out_a = cr.negotiate_keys((PAIR_A.public, MAC_A), (PAIR_B.public, MAC_B), rng)
-    role_b, out_b = cr.negotiate_keys((PAIR_B.public, MAC_B), (PAIR_A.public, MAC_A), rng)
-    assert {role_a, role_b} == {cr.ROLE_GENERATOR, cr.ROLE_RECEIVER}
+    # The larger MAC tail generates the secret and sends it under the
+    # peer's public key, as the gateway's key exchange does.
     assert cr.mac_tail(MAC_A) > cr.mac_tail(MAC_B)
-    assert role_a == cr.ROLE_GENERATOR
-    assert len(out_a) == 1 and out_b == []
+    assert cr.choose_generator(MAC_A, MAC_B) and not cr.choose_generator(MAC_B, MAC_A)
+    sent = random.Random(12).randbytes(cr.SECRET_LEN)
+    blob = cr.encode_ke_message(cr.KE_SYMKEY, MAC_A, cr.rsa_encrypt(PAIR_B.public, sent))
 
-    msg_type, mac, ciphertext = cr.decode_ke_message(out_a[0])
+    msg_type, mac, ciphertext = cr.decode_ke_message(blob)
     assert msg_type == cr.KE_SYMKEY and mac == MAC_A
     secret = cr.rsa_decrypt(PAIR_B, ciphertext)
-    assert len(secret) == cr.SECRET_LEN
+    assert secret == sent and len(secret) == cr.SECRET_LEN
 
     gen = cr.CryptoSession(local_mac=MAC_A, keypair=PAIR_A)
     rcv = cr.CryptoSession(local_mac=MAC_B, keypair=PAIR_B)

@@ -222,6 +222,32 @@ def test_desync_drops_only_inflight_item():
     assert got == [kept]
 
 
+def _crafted(segment):
+    """A TCP carrier whose options region holds ``segment`` verbatim."""
+    return build_registry(enabled=(TCP_OPTIONS_ID,)).get(TCP_OPTIONS_ID).writer(_tcp(0), segment)
+
+
+@pytest.mark.parametrize("segment", [
+    # a recovery item announcing 3 octets instead of 17
+    wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 3)) + b"\x01\x02\x03",
+    # a key exchange whose encrypted secret is garbage
+    wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, 0))
+    + crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, b"\x00" * 5),
+], ids=["short_recovery", "garbage_symkey"])
+def test_undecodable_item_is_a_desync(segment):
+    tx, rx = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,)))
+    crafted = _crafted(segment)
+    with pytest.raises(DesyncError) as err:
+        rx.extract(crafted)
+    assert err.value.forwarded is not None
+
+    # The session survives: the next item opens cleanly.
+    kept = b"\x55" * 30
+    tx.enqueue_secret(kept)
+    _, _, got = _pump(tx, rx, [_tcp(9)])
+    assert got == [kept]
+
+
 def test_session_reset_rides_after_pending_data():
     tx, rx = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,)))
     secret = b"\x77" * 12

@@ -8,6 +8,7 @@ from stegnet.scenarios import (
     EmptyBase,
     aggregate_series,
     calibration_report,
+    line_topology,
     mean_abs_distance,
     scenario_firewall_bypass,
     scenario_impersonation,
@@ -164,3 +165,15 @@ def test_session_report_render_parse():
     assert back.scenario == "demo" and back.seed == 4
     assert back.fields["flag"] == "true"
     assert back.rows == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
+
+
+@pytest.mark.parametrize("users", [246, 300])
+def test_line_topology_past_245_users(users):
+    topo = line_topology(visible_users=users)
+    ips = [node.ip for node in topo.nodes.values() if node.ip]
+    assert len(ips) == len(set(ips)) == users + 5
+    assert not [ip for ip in ips if ip.endswith((".0", ".255"))]
+    # The first 245 users keep their addresses.
+    assert topo.nodes["vis_a_1"].ip == "10.0.1.10"
+    assert topo.nodes["vis_a_245"].ip == "10.0.1.254"
+    assert not [ip for ip in ips if ip.startswith("10.0.2.") and ip not in ("10.0.2.1", "10.0.2.2", "10.0.2.3")]

@@ -67,21 +67,37 @@ CASE_ONE = [(1, 40, 1), (1, 40, 1), (2, 56, 1), (1, 40, 1), (1, 40, 1)]
 CASE_TWO = [(1, 40, 1), (1, 40, 1), (2, 56, 2), (1, 40, 1), (1, 40, 1)]
 
 
+def _plan(secret_len, carriers):
+    """Lay one secret packet over ``carriers`` with ``SegmentCursor.place``,
+    as the sender does: one (sync header, data octets) per carrier, None
+    for an excluded one, stopping once the packet is placed."""
+    cursor = wire.SegmentCursor()
+    steps, remaining = [], secret_len
+    for handler_id, capacity, multiplicity in carriers:
+        if remaining == 0:
+            break
+        opening = wire.SyncHeader(wire.CODE_PACKET_START, secret_len) if remaining == secret_len else None
+        step = cursor.place(handler_id, capacity, multiplicity, remaining, opening)
+        steps.append(step)
+        if step is not None:
+            remaining -= step[1]
+    return steps
+
+
 def test_plan_case_one():
-    plan = wire.plan_segments(213, CASE_ONE)
-    assert [e.data_octets for e in plan.entries] == [37, 40, 56, 40, 40]
-    assert plan.total_data == 213
-    assert plan.complete
-    syncs = [e.sync for e in plan.entries]
+    steps = _plan(213, CASE_ONE)
+    assert [data for _, data in steps] == [37, 40, 56, 40, 40]
+    assert sum(data for _, data in steps) == 213
+    syncs = [sync for sync, _ in steps]
     assert syncs[0] == wire.SyncHeader(wire.CODE_PACKET_START, 213)
     assert syncs[1:] == [None, None, None, None]
 
 
 def test_plan_case_two():
-    plan = wire.plan_segments(207, CASE_TWO)
-    assert [e.data_octets for e in plan.entries] == [37, 40, 53, 37, 40]
-    assert plan.total_data == 207
-    syncs = [e.sync for e in plan.entries]
+    steps = _plan(207, CASE_TWO)
+    assert [data for _, data in steps] == [37, 40, 53, 37, 40]
+    assert sum(data for _, data in steps) == 207
+    syncs = [sync for sync, _ in steps]
     assert syncs[0] == wire.SyncHeader(wire.CODE_PACKET_START, 207)
     assert syncs[1] is None
     assert syncs[2] == wire.switch_header(2)
@@ -91,7 +107,7 @@ def test_plan_case_two():
 
 def test_plan_conservation():
     """Sync octets plus data octets never exceed offered capacity, and
-    data octets sum to the secret length whenever the plan completes."""
+    data octets sum to the secret length whenever planning stops early."""
     rng = random.Random(0xACE)
     for _ in range(400):
         secret_len = rng.randrange(1, 400)
@@ -101,24 +117,24 @@ def test_plan_conservation():
             capacity = {1: 40, 2: rng.choice((24, 48, 56)), 4: 2}[handler]
             multiplicity = rng.choice((1, 1, 2))
             carriers.append((handler, capacity, multiplicity))
-        plan = wire.plan_segments(secret_len, carriers)
+        steps = _plan(secret_len, carriers)
         used = 0
-        for entry, (hid, capacity, _) in zip(plan.entries, carriers):
-            spent = entry.data_octets + (wire.SYNC_SIZE if entry.sync else 0)
-            assert spent <= capacity
-            if entry.excluded:
-                assert entry.data_octets == 0
-            used += entry.data_octets
-        assert used == plan.total_data <= secret_len
-        if plan.complete:
-            assert plan.total_data == secret_len
+        for step, (hid, capacity, _) in zip(steps, carriers):
+            if step is None:
+                continue  # excluded: consumes nothing
+            sync, data = step
+            assert data + (wire.SYNC_SIZE if sync else 0) <= capacity
+            used += data
+        assert used <= secret_len
+        if len(steps) < len(carriers):
+            assert used == secret_len
 
 
 def test_plan_two_octet_regions_cannot_open():
     # A checksum-field carrier can continue a packet but never start one.
-    plan = wire.plan_segments(10, [(4, 2, 1), (1, 40, 1)])
-    assert plan.entries[0].excluded
-    assert plan.entries[1].data_octets == 10
+    steps = _plan(10, [(4, 2, 1), (1, 40, 1)])
+    assert steps[0] is None
+    assert steps[1][1] == 10
 
 
 def test_plan_header_only_reset_semantics():
