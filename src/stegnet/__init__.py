@@ -20,10 +20,10 @@ from .calibration import (
     cost_variable,
 )
 from .engine import (
+    CarrierStats,
     CovertGateway,
     DesyncError,
     EngineConfig,
-    CarrierStats,
     EngineError,
     Oversize,
 )

@@ -137,8 +137,8 @@ class _RxItem:
 
 
 def _child_seed(*parts) -> int:
-    """64-bit seed from the SHA-256 of ``parts`` joined by colons: every
-    derived seed and stable hash in the package comes from here."""
+    """64-bit seed from the SHA-256 of ``parts`` joined by colons.  The
+    engine, the simulator and the CLI derive all their seeds here."""
     text = ":".join(str(part) for part in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 

@@ -9,10 +9,10 @@ functions of their seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import packet as pk
-from .calibration import CalibrationPlan, CalibrationResult, RunSpec, calibrate_handler
+from .calibration import CalibrationResult, RunSpec
 from .engine import EngineConfig
 from .handlers import ICMP_PAYLOAD_ID, TCP_ISN_ID, TCP_OPTIONS_ID
 from .report import SessionReport
@@ -471,15 +471,6 @@ def simulation_runner(max_virtual_s: int = 60):
         return end / MICROS
 
     return run
-
-
-def calibrate_in_sim(
-    handler_id: int,
-    plan: Optional[CalibrationPlan] = None,
-    seed: int = 0,
-    max_virtual_s: int = 60,
-) -> CalibrationResult:
-    return calibrate_handler(simulation_runner(max_virtual_s), handler_id, plan=plan, seed=seed)
 
 
 def calibration_report(result: CalibrationResult) -> SessionReport:

@@ -54,8 +54,7 @@ def test_scenario_report_bytes(name):
 
 
 def test_fused_and_repaired_trace_bytes():
-    config = EngineConfig(enabled_handlers=(1, 2, 4), seed=7)
-    tx = CovertGateway("a", "b", config=config)
+    tx = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2, 4), seed=7))
     rx = CovertGateway("b", "a", config=EngineConfig(enabled_handlers=(1, 2, 4), seed=8))
     payload = random.Random(11).randbytes(TRACE_PAYLOAD)
     tx.enqueue_payload(payload)

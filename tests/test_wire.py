@@ -119,7 +119,7 @@ def test_plan_conservation():
             carriers.append((handler, capacity, multiplicity))
         steps = _plan(secret_len, carriers)
         used = 0
-        for step, (hid, capacity, _) in zip(steps, carriers):
+        for step, (_, capacity, _) in zip(steps, carriers):
             if step is None:
                 continue  # excluded: consumes nothing
             sync, data = step
