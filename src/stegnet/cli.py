@@ -120,7 +120,7 @@ def _engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
     if getattr(args, "preserve_icmp_ts", False):
         values["preserve_icmp_timestamp"] = True
     if getattr(args, "seed", None) is not None:
-        values.setdefault("seed", args.seed)
+        values["seed"] = args.seed
     config = EngineConfig(**{_CONFIG_FIELDS.get(key, key): value for key, value in values.items()})
     try:
         config.validate()
@@ -199,7 +199,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     config = _engine_config_from_args(args)
     sim = Simulation(topology, workload=workload, engine_config=config,
-                     seed=args.seed, covert=not args.no_covert)
+                     seed=args.seed or 0, covert=not args.no_covert)
     transfer = None
     if args.payload > 0:
         src, dst = _secret_pair(topology)
@@ -210,7 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sim.run(horizon)
 
-    report = SessionReport(scenario="simulate", seed=args.seed)
+    report = SessionReport(scenario="simulate", seed=args.seed or 0)
     report.fields["topology"] = os.path.basename(args.topology)
     report.fields["virtual_us"] = sim.now
     if transfer is not None:
@@ -264,7 +264,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     result = calibrate_handler(
         simulation_runner(max_virtual_s=args.max_virtual_s),
-        args.handler, plan=plan, seed=args.seed,
+        args.handler, plan=plan, seed=args.seed or 0,
     )
     print("handler %d carrier cost %.6f over %d runs"
           % (result.handler_id, result.cost, result.run_count))
@@ -290,7 +290,7 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise _fail(EXIT_CONFIG, "cannot read payload: %s" % exc)
     else:
-        payload = _seeded_payload(args.payload, args.seed)
+        payload = _seeded_payload(args.payload, args.seed or 0)
     if not payload:
         raise _fail(EXIT_CONFIG, "payload is empty")
     try:
@@ -396,7 +396,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                         help="permit handlers that need correction traffic")
     parser.add_argument("--preserve-icmp-ts", action="store_true",
                         help="keep the first eight echo payload octets intact")
-    parser.add_argument("--seed", type=int, default=0, help="run seed")
+    parser.add_argument("--seed", type=int, help="run seed; overrides the config file (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--payload", type=int, default=4000, metavar="OCTETS")
     cal.add_argument("--max-virtual-s", type=int, default=60,
                      help="virtual horizon per run")
-    cal.add_argument("--seed", type=int, default=0)
+    cal.add_argument("--seed", type=int)
     cal.add_argument("--out", metavar="FILE", help="write the sweep report here")
     cal.set_defaults(func=_cmd_calibrate)
 

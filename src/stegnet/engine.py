@@ -36,7 +36,6 @@ from .handlers import (
     RecoveryClass,
     SelectionContext,
     TCP_ISN_ID,
-    UnknownHandler,
     build_registry,
 )
 

@@ -18,9 +18,10 @@ engine ships the original value to the peer as a recovery record.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import packet as pk
 from .wire import SYNC_SIZE, handler_switch_needed
@@ -108,7 +109,8 @@ class SelectionContext:
     active_multiplicity: int = 1
 
 
-def _default_vectors(seed: int = 0x5EED) -> List[pk.ParsedPacket]:
+@lru_cache(maxsize=None)
+def _default_vectors(seed: int = 0x5EED) -> Tuple[pk.ParsedPacket, ...]:
     """Assorted well formed packets used to exercise writer/reader pairs."""
     rng = random.Random(seed)
     vectors: List[pk.ParsedPacket] = []
@@ -122,17 +124,43 @@ def _default_vectors(seed: int = 0x5EED) -> List[pk.ParsedPacket]:
     vectors.append(pk.build_udp("10.0.0.5", "10.0.9.9", 4300, 53, payload=rng.randbytes(100)))
     vectors.append(pk.build_icmp_echo("10.0.0.6", "10.0.9.9", identifier=7, sequence=1, payload=rng.randbytes(56)))
     vectors.append(pk.build_icmp_echo("10.0.0.7", "10.0.9.9", identifier=8, sequence=2, payload=rng.randbytes(16)))
-    return vectors
+    return tuple(vectors)
+
+
+def _self_test(spec: HandlerSpec) -> None:
+    """Writer/reader pair law: for every matched packet and segment not
+    longer than the capacity, the read-back region starts with the
+    segment, and equals it when the segment fills the region.  Vectors
+    and samples are fixed, so the verdict depends on the spec alone."""
+    matched = [v for v in _default_vectors() if spec.match(v)]
+    if not matched:
+        return
+    rng = random.Random(0xC0DE ^ spec.id)
+    for trial in range(100):
+        p = matched[trial % len(matched)]
+        cap = spec.capacity(p)
+        if cap <= 0:
+            continue
+        size = cap if trial % 3 == 0 else rng.randint(1, cap)
+        segment = rng.randbytes(size)
+        written = spec.writer(p, segment)
+        got = spec.reader(written)
+        if len(got) < size or got[:size] != segment:
+            raise SelfTestFailed("handler %r corrupts segments (size %d)" % (spec.name, size))
+        if size == cap and got[:cap] != segment:
+            raise SelfTestFailed("handler %r fails exact read-back at full capacity" % spec.name)
+
+
+_PASSED: Set[HandlerSpec] = set()  # specs that passed _self_test in this process
 
 
 class HandlerRegistry:
-    """Registered handlers plus their enabled/disabled switches."""
+    """Registered handlers plus their enabled/disabled switches; each
+    spec passes ``_self_test`` on its first registration in a process."""
 
-    def __init__(self, self_test_vectors: Optional[Sequence[pk.ParsedPacket]] = None, self_test_samples: int = 100):
+    def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
         self._enabled: Dict[int, bool] = {}
-        self._vectors = list(self_test_vectors) if self_test_vectors is not None else _default_vectors()
-        self._samples = self_test_samples
 
     def register(self, spec: HandlerSpec, enabled: bool = True) -> int:
         if spec.id in self._specs:
@@ -143,36 +171,12 @@ class HandlerRegistry:
             raise RegistryError("carrier cost %r outside [0, 1]" % spec.carrier_cost)
         if spec.sync_reserved and spec.carrier_cost >= 0.05:
             raise RegistryError("a sync-reserved region must cost under 0.05")
-        self._self_test(spec)
+        if spec not in _PASSED:
+            _self_test(spec)
+            _PASSED.add(spec)
         self._specs[spec.id] = spec
         self._enabled[spec.id] = enabled
         return spec.id
-
-    def _self_test(self, spec: HandlerSpec) -> None:
-        """Writer/reader pair law over sampled packets and segments.
-
-        For every matched packet and segment not longer than the
-        capacity, the read-back region must start with the written
-        segment, and equal it exactly when the segment fills the
-        region.
-        """
-        matched = [v for v in self._vectors if spec.match(v)]
-        if not matched:
-            return
-        rng = random.Random(0xC0DE ^ spec.id)
-        for trial in range(self._samples):
-            p = matched[trial % len(matched)]
-            cap = spec.capacity(p)
-            if cap <= 0:
-                continue
-            size = cap if trial % 3 == 0 else rng.randint(1, cap)
-            segment = rng.randbytes(size)
-            written = spec.writer(p, segment)
-            got = spec.reader(written)
-            if len(got) < size or got[:size] != segment:
-                raise SelfTestFailed("handler %r corrupts segments (size %d)" % (spec.name, size))
-            if size == cap and got[:cap] != segment:
-                raise SelfTestFailed("handler %r fails exact read-back at full capacity" % spec.name)
 
     def get(self, handler_id: int) -> HandlerSpec:
         try:
@@ -408,6 +412,13 @@ def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) 
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _stock_spec(factory: Callable[..., HandlerSpec], **options) -> HandlerSpec:
+    """One frozen spec per distinct stock configuration, so the
+    registry's self-test of it runs once per process."""
+    return factory(**options)
+
+
 def build_registry(
     enabled: Sequence[int] = DEFAULT_ENABLED,
     cost_overrides: Optional[Dict[int, float]] = None,
@@ -423,18 +434,15 @@ def build_registry(
     for hid in enabled:
         if hid not in stock:
             raise UnknownHandler("no handler with id %d" % hid)
-    overrides = cost_overrides or {}
-
-    def cost(hid: int, default: float) -> float:
-        return overrides.get(hid, default)
-
+    cost = (cost_overrides or {}).get
     registry = HandlerRegistry()
-    registry.register(make_tcp_options_handler(cost=cost(TCP_OPTIONS_ID, 0.34)), TCP_OPTIONS_ID in enabled)
-    registry.register(
-        make_icmp_payload_handler(cost=cost(ICMP_PAYLOAD_ID, COST_LOW), preserve_timestamp=preserve_icmp_timestamp),
-        ICMP_PAYLOAD_ID in enabled,
-    )
-    registry.register(make_ipv4_id_handler(cost=cost(IPV4_ID_ID, COST_HIGH)), IPV4_ID_ID in enabled)
-    registry.register(make_ipv4_checksum_handler(cost=cost(IPV4_CHECKSUM_ID, COST_LOW)), IPV4_CHECKSUM_ID in enabled)
-    registry.register(make_tcp_isn_handler(cost=cost(TCP_ISN_ID, COST_HIGH)), TCP_ISN_ID in enabled)
+    for spec in (
+        _stock_spec(make_tcp_options_handler, cost=cost(TCP_OPTIONS_ID, 0.34)),
+        _stock_spec(make_icmp_payload_handler, cost=cost(ICMP_PAYLOAD_ID, COST_LOW),
+                    preserve_timestamp=preserve_icmp_timestamp),
+        _stock_spec(make_ipv4_id_handler, cost=cost(IPV4_ID_ID, COST_HIGH)),
+        _stock_spec(make_ipv4_checksum_handler, cost=cost(IPV4_CHECKSUM_ID, COST_LOW)),
+        _stock_spec(make_tcp_isn_handler, cost=cost(TCP_ISN_ID, COST_HIGH)),
+    ):
+        registry.register(spec, spec.id in enabled)
     return registry

@@ -16,7 +16,7 @@ as opaque payload so they still round-trip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -80,10 +80,6 @@ def str_to_mac(text: str) -> bytes:
     if len(parts) != 6:
         raise ValueError("MAC must have six octets: %r" % text)
     return bytes(int(part, 16) for part in parts)
-
-
-def ip_to_str(ip: int) -> str:
-    return "%d.%d.%d.%d" % ((ip >> 24) & 0xFF, (ip >> 16) & 0xFF, (ip >> 8) & 0xFF, ip & 0xFF)
 
 
 def str_to_ip(text: str) -> int:

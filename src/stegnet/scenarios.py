@@ -9,14 +9,14 @@ functions of their seed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import packet as pk
 from .calibration import CalibrationResult, RunSpec
 from .engine import EngineConfig
 from .handlers import ICMP_PAYLOAD_ID, TCP_ISN_ID, TCP_OPTIONS_ID
 from .report import SessionReport
-from .simnet import MICROS, SECRET_PORT, Simulation, WorkloadSpec
+from .simnet import MICROS, Simulation, WorkloadSpec
 from .topology import Topology, load_topology
 
 DEFAULT_HANDLERS = (TCP_OPTIONS_ID, ICMP_PAYLOAD_ID)

@@ -7,7 +7,7 @@ import pytest
 
 from stegnet import packet as pk
 from stegnet import trace as tr
-from stegnet.cli import _seeded_payload, main
+from stegnet.cli import _engine_config_from_args, _seeded_payload, build_parser, main
 from stegnet.report import parse_report
 
 TOPOLOGY = dedent(
@@ -170,6 +170,20 @@ def test_engine_config_file(tmp_path, capsys):
     rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "h.pcap"),
                "--config", str(cfg)])
     assert rc == 2
+
+
+def test_seed_flag_overrides_config_file(tmp_path):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("seed = 7\n")
+
+    def engine_seed(*extra):
+        args = build_parser().parse_args(["fuse-trace", "--in", "x.pcap", "--out", "y.pcap", *extra])
+        return _engine_config_from_args(args).seed
+
+    assert engine_seed("--config", str(cfg), "--seed", "3") == 3
+    assert engine_seed("--config", str(cfg), "--seed", "0") == 0
+    assert engine_seed("--config", str(cfg)) == 7
+    assert engine_seed() == 0
 
 
 def test_fuse_then_extract_round_trip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 import stegnet.crypto as cr
 
@@ -95,6 +96,62 @@ def test_stream_cipher_tail_rides_block_chain():
     ct[3] ^= 1
     garbled = cr.decrypt_stream(key, iv, bytes(ct))
     assert garbled[16:] != b"tail"
+
+
+STREAM_LENGTHS = (0, 1, 15, 16, 17, 31, 32, 33, 1500, 4001)
+
+
+def _reference_stream(key, iv, data, decrypt):
+    """The stream transform one block at a time over raw AES."""
+    aes = Cipher(algorithms.AES(key), modes.ECB())
+    enc, dec = aes.encryptor(), aes.decryptor()
+    xor = lambda a, b: bytes(x ^ y for x, y in zip(a, b))
+    full = len(data) - len(data) % cr.BLOCK
+    out, chain = b"", iv
+    for i in range(0, full, cr.BLOCK):
+        block = data[i : i + cr.BLOCK]
+        if decrypt:
+            out += xor(dec.update(block), chain)
+            chain = block
+        else:
+            chain = enc.update(xor(block, chain))
+            out += chain
+    return out + xor(data[full:], enc.update(chain))
+
+
+def test_stream_cipher_matches_per_block_reference():
+    key = cr.derive_cipher_key(b"0123456789abcdef")
+    iv = cr.derive_iv(key, cr.ROLE_RECEIVER)
+    rng = random.Random(21)
+    for size in STREAM_LENGTHS:
+        data = rng.randbytes(size)
+        assert cr.encrypt_stream(key, iv, data) == _reference_stream(key, iv, data, decrypt=False)
+        assert cr.decrypt_stream(key, iv, data) == _reference_stream(key, iv, data, decrypt=True)
+
+
+def test_stream_cipher_independent_of_segmentation():
+    # Cutting the stream at any block boundary and continuing the second
+    # part from the last ciphertext block of the first gives the same octets.
+    key = cr.derive_cipher_key(b"segmentation-key")
+    iv = cr.derive_iv(key, cr.ROLE_GENERATOR)
+    rng = random.Random(22)
+    for size in STREAM_LENGTHS:
+        data = rng.randbytes(size)
+        whole = cr.encrypt_stream(key, iv, data)
+        for cut in range(cr.BLOCK, size + 1, cr.BLOCK * 7):
+            head = cr.encrypt_stream(key, iv, data[:cut])
+            chain = head[-cr.BLOCK:]
+            assert head + cr.encrypt_stream(key, chain, data[cut:]) == whole
+            assert cr.decrypt_stream(key, iv, whole[:cut]) + cr.decrypt_stream(key, chain, whole[cut:]) == data
+
+
+def test_crt_private_operation_matches_plain_power():
+    rng = random.Random(23)
+    for pair in (PAIR_A, PAIR_B):
+        n = pair.public.n
+        assert pair.p * pair.q == n
+        for c in [0, 1, n - 1] + [rng.randrange(n) for _ in range(20)]:
+            assert pair.private(c) == pow(c, pair.d, n)
 
 
 def test_ke_message_codec():

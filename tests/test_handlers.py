@@ -207,3 +207,56 @@ def test_sync_reserved_cost_rule():
     )
     with pytest.raises(hd.RegistryError):
         hd.HandlerRegistry().register(reserved)
+
+
+def _count_self_tests(monkeypatch):
+    """Forget every verdict of this process and count the self-tests run."""
+    monkeypatch.setattr(hd, "_PASSED", set())
+    tested = []
+    real = hd._self_test
+
+    def counting(spec):
+        tested.append(spec)
+        real(spec)
+
+    monkeypatch.setattr(hd, "_self_test", counting)
+    return tested
+
+
+def test_stock_self_tests_run_once_per_process(monkeypatch):
+    tested = _count_self_tests(monkeypatch)
+    first = hd.build_registry(enabled=(1, 2, 4))
+    second = hd.build_registry(enabled=(1, 2, 4))
+    assert sorted(spec.id for spec in tested) == [1, 2, 3, 4, 5]
+    assert all(first.get(hid) is second.get(hid) for hid in first.ids)
+
+
+def test_new_stock_configuration_is_tested(monkeypatch):
+    tested = _count_self_tests(monkeypatch)
+    base = hd.build_registry()
+    tested.clear()
+    cheaper = hd.build_registry(cost_overrides={1: 0.2})
+    assert tested == [cheaper.get(1)]
+    assert cheaper.get(1) is not base.get(1) and cheaper.get(1).carrier_cost == 0.2
+    tested.clear()
+    stamped = hd.build_registry(preserve_icmp_timestamp=True)
+    assert tested == [stamped.get(2)]
+    assert stamped.get(2).capacity(_icmp(56)) == 48
+    tested.clear()
+    hd.build_registry(cost_overrides={1: 0.2}, preserve_icmp_timestamp=True)
+    assert tested == []
+
+
+def test_custom_spec_still_tested_after_stock_registries():
+    hd.build_registry()
+    hd.build_registry(enabled=(1, 2, 3, 4, 5))
+    icmp = hd.make_icmp_payload_handler()
+    bad = hd.HandlerSpec(
+        id=2, name="liar", match=icmp.match, writer=icmp.writer,
+        reader=lambda p: b"\x00" + p.icmp.payload[1:], capacity=icmp.capacity,
+        carrier_cost=icmp.carrier_cost, manipulation=icmp.manipulation, recovery=icmp.recovery,
+    )
+    for _ in range(2):
+        with pytest.raises(hd.SelfTestFailed):
+            hd.HandlerRegistry().register(bad)
+    assert bad not in hd._PASSED
