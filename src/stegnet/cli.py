@@ -224,12 +224,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             report.fields["throughput_oct_s"] = round(
                 transfer.delivered_octets * MICROS / duration, 3)
     report.fields["desyncs"] = sim.desync_count
-    drops = anomalies = 0
-    for stats in sim.monitor_stats.values():
-        drops += stats.rule_drops + stats.default_drops + stats.nat_drops
-        anomalies += stats.checksum_anomalies
-    report.fields["monitor_drops"] = drops
-    report.fields["monitor_checksum_anomalies"] = anomalies
+    monitors = sim.monitor_totals()
+    report.fields["monitor_drops"] = monitors.rule_drops + monitors.default_drops + monitors.nat_drops
+    report.fields["monitor_checksum_anomalies"] = monitors.checksum_anomalies
     for name in sorted(sim.gateways):
         counters = sim.gateways[name].counters
         report.add_row(
@@ -313,10 +310,7 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
             excluded += 1
         elif stats.modified:
             carrying += 1
-        fused.append(pk.RawPacket(
-            data=pk.serialize_packet(carrier),
-            capture_time_us=record.capture_time_us,
-        ))
+        fused.append(pk.RawPacket(pk.serialize_packet(carrier), record.capture_time_us))
     leftover = gateway.pending_octets
     if leftover or not gateway.idle:
         raise _fail(EXIT_CAPACITY,
@@ -360,10 +354,7 @@ def _cmd_extract_trace(args: argparse.Namespace) -> int:
         if stats is not None and stats.matched:
             matched += 1
         chunks.extend(packets)
-        repaired_records.append(pk.RawPacket(
-            data=pk.serialize_packet(repaired),
-            capture_time_us=record.capture_time_us,
-        ))
+        repaired_records.append(pk.RawPacket(pk.serialize_packet(repaired), record.capture_time_us))
     payload = b"".join(chunks)
     print("matched %d of %d carriers" % (matched, len(source.records)))
     _note_unparsed(unparsed)

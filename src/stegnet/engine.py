@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from . import crypto
@@ -370,13 +370,11 @@ class CovertGateway:
             delta = self.flow_deltas[key]
             if p.tcp.flags & pk.TCP_SYN and not (p.tcp.flags & pk.TCP_ACK):
                 return p  # the rewritten SYN itself passes through fuse
-            updated = replace(p, transport=replace(p.tcp, seq=(p.tcp.seq + delta) & _SEQ_MASK))
-            return pk.fix_transport_checksum(updated)
+            return pk.with_tcp_seq_ack(p, (p.tcp.seq + delta) & _SEQ_MASK, p.tcp.ack)
         rkey = pk.reverse_flow_key(key) if key is not None else None
         if rkey in self.flow_deltas and p.tcp.flags & pk.TCP_ACK:
             delta = self.flow_deltas[rkey]
-            updated = replace(p, transport=replace(p.tcp, ack=(p.tcp.ack - delta) & _SEQ_MASK))
-            return pk.fix_transport_checksum(updated)
+            return pk.with_tcp_seq_ack(p, p.tcp.seq, (p.tcp.ack - delta) & _SEQ_MASK)
         return p
 
     # -- receive side -------------------------------------------------------

@@ -18,7 +18,7 @@ engine ships the original value to the peer as a recovery record.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -153,6 +153,10 @@ def _self_test(spec: HandlerSpec) -> None:
 
 _PASSED: Set[HandlerSpec] = set()  # specs that passed _self_test in this process
 
+# Selection prefers the cheapest repair: lower rank wins.
+_RECOVERY_RANK = {RecoveryClass.NO_RECOVERY: 0, RecoveryClass.SELF_RECOVERABLE: 1,
+                  RecoveryClass.AUGMENTED_CORRECTION: 2}
+
 
 class HandlerRegistry:
     """Registered handlers plus their enabled/disabled switches; each
@@ -161,6 +165,7 @@ class HandlerRegistry:
     def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
         self._enabled: Dict[int, bool] = {}
+        self._order: Tuple[int, ...] = ()  # registered ids, ascending
 
     def register(self, spec: HandlerSpec, enabled: bool = True) -> int:
         if spec.id in self._specs:
@@ -176,6 +181,7 @@ class HandlerRegistry:
             _PASSED.add(spec)
         self._specs[spec.id] = spec
         self._enabled[spec.id] = enabled
+        self._order = tuple(sorted(self._specs))
         return spec.id
 
     def get(self, handler_id: int) -> HandlerSpec:
@@ -189,18 +195,11 @@ class HandlerRegistry:
 
     @property
     def ids(self) -> List[int]:
-        return sorted(self._specs)
+        return list(self._order)
 
     def match(self, p: pk.ParsedPacket) -> List[int]:
         """Ids of all enabled handlers accepting ``p``, ascending."""
-        return [hid for hid in sorted(self._specs) if self._enabled[hid] and self._specs[hid].match(p)]
-
-    def _header_need(self, spec: HandlerSpec, ctx: SelectionContext, multiplicity: int) -> int:
-        if ctx.opening:
-            return SYNC_SIZE
-        if handler_switch_needed(spec.id, ctx.active_handler, multiplicity, ctx.active_multiplicity):
-            return SYNC_SIZE
-        return 0
+        return [hid for hid in self._order if self._enabled[hid] and self._specs[hid].match(p)]
 
     def select(self, candidates: Sequence[int], ctx: SelectionContext, p: pk.ParsedPacket) -> Optional[int]:
         """Pick one handler for a carrier, or None.
@@ -217,19 +216,19 @@ class HandlerRegistry:
         cases.
         """
         multiplicity = len(candidates)
-        pool = [self.get(c) for c in candidates]
-        if not ctx.augmented_allowed:
-            pool = [s for s in pool if s.recovery is not RecoveryClass.AUGMENTED_CORRECTION]
-        pool = [s for s in pool if s.capacity(p) >= self._header_need(s, ctx, multiplicity) + 1]
-        if not pool:
-            return None
-        recovery_rank = {
-            RecoveryClass.NO_RECOVERY: 0,
-            RecoveryClass.SELF_RECOVERABLE: 1,
-            RecoveryClass.AUGMENTED_CORRECTION: 2,
-        }
-        best = min(pool, key=lambda s: (s.carrier_cost, recovery_rank[s.recovery], -s.capacity(p), s.id))
-        return best.id
+        best = None
+        for spec in [self.get(c) for c in candidates]:
+            if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not ctx.augmented_allowed:
+                continue
+            header = ctx.opening or handler_switch_needed(
+                spec.id, ctx.active_handler, multiplicity, ctx.active_multiplicity)
+            capacity = spec.capacity(p)
+            if capacity < (SYNC_SIZE if header else 0) + 1:
+                continue
+            key = (spec.carrier_cost, _RECOVERY_RANK[spec.recovery], -capacity, spec.id)
+            if best is None or key < best:
+                best = key
+        return None if best is None else best[3]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def make_ipv4_id_handler(handler_id: int = IPV4_ID_ID, cost: float = COST_HIGH) 
             raise ValueError("identification field holds at most 2 octets")
         old = p.ipv4.identification.to_bytes(2, "big")
         value = int.from_bytes(segment + old[len(segment):], "big")
-        return pk.fix_ipv4_checksum(replace(p, ipv4=replace(p.ipv4, identification=value)))
+        return pk.with_ipv4(p, p.ipv4.tos, value)
 
     def reader(p: pk.ParsedPacket) -> bytes:
         return p.ipv4.identification.to_bytes(2, "big")
@@ -359,7 +358,7 @@ def make_ipv4_checksum_handler(handler_id: int = IPV4_CHECKSUM_ID, cost: float =
             raise ValueError("checksum field holds at most 2 octets")
         old = p.ipv4.header_checksum.to_bytes(2, "big")
         value = int.from_bytes(segment + old[len(segment):], "big")
-        return replace(p, ipv4=replace(p.ipv4, header_checksum=value))
+        return pk.with_ipv4(p, p.ipv4.tos, p.ipv4.identification, value)
 
     def reader(p: pk.ParsedPacket) -> bytes:
         return p.ipv4.header_checksum.to_bytes(2, "big")
@@ -394,7 +393,7 @@ def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) 
             raise ValueError("sequence number holds at most 4 octets")
         old = p.tcp.seq.to_bytes(4, "big")
         value = int.from_bytes(segment + old[len(segment):], "big")
-        return pk.fix_transport_checksum(replace(p, transport=replace(p.tcp, seq=value)))
+        return pk.with_tcp_seq_ack(p, value, p.tcp.ack)
 
     def reader(p: pk.ParsedPacket) -> bytes:
         return p.tcp.seq.to_bytes(4, "big")

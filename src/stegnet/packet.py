@@ -7,6 +7,9 @@ Length and offset fields (IHL, total length, data offset, UDP length)
 are not stored: serialization derives them from structure.  Checksum
 fields are emitted exactly as stored, so a deliberately overwritten
 checksum stays overwritten until someone recomputes it on purpose.
+Packets are slotted, frozen dataclasses.  A change goes through this
+module's rebuilders (``with_ipv4``, ``with_tcp_seq_ack``, ``set_*``,
+``fix_*``), which call each changed layer's constructor once.
 
 Only Ethernet link frames are modeled.  Frames with a non-IPv4
 ethertype, and IPv4 packets with an unhandled protocol number, are kept
@@ -16,8 +19,8 @@ as opaque payload so they still round-trip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
 
@@ -103,7 +106,7 @@ def _coerce_mac(value: Union[bytes, str]) -> bytes:
     return value if isinstance(value, bytes) else str_to_mac(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawPacket:
     """Captured frame bytes plus capture time in integer microseconds."""
 
@@ -111,14 +114,14 @@ class RawPacket:
     capture_time_us: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ethernet:
     dst_mac: bytes
     src_mac: bytes
     ethertype: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ipv4:
     tos: int
     identification: int
@@ -132,7 +135,7 @@ class Ipv4:
     options: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tcp:
     src_port: int
     dst_port: int
@@ -145,14 +148,14 @@ class Tcp:
     options: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Udp:
     src_port: int
     dst_port: int
     checksum: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Icmp:
     icmp_type: int
     code: int
@@ -165,7 +168,7 @@ class Icmp:
 Transport = Union[Tcp, Udp, Icmp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedPacket:
     link: Ethernet
     ipv4: Optional[Ipv4] = None
@@ -190,21 +193,16 @@ class ParsedPacket:
     def wire_len(self) -> int:
         if self.ipv4 is None:
             return ETHER_SIZE + len(self.app_payload)
-        return ETHER_SIZE + _ipv4_total(self) + len(self.link_trailer)
+        ip_len = MIN_IPV4_HEADER + len(self.ipv4.options) + _ipv4_payload_len(self.transport, self.app_payload)
+        return ETHER_SIZE + ip_len + len(self.link_trailer)
 
 
 def flow_key(p: ParsedPacket):
     """(src ip, src port, dst ip, dst port, protocol) for TCP/UDP, else None."""
-    if p.ipv4 is None:
+    t = p.transport
+    if p.ipv4 is None or not isinstance(t, (Tcp, Udp)):
         return None
-    ports: Optional[tuple] = None
-    if p.tcp is not None:
-        ports = (p.tcp.src_port, p.tcp.dst_port)
-    elif p.udp is not None:
-        ports = (p.udp.src_port, p.udp.dst_port)
-    if ports is None:
-        return None
-    return (p.ipv4.src_ip, ports[0], p.ipv4.dst_ip, ports[1], p.ipv4.protocol)
+    return (p.ipv4.src_ip, t.src_port, p.ipv4.dst_ip, t.dst_port, p.ipv4.protocol)
 
 
 def reverse_flow_key(key):
@@ -216,14 +214,18 @@ def reverse_flow_key(key):
 # Checksums
 
 
+def _fold(total: int) -> int:
+    """One's-complement checksum of an unfolded sum of 16-bit words."""
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
 def checksum16(data: bytes) -> int:
     """Internet one's-complement checksum over ``data`` (odd length padded)."""
     if len(data) & 1:
         data = data + b"\x00"
-    total = sum(struct.unpack("!%dH" % (len(data) // 2), data))
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    return _fold(sum(struct.unpack("!%dH" % (len(data) // 2), data)))
 
 
 def ipv4_checksum(header: bytes) -> int:
@@ -237,8 +239,29 @@ def ipv4_checksum(header: bytes) -> int:
     return checksum16(header)
 
 
+def _ipv4_field_checksum(ip: Ipv4, tos: int, identification: int, payload_len: int) -> int:
+    """Header checksum of ``ip`` with ``tos`` and ``identification``,
+    summed from the field values: the words ``ipv4_checksum`` reads
+    from the packed header with its checksum zeroed."""
+    ihl, total = _ipv4_lengths(ip, payload_len)
+    src, dst = ip.src_ip, ip.dst_ip
+    words = (
+        ((0x40 | ihl) << 8 | tos) + total + identification + (ip.flags << 13 | ip.frag_offset)
+        + (ip.ttl << 8 | ip.protocol) + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+    )
+    options = ip.options
+    for i in range(0, len(options), 2):
+        words += options[i] << 8 | options[i + 1]
+    return _fold(words)
+
+
 def _pseudo_header(ip: Ipv4, proto: int, length: int) -> bytes:
     return struct.pack("!4s4sBBH", ip.src_ip.to_bytes(4, "big"), ip.dst_ip.to_bytes(4, "big"), 0, proto, length)
+
+
+def _tcp_checksum(ip: Ipv4, tcp: Tcp, seq: int, ack: int, options: bytes, payload: bytes) -> int:
+    body = _tcp_bytes(tcp, seq, ack, 0, options) + payload
+    return checksum16(_pseudo_header(ip, PROTO_TCP, len(body)) + body)
 
 
 def transport_checksum(p: ParsedPacket) -> int:
@@ -248,35 +271,37 @@ def transport_checksum(p: ParsedPacket) -> int:
     ICMP message.  For UDP the all-zero result is transmitted as 0xFFFF
     (zero on the wire means "no checksum").
     """
-    if p.ipv4 is None or p.transport is None:
+    ip, t = p.ipv4, p.transport
+    if ip is None or t is None:
         raise UnsupportedProtocol("no transport layer to checksum")
-    if p.tcp is not None:
-        body = _tcp_bytes(replace(p.tcp, checksum=0)) + p.app_payload
-        return checksum16(_pseudo_header(p.ipv4, PROTO_TCP, len(body)) + body)
-    if p.udp is not None:
-        length = _UDP.size + len(p.app_payload)
-        body = _UDP.pack(p.udp.src_port, p.udp.dst_port, length, 0) + p.app_payload
-        value = checksum16(_pseudo_header(p.ipv4, PROTO_UDP, length) + body)
+    if isinstance(t, Tcp):
+        return _tcp_checksum(ip, t, t.seq, t.ack, t.options, p.app_payload)
+    if isinstance(t, Udp):
+        body = _udp_bytes(t, len(p.app_payload), 0) + p.app_payload
+        value = checksum16(_pseudo_header(ip, PROTO_UDP, len(body)) + body)
         return 0xFFFF if value == 0 else value
-    if p.icmp is not None:
-        return checksum16(_icmp_bytes(replace(p.icmp, checksum=0)))
-    raise UnsupportedProtocol("protocol %r" % type(p.transport).__name__)
+    if isinstance(t, Icmp):
+        return checksum16(_icmp_bytes(t, 0, t.payload))
+    raise UnsupportedProtocol("protocol %r" % type(t).__name__)
 
 
 def fix_ipv4_checksum(p: ParsedPacket) -> ParsedPacket:
-    if p.ipv4 is None:
+    ip = p.ipv4
+    if ip is None:
         raise UnsupportedProtocol("packet has no IPv4 layer")
-    header = _ipv4_header_bytes(p, checksum=0)
-    return replace(p, ipv4=replace(p.ipv4, header_checksum=ipv4_checksum(header)))
+    return with_ipv4(p, ip.tos, ip.identification)
 
 
 def fix_transport_checksum(p: ParsedPacket) -> ParsedPacket:
     value = transport_checksum(p)
-    if p.tcp is not None:
-        return replace(p, transport=replace(p.tcp, checksum=value))
-    if p.udp is not None:
-        return replace(p, transport=replace(p.udp, checksum=value))
-    return replace(p, transport=replace(p.icmp, checksum=value))
+    t = p.transport
+    if isinstance(t, Tcp):
+        t = Tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
+    elif isinstance(t, Udp):
+        t = Udp(t.src_port, t.dst_port, value)
+    else:
+        t = Icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
+    return ParsedPacket(p.link, p.ipv4, t, p.app_payload, p.link_trailer)
 
 
 def fix_checksums(p: ParsedPacket) -> ParsedPacket:
@@ -298,11 +323,7 @@ def validate_transport_checksum(p: ParsedPacket) -> bool:
         return True
     if p.udp is not None and p.udp.checksum == 0:
         return True  # UDP checksum disabled is legal
-    stored = p.transport.checksum
-    computed = transport_checksum(p)
-    if p.udp is not None and computed == 0xFFFF and stored in (0xFFFF,):
-        return True
-    return stored == computed
+    return p.transport.checksum == transport_checksum(p)
 
 
 def validate_checksums(p: ParsedPacket) -> bool:
@@ -313,69 +334,49 @@ def validate_checksums(p: ParsedPacket) -> bool:
 # Serialization
 
 
-def _ipv4_payload_len(p: ParsedPacket) -> int:
-    if p.tcp is not None:
-        return _TCP.size + len(p.tcp.options) + len(p.app_payload)
-    if p.udp is not None:
-        return _UDP.size + len(p.app_payload)
-    if p.icmp is not None:
-        return _ICMP.size + len(p.icmp.payload)
-    return len(p.app_payload)
+def _ipv4_payload_len(transport: Optional[Transport], app_payload: bytes) -> int:
+    if isinstance(transport, Tcp):
+        return _TCP.size + len(transport.options) + len(app_payload)
+    if isinstance(transport, Udp):
+        return _UDP.size + len(app_payload)
+    if isinstance(transport, Icmp):
+        return _ICMP.size + len(transport.payload)
+    return len(app_payload)
 
 
-def _ipv4_total(p: ParsedPacket) -> int:
-    assert p.ipv4 is not None
-    return MIN_IPV4_HEADER + len(p.ipv4.options) + _ipv4_payload_len(p)
+def _ipv4_lengths(ip: Ipv4, payload_len: int) -> Tuple[int, int]:
+    """IHL and total length of ``ip`` over ``payload_len`` octets."""
+    if len(ip.options) > MAX_IP_OPTIONS or len(ip.options) % 4:
+        raise OptionsOverflow("IPv4 options must be 4-aligned and at most 40 octets")
+    total = MIN_IPV4_HEADER + len(ip.options) + payload_len
+    if total > MAX_IPV4_TOTAL:
+        raise Truncated("IPv4 total length %d exceeds 65535" % total)
+    return (MIN_IPV4_HEADER + len(ip.options)) // 4, total
 
 
 def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes:
     ip = p.ipv4
-    if len(ip.options) > MAX_IP_OPTIONS or len(ip.options) % 4:
-        raise OptionsOverflow("IPv4 options must be 4-aligned and at most 40 octets")
-    ihl = (MIN_IPV4_HEADER + len(ip.options)) // 4
-    total = _ipv4_total(p)
-    if total > MAX_IPV4_TOTAL:
-        raise Truncated("IPv4 total length %d exceeds 65535" % total)
-    stored = ip.header_checksum if checksum is None else checksum
-    head = _IPV4.pack(
-        (4 << 4) | ihl,
-        ip.tos,
-        total,
-        ip.identification,
-        (ip.flags << 13) | ip.frag_offset,
-        ip.ttl,
-        ip.protocol,
-        stored,
-        ip.src_ip.to_bytes(4, "big"),
-        ip.dst_ip.to_bytes(4, "big"),
-    )
+    ihl, total = _ipv4_lengths(ip, _ipv4_payload_len(p.transport, p.app_payload))
+    head = _IPV4.pack((4 << 4) | ihl, ip.tos, total, ip.identification, (ip.flags << 13) | ip.frag_offset, ip.ttl,
+                      ip.protocol, ip.header_checksum if checksum is None else checksum,
+                      ip.src_ip.to_bytes(4, "big"), ip.dst_ip.to_bytes(4, "big"))
     return head + ip.options
 
 
-def _tcp_bytes(tcp: Tcp) -> bytes:
-    if len(tcp.options) > MAX_TCP_OPTIONS or len(tcp.options) % 4:
+def _tcp_bytes(tcp: Tcp, seq: int, ack: int, checksum: int, options: bytes) -> bytes:
+    if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
-    offset = (_TCP.size + len(tcp.options)) // 4
-    head = _TCP.pack(
-        tcp.src_port,
-        tcp.dst_port,
-        tcp.seq,
-        tcp.ack,
-        offset << 4,
-        tcp.flags,
-        tcp.window,
-        tcp.checksum,
-        tcp.urgent,
-    )
-    return head + tcp.options
+    offset = (_TCP.size + len(options)) // 4
+    head = _TCP.pack(tcp.src_port, tcp.dst_port, seq, ack, offset << 4, tcp.flags, tcp.window, checksum, tcp.urgent)
+    return head + options
 
 
-def _udp_bytes(udp: Udp, payload_len: int) -> bytes:
-    return _UDP.pack(udp.src_port, udp.dst_port, _UDP.size + payload_len, udp.checksum)
+def _udp_bytes(udp: Udp, payload_len: int, checksum: int) -> bytes:
+    return _UDP.pack(udp.src_port, udp.dst_port, _UDP.size + payload_len, checksum)
 
 
-def _icmp_bytes(icmp: Icmp) -> bytes:
-    return _ICMP.pack(icmp.icmp_type, icmp.code, icmp.checksum, icmp.identifier, icmp.sequence) + icmp.payload
+def _icmp_bytes(icmp: Icmp, checksum: int, payload: bytes) -> bytes:
+    return _ICMP.pack(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence) + payload
 
 
 def serialize_packet(p: ParsedPacket) -> bytes:
@@ -389,14 +390,15 @@ def serialize_packet(p: ParsedPacket) -> bytes:
         out += p.app_payload
         return bytes(out)
     out += _ipv4_header_bytes(p)
-    if p.tcp is not None:
-        out += _tcp_bytes(p.tcp)
+    t = p.transport
+    if isinstance(t, Tcp):
+        out += _tcp_bytes(t, t.seq, t.ack, t.checksum, t.options)
         out += p.app_payload
-    elif p.udp is not None:
-        out += _udp_bytes(p.udp, len(p.app_payload))
+    elif isinstance(t, Udp):
+        out += _udp_bytes(t, len(p.app_payload), t.checksum)
         out += p.app_payload
-    elif p.icmp is not None:
-        out += _icmp_bytes(p.icmp)
+    elif isinstance(t, Icmp):
+        out += _icmp_bytes(t, t.checksum, t.payload)
     else:
         out += p.app_payload
     out += p.link_trailer
@@ -489,24 +491,59 @@ def parse_packet(data: bytes) -> ParsedPacket:
 # Mutation helpers
 
 
+def _over(p: ParsedPacket, transport: Optional[Transport], tos: int, identification: int,
+          checksum: Optional[int] = None) -> ParsedPacket:
+    """``p`` over ``transport`` with a new IPv4 TOS, identification and
+    header checksum; None sums the checksum from the new fields."""
+    ip = p.ipv4
+    if checksum is None:
+        checksum = _ipv4_field_checksum(ip, tos, identification, _ipv4_payload_len(transport, p.app_payload))
+    ipv4 = Ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip, ip.dst_ip,
+                ip.options)
+    return ParsedPacket(p.link, ipv4, transport, p.app_payload, p.link_trailer)
+
+
+def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional[int] = None) -> ParsedPacket:
+    """``p`` (which has an IPv4 layer) with a new TOS, identification
+    and header checksum.  A ``checksum`` of None is recomputed."""
+    return _over(p, p.transport, tos, identification, checksum)
+
+
+def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
+    """``p`` with a new TCP sequence and acknowledgement number and the
+    TCP checksum recomputed; the IPv4 header is kept as it is."""
+    tcp = p.tcp
+    if tcp is None or p.ipv4 is None:
+        raise UnsupportedProtocol("packet has no TCP header")
+    checksum = _tcp_checksum(p.ipv4, tcp, seq, ack, tcp.options, p.app_payload)
+    transport = Tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent, tcp.options)
+    return ParsedPacket(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
+
+
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
     """Replace the TCP options region with ``options``.
 
     Pads with NOP (0x01) octets to 4-octet alignment and recomputes
     both checksums, since the segment and total lengths change.
     """
-    if p.tcp is None:
+    ip, tcp = p.ipv4, p.tcp
+    if tcp is None or ip is None:
         raise UnsupportedProtocol("packet has no TCP header")
     if len(options) > MAX_TCP_OPTIONS:
         raise OptionsOverflow("TCP options of %d octets exceed 40" % len(options))
     padded = options + bytes([TCP_OPT_NOP]) * (-len(options) % 4)
-    return fix_checksums(replace(p, transport=replace(p.tcp, options=padded)))
+    checksum = _tcp_checksum(ip, tcp, tcp.seq, tcp.ack, padded, p.app_payload)
+    tcp = Tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, checksum, tcp.urgent, padded)
+    return _over(p, tcp, ip.tos, ip.identification)
 
 
 def set_icmp_payload(p: ParsedPacket, payload: bytes) -> ParsedPacket:
-    if p.icmp is None:
+    ip, icmp = p.ipv4, p.icmp
+    if icmp is None or ip is None:
         raise UnsupportedProtocol("packet has no ICMP message")
-    return fix_checksums(replace(p, transport=replace(p.icmp, payload=payload)))
+    checksum = checksum16(_icmp_bytes(icmp, 0, payload))
+    icmp = Icmp(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence, payload)
+    return _over(p, icmp, ip.tos, ip.identification)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +568,8 @@ def build_tcp(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    tcp = Tcp(src_port, dst_port, seq, ack, flags, window, 0, 0, options=options)
-    p = ParsedPacket(
-        link=Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4),
-        ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_TCP, tos, ttl, identification),
-        transport=tcp,
-        app_payload=payload,
-    )
-    return fix_checksums(p)
+    tcp = Tcp(src_port, dst_port, seq, ack, flags, window, 0, 0, options)
+    return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_TCP, tos, ttl, identification, tcp, payload)
 
 
 def build_udp(
@@ -555,13 +586,7 @@ def build_udp(
     identification: int = 0,
 ) -> ParsedPacket:
     udp = Udp(src_port, dst_port, 0)
-    p = ParsedPacket(
-        link=Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4),
-        ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_UDP, tos, ttl, identification),
-        transport=udp,
-        app_payload=payload,
-    )
-    return fix_checksums(p)
+    return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_UDP, tos, ttl, identification, udp, payload)
 
 
 def build_icmp_echo(
@@ -578,24 +603,13 @@ def build_icmp_echo(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    icmp = Icmp(icmp_type, 0, 0, identifier, sequence, payload=payload)
-    p = ParsedPacket(
-        link=Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4),
-        ipv4=_fresh_ipv4(src_ip, dst_ip, PROTO_ICMP, tos, ttl, identification),
-        transport=icmp,
-    )
-    return fix_checksums(p)
+    icmp = Icmp(icmp_type, 0, 0, identifier, sequence, payload)
+    return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_ICMP, tos, ttl, identification, icmp)
 
 
-def _fresh_ipv4(src_ip, dst_ip, proto: int, tos: int, ttl: int, identification: int) -> Ipv4:
-    return Ipv4(
-        tos=tos,
-        identification=identification,
-        flags=2,  # don't fragment, the common case
-        frag_offset=0,
-        ttl=ttl,
-        protocol=proto,
-        header_checksum=0,
-        src_ip=_coerce_ip(src_ip),
-        dst_ip=_coerce_ip(dst_ip),
-    )
+def _fresh(src_ip, dst_ip, src_mac, dst_mac, proto: int, tos: int, ttl: int, identification: int,
+           transport: Transport, payload: bytes = b"") -> ParsedPacket:
+    link = Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
+    # Flags 2: don't fragment, the common case.
+    ipv4 = Ipv4(tos, identification, 2, 0, ttl, proto, 0, _coerce_ip(src_ip), _coerce_ip(dst_ip))
+    return fix_checksums(ParsedPacket(link, ipv4, transport, payload))

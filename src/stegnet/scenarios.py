@@ -108,25 +108,19 @@ def _engine_config(
 
 
 def _invisibility_fields(sim: Simulation, report: SessionReport) -> None:
-    drops = logs = anomalies = nat_drops = 0
-    secret_seen = 0
     secret_ips = {
         pk.str_to_ip(n.ip)
         for n in sim.topology.nodes.values()
         if n.secret and n.ip
     }
-    for stats in sim.monitor_stats.values():
-        drops += stats.rule_drops + stats.default_drops
-        logs += stats.log_hits
-        anomalies += stats.checksum_anomalies
-        nat_drops += stats.nat_drops
-        for src, dst in stats.addresses:
-            if src in secret_ips or dst in secret_ips:
-                secret_seen += 1
-    report.fields["monitor_drops"] = drops
-    report.fields["monitor_log_hits"] = logs
-    report.fields["monitor_checksum_anomalies"] = anomalies
-    report.fields["monitor_nat_drops"] = nat_drops
+    # Sightings count per monitor: a pair seen at two monitors counts twice.
+    secret_seen = sum(1 for stats in sim.monitor_stats.values() for src, dst in stats.addresses
+                      if src in secret_ips or dst in secret_ips)
+    monitors = sim.monitor_totals()
+    report.fields["monitor_drops"] = monitors.rule_drops + monitors.default_drops
+    report.fields["monitor_log_hits"] = monitors.log_hits
+    report.fields["monitor_checksum_anomalies"] = monitors.checksum_anomalies
+    report.fields["monitor_nat_drops"] = monitors.nat_drops
     report.fields["monitor_secret_address_sightings"] = secret_seen
     report.fields["desyncs"] = sim.desync_count
 
@@ -167,8 +161,8 @@ def scenario_secret_internet(
         throughput = transfer.delivered_octets * MICROS / duration_us if duration_us else 0.0
         counters = sim.gateways["gw_a"].counters
         overhead = counters["sync_octets"] + counters["mgmt_octets_sent"]
-        for stats in sim.monitor_stats.values():
-            total_drops += stats.rule_drops + stats.default_drops + stats.nat_drops
+        monitors = sim.monitor_totals()
+        total_drops += monitors.rule_drops + monitors.default_drops + monitors.nat_drops
         report.add_row(
             budget=budget,
             delivered_octets=transfer.delivered_octets,
@@ -199,10 +193,8 @@ def _blocked_then_covert(
     direct_transfer = direct.add_bulk_transfer("secret_b", "secret_a", payload_octets)
     direct.run_until(lambda: direct_transfer.delivered_octets >= payload_octets, max_virtual_s * MICROS // 2)
     report.fields["direct_delivered_octets"] = direct_transfer.delivered_octets
-    blocked = 0
-    for stats in direct.monitor_stats.values():
-        blocked += stats.rule_drops + stats.default_drops + stats.nat_drops
-    report.fields["direct_blocked_packets"] = blocked
+    monitors = direct.monitor_totals()
+    report.fields["direct_blocked_packets"] = monitors.rule_drops + monitors.default_drops + monitors.nat_drops
 
     covert = Simulation(topo_factory(), engine_config=_engine_config(seed=seed), seed=seed)
     covert_transfer = covert.add_bulk_transfer("secret_b", "secret_a", payload_octets)
@@ -260,11 +252,9 @@ def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionRep
     d_synack, d_ack = handshake_state(direct)
     c_synack, c_ack = handshake_state(covert)
     report.fields["direct_handshake_established"] = d_synack and d_ack
-    report.fields["direct_syn_nat_drops"] = sum(
-        s.nat_drops for s in direct.monitor_stats.values())
+    report.fields["direct_syn_nat_drops"] = direct.monitor_totals().nat_drops
     report.fields["covert_handshake_established"] = c_synack and c_ack
-    report.fields["covert_handshake_nat_drops"] = sum(
-        s.nat_drops for s in covert.monitor_stats.values())
+    report.fields["covert_handshake_nat_drops"] = covert.monitor_totals().nat_drops
     return report
 
 
@@ -304,20 +294,16 @@ def scenario_firewall_bypass(
 
     direct, direct_transfer = run(covert=False)
     report.fields["direct_delivered_octets"] = direct_transfer.delivered_octets
-    report.fields["direct_blocked_packets"] = sum(
-        s.rule_drops + s.default_drops for s in direct.monitor_stats.values())
+    direct_monitors = direct.monitor_totals()
+    report.fields["direct_blocked_packets"] = direct_monitors.rule_drops + direct_monitors.default_drops
 
     covert, transfer = run(covert=True)
     report.fields["covert_delivered_octets"] = transfer.delivered_octets
     report.fields["covert_duration_us"] = transfer.finished_us or covert.now
     report.fields["payload_intact"] = transfer.delivered_digest == transfer.sent_digest
     rule_count = len(covert.topology.rules)
-    hits = sum(
-        stats.rule_hits.get(i, 0)
-        for stats in covert.monitor_stats.values()
-        for i in range(rule_count)
-    )
-    report.fields["secret_ip_rule_hits"] = hits
+    rule_hits = covert.monitor_totals().rule_hits
+    report.fields["secret_ip_rule_hits"] = sum(rule_hits.get(i, 0) for i in range(rule_count))
     _invisibility_fields(covert, report)
     return report
 

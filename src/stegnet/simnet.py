@@ -583,6 +583,18 @@ class Simulation:
     def gateway(self, name: str) -> CovertGateway:
         return self.gateways[name]
 
+    def monitor_totals(self) -> MonitorStats:
+        """Every monitor's counters summed; rule hits are summed per rule
+        and the address pairs united."""
+        total = MonitorStats()
+        for stats in self.monitor_stats.values():
+            for name in ("seen", "log_hits", "rule_drops", "default_drops", "nat_drops", "checksum_anomalies"):
+                setattr(total, name, getattr(total, name) + getattr(stats, name))
+            for rule, hits in stats.rule_hits.items():
+                total.rule_hits[rule] = total.rule_hits.get(rule, 0) + hits
+            total.addresses |= stats.addresses
+        return total
+
     # -- packet movement -----------------------------------------------------
 
     def send_from(self, node: str, p: pk.ParsedPacket) -> None:

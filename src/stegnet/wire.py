@@ -13,7 +13,7 @@ capacity, and no handler is allowed to use the TOS octet as a region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import packet as pk
@@ -87,7 +87,7 @@ def mark_excluded(p: pk.ParsedPacket) -> pk.ParsedPacket:
     """
     if p.ipv4 is None:
         raise pk.UnsupportedProtocol("exclusion marker needs an IPv4 header")
-    return pk.fix_ipv4_checksum(replace(p, ipv4=replace(p.ipv4, tos=EXCLUDE_TOS)))
+    return pk.with_ipv4(p, EXCLUDE_TOS, p.ipv4.identification)
 
 
 def is_excluded(p: pk.ParsedPacket) -> bool:
@@ -99,7 +99,7 @@ def clear_exclusion(p: pk.ParsedPacket) -> pk.ParsedPacket:
     restored (accepted loss, generators never emit the marker value)."""
     if p.ipv4 is None:
         return p
-    return pk.fix_ipv4_checksum(replace(p, ipv4=replace(p.ipv4, tos=0)))
+    return pk.with_ipv4(p, 0, p.ipv4.identification)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ hand-computed octet counts; the randomized round trips then cover the
 same machinery over arbitrary carrier mixes.
 """
 
+import dataclasses
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -29,6 +31,7 @@ from stegnet.handlers import (
     make_tcp_options_handler,
 )
 from stegnet import crypto
+from stegnet import trace as tr
 
 MAC_HIGH = b"\x02\x00\x00\x00\x00\x0a"
 MAC_LOW = b"\x02\x00\x00\x00\x00\x01"
@@ -418,3 +421,37 @@ def test_config_validation():
         EngineConfig(chunk_size=0).validate()
     with pytest.raises(ValueError):
         EngineConfig(augment_probability=-0.1).validate()
+
+
+def test_carrier_path_calls_no_dataclass_replace():
+    """fuse and extract rebuild carriers through packet.py's constructors.
+    The hook matches ``dataclasses.replace`` by its code object, so a
+    module that bound it with ``from dataclasses import replace`` is
+    caught too."""
+    capture = tr.synthesize_mixed_trace(2000, seed=17)
+    config = EngineConfig(enabled_handlers=(1, 2, 4), seed=17)
+    tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
+    payload = random.Random(17).randbytes(15 * 2000)
+    tx.enqueue_payload(payload)
+    target = dataclasses.replace.__code__
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is target:
+            calls += 1
+
+    delivered = []
+    sys.setprofile(hook)
+    try:
+        for record in capture.records:
+            fused, _ = tx.fuse(pk.parse_packet(record.data))
+            _, secrets, _ = rx.extract(pk.parse_packet(pk.serialize_packet(fused)))
+            delivered.extend(secrets)
+    finally:
+        sys.setprofile(None)
+    assert b"".join(delivered) == payload
+    # Both the segment writers and the exclusion marker ran under the hook.
+    assert tx.counters["carriers_excluded"] > 0
+    assert tx.counters["carriers_modified"] > 0
+    assert calls == 0
