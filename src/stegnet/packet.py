@@ -8,8 +8,8 @@ are not stored: serialization derives them from structure.  Checksum
 fields are emitted exactly as stored, so a deliberately overwritten
 checksum stays overwritten until someone recomputes it on purpose.
 Packets are slotted, frozen dataclasses.  A change goes through this
-module's rebuilders (``with_ipv4``, ``with_tcp_seq_ack``, ``set_*``,
-``fix_*``), which call each changed layer's constructor once.
+module's rebuilders (``with_ipv4``, ``with_tcp_seq_ack``, ``readdress``,
+``set_*``, ``fix_*``), which call each changed layer's constructor once.
 
 Only Ethernet link frames are modeled.  Frames with a non-IPv4
 ethertype, and IPv4 packets with an unhandled protocol number, are kept
@@ -518,6 +518,29 @@ def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     checksum = _tcp_checksum(p.ipv4, tcp, seq, ack, tcp.options, p.app_payload)
     transport = Tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent, tcp.options)
     return ParsedPacket(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
+
+
+def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional[int] = None,
+              src_port: Optional[int] = None, dst_port: Optional[int] = None,
+              src_mac: Optional[bytes] = None, dst_mac: Optional[bytes] = None) -> ParsedPacket:
+    """``p`` (which has an IPv4 layer) with new addresses, MACs and, for
+    TCP and UDP, ports; None keeps a field.  Both checksums are
+    recomputed, as ``fix_checksums`` does."""
+    ip, t, link = p.ipv4, p.transport, p.link
+    link = Ethernet(link.dst_mac if dst_mac is None else dst_mac, link.src_mac if src_mac is None else src_mac,
+                    link.ethertype)
+    ip = Ipv4(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum,
+              ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options)
+    if isinstance(t, (Tcp, Udp)):
+        sport = t.src_port if src_port is None else src_port
+        dport = t.dst_port if dst_port is None else dst_port
+        if isinstance(t, Tcp):
+            t = Tcp(sport, dport, t.seq, t.ack, t.flags, t.window, t.checksum, t.urgent, t.options)
+        else:
+            t = Udp(sport, dport, t.checksum)
+    elif src_port is not None or dst_port is not None:
+        raise UnsupportedProtocol("only TCP and UDP carry ports")
+    return fix_checksums(ParsedPacket(link, ip, t, p.app_payload, p.link_trailer))
 
 
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:

@@ -347,22 +347,22 @@ def scenario_stability(
     visible_users: int = 1,
 ) -> SessionReport:
     """Send-rate fingerprint of the covert path against a direct run."""
-    def run(covert: bool) -> Tuple[List[int], Simulation]:
+    def run(covert: bool):
         sim = Simulation(
             line_topology(visible_users=visible_users),
             engine_config=_engine_config(seed=seed), seed=seed, covert=covert,
         )
-        sim.add_paced_transfer("secret_a", "secret_b", packets)
+        transfer = sim.add_paced_transfer("secret_a", "secret_b", packets)
         sim.run(duration_s * MICROS)
-        return sim.sent_series("secret_a", interval_us, duration_s * MICROS), sim
+        return send_counts(transfer.send_times, interval_us, duration_s * MICROS), transfer
 
     base_series, _ = run(covert=False)
-    covert_series, covert_sim = run(covert=True)
+    covert_series, covert_transfer = run(covert=True)
     distances = stability_distance(covert_series, base_series)
     report = SessionReport(scenario="stability", seed=seed)
     report.fields["visible_users"] = visible_users
     report.fields["mean_abs_distance"] = mean_abs_distance(covert_series, base_series)
-    report.fields["retransmissions"] = covert_sim.transfers[0].retransmissions
+    report.fields["retransmissions"] = covert_transfer.retransmissions
     report.columns = ["interval", "base_count", "covert_count", "distance"]
     for i, d in enumerate(distances):
         base = base_series[i] if i < len(base_series) else 0
@@ -372,6 +372,16 @@ def scenario_stability(
 
 # ---------------------------------------------------------------------------
 # Stability metric
+
+
+def send_counts(times: Sequence[int], interval_us: int, horizon_us: int) -> List[int]:
+    """How many of ``times`` fall in each ``interval_us`` before
+    ``horizon_us``; at least one interval."""
+    buckets = [0] * max(1, -(-horizon_us // interval_us))
+    for t in times:
+        if t < horizon_us:
+            buckets[t // interval_us] += 1
+    return buckets
 
 
 class EmptyBase(ValueError):

@@ -20,6 +20,9 @@ runs from the gateways also keep the hop counts that decide which side
 of a gateway pair a host sits on, for client targets and secret
 registries), each node's address and MAC as an int and bytes, and each
 monitor's rules with their addresses resolved.  Packets are then handled without parsing strings.
+
+A ``Simulation`` keeps counters and running digests, never a record
+per packet, and a transfer keeps only its own sends.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ SERVICE_PORTS = {
 }
 UDP_SERVICE_PORT = 5353
 SECRET_PORT = 9999
+# Flow serials wrap so a workload source port, 20000 + 3 * serial + 2 at most, fits 16 bits.
+_FLOW_SERIALS = (0xFFFF - 20000 - 2) // len(SERVICE_PORTS) + 1
 
 DEFAULT_MIX = {
     "http": 0.31,
@@ -246,7 +251,7 @@ class _WorkloadClient:
         port = SERVICE_PORTS[kind]
         flow = self.flows.get(kind)
         if flow is None or flow.requests >= self.spec.restart_every:
-            self.flow_serial += 1
+            self.flow_serial = (self.flow_serial + 1) % _FLOW_SERIALS
             sport = 20000 + len(SERVICE_PORTS) * self.flow_serial + port % 3
             flow = _FlowState(sport=sport, seq=_safe_isn(self.host, kind, self.flow_serial))
             self.flows[kind] = flow
@@ -311,8 +316,8 @@ class _PacedTransfer:
 
     Sends one request, waits for the peer's acknowledgement to come back
     through the channel, and retransmits when the timeout lapses first.
-    The per-interval send counts (demand plus retransmissions) feed the
-    stability metric.
+    ``send_times`` holds the virtual time of every send (demand plus
+    retransmissions); its per-interval counts feed the stability metric.
     """
 
     def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, packet_size: int, rto_us: int, start_us: int):
@@ -328,6 +333,7 @@ class _PacedTransfer:
         self.retransmissions = 0
         self.delivered_packets = 0
         self.finished_us: Optional[int] = None
+        self.send_times: List[int] = []
 
     def start(self) -> None:
         self._send_next()
@@ -347,9 +353,9 @@ class _PacedTransfer:
                          seq=(_safe_isn(self.src, "paced") + index) & 0xFFFFFFFF,
                          flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
                          src_mac=src_mac, dst_mac=dst_mac)
+        self.send_times.append(self.sim.now)
         self.sim.send_from(self.src, p)
-        deadline_index = index
-        self.sim._schedule(self.sim.now + self.rto_us, lambda: self._timeout(deadline_index))
+        self.sim._schedule(self.sim.now + self.rto_us, lambda: self._timeout(index))
 
     def _timeout(self, index: int) -> None:
         if self.awaiting == index:
@@ -391,9 +397,8 @@ class Simulation:
 
         self.node_stats: Dict[str, NodeStats] = {n: NodeStats() for n in topology.nodes}
         self.monitor_stats: Dict[str, MonitorStats] = {}
-        self.sent_log: Dict[str, List[int]] = {n: [] for n in topology.nodes}
-        self.secret_deliveries: List[Tuple[int, int]] = []
-        self.secret_delivery_digests: List[bytes] = []
+        # SHA-256 over the SHA-256 of every secret packet delivered, in order.
+        self.secret_chain = hashlib.sha256()
         self.desync_count = 0
         self.unroutable = 0
         self.captures: Dict[str, trace_mod.TraceFile] = {
@@ -423,7 +428,10 @@ class Simulation:
         self.gateways: Dict[str, CovertGateway] = {}
         self._gateway_side: Dict[str, str] = {}
         self._secret_registry: Dict[str, Set[int]] = {}
-        self._phys_nat: Dict[str, Dict[Tuple[int, int], Tuple[int, int, str]]] = {}
+        # Per NAT gateway: (protocol, mapped port) -> (source address,
+        # source port), and back from (protocol, address, port).
+        self._phys_nat: Dict[str, Dict[Tuple[int, int], Tuple[int, int]]] = {}
+        self._phys_nat_back: Dict[str, Dict[Tuple[int, int, int], int]] = {}
         self._phys_nat_next: Dict[str, int] = {}
         for a, b in pairs:
             for gw, peer in ((a, b), (b, a)):
@@ -437,6 +445,7 @@ class Simulation:
                     if h.secret and self._closer_to(h.name, peer, gw)
                 }
                 self._phys_nat[gw] = {}
+                self._phys_nat_back[gw] = {}
                 self._phys_nat_next[gw] = 61000
         for node in topology.nodes.values():
             if node.kind == topo_mod.KIND_MONITOR:
@@ -446,7 +455,6 @@ class Simulation:
         self._nat_pings: Dict[str, Set[tuple]] = {n: set() for n in self.monitor_stats}
 
         self.clients: Dict[str, _WorkloadClient] = {}
-        self.transfers: List[object] = []
         self._bulk_count: Dict[str, int] = {}
         self._bulk_by_port: Dict[Tuple[str, int], _BulkTransfer] = {}
         self._paced_by_src: Dict[str, _PacedTransfer] = {}
@@ -542,14 +550,12 @@ class Simulation:
         self._bulk_count[dst] = index + 1
         sport = 41000 + index % 1000
         transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, start_us, sport)
-        self.transfers.append(transfer)
         self._bulk_by_port[(dst, sport)] = transfer
         self._schedule(start_us, transfer.start)
         return transfer
 
     def add_paced_transfer(self, src: str, dst: str, packets: int, packet_size: int = 256, rto_us: int = 400_000, start_us: int = 0) -> _PacedTransfer:
         transfer = _PacedTransfer(self, src, dst, packets, packet_size, rto_us, start_us)
-        self.transfers.append(transfer)
         self._paced_by_src[src] = transfer
         self._schedule(start_us, transfer.start)
         return transfer
@@ -571,15 +577,6 @@ class Simulation:
         while self.now < max_us and not predicate():
             self.run(min(step_us, max_us - self.now))
 
-    def sent_series(self, node: str, interval_us: int, duration_us: Optional[int] = None) -> List[int]:
-        """Packets sent by ``node`` per interval over the run."""
-        horizon = duration_us if duration_us is not None else self.now
-        buckets = [0] * max(1, -(-horizon // interval_us))
-        for t in self.sent_log[node]:
-            if t < horizon:
-                buckets[t // interval_us] += 1
-        return buckets
-
     def gateway(self, name: str) -> CovertGateway:
         return self.gateways[name]
 
@@ -600,7 +597,6 @@ class Simulation:
     def send_from(self, node: str, p: pk.ParsedPacket) -> None:
         """Originate ``p`` at ``node`` and route it one hop."""
         self.node_stats[node].sent += 1
-        self.sent_log[node].append(self.now)
         self._route(node, p)
 
     def _route(self, node: str, p: pk.ParsedPacket) -> None:
@@ -778,8 +774,6 @@ class Simulation:
             return pk.reverse_flow_key(key) in self._nat_flows[node]
         if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REPLY:
             return (p.ipv4.dst_ip, p.ipv4.src_ip, p.icmp.identifier) in self._nat_pings[node]
-        if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
-            return False
         return False
 
     # -- covert gateways ----------------------------------------------------------
@@ -836,8 +830,7 @@ class Simulation:
         self._route(node, p)
 
     def _deliver_secret(self, node: str, blob: bytes) -> None:
-        self.secret_deliveries.append((self.now, len(blob)))
-        self.secret_delivery_digests.append(hashlib.sha256(blob).digest())
+        self.secret_chain.update(hashlib.sha256(blob).digest())
         try:
             inner = pk.parse_packet(blob)
         except pk.PacketError:
@@ -853,62 +846,32 @@ class Simulation:
         table = self._phys_nat[node]
         my_ip, my_mac = self._node_ip[node], self._node_mac[node]
         if p.tcp is not None or p.udp is not None:
-            proto = p.ipv4.protocol
-            sport = p.tcp.src_port if p.tcp is not None else p.udp.src_port
-            mapped = None
-            for (mproto, mport), (oip, oport, _) in table.items():
-                if mproto == proto and oip == p.ipv4.src_ip and oport == sport:
-                    mapped = mport
-                    break
+            proto, src_ip, sport = p.ipv4.protocol, p.ipv4.src_ip, p.transport.src_port
+            back = self._phys_nat_back[node]
+            mapped = back.get((proto, src_ip, sport))
             if mapped is None:
                 mapped = self._phys_nat_next[node]
                 while (proto, mapped) in table:
                     mapped += 1
                 self._phys_nat_next[node] = mapped + 1
-                table[(proto, mapped)] = (p.ipv4.src_ip, sport, self._ip_to_node.get(p.ipv4.src_ip, ""))
-            transport = replace(p.tcp, src_port=mapped) if p.tcp is not None else replace(p.udp, src_port=mapped)
-            updated = replace(
-                p,
-                link=replace(p.link, src_mac=my_mac),
-                ipv4=replace(p.ipv4, src_ip=my_ip),
-                transport=transport,
-            )
-            return pk.fix_checksums(updated)
+                table[(proto, mapped)] = (src_ip, sport)
+                back[(proto, src_ip, sport)] = mapped
+            return pk.readdress(p, src_ip=my_ip, src_port=mapped, src_mac=my_mac)
         if p.icmp is not None:
-            key = (pk.PROTO_ICMP, p.icmp.identifier)
-            if key not in table:
-                table[key] = (p.ipv4.src_ip, p.icmp.identifier, self._ip_to_node.get(p.ipv4.src_ip, ""))
-            updated = replace(
-                p,
-                link=replace(p.link, src_mac=my_mac),
-                ipv4=replace(p.ipv4, src_ip=my_ip),
-            )
-            return pk.fix_checksums(updated)
+            table.setdefault((pk.PROTO_ICMP, p.icmp.identifier), (p.ipv4.src_ip, p.icmp.identifier))
+            return pk.readdress(p, src_ip=my_ip, src_mac=my_mac)
         return p
 
     def _phys_nat_in(self, node: str, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
-        table = self._phys_nat[node]
-        if p.tcp is not None or p.udp is not None:
-            proto = p.ipv4.protocol
-            dport = p.tcp.dst_port if p.tcp is not None else p.udp.dst_port
-            entry = table.get((proto, dport))
-            if entry is None:
-                return None
-            oip, oport, _ = entry
-            transport = replace(p.tcp, dst_port=oport) if p.tcp is not None else replace(p.udp, dst_port=oport)
-            host = self._ip_to_node.get(oip)
-            updated = replace(
-                p,
-                link=replace(p.link, dst_mac=self._node_mac[host] if host else p.link.dst_mac),
-                ipv4=replace(p.ipv4, dst_ip=oip),
-                transport=transport,
-            )
-            return pk.fix_checksums(updated)
-        if p.icmp is not None:
-            entry = table.get((pk.PROTO_ICMP, p.icmp.identifier))
-            if entry is None:
-                return None
-            oip, _, _ = entry
-            updated = replace(p, ipv4=replace(p.ipv4, dst_ip=oip))
-            return pk.fix_checksums(updated)
-        return None
+        t = p.transport
+        if t is None:
+            return None
+        icmp = p.icmp is not None
+        entry = self._phys_nat[node].get((p.ipv4.protocol, t.identifier if icmp else t.dst_port))
+        if entry is None:
+            return None
+        oip, oport = entry
+        if icmp:
+            return pk.readdress(p, dst_ip=oip)
+        host = self._ip_to_node.get(oip)
+        return pk.readdress(p, dst_ip=oip, dst_port=oport, dst_mac=self._node_mac[host] if host else None)

@@ -5,6 +5,7 @@ hand-computed octet counts; the randomized round trips then cover the
 same machinery over arbitrary carrier mixes.
 """
 
+import contextlib
 import dataclasses
 import random
 import sys
@@ -32,6 +33,8 @@ from stegnet.handlers import (
 )
 from stegnet import crypto
 from stegnet import trace as tr
+from stegnet.scenarios import line_topology
+from stegnet.simnet import MICROS, Simulation
 
 MAC_HIGH = b"\x02\x00\x00\x00\x00\x0a"
 MAC_LOW = b"\x02\x00\x00\x00\x00\x01"
@@ -423,35 +426,56 @@ def test_config_validation():
         EngineConfig(augment_probability=-0.1).validate()
 
 
+@contextlib.contextmanager
+def _replace_calls():
+    """Count ``dataclasses.replace`` calls made inside the block.  The
+    hook matches the function by its code object, so a module that
+    bound it with ``from dataclasses import replace`` is caught too."""
+    target = dataclasses.replace.__code__
+    calls = [0]
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
 def test_carrier_path_calls_no_dataclass_replace():
-    """fuse and extract rebuild carriers through packet.py's constructors.
-    The hook matches ``dataclasses.replace`` by its code object, so a
-    module that bound it with ``from dataclasses import replace`` is
-    caught too."""
+    """fuse and extract rebuild carriers through packet.py's constructors."""
     capture = tr.synthesize_mixed_trace(2000, seed=17)
     config = EngineConfig(enabled_handlers=(1, 2, 4), seed=17)
     tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
     payload = random.Random(17).randbytes(15 * 2000)
     tx.enqueue_payload(payload)
-    target = dataclasses.replace.__code__
-    calls = 0
-
-    def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is target:
-            calls += 1
-
     delivered = []
-    sys.setprofile(hook)
-    try:
+    with _replace_calls() as calls:
         for record in capture.records:
             fused, _ = tx.fuse(pk.parse_packet(record.data))
             _, secrets, _ = rx.extract(pk.parse_packet(pk.serialize_packet(fused)))
             delivered.extend(secrets)
-    finally:
-        sys.setprofile(None)
     assert b"".join(delivered) == payload
     # Both the segment writers and the exclusion marker ran under the hook.
     assert tx.counters["carriers_excluded"] > 0
     assert tx.counters["carriers_modified"] > 0
-    assert calls == 0
+    assert calls[0] == 0
+
+
+def test_gateway_nat_path_calls_no_dataclass_replace():
+    """Gateway address translation rewrites packets through packet.py
+    as well, both on the way out and on the way back in."""
+    topology = line_topology(gateway_nat=True)
+    topology.nodes["secret_a"].workload = True
+    sim = Simulation(topology, engine_config=EngineConfig(seed=3), seed=3)
+    transfer = sim.add_bulk_transfer("secret_a", "secret_b", 600)
+    with _replace_calls() as calls:
+        sim.run(3 * MICROS)
+    assert transfer.delivered_octets == 600
+    assert len(sim._phys_nat["gw_a"]) > 1
+    # Replies to the translated workload came back through the table.
+    assert sim.node_stats["secret_a"].received > 0
+    assert calls[0] == 0

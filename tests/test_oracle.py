@@ -21,6 +21,7 @@ from stegnet.scenarios import (
     scenario_impersonation,
     scenario_nat_bypass,
     scenario_segmentation,
+    scenario_stability,
 )
 
 REPORT_DIGESTS = {
@@ -28,12 +29,14 @@ REPORT_DIGESTS = {
     "nat_bypass": "0745e0a83f3c07c46fc8cb66d30bdab81daa83e132b3c32b06d516785127e0a2",
     "segmentation": "ff43b4eb1445be7813fe1ca534791540cdce4a9a110fd731c4e5369fe9b3af60",
     "impersonation": "2b02fc59b722fbd2044995da24666aa88a48ee8dff94aac45443bf619d7be605",
+    "stability": "88468bdab1d1d91404515e32a03c3d218532ee0634829d70e26795bc13ced4bb",
 }
 SCENARIOS = {
     "firewall_bypass": scenario_firewall_bypass,
     "nat_bypass": scenario_nat_bypass,
     "segmentation": scenario_segmentation,
     "impersonation": scenario_impersonation,
+    "stability": scenario_stability,
 }
 
 TRACE_RECORDS = 3000

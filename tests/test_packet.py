@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -149,6 +150,24 @@ def test_icmp_payload_replacement():
     assert swapped.icmp.payload == b"Z" * 40
     assert pk.validate_transport_checksum(swapped)
     assert _ipv4_total_length(swapped) == _ipv4_total_length(p) + 8
+
+
+def test_readdress_matches_field_replacement():
+    """Against the obvious rebuild: replace each field, then fix both
+    checksums."""
+    rng = random.Random(23)
+    for _ in range(300):
+        p = _random_packet(rng)
+        side = rng.choice(("src", "dst"))
+        mac = {side + "_mac": rng.randbytes(6)}
+        ip = {side + "_ip": rng.randrange(1 << 32)}
+        port = {} if p.icmp is not None else {side + "_port": rng.randrange(0x10000)}
+        got = pk.readdress(p, **mac, **ip, **port)
+        want = replace(p, link=replace(p.link, **mac), ipv4=replace(p.ipv4, **ip), transport=replace(p.transport, **port))
+        assert got == pk.fix_checksums(want)
+        assert pk.validate_checksums(got)
+    with pytest.raises(pk.UnsupportedProtocol):
+        pk.readdress(pk.build_icmp_echo("10.0.0.1", "10.0.0.2"), dst_port=7)
 
 
 def test_parse_rejects_garbage():
