@@ -43,6 +43,12 @@ TRACE_RECORDS = 3000
 TRACE_PAYLOAD = 40_000
 FUSED_DIGEST = "f089ac3c091916a003028c3f297e8ebf94547507bdbe2d68a357462c71196ee0"
 REPAIRED_DIGEST = "d88faba42cd58921418e9a128fac54b37939fac4c69f37e6fe3a3518ec412618"
+# All five handlers with the ISN channel allowed and a quarter of the
+# eligible carriers diverted to it: handler switches, recovery records
+# and the augment path all reach the wire.
+SWITCHING_PAYLOAD = 20_000
+SWITCHING_FUSED_DIGEST = "93eec3037df7da8e2cc64adc37e8e0a212d7678c0a705354630c4b7937da3d0a"
+SWITCHING_REPAIRED_DIGEST = "90e0dbd1c30a73bb4a68334ed599c25b7efbdae88c09d8690529fd1b7caaac1f"
 
 
 def _sha(data) -> str:
@@ -56,10 +62,11 @@ def test_scenario_report_bytes(name):
     assert _sha(render_report(SCENARIOS[name](seed=0))) == REPORT_DIGESTS[name]
 
 
-def test_fused_and_repaired_trace_bytes():
-    tx = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2, 4), seed=7))
-    rx = CovertGateway("b", "a", config=EngineConfig(enabled_handlers=(1, 2, 4), seed=8))
-    payload = random.Random(11).randbytes(TRACE_PAYLOAD)
+def _fuse_and_repair(config_a, config_b, payload):
+    """Fuse ``payload`` over the mixed capture and extract it again;
+    returns the fused and repaired trace bytes and the delivered secrets."""
+    tx = CovertGateway("a", "b", config=config_a)
+    rx = CovertGateway("b", "a", config=config_b)
     tx.enqueue_payload(payload)
 
     source = tr.synthesize_mixed_trace(TRACE_RECORDS, seed=3)
@@ -73,5 +80,26 @@ def test_fused_and_repaired_trace_bytes():
         got.extend(secrets)
 
     assert tx.idle and b"".join(got) == payload
-    assert _sha(tr.write_trace(tr.TraceFile(records=fused))) == FUSED_DIGEST
-    assert _sha(tr.write_trace(tr.TraceFile(records=repaired))) == REPAIRED_DIGEST
+    return (tr.write_trace(tr.TraceFile(records=fused)),
+            tr.write_trace(tr.TraceFile(records=repaired)))
+
+
+def test_fused_and_repaired_trace_bytes():
+    fused, repaired = _fuse_and_repair(
+        EngineConfig(enabled_handlers=(1, 2, 4), seed=7),
+        EngineConfig(enabled_handlers=(1, 2, 4), seed=8),
+        random.Random(11).randbytes(TRACE_PAYLOAD),
+    )
+    assert _sha(fused) == FUSED_DIGEST
+    assert _sha(repaired) == REPAIRED_DIGEST
+
+
+def test_switching_trace_bytes():
+    switching = dict(enabled_handlers=(1, 2, 3, 4, 5), augmented_allowed=True, augment_probability=0.25)
+    fused, repaired = _fuse_and_repair(
+        EngineConfig(seed=7, **switching),
+        EngineConfig(seed=8, **switching),
+        random.Random(11).randbytes(SWITCHING_PAYLOAD),
+    )
+    assert _sha(fused) == SWITCHING_FUSED_DIGEST
+    assert _sha(repaired) == SWITCHING_REPAIRED_DIGEST
