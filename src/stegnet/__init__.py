@@ -35,7 +35,6 @@ from .handlers import (
     IPV4_CHECKSUM_ID,
     IPV4_ID_ID,
     RecoveryClass,
-    SelectionContext,
     TCP_ISN_ID,
     TCP_OPTIONS_ID,
     UnknownHandler,
@@ -69,7 +68,6 @@ __all__ = [
     "RecoveryClass",
     "RunSpec",
     "SECRET_PORT",
-    "SelectionContext",
     "SessionReport",
     "Simulation",
     "TCP_ISN_ID",

@@ -34,7 +34,6 @@ from .handlers import (
     DEFAULT_ENABLED,
     HandlerRegistry,
     RecoveryClass,
-    SelectionContext,
     TCP_ISN_ID,
     build_registry,
 )
@@ -171,8 +170,7 @@ class CovertGateway:
         self._cipher_boundary = False
 
         self._rx_item: Optional[_RxItem] = None
-        self._rx_active: Optional[int] = None
-        self._rx_active_mult = 1
+        self._rx_cursor = wire.SegmentCursor()
         self._rx_cipher_active = False
 
         self._session: Optional[crypto.CryptoSession] = None
@@ -281,17 +279,13 @@ class CovertGateway:
         if not candidates:
             return carrier, stats
         stats.matched = True
-        mult = len(candidates)
-        opening = self._tx_item.sent == 0 if self._tx_item is not None else True
-        ctx = SelectionContext(
-            active_handler=self._tx_cursor.active_handler,
-            augmented_allowed=self.config.augmented_allowed,
-            opening=opening,
-            active_multiplicity=self._tx_cursor.active_multiplicity,
-        )
-        chosen = self.registry.select(candidates, ctx, carrier)
-        if chosen is None:
+        # The item in flight, or the next one _next_item opens, starts here.
+        opening = self._tx_item is None or self._tx_item.sent == 0
+        picked = self.registry.select(
+            candidates, carrier, self._tx_cursor, opening, self.config.augmented_allowed)
+        if picked is None:
             return self._exclude(carrier, stats)
+        chosen, capacity = picked
         if (
             self.config.augment_probability > 0.0
             and self.config.augmented_allowed
@@ -300,14 +294,14 @@ class CovertGateway:
             and self._rng.random() < self.config.augment_probability
         ):
             chosen = TCP_ISN_ID
+            capacity = self.registry.get(chosen).capacity(carrier)
         item = self._next_item()
         if item is None:
             return self._exclude(carrier, stats)
         spec = self.registry.get(chosen)
-        capacity = spec.capacity(carrier)
         remaining = len(item.wire_bytes) - item.sent
-        opening = item.opening() if item.sent == 0 else None
-        placed = self._tx_cursor.place(chosen, capacity, mult, remaining, opening)
+        placed = self._tx_cursor.place(
+            chosen, capacity, len(candidates), remaining, item.opening() if opening else None)
         if placed is None:
             return self._exclude(carrier, stats)
         header, n = placed
@@ -379,14 +373,6 @@ class CovertGateway:
 
     # -- receive side -------------------------------------------------------
 
-    def _rx_ctx(self) -> SelectionContext:
-        return SelectionContext(
-            active_handler=self._rx_active,
-            augmented_allowed=self.config.augmented_allowed,
-            opening=self._rx_item is None,
-            active_multiplicity=self._rx_active_mult,
-        )
-
     def _desync(self, carrier: pk.ParsedPacket, why: str):
         self._rx_item = None
         raise DesyncError(why, forwarded=carrier)
@@ -406,11 +392,12 @@ class CovertGateway:
             return carrier, [], stats
         stats.matched = True
         mult = len(candidates)
-        ctx = self._rx_ctx()
-        sel = self.registry.select(candidates, ctx, carrier)
-        if sel is None:
+        picked = self.registry.select(
+            candidates, carrier, self._rx_cursor, self._rx_item is None, self.config.augmented_allowed)
+        if picked is None:
             # Fusion would have excluded this carrier; nothing rides it.
             return carrier, [], stats
+        sel = picked[0]
 
         scan = [sel]
         if self.config.augmented_allowed and TCP_ISN_ID in candidates and TCP_ISN_ID != sel:
@@ -499,35 +486,33 @@ class CovertGateway:
             region = spec.reader(carrier)
             header = wire.decode_sync(region[: wire.SYNC_SIZE])
             if header is not None and header.code != wire.CODE_HANDLER_SWITCH:
-                self._rx_active = hid
-                self._rx_active_mult = mult
+                self._rx_cursor.adopt(hid, mult, True)
                 return hid, region, header
         self._desync(carrier, "no opening header where one was expected")
 
     def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[int], sel: int, scan: List[int], mult: int):
-        ambiguous = mult > 1 or self._rx_active_mult > 1
-        if not ambiguous:
+        cursor = self._rx_cursor
+        if not cursor.ambiguous(mult):
             # Unambiguous carriers never carry a switch header; both
             # sides re-derive the same selection independently.
-            hid = sel
-            if hid != self._rx_active:
-                self._rx_active = hid
-                self._rx_active_mult = mult
-            region = self.registry.get(hid).reader(carrier)
-            return hid, region, 0
+            cursor.adopt(sel, mult, False)
+            return sel, self.registry.get(sel).reader(carrier), 0
+        # Ambiguous carriers announce every handler change in-band, so
+        # look for a switch header even when ``sel`` is the active
+        # handler: the sender may have diverted this carrier to the
+        # ISN channel.
         for hid in scan:
-            if hid == self._rx_active:
+            if hid == cursor.active_handler:
                 continue
             region = self.registry.get(hid).reader(carrier)
             header = wire.decode_sync(region[: wire.SYNC_SIZE])
             if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == hid:
-                self._rx_active = hid
-                self._rx_active_mult = mult
+                cursor.adopt(hid, mult, False)
                 return hid, region, wire.SYNC_SIZE
-        if self._rx_active not in candidates:
+        active = cursor.active_handler
+        if active not in candidates:
             self._desync(carrier, "active handler does not match carrier and no switch announced")
-        region = self.registry.get(self._rx_active).reader(carrier)
-        return self._rx_active, region, 0
+        return active, self.registry.get(active).reader(carrier), 0
 
     def _repair(self, carrier: pk.ParsedPacket, hid: Optional[int]) -> pk.ParsedPacket:
         if hid is None:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import packet as pk
-from .wire import SYNC_SIZE, handler_switch_needed
+from .wire import SYNC_SIZE, SegmentCursor
 
 
 class ManipulationClass(Enum):
@@ -92,23 +92,6 @@ class HandlerSpec:
     sync_reserved: bool = False
 
 
-@dataclass
-class SelectionContext:
-    """Shared stream state both endpoints can derive independently.
-
-    ``opening`` is true when the next segment starts a stream item (the
-    receive side is idle exactly when the transmit side is about to
-    open, so the two mirrors agree).  ``active_multiplicity`` is the
-    match multiplicity of the carrier that established the active
-    handler.
-    """
-
-    active_handler: Optional[int] = None
-    augmented_allowed: bool = False
-    opening: bool = True
-    active_multiplicity: int = 1
-
-
 @lru_cache(maxsize=None)
 def _default_vectors(seed: int = 0x5EED) -> Tuple[pk.ParsedPacket, ...]:
     """Assorted well formed packets used to exercise writer/reader pairs."""
@@ -159,15 +142,14 @@ _RECOVERY_RANK = {RecoveryClass.NO_RECOVERY: 0, RecoveryClass.SELF_RECOVERABLE: 
 
 
 class HandlerRegistry:
-    """Registered handlers plus their enabled/disabled switches; each
-    spec passes ``_self_test`` on its first registration in a process."""
+    """The enabled handlers of one gateway; each spec passes
+    ``_self_test`` on its first registration in a process."""
 
     def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
-        self._enabled: Dict[int, bool] = {}
         self._order: Tuple[int, ...] = ()  # registered ids, ascending
 
-    def register(self, spec: HandlerSpec, enabled: bool = True) -> int:
+    def register(self, spec: HandlerSpec) -> int:
         if spec.id in self._specs:
             raise DuplicateId("handler id %d already registered" % spec.id)
         if not 0 <= spec.id <= 0xFF:
@@ -180,7 +162,6 @@ class HandlerRegistry:
             _self_test(spec)
             _PASSED.add(spec)
         self._specs[spec.id] = spec
-        self._enabled[spec.id] = enabled
         self._order = tuple(sorted(self._specs))
         return spec.id
 
@@ -190,20 +171,27 @@ class HandlerRegistry:
         except KeyError:
             raise UnknownHandler("no handler with id %d" % handler_id) from None
 
-    def is_enabled(self, handler_id: int) -> bool:
-        return self._enabled.get(handler_id, False)
-
     @property
     def ids(self) -> List[int]:
         return list(self._order)
 
     def match(self, p: pk.ParsedPacket) -> List[int]:
-        """Ids of all enabled handlers accepting ``p``, ascending."""
-        return [hid for hid in self._order if self._enabled[hid] and self._specs[hid].match(p)]
+        """Ids of all handlers accepting ``p``, ascending."""
+        return [hid for hid in self._order if self._specs[hid].match(p)]
 
-    def select(self, candidates: Sequence[int], ctx: SelectionContext, p: pk.ParsedPacket) -> Optional[int]:
-        """Pick one handler for a carrier, or None.
+    def select(
+        self,
+        candidates: Sequence[int],
+        p: pk.ParsedPacket,
+        cursor: SegmentCursor,
+        opening: bool,
+        augmented_allowed: bool,
+    ) -> Optional[Tuple[int, int]]:
+        """Pick one handler for a carrier: (id, capacity on ``p``), or None.
 
+        ``cursor`` is the direction's selection state and ``opening``
+        is true when the next segment starts a stream item (the receive
+        side is idle exactly when the transmit side is about to open).
         Only handlers whose region fits the header this carrier would
         need plus one data octet are considered; a two-octet field
         cannot open an item but can extend one silently.  The remaining
@@ -218,17 +206,16 @@ class HandlerRegistry:
         multiplicity = len(candidates)
         best = None
         for spec in [self.get(c) for c in candidates]:
-            if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not ctx.augmented_allowed:
+            if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not augmented_allowed:
                 continue
-            header = ctx.opening or handler_switch_needed(
-                spec.id, ctx.active_handler, multiplicity, ctx.active_multiplicity)
+            header = opening or cursor.switch_needed(spec.id, multiplicity)
             capacity = spec.capacity(p)
             if capacity < (SYNC_SIZE if header else 0) + 1:
                 continue
             key = (spec.carrier_cost, _RECOVERY_RANK[spec.recovery], -capacity, spec.id)
             if best is None or key < best:
                 best = key
-        return None if best is None else best[3]
+        return None if best is None else (best[3], -best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +398,16 @@ def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) 
     )
 
 
+# Stock handler factories and their default carrier costs, by id.
+_STOCK = {
+    TCP_OPTIONS_ID: (make_tcp_options_handler, 0.34),
+    ICMP_PAYLOAD_ID: (make_icmp_payload_handler, COST_LOW),
+    IPV4_ID_ID: (make_ipv4_id_handler, COST_HIGH),
+    IPV4_CHECKSUM_ID: (make_ipv4_checksum_handler, COST_LOW),
+    TCP_ISN_ID: (make_tcp_isn_handler, COST_HIGH),
+}
+
+
 @lru_cache(maxsize=None, typed=True)
 def _stock_spec(factory: Callable[..., HandlerSpec], **options) -> HandlerSpec:
     """One frozen spec per distinct stock configuration, so the
@@ -423,25 +420,18 @@ def build_registry(
     cost_overrides: Optional[Dict[int, float]] = None,
     preserve_icmp_timestamp: bool = False,
 ) -> HandlerRegistry:
-    """Registry with the five stock handlers.
+    """Registry of the ``enabled`` stock handlers.
 
-    ``enabled`` selects which ids answer match queries; the rest stay
-    registered but dormant.  ``cost_overrides`` replaces per-handler
-    carrier costs before registration.
+    ``cost_overrides`` replaces per-handler carrier costs before
+    registration.
     """
-    stock = (TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, IPV4_ID_ID, IPV4_CHECKSUM_ID, TCP_ISN_ID)
     for hid in enabled:
-        if hid not in stock:
+        if hid not in _STOCK:
             raise UnknownHandler("no handler with id %d" % hid)
     cost = (cost_overrides or {}).get
+    options = {ICMP_PAYLOAD_ID: {"preserve_timestamp": preserve_icmp_timestamp}}
     registry = HandlerRegistry()
-    for spec in (
-        _stock_spec(make_tcp_options_handler, cost=cost(TCP_OPTIONS_ID, 0.34)),
-        _stock_spec(make_icmp_payload_handler, cost=cost(ICMP_PAYLOAD_ID, COST_LOW),
-                    preserve_timestamp=preserve_icmp_timestamp),
-        _stock_spec(make_ipv4_id_handler, cost=cost(IPV4_ID_ID, COST_HIGH)),
-        _stock_spec(make_ipv4_checksum_handler, cost=cost(IPV4_CHECKSUM_ID, COST_LOW)),
-        _stock_spec(make_tcp_isn_handler, cost=cost(TCP_ISN_ID, COST_HIGH)),
-    ):
-        registry.register(spec, spec.id in enabled)
+    for hid, (factory, default_cost) in _STOCK.items():
+        if hid in enabled:
+            registry.register(_stock_spec(factory, cost=cost(hid, default_cost), **options.get(hid, {})))
     return registry

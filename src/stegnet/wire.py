@@ -155,31 +155,46 @@ def decode_recovery(octets: bytes) -> RecoveryRecord:
 # Segment planning
 
 
-def handler_switch_needed(chosen: int, active: Optional[int], multiplicity: int, active_multiplicity: int) -> bool:
-    """Whether this carrier must announce its handler in-band.
-
-    A switch header is inserted exactly when the selected handler
-    differs from the active one and either this carrier matches more
-    than one handler or the carrier that established the active handler
-    did.  Unambiguous transitions stay silent: the peer re-derives the
-    same selection on its own.
-    """
-    if active is None or chosen == active:
-        return False
-    return multiplicity > 1 or active_multiplicity > 1
-
-
 class SegmentCursor:
-    """Per-direction segment planner: the sender calls ``place`` once per carrier.
+    """Handler-selection state of one stream direction.
 
-    Tracks the active handler and whether the carrier that established
-    it was ambiguous (matched by more than one handler).  Excluded
-    carriers leave the state untouched.
+    The sender keeps one cursor and calls ``place`` once per carrier;
+    the receiver keeps a mirror and calls ``adopt`` with the handler it
+    found, so both sides hold the same state and apply the same switch
+    rule.  The cursor tracks the active handler and the multiplicity
+    (number of matching handlers) of the carrier that established it.
+    Excluded carriers leave the state untouched.
     """
 
     def __init__(self, active_handler: Optional[int] = None, active_multiplicity: int = 1):
         self.active_handler = active_handler
         self.active_multiplicity = active_multiplicity
+
+    def ambiguous(self, multiplicity: int) -> bool:
+        """Whether a handler change on a carrier of ``multiplicity``
+        could not be re-derived by the peer: this carrier or the one
+        that established the active handler matched more than one."""
+        return multiplicity > 1 or self.active_multiplicity > 1
+
+    def switch_needed(self, handler_id: int, multiplicity: int) -> bool:
+        """Whether this carrier must announce ``handler_id`` in-band.
+
+        A switch header is inserted exactly when the handler differs
+        from the active one and the transition is ambiguous.
+        Unambiguous transitions stay silent: the peer re-derives the
+        same selection on its own.
+        """
+        if self.active_handler is None or handler_id == self.active_handler:
+            return False
+        return self.ambiguous(multiplicity)
+
+    def adopt(self, handler_id: int, multiplicity: int, opening: bool) -> None:
+        """Make ``handler_id`` active for a carrier of ``multiplicity``.
+        The multiplicity is recorded when the carrier opens an item or
+        changes the handler, and kept when it continues on the same one."""
+        if opening or handler_id != self.active_handler:
+            self.active_multiplicity = multiplicity
+        self.active_handler = handler_id
 
     def place(
         self,
@@ -196,16 +211,12 @@ class SegmentCursor:
         with nothing left to send just need the header)."""
         if opening is not None:
             header: Optional[SyncHeader] = opening
-        elif handler_switch_needed(handler_id, self.active_handler, multiplicity, self.active_multiplicity):
+        elif self.switch_needed(handler_id, multiplicity):
             header = switch_header(handler_id)
         else:
             header = None
         overhead = SYNC_SIZE if header is not None else 0
         if capacity < overhead + min(remaining, 1):
             return None
-        data = min(capacity - overhead, remaining)
-        established = opening is not None or handler_id != self.active_handler
-        if established:
-            self.active_multiplicity = multiplicity
-        self.active_handler = handler_id
-        return header, data
+        self.adopt(handler_id, multiplicity, opening is not None)
+        return header, min(capacity - overhead, remaining)

@@ -4,6 +4,7 @@ import pytest
 
 import stegnet.handlers as hd
 import stegnet.packet as pk
+import stegnet.wire as wire
 
 
 def _tcp(payload=b"x" * 32, flags=pk.TCP_ACK):
@@ -22,6 +23,13 @@ def _udp():
     return pk.build_udp("10.0.0.1", "10.0.0.2", 53, 5353, payload=b"q" * 30)
 
 
+def _select(reg, candidates, p, opening, active_handler=None, active_multiplicity=1, augmented_allowed=False):
+    """The id ``reg.select`` picks under the given stream state, or None."""
+    cursor = wire.SegmentCursor(active_handler, active_multiplicity)
+    picked = reg.select(candidates, p, cursor, opening, augmented_allowed)
+    return None if picked is None else picked[0]
+
+
 def test_builtin_table():
     reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
     spec = {hid: reg.get(hid) for hid in reg.ids}
@@ -38,10 +46,8 @@ def test_builtin_table():
 
 def test_default_enabled_set():
     reg = hd.build_registry()
-    assert [hid for hid in reg.ids if reg.is_enabled(hid)] == [1, 2, 4]
-    # the risky wide channels exist but stay off until asked for
-    assert not reg.is_enabled(3)
-    assert not reg.is_enabled(5)
+    # the risky wide channels stay out until asked for
+    assert reg.ids == [1, 2, 4]
 
 
 def test_match_dispatch():
@@ -118,33 +124,29 @@ def test_unknown_handler():
 
 def test_cost_override_changes_selection():
     reg = hd.build_registry(enabled=(1, 2), cost_overrides={1: 0.05})
-    ctx = hd.SelectionContext(opening=True)
     # tcp_options is normally pricier than icmp_payload; override flips nothing
     # here because the two never match the same packet, but the spec cost must
     # reflect the override.
     assert reg.get(1).carrier_cost == 0.05
     assert reg.get(2).carrier_cost == 0.10
-    assert reg.select([1], ctx, _tcp()) == 1
+    assert _select(reg, [1], _tcp(), opening=True) == 1
 
 
 def test_selection_prefers_cheapest():
     reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
     # continuing on the checksum field is cheaper (0.10) than options (0.34)
-    ctx = hd.SelectionContext(opening=False, active_handler=4)
-    assert reg.select([1, 3, 4], ctx, _tcp()) == 4
+    assert _select(reg, [1, 3, 4], _tcp(), opening=False, active_handler=4) == 4
     # when opening, two-octet fields fall out and options wins
-    assert reg.select([1, 3, 4], hd.SelectionContext(opening=True), _tcp()) == 1
+    assert _select(reg, [1, 3, 4], _tcp(), opening=True) == 1
     # mid-item away from handler 1 a switch header cannot fit a 2-octet
     # field, so the active wide field keeps the stream
-    ctx_active_one = hd.SelectionContext(opening=False, active_handler=1)
-    assert reg.select([1, 3, 4], ctx_active_one, _tcp()) == 1
+    assert _select(reg, [1, 3, 4], _tcp(), opening=False, active_handler=1) == 1
 
 
 def test_selection_recovery_rank_breaks_cost_tie():
     # icmp_payload and ipv4_checksum share cost 0.10; NO_RECOVERY wins
     reg = hd.build_registry(enabled=(2, 4))
-    ctx = hd.SelectionContext(opening=False, active_handler=2)
-    chosen = reg.select([2, 4], ctx, _icmp())
+    chosen = _select(reg, [2, 4], _icmp(), opening=False, active_handler=2)
     assert chosen == 2
 
 
@@ -153,31 +155,26 @@ def test_selection_excludes_augmented_without_permission():
     syn = _syn()
     # two candidates force a switch header; the 2-octet id field cannot
     # hold one and the ISN field is barred without permission
-    ctx = hd.SelectionContext(opening=False, active_handler=1)
-    assert reg.select([3, 5], ctx, syn) is None
-    ctx_aug = hd.SelectionContext(opening=False, active_handler=1, augmented_allowed=True)
-    assert reg.select([3, 5], ctx_aug, syn) == 5
+    assert _select(reg, [3, 5], syn, opening=False, active_handler=1) is None
+    assert _select(reg, [3, 5], syn, opening=False, active_handler=1, augmented_allowed=True) == 5
     # a lone unambiguous id field continues an item silently
-    assert reg.select([3], ctx, syn) == 3
+    assert _select(reg, [3], syn, opening=False, active_handler=1) == 3
     # the 4-octet ISN region can even open an item: header plus one octet
-    assert reg.select([5], hd.SelectionContext(opening=True, augmented_allowed=True), syn) == 5
+    assert _select(reg, [5], syn, opening=True, augmented_allowed=True) == 5
 
 
 def test_selection_none_when_nothing_can_progress():
     reg = hd.build_registry(enabled=(3, 4, 5))
-    ctx = hd.SelectionContext(opening=True)
     # every candidate region is 2 octets; an opening header needs 3 + 1
-    assert reg.select([3, 4], ctx, _tcp()) is None
+    assert _select(reg, [3, 4], _tcp(), opening=True) is None
 
 
 def test_selection_switch_need_counts_against_capacity():
     reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
     # mid-item, switching into a 2-octet field would need a 3-octet header
-    ctx = hd.SelectionContext(opening=False, active_handler=1, active_multiplicity=2)
-    assert reg.select([4], ctx, _udp()) is None
+    assert _select(reg, [4], _udp(), opening=False, active_handler=1, active_multiplicity=2) is None
     # same field continuing silently is fine
-    ctx2 = hd.SelectionContext(opening=False, active_handler=4, active_multiplicity=1)
-    assert reg.select([4], ctx2, _udp()) == 4
+    assert _select(reg, [4], _udp(), opening=False, active_handler=4, active_multiplicity=1) == 4
 
 
 def test_selection_deterministic():
@@ -187,15 +184,22 @@ def test_selection_deterministic():
     for _ in range(200):
         p = rng.choice(carriers)
         candidates = reg.match(p)
-        ctx = hd.SelectionContext(
+        state = dict(
             opening=rng.random() < 0.5,
             active_handler=rng.choice((None, 1, 2, 4)),
             active_multiplicity=rng.choice((1, 2)),
             augmented_allowed=rng.random() < 0.5,
         )
-        first = reg.select(candidates, ctx, p)
-        again = reg.select(list(candidates), hd.SelectionContext(**vars(ctx)), p)
+        first = _select(reg, candidates, p, **state)
+        again = _select(reg, list(candidates), p, **state)
         assert first == again
+
+
+def test_select_returns_capacity_of_the_choice():
+    reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
+    for p, chosen, capacity in ((_tcp(), 1, 40), (_icmp(56), 2, 56), (_syn(), 5, 4)):
+        picked = reg.select(reg.match(p), p, wire.SegmentCursor(), True, True)
+        assert picked == (chosen, capacity) == (chosen, reg.get(chosen).capacity(p))
 
 
 def test_sync_reserved_cost_rule():
@@ -227,7 +231,8 @@ def test_stock_self_tests_run_once_per_process(monkeypatch):
     tested = _count_self_tests(monkeypatch)
     first = hd.build_registry(enabled=(1, 2, 4))
     second = hd.build_registry(enabled=(1, 2, 4))
-    assert sorted(spec.id for spec in tested) == [1, 2, 3, 4, 5]
+    # disabled stock specs are self-tested when first enabled
+    assert sorted(spec.id for spec in tested) == [1, 2, 4]
     assert all(first.get(hid) is second.get(hid) for hid in first.ids)
 
 

@@ -50,14 +50,33 @@ def test_exclusion_marking():
 
 
 def test_handler_switch_rule_table():
+    def switch_needed(chosen, active, multiplicity, active_multiplicity):
+        return wire.SegmentCursor(active, active_multiplicity).switch_needed(chosen, multiplicity)
+
     # chosen == active never switches; no active handler never switches
-    assert not wire.handler_switch_needed(1, 1, 3, 3)
-    assert not wire.handler_switch_needed(1, None, 2, 1)
+    assert not switch_needed(1, 1, 3, 3)
+    assert not switch_needed(1, None, 2, 1)
     # ambiguity on either side forces the switch
-    assert wire.handler_switch_needed(2, 1, 2, 1)
-    assert wire.handler_switch_needed(2, 1, 1, 2)
+    assert switch_needed(2, 1, 2, 1)
+    assert switch_needed(2, 1, 1, 2)
     # both unambiguous: silent adoption
-    assert not wire.handler_switch_needed(2, 1, 1, 1)
+    assert not switch_needed(2, 1, 1, 1)
+
+
+def test_cursor_adopt_keeps_the_establishing_multiplicity():
+    cursor = wire.SegmentCursor()
+    cursor.adopt(1, 2, opening=True)
+    assert (cursor.active_handler, cursor.active_multiplicity) == (1, 2)
+    assert cursor.ambiguous(1)
+    # continuing on the same handler keeps the establishing carrier's count
+    cursor.adopt(1, 1, opening=False)
+    assert cursor.active_multiplicity == 2
+    # a change of handler, or an opening, records the new carrier's count
+    cursor.adopt(2, 1, opening=False)
+    assert (cursor.active_handler, cursor.active_multiplicity) == (2, 1)
+    assert not cursor.ambiguous(1) and cursor.ambiguous(3)
+    cursor.adopt(2, 3, opening=True)
+    assert cursor.active_multiplicity == 3
 
 
 # The two worked segmentation examples: (handler id, capacity, multiplicity)
