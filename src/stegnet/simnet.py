@@ -47,6 +47,8 @@ SERVICE_PORTS = {
 }
 UDP_SERVICE_PORT = 5353
 SECRET_PORT = 9999
+# Source ports a NAT gateway maps secret flows to, handed out cyclically.
+_NAT_PORT_FIRST, _NAT_PORT_LAST = 61000, 0xFFFF
 # Flow serials wrap so a workload source port, 20000 + 3 * serial + 2 at most, fits 16 bits.
 _FLOW_SERIALS = (0xFFFF - 20000 - 2) // len(SERVICE_PORTS) + 1
 
@@ -269,15 +271,13 @@ class _WorkloadClient:
 class _BulkTransfer:
     """Covert payload drain: all packets offered up front."""
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, start_us: int,
-                 sport: int):
+    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, sport: int):
         self.sim = sim
         self.src = src
         self.dst = dst
         self.sport = sport
         self.payload_octets = payload_octets
         self.packet_size = packet_size
-        self.start_us = start_us
         self.sent_packets = 0
         self.delivered_octets = 0
         self.delivered_packets = 0
@@ -320,14 +320,13 @@ class _PacedTransfer:
     retransmissions); its per-interval counts feed the stability metric.
     """
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, packet_size: int, rto_us: int, start_us: int):
+    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, packet_size: int, rto_us: int):
         self.sim = sim
         self.src = src
         self.dst = dst
         self.packets = packets
         self.packet_size = packet_size
         self.rto_us = rto_us
-        self.start_us = start_us
         self.next_index = 0
         self.awaiting: Optional[int] = None
         self.retransmissions = 0
@@ -446,7 +445,7 @@ class Simulation:
                 }
                 self._phys_nat[gw] = {}
                 self._phys_nat_back[gw] = {}
-                self._phys_nat_next[gw] = 61000
+                self._phys_nat_next[gw] = _NAT_PORT_FIRST
         for node in topology.nodes.values():
             if node.kind == topo_mod.KIND_MONITOR:
                 self.monitor_stats[node.name] = MonitorStats()
@@ -549,13 +548,13 @@ class Simulation:
         index = self._bulk_count.get(dst, 0)
         self._bulk_count[dst] = index + 1
         sport = 41000 + index % 1000
-        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, start_us, sport)
+        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, sport)
         self._bulk_by_port[(dst, sport)] = transfer
         self._schedule(start_us, transfer.start)
         return transfer
 
     def add_paced_transfer(self, src: str, dst: str, packets: int, packet_size: int = 256, rto_us: int = 400_000, start_us: int = 0) -> _PacedTransfer:
-        transfer = _PacedTransfer(self, src, dst, packets, packet_size, rto_us, start_us)
+        transfer = _PacedTransfer(self, src, dst, packets, packet_size, rto_us)
         self._paced_by_src[src] = transfer
         self._schedule(start_us, transfer.start)
         return transfer
@@ -576,9 +575,6 @@ class Simulation:
         """Advance in steps until ``predicate`` holds or ``max_us`` passes."""
         while self.now < max_us and not predicate():
             self.run(min(step_us, max_us - self.now))
-
-    def gateway(self, name: str) -> CovertGateway:
-        return self.gateways[name]
 
     def monitor_totals(self) -> MonitorStats:
         """Every monitor's counters summed; rule hits are summed per rule
@@ -850,10 +846,12 @@ class Simulation:
             back = self._phys_nat_back[node]
             mapped = back.get((proto, src_ip, sport))
             if mapped is None:
+                # Ports wrap; a port still mapped passes to the new flow.
                 mapped = self._phys_nat_next[node]
-                while (proto, mapped) in table:
-                    mapped += 1
-                self._phys_nat_next[node] = mapped + 1
+                self._phys_nat_next[node] = _NAT_PORT_FIRST if mapped == _NAT_PORT_LAST else mapped + 1
+                evicted = table.get((proto, mapped))
+                if evicted is not None:
+                    del back[(proto,) + evicted]
                 table[(proto, mapped)] = (src_ip, sport)
                 back[(proto, src_ip, sport)] = mapped
             return pk.readdress(p, src_ip=my_ip, src_port=mapped, src_mac=my_mac)

@@ -226,6 +226,40 @@ def test_gateway_address_translation_round_trip():
         assert secret_ip not in (src, dst)
 
 
+def test_gateway_address_translation_ports_wrap():
+    sim = Simulation(
+        line_topology(visible_users=1, gateway_nat=True),
+        workload=WorkloadSpec(),
+        seed=4,
+        covert=True,
+    )
+    nodes = sim.topology.nodes
+    secret_ip = pk.str_to_ip(nodes["secret_a"].ip)
+    tcp = pk.PROTO_TCP
+
+    def syn(sport):
+        return pk.build_tcp(
+            nodes["secret_a"].ip, nodes["server_b"].ip, sport, 9000,
+            seq=0x43000000, flags=pk.TCP_SYN,
+            src_mac=nodes["secret_a"].mac, dst_mac=nodes["gw_a"].mac,
+        )
+
+    # the last port in the range is followed by the first
+    sim._phys_nat_next["gw_a"] = 65535
+    for sport in (33000, 33001):
+        sim.send_from("secret_a", syn(sport))
+    sim.run(MICROS)
+    assert sim._phys_nat["gw_a"] == {(tcp, 65535): (secret_ip, 33000), (tcp, 61000): (secret_ip, 33001)}
+    assert sim.node_stats["secret_a"].received == 2
+    # a port still mapped passes to the new flow, out of both indexes
+    sim._phys_nat_next["gw_a"] = 65535
+    sim.send_from("secret_a", syn(33002))
+    sim.run(MICROS)
+    assert sim._phys_nat["gw_a"] == {(tcp, 65535): (secret_ip, 33002), (tcp, 61000): (secret_ip, 33001)}
+    assert sim._phys_nat_back["gw_a"] == {(tcp, secret_ip, 33002): 65535, (tcp, secret_ip, 33001): 61000}
+    assert sim.node_stats["secret_a"].received == 3
+
+
 def test_paced_transfer_retransmits_without_carriers():
     sim = Simulation(line_topology(visible_users=0), workload=WorkloadSpec(), seed=9)
     transfer = sim.add_paced_transfer("secret_a", "secret_b", packets=3, rto_us=400_000)
