@@ -391,7 +391,6 @@ class CovertGateway:
         if not candidates:
             return carrier, [], stats
         stats.matched = True
-        mult = len(candidates)
         picked = self.registry.select(
             candidates, carrier, self._rx_cursor, self._rx_item is None, self.config.augmented_allowed)
         if picked is None:
@@ -405,7 +404,7 @@ class CovertGateway:
 
         secrets: List[bytes] = []
         if self._rx_item is None:
-            hid, region, header = self._rx_open(carrier, scan, mult)
+            hid, region, header = self._rx_open(carrier, scan, len(candidates))
             consumed = wire.SYNC_SIZE
             if header.code == wire.CODE_SESSION_RESET:
                 self._rx_cipher_active = False
@@ -417,7 +416,7 @@ class CovertGateway:
                 return self._repair(carrier, hid), [], stats
             self._rx_item = self._open_item(header, carrier)
         else:
-            hid, region, consumed = self._rx_continue(carrier, candidates, sel, scan, mult)
+            hid, region, consumed = self._rx_continue(carrier, candidates, sel, scan)
 
         item = self._rx_item
         avail = region[consumed:]
@@ -482,37 +481,34 @@ class CovertGateway:
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[int], mult: int):
         for hid in scan:
-            spec = self.registry.get(hid)
-            region = spec.reader(carrier)
+            region = self.registry.get(hid).reader(carrier)
             header = wire.decode_sync(region[: wire.SYNC_SIZE])
             if header is not None and header.code != wire.CODE_HANDLER_SWITCH:
                 self._rx_cursor.adopt(hid, mult, True)
                 return hid, region, header
         self._desync(carrier, "no opening header where one was expected")
 
-    def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[int], sel: int, scan: List[int], mult: int):
-        cursor = self._rx_cursor
-        if not cursor.ambiguous(mult):
-            # Unambiguous carriers never carry a switch header; both
-            # sides re-derive the same selection independently.
-            cursor.adopt(sel, mult, False)
-            return sel, self.registry.get(sel).reader(carrier), 0
-        # Ambiguous carriers announce every handler change in-band, so
-        # look for a switch header even when ``sel`` is the active
-        # handler: the sender may have diverted this carrier to the
-        # ISN channel.
-        for hid in scan:
-            if hid == cursor.active_handler:
-                continue
-            region = self.registry.get(hid).reader(carrier)
-            header = wire.decode_sync(region[: wire.SYNC_SIZE])
-            if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == hid:
-                cursor.adopt(hid, mult, False)
-                return hid, region, wire.SYNC_SIZE
-        active = cursor.active_handler
-        if active not in candidates:
-            self._desync(carrier, "active handler does not match carrier and no switch announced")
-        return active, self.registry.get(active).reader(carrier), 0
+    def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[int], sel: int, scan: List[int]):
+        cursor, mult = self._rx_cursor, len(candidates)
+        hid = sel  # unambiguous carriers never carry a switch header
+        if cursor.ambiguous(mult):
+            # Ambiguous carriers announce every handler change in-band,
+            # so look for a switch header even when ``sel`` is the
+            # active handler: the sender may have diverted this carrier
+            # to the ISN channel.
+            for hid in scan:
+                if hid == cursor.active_handler:
+                    continue
+                region = self.registry.get(hid).reader(carrier)
+                header = wire.decode_sync(region[: wire.SYNC_SIZE])
+                if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == hid:
+                    cursor.adopt(hid, mult, False)
+                    return hid, region, wire.SYNC_SIZE
+            hid = cursor.active_handler
+            if hid not in candidates:
+                self._desync(carrier, "active handler does not match carrier and no switch announced")
+        cursor.adopt(hid, mult, False)
+        return hid, self.registry.get(hid).reader(carrier), 0
 
     def _repair(self, carrier: pk.ParsedPacket, hid: Optional[int]) -> pk.ParsedPacket:
         if hid is None:

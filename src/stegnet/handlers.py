@@ -179,14 +179,8 @@ class HandlerRegistry:
         """Ids of all handlers accepting ``p``, ascending."""
         return [hid for hid in self._order if self._specs[hid].match(p)]
 
-    def select(
-        self,
-        candidates: Sequence[int],
-        p: pk.ParsedPacket,
-        cursor: SegmentCursor,
-        opening: bool,
-        augmented_allowed: bool,
-    ) -> Optional[Tuple[int, int]]:
+    def select(self, candidates: Sequence[int], p: pk.ParsedPacket, cursor: SegmentCursor, opening: bool,
+               augmented_allowed: bool) -> Optional[Tuple[int, int]]:
         """Pick one handler for a carrier: (id, capacity on ``p``), or None.
 
         ``cursor`` is the direction's selection state and ``opening``

@@ -156,34 +156,26 @@ def decode_recovery(octets: bytes) -> RecoveryRecord:
 
 
 class SegmentCursor:
-    """Handler-selection state of one stream direction.
-
-    The sender keeps one cursor and calls ``place`` once per carrier;
-    the receiver keeps a mirror and calls ``adopt`` with the handler it
-    found, so both sides hold the same state and apply the same switch
-    rule.  The cursor tracks the active handler and the multiplicity
-    (number of matching handlers) of the carrier that established it.
-    Excluded carriers leave the state untouched.
-    """
+    """Handler-selection state of one stream direction: the active
+    handler and the multiplicity (number of matching handlers) of the
+    carrier that established it.  The sender calls ``place`` once per
+    carrier, the receiver ``adopt`` with the handler it found, so both
+    mirrors apply the same switch rule.  Excluded carriers leave the
+    state untouched."""
 
     def __init__(self, active_handler: Optional[int] = None, active_multiplicity: int = 1):
         self.active_handler = active_handler
         self.active_multiplicity = active_multiplicity
 
     def ambiguous(self, multiplicity: int) -> bool:
-        """Whether a handler change on a carrier of ``multiplicity``
-        could not be re-derived by the peer: this carrier or the one
-        that established the active handler matched more than one."""
+        """Whether this carrier or the one that established the active
+        handler matched more than one handler."""
         return multiplicity > 1 or self.active_multiplicity > 1
 
     def switch_needed(self, handler_id: int, multiplicity: int) -> bool:
-        """Whether this carrier must announce ``handler_id`` in-band.
-
-        A switch header is inserted exactly when the handler differs
-        from the active one and the transition is ambiguous.
-        Unambiguous transitions stay silent: the peer re-derives the
-        same selection on its own.
-        """
+        """Whether a carrier must announce ``handler_id`` in-band: it
+        changes the active handler and the change is ambiguous.  The
+        peer re-derives unambiguous changes on its own."""
         if self.active_handler is None or handler_id == self.active_handler:
             return False
         return self.ambiguous(multiplicity)
