@@ -484,7 +484,7 @@ class CovertGateway:
             region = self.registry.get(hid).reader(carrier)
             header = wire.decode_sync(region[: wire.SYNC_SIZE])
             if header is not None and header.code != wire.CODE_HANDLER_SWITCH:
-                self._rx_cursor.adopt(hid, mult, True)
+                self._rx_cursor.adopt(hid, mult, opening=True)
                 return hid, region, header
         self._desync(carrier, "no opening header where one was expected")
 
@@ -502,12 +502,12 @@ class CovertGateway:
                 region = self.registry.get(hid).reader(carrier)
                 header = wire.decode_sync(region[: wire.SYNC_SIZE])
                 if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == hid:
-                    cursor.adopt(hid, mult, False)
+                    cursor.adopt(hid, mult, opening=False)
                     return hid, region, wire.SYNC_SIZE
             hid = cursor.active_handler
             if hid not in candidates:
                 self._desync(carrier, "active handler does not match carrier and no switch announced")
-        cursor.adopt(hid, mult, False)
+        cursor.adopt(hid, mult, opening=False)
         return hid, self.registry.get(hid).reader(carrier), 0
 
     def _repair(self, carrier: pk.ParsedPacket, hid: Optional[int]) -> pk.ParsedPacket:

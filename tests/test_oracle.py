@@ -64,7 +64,7 @@ def test_scenario_report_bytes(name):
 
 def _fuse_and_repair(config_a, config_b, payload):
     """Fuse ``payload`` over the mixed capture and extract it again;
-    returns the fused and repaired trace bytes and the delivered secrets."""
+    asserts full delivery and returns the fused and repaired trace bytes."""
     tx = CovertGateway("a", "b", config=config_a)
     rx = CovertGateway("b", "a", config=config_b)
     tx.enqueue_payload(payload)
