@@ -19,35 +19,30 @@ import hashlib
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from . import packet as pk
 from . import trace as tr
 from .calibration import CalibrationPlan, calibrate_handler
 from .engine import CovertGateway, DesyncError, EngineConfig, _child_seed
-from .handlers import UnknownHandler, build_registry
+from .handlers import STOCK_IDS, UnknownHandler, build_registry
 from .report import SessionReport, _write_atomic, render_report, write_report
 from .scenarios import calibration_report, simulation_runner
-from .simnet import MICROS, Simulation, WorkloadSpec, parse_workload
-from .topology import ConfigError, InvalidTopology, Topology, _parse_bool, load_topology
+from .simnet import MICROS, Simulation, parse_workload
+from .topology import Topology, load_topology, parse_bool, parse_float, parse_int, read_sections
+
+T = TypeVar("T")
 
 EXIT_CONFIG = 2
 EXIT_TOPOLOGY = 3
 EXIT_HANDLER = 4
 EXIT_CAPACITY = 5
 
-# Engine file keys whose EngineConfig field has another name.
-_CONFIG_FIELDS = {"handlers": "enabled_handlers", "augmented": "augmented_allowed"}
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _fail(code: int, message: str) -> "CliError":
-    return CliError(code, message)
 
 
 def _parse_handler_list(text: str) -> Tuple[int, ...]:
@@ -59,100 +54,72 @@ def _parse_handler_list(text: str) -> Tuple[int, ...]:
         try:
             ids.append(int(part, 0))
         except ValueError:
-            raise _fail(EXIT_HANDLER, "handler id %r is not an integer" % part)
+            raise CliError(EXIT_HANDLER, "handler id %r is not an integer" % part)
     if not ids:
-        raise _fail(EXIT_CONFIG, "empty handler list")
+        raise CliError(EXIT_CONFIG, "empty handler list")
     return tuple(ids)
 
 
-def _load_engine_file(path: str) -> Dict[str, object]:
-    """key = value engine settings, optional [engine] section header."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise _fail(EXIT_CONFIG, "cannot read engine config: %s" % exc)
+# Engine file keys: the EngineConfig field each sets and its value parser.
+_ENGINE_KEYS = {
+    "handlers": ("enabled_handlers", lambda raw, line, what: _parse_handler_list(raw)),
+    "encryption": ("encryption", parse_bool),
+    "augmented": ("augmented_allowed", parse_bool),
+    "preserve_icmp_timestamp": ("preserve_icmp_timestamp", parse_bool),
+    "augment_probability": ("augment_probability", parse_float),
+    "seed": ("seed", parse_int),
+    "chunk_size": ("chunk_size", parse_int),
+    **{"cost.%d" % hid: ("cost_overrides", parse_float) for hid in STOCK_IDS},
+}
+
+
+def _engine_settings(text: str) -> Dict[str, object]:
+    """EngineConfig keyword arguments from an engine file."""
     values: Dict[str, object] = {}
     costs: Dict[int, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if line != "[engine]":
-                raise _fail(EXIT_CONFIG, "line %d: unknown section %s" % (lineno, line))
-            continue
-        if "=" not in line:
-            raise _fail(EXIT_CONFIG, "line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key == "handlers":
-                values[key] = _parse_handler_list(value)
-            elif key in ("encryption", "augmented", "preserve_icmp_timestamp"):
-                values[key] = _parse_bool(value, lineno)
-            elif key == "augment_probability":
-                values[key] = float(value)
-            elif key in ("seed", "chunk_size"):
-                values[key] = int(value, 0)
-            elif key.startswith("cost."):
-                costs[int(key[5:], 0)] = float(value)
+    for _, _, fields in read_sections(text, {"engine": _ENGINE_KEYS}, implicit="engine"):
+        for key, (raw, line) in fields.items():
+            name, parse = _ENGINE_KEYS[key]
+            if name == "cost_overrides":
+                costs[int(key[5:])] = parse(raw, line, key)
             else:
-                raise _fail(EXIT_CONFIG, "line %d: unknown engine key %r" % (lineno, key))
-        except ValueError:
-            raise _fail(EXIT_CONFIG, "line %d: bad value %r for %s" % (lineno, value, key))
-    if costs:
-        values["cost_overrides"] = costs
-    return values
+                values[name] = parse(raw, line, key)
+    return dict(values, cost_overrides=costs)
+
+
+def _read(path: str, what: str, exit_code: int, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the text of ``path``.  A file that cannot be
+    read or parsed exits with ``exit_code``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        raise CliError(exit_code, "%s %s: %s" % (what, path, exc)) from None
 
 
 def _engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
     """Config file first, command line flags override."""
-    values: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(_load_engine_file(args.config))
-    if getattr(args, "handler", None):
-        values["handlers"] = _parse_handler_list(args.handler)
-    if getattr(args, "encrypt", False):
+    values = _read(args.config, "engine config", EXIT_CONFIG, _engine_settings) if args.config else {}
+    if args.handler:
+        values["enabled_handlers"] = _parse_handler_list(args.handler)
+    if args.encrypt:
         values["encryption"] = True
-    if getattr(args, "allow_augmented", False):
-        values["augmented"] = True
-    if getattr(args, "preserve_icmp_ts", False):
+    if args.allow_augmented:
+        values["augmented_allowed"] = True
+    if args.preserve_icmp_ts:
         values["preserve_icmp_timestamp"] = True
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         values["seed"] = args.seed
-    config = EngineConfig(**{_CONFIG_FIELDS.get(key, key): value for key, value in values.items()})
+    config = EngineConfig(**values)
     try:
         config.validate()
         build_registry(config.enabled_handlers, config.cost_overrides,
                        config.preserve_icmp_timestamp)
     except UnknownHandler as exc:
-        raise _fail(EXIT_HANDLER, str(exc))
+        raise CliError(EXIT_HANDLER, str(exc))
     except ValueError as exc:
-        raise _fail(EXIT_CONFIG, str(exc))
+        raise CliError(EXIT_CONFIG, str(exc))
     return config
-
-
-def _load_topology(path: str) -> Topology:
-    try:
-        return load_topology(path)
-    except OSError as exc:
-        raise _fail(EXIT_TOPOLOGY, "cannot read topology: %s" % exc)
-    except ConfigError as exc:
-        raise _fail(EXIT_TOPOLOGY, "topology line %s: %s" % (exc.line, exc))
-    except InvalidTopology as exc:
-        raise _fail(EXIT_TOPOLOGY, str(exc))
-
-
-def _load_workload(path: Optional[str]) -> Optional[WorkloadSpec]:
-    if not path:
-        return None
-    try:
-        return parse_workload(open(path, "r", encoding="utf-8").read())
-    except OSError as exc:
-        raise _fail(EXIT_CONFIG, "cannot read workload: %s" % exc)
-    except (ConfigError, ValueError) as exc:
-        raise _fail(EXIT_CONFIG, "workload: %s" % exc)
 
 
 def _seeded_payload(size: int, seed: int) -> bytes:
@@ -185,8 +152,7 @@ def _secret_pair(topology: Topology) -> Tuple[str, str]:
                 break
     gateways = sorted(by_gateway)
     if len(gateways) < 2:
-        raise _fail(EXIT_TOPOLOGY,
-                    "need secret hosts behind two different gateways")
+        raise CliError(EXIT_TOPOLOGY, "need secret hosts behind two different gateways")
     return by_gateway[gateways[0]][0], by_gateway[gateways[1]][0]
 
 
@@ -195,8 +161,9 @@ def _secret_pair(topology: Topology) -> Tuple[str, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    topology = _load_topology(args.topology)
-    workload = _load_workload(args.workload)
+    topology = _read(args.topology, "topology", EXIT_TOPOLOGY,
+                     lambda text: load_topology(text, is_path=False))
+    workload = _read(args.workload, "workload", EXIT_CONFIG, parse_workload) if args.workload else None
     config = _engine_config_from_args(args)
     sim = Simulation(topology, workload=workload, engine_config=config,
                      seed=args.seed or 0, covert=not args.no_covert)
@@ -250,7 +217,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     try:
         build_registry((args.handler,))
     except UnknownHandler as exc:
-        raise _fail(EXIT_HANDLER, str(exc))
+        raise CliError(EXIT_HANDLER, str(exc))
     levels = CalibrationPlan.bandwidth_levels
     if args.levels:
         levels = tuple(int(x) for x in args.levels.split(",") if x.strip())
@@ -274,8 +241,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _trace_gateway(args: argparse.Namespace) -> CovertGateway:
     config = _engine_config_from_args(args)
     if config.encryption:
-        raise _fail(EXIT_CONFIG,
-                    "trace tools are one-sided; encryption needs a live peer")
+        raise CliError(EXIT_CONFIG, "trace tools are one-sided; encryption needs a live peer")
     return CovertGateway("trace", "peer", config=config)
 
 
@@ -285,15 +251,15 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
         try:
             payload = open(args.payload_file, "rb").read()
         except OSError as exc:
-            raise _fail(EXIT_CONFIG, "cannot read payload: %s" % exc)
+            raise CliError(EXIT_CONFIG, "cannot read payload: %s" % exc)
     else:
         payload = _seeded_payload(args.payload, args.seed or 0)
     if not payload:
-        raise _fail(EXIT_CONFIG, "payload is empty")
+        raise CliError(EXIT_CONFIG, "payload is empty")
     try:
         source = tr.read_trace(args.infile)
     except (OSError, tr.TraceError) as exc:
-        raise _fail(EXIT_CONFIG, "cannot read trace: %s" % exc)
+        raise CliError(EXIT_CONFIG, "cannot read trace: %s" % exc)
 
     gateway.enqueue_payload(payload)
     fused: List[pk.RawPacket] = []
@@ -313,8 +279,7 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
         fused.append(pk.RawPacket(pk.serialize_packet(carrier), record.capture_time_us))
     leftover = gateway.pending_octets
     if leftover or not gateway.idle:
-        raise _fail(EXIT_CAPACITY,
-                    "trace lacks capacity: %d payload octets left over" % leftover)
+        raise CliError(EXIT_CAPACITY, "trace lacks capacity: %d payload octets left over" % leftover)
     tr.write_trace(tr.TraceFile(records=fused, link_type=source.link_type), args.out)
     counters = gateway.counters
     print("fused %d of %d carriers, stamped %d idle matches excluded"
@@ -333,7 +298,7 @@ def _cmd_extract_trace(args: argparse.Namespace) -> int:
     try:
         source = tr.read_trace(args.infile)
     except (OSError, tr.TraceError) as exc:
-        raise _fail(EXIT_CONFIG, "cannot read trace: %s" % exc)
+        raise CliError(EXIT_CONFIG, "cannot read trace: %s" % exc)
     chunks: List[bytes] = []
     repaired_records: List[pk.RawPacket] = []
     matched = desyncs = unparsed = 0

@@ -421,33 +421,28 @@ class CovertGateway:
         item = self._rx_item
         avail = region[consumed:]
         taken = 0
-        while avail and item is not None:
-            if item.kind == ITEM_KEY_EXCHANGE and item.expected is None:
-                want = crypto.KE_PREFIX - len(item.buf)
-                grab = avail[: min(len(avail), want)]
-                item.buf += grab
-                taken += len(grab)
-                avail = avail[len(grab):]
-                if len(item.buf) >= crypto.KE_PREFIX:
-                    (length,) = (int.from_bytes(bytes(item.buf[7:9]), "big"),)
-                    item.expected = crypto.KE_PREFIX + length
-                continue
-            want = item.expected - len(item.buf)
-            grab = avail[: min(len(avail), want)]
+        while avail:
+            # A key exchange's length sits in its prefix; read that first.
+            want = crypto.KE_PREFIX if item.expected is None else item.expected
+            grab = avail[: want - len(item.buf)]
             item.buf += grab
             taken += len(grab)
-            break
+            avail = avail[len(grab):]
+            if item.expected is not None:
+                break
+            if len(item.buf) == crypto.KE_PREFIX:
+                item.expected = crypto.KE_PREFIX + int.from_bytes(item.buf[7:9], "big")
 
         stats.handler_id = hid
         stats.sync_octets = consumed
         stats.data_octets = taken
-        stats.item_kind = item.kind if item is not None else None
+        stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
         self.counters["rx_data_octets"] += taken
         if hid == TCP_ISN_ID:
             self.note_isn_observation(carrier)
 
-        if item is not None and item.expected is not None and len(item.buf) == item.expected:
+        if len(item.buf) == item.expected:
             stats.item_completed = True
             self._rx_item = None
             try:

@@ -400,6 +400,7 @@ _STOCK = {
     IPV4_CHECKSUM_ID: (make_ipv4_checksum_handler, COST_LOW),
     TCP_ISN_ID: (make_tcp_isn_handler, COST_HIGH),
 }
+STOCK_IDS = tuple(_STOCK)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -417,9 +418,9 @@ def build_registry(
     """Registry of the ``enabled`` stock handlers.
 
     ``cost_overrides`` replaces per-handler carrier costs before
-    registration.
+    registration.  An unknown id in either raises UnknownHandler.
     """
-    for hid in enabled:
+    for hid in (*enabled, *(cost_overrides or ())):
         if hid not in _STOCK:
             raise UnknownHandler("no handler with id %d" % hid)
     cost = (cost_overrides or {}).get

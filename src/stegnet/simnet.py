@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import packet as pk
@@ -90,34 +90,17 @@ class WorkloadSpec:
             raise ValueError("frame bounds must satisfy 0 < min <= max <= 1400")
 
 
-_WORKLOAD_KEYS = ("budget", "http", "tls", "tcp", "udp", "icmp", "restart_every", "min_frame", "max_frame", "icmp_payload")
-
-
 def parse_workload(text: str) -> WorkloadSpec:
-    """Key = value lines, optionally under a [workload] header."""
+    """``key = value`` lines, optionally under a ``[workload]`` header:
+    the integer fields of ``WorkloadSpec`` and one weight per mix entry."""
     spec = WorkloadSpec()
-    mix = dict(spec.mix)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if line.strip() != "[workload]":
-                raise topo_mod.ConfigError(lineno, "unknown section %r in workload file" % line.strip())
-            continue
-        if "=" not in line:
-            raise topo_mod.ConfigError(lineno, "expected 'key = value', got %r" % raw.strip())
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _WORKLOAD_KEYS:
-            raise topo_mod.ConfigError(lineno, "unknown workload key %r" % key)
-        try:
-            if key in ("budget", "restart_every", "min_frame", "max_frame", "icmp_payload"):
-                setattr(spec, key, int(value))
+    keys = [f.name for f in fields(WorkloadSpec) if f.name != "mix"] + list(spec.mix)
+    for _, _, values in topo_mod.read_sections(text, {"workload": keys}, implicit="workload"):
+        for key, (raw, line) in values.items():
+            if key in spec.mix:
+                spec.mix[key] = topo_mod.parse_float(raw, line, key)
             else:
-                mix[key] = float(value)
-        except ValueError:
-            raise topo_mod.ConfigError(lineno, "bad value %r for %s" % (value, key)) from None
-    spec.mix = mix
+                setattr(spec, key, topo_mod.parse_int(raw, line, key))
     spec.validate()
     return spec
 

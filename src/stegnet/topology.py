@@ -4,7 +4,8 @@ A description is a sequence of sections.  Each section starts with a
 header line naming its type and holds ``key = value`` assignments until
 the next header or end of file.  ``#`` starts a comment, blank lines
 are ignored, and unknown section types or keys are hard errors: a typo
-in a config must never silently change an experiment.
+in a config must never silently change an experiment.  Workload and
+engine files use the same reader, ``read_sections``.
 
     [node]
     name = client_a
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from . import packet as pk
 
@@ -44,10 +45,13 @@ KINDS = (KIND_HOST, KIND_CGATEWAY, KIND_MONITOR, KIND_ROUTER)
 ACTIONS = ("allow", "drop", "log")
 PROTOS = ("any", "tcp", "udp", "icmp")
 
-_NODE_KEYS = ("name", "kind", "ip", "mac", "peer", "secret", "workload")
-_LINK_KEYS = ("a", "b", "capacity", "delay_us")
-_RULE_KEYS = ("node", "action", "proto", "src", "dst", "dst_port")
-_POLICY_KEYS = ("node", "default", "nat", "inside")
+# The keys each section type may hold.
+_SECTION_KEYS = {
+    "node": ("name", "kind", "ip", "mac", "peer", "secret", "workload"),
+    "link": ("a", "b", "capacity", "delay_us"),
+    "rule": ("node", "action", "proto", "src", "dst", "dst_port"),
+    "policy": ("node", "default", "nat", "inside"),
+}
 
 
 class ConfigError(ValueError):
@@ -151,41 +155,49 @@ class Topology:
         return None
 
 
-def _parse_bool(raw: str, line: int) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(line, "expected a boolean, got %r" % raw)
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_int(raw: str, line: int, what: str) -> int:
+def parse_bool(raw: str, line: int, what: str) -> bool:
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ConfigError(line, "expected a boolean for %s, got %r" % (what, raw)) from None
+
+
+def parse_int(raw: str, line: int, what: str) -> int:
+    """Decimal, or hexadecimal, octal and binary with a ``0x``, ``0o``
+    or ``0b`` prefix."""
     try:
         return int(raw, 0)
     except ValueError:
         raise ConfigError(line, "expected an integer for %s, got %r" % (what, raw)) from None
 
 
-def parse_topology(text: str) -> Topology:
-    """Parse a description file; raises ConfigError with line numbers."""
-    topo = Topology()
-    section: Optional[str] = None
-    fields: Dict[str, Tuple[str, int]] = {}
-    section_line = 0
+def parse_float(raw: str, line: int, what: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(line, "expected a number for %s, got %r" % (what, raw)) from None
 
-    def finish():
-        if section is None:
-            return
-        if section == "node":
-            _finish_node(topo, fields, section_line)
-        elif section == "link":
-            _finish_link(topo, fields, section_line)
-        elif section == "rule":
-            _finish_rule(topo, fields, section_line)
-        elif section == "policy":
-            _finish_policy(topo, fields, section_line)
 
+Fields = Dict[str, Tuple[str, int]]
+
+
+def read_sections(text: str, keys: Mapping[str, Collection[str]],
+                  implicit: Optional[str] = None) -> List[Tuple[str, int, Fields]]:
+    """Every section of a ``key = value`` file as (section type, header
+    line, {key: (value, line)}), in file order.
+
+    ``keys`` maps each section type to the keys it may hold.  Headers
+    are matched case-insensitively.  An unknown section type or key, a
+    key set twice in one section and an assignment before the first
+    header raise ConfigError.  ``implicit`` names a section that need
+    not be declared: the first assignment opens it if no header has,
+    and every later header naming it continues that one section.
+    """
+    sections: List[Tuple[str, int, Fields]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,27 +206,33 @@ def parse_topology(text: str) -> Topology:
             if not line.endswith("]"):
                 raise ConfigError(lineno, "unterminated section header %r" % raw.strip())
             name = line[1:-1].strip().lower()
-            if name not in ("node", "link", "rule", "policy"):
+            if name not in keys:
                 raise ConfigError(lineno, "unknown section type %r" % name)
-            finish()
-            section = name
-            fields = {}
-            section_line = lineno
+            if name != implicit or not sections:
+                sections.append((name, lineno, {}))
             continue
         if "=" not in line:
             raise ConfigError(lineno, "expected 'key = value', got %r" % raw.strip())
-        if section is None:
-            raise ConfigError(lineno, "assignment before any section header")
+        if not sections:
+            if implicit is None:
+                raise ConfigError(lineno, "assignment before any section header")
+            sections.append((implicit, lineno, {}))
+        section, _, fields = sections[-1]
         key, value = (part.strip() for part in line.split("=", 1))
-        allowed = {
-            "node": _NODE_KEYS, "link": _LINK_KEYS, "rule": _RULE_KEYS, "policy": _POLICY_KEYS,
-        }[section]
-        if key not in allowed:
+        if key not in keys[section]:
             raise ConfigError(lineno, "unknown key %r in [%s] section" % (key, section))
         if key in fields:
             raise ConfigError(lineno, "duplicate key %r" % key)
         fields[key] = (value, lineno)
-    finish()
+    return sections
+
+
+def parse_topology(text: str) -> Topology:
+    """Parse a description file; raises ConfigError with line numbers."""
+    topo = Topology()
+    finish = {"node": _finish_node, "link": _finish_link, "rule": _finish_rule, "policy": _finish_policy}
+    for section, line, fields in read_sections(text, _SECTION_KEYS):
+        finish[section](topo, fields, line)
     return topo
 
 
@@ -249,9 +267,9 @@ def _finish_node(topo: Topology, fields, line: int) -> None:
     if "peer" in fields:
         node.peer = fields["peer"][0]
     if "secret" in fields:
-        node.secret = _parse_bool(*fields["secret"])
+        node.secret = parse_bool(*fields["secret"], "secret")
     if "workload" in fields:
-        node.workload = _parse_bool(*fields["workload"])
+        node.workload = parse_bool(*fields["workload"], "workload")
     topo.nodes[name] = node
 
 
@@ -259,12 +277,12 @@ def _finish_link(topo: Topology, fields, line: int) -> None:
     a, _ = _require(fields, "a", "link", line)
     b, _ = _require(fields, "b", "link", line)
     cap_raw, cap_line = _require(fields, "capacity", "link", line)
-    capacity = _parse_int(cap_raw, cap_line, "capacity")
+    capacity = parse_int(cap_raw, cap_line, "capacity")
     if capacity <= 0:
         raise ConfigError(cap_line, "link capacity must be positive")
     delay = 0
     if "delay_us" in fields:
-        delay = _parse_int(*fields["delay_us"], what="delay_us")
+        delay = parse_int(*fields["delay_us"], "delay_us")
         if delay < 0:
             raise ConfigError(fields["delay_us"][1], "delay_us must not be negative")
     topo.links.append(LinkDef(a=a, b=b, capacity=capacity, delay_us=delay))
@@ -293,7 +311,7 @@ def _finish_rule(topo: Topology, fields, line: int) -> None:
     if "dst_port" in fields:
         value, port_line = fields["dst_port"]
         if value != "any":
-            rule.dst_port = _parse_int(value, port_line, "dst_port")
+            rule.dst_port = parse_int(value, port_line, "dst_port")
     topo.rules.append(rule)
 
 
@@ -308,7 +326,7 @@ def _finish_policy(topo: Topology, fields, line: int) -> None:
             raise ConfigError(action_line, "default action must be allow or drop")
         node.default_action = action
     if "nat" in fields:
-        node.nat = _parse_bool(*fields["nat"])
+        node.nat = parse_bool(*fields["nat"], "nat")
     if "inside" in fields:
         node.nat_inside = fields["inside"][0]
 

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, reports, trace round trips."""
 
 import hashlib
+from pathlib import Path
 from textwrap import dedent
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from stegnet import packet as pk
 from stegnet import trace as tr
 from stegnet.cli import _engine_config_from_args, _seeded_payload, build_parser, main
+from stegnet.engine import EngineConfig
 from stegnet.report import parse_report
+from stegnet.simnet import WorkloadSpec, parse_workload
 
 TOPOLOGY = dedent(
     """
@@ -134,6 +137,12 @@ def test_topology_errors_exit_3(tmp_path, capsys):
     assert main(["simulate", "--topology", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+    bad.write_text("[node]\nname = x\ncolour = red\n")
+    assert main(["simulate", "--topology", str(bad)]) == 3
+    assert capsys.readouterr().err.count("line 3") == 1
+    bad.write_bytes(b"[node]\nname = \xff\n")
+    assert main(["simulate", "--topology", str(bad)]) == 3
+    assert "error: topology" in capsys.readouterr().err
 
 
 def test_workload_errors_exit_2(topo_file, tmp_path):
@@ -170,6 +179,26 @@ def test_engine_config_file(tmp_path, capsys):
     rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "h.pcap"),
                "--config", str(cfg)])
     assert rc == 2
+
+    for text, line in (("seed = 1\nseed = 2\n", 2), ("cost.7 = 0.2\n", 1)):
+        cfg.write_text(text)
+        rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "i.pcap"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "line %d" % line in capsys.readouterr().err
+    cfg.write_bytes(b"seed = \xff\n")
+    rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "j.pcap"),
+               "--config", str(cfg)])
+    assert rc == 2
+    assert "error: engine config" in capsys.readouterr().err
+
+
+def test_shipped_config_files_hold_the_defaults():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert parse_workload((configs / "workload.cfg").read_text()) == WorkloadSpec()
+    args = build_parser().parse_args(["fuse-trace", "--in", "x.pcap", "--out", "y.pcap",
+                                      "--config", str(configs / "engine.cfg")])
+    assert _engine_config_from_args(args) == EngineConfig()
 
 
 def test_seed_flag_overrides_config_file(tmp_path):

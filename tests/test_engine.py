@@ -413,6 +413,8 @@ def test_enqueue_limits_and_chunking():
 def test_unknown_enabled_handler_rejected_at_construction():
     with pytest.raises(UnknownHandler):
         CovertGateway("gw_a", "gw_b", EngineConfig(enabled_handlers=(9,)))
+    with pytest.raises(UnknownHandler):
+        CovertGateway("gw_a", "gw_b", EngineConfig(cost_overrides={7: 0.2}))
 
 
 def test_config_validation():

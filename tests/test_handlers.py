@@ -120,6 +120,8 @@ def test_unknown_handler():
         reg.get(42)
     with pytest.raises(hd.UnknownHandler):
         hd.build_registry(enabled=(1, 42))
+    with pytest.raises(hd.UnknownHandler):
+        hd.build_registry(cost_overrides={7: 0.2})
 
 
 def test_cost_override_changes_selection():

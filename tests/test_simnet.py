@@ -121,6 +121,10 @@ def test_workload_mix_tracks_weights():
 def test_workload_parsing_and_validation():
     spec = parse_workload("[workload]\nbudget = 5000\nhttp = 0.5\ntls = 0.05\ntcp = 0.09\nudp = 0.18\nicmp = 0.18\n")
     assert spec.budget == 5000 and spec.mix["http"] == 0.5
+    assert parse_workload("[Workload]\nbudget = 0x100\n").budget == 256
+    with pytest.raises(ConfigError) as err:
+        parse_workload("budget = 1\nbudget = 2\n")
+    assert err.value.line == 2
     with pytest.raises(ConfigError) as err:
         parse_workload("budget = 5000\nturbo = 1\n")
     assert err.value.line == 2

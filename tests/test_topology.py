@@ -108,6 +108,8 @@ def test_line_topology_generator_builds_reference_shape():
         ("[policy]\nnode = m", 2, "undeclared node"),
         ("[node]\nkind = host", 1, "missing required key"),
         ("[node]\nname = x\nkind = host\nbroken line", 4, "expected 'key = value'"),
+        # The whole file is read before any section is checked.
+        ("[node]\nkind = host\n[link]\nbroken line", 4, "expected 'key = value'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
