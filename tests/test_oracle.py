@@ -103,3 +103,61 @@ def test_switching_trace_bytes():
     )
     assert _sha(fused) == SWITCHING_FUSED_DIGEST
     assert _sha(repaired) == SWITCHING_REPAIRED_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# parse_packet's verdict on malformed frames.  Every truncation and every
+# single-bit flip in the header octets of a seeded frame set is parsed;
+# each outcome (error class and message, or the parsed fields and their
+# serialization) goes into one digest, so a rewrite of the parser keeps
+# which frames it rejects, why, and what it reads from the rest.
+
+MALFORMED_DIGEST = "3f8ddcd2fdf4198fc2532106f4b3410e6ddaa0f446803c9cc0b43c099d553a90"
+
+
+def _corpus_frames():
+    """Three synthesized frames of each kind (TCP data, bare SYN, UDP,
+    ICMP echo), plus one TCP frame carrying IPv4 and TCP options."""
+    picked = {}
+    for record in tr.synthesize_mixed_trace(80, seed=5).records:
+        p = pk.parse_packet(record.data)
+        kind = (p.ipv4.protocol, p.tcp is not None and bool(p.tcp.flags & pk.TCP_SYN))
+        if len(picked.setdefault(kind, [])) < 3:
+            picked[kind].append(record.data)
+    frames = [frame for kind in sorted(picked) for frame in picked[kind]]
+    base = pk.set_tcp_options(pk.build_tcp("10.0.0.1", "10.0.0.2", 1000, 80, payload=b"opt"), bytes((2, 4, 5, 0xB4)))
+    ipv4 = pk.Ipv4(0, 9, 2, 0, 64, pk.PROTO_TCP, 0, base.ipv4.src_ip, base.ipv4.dst_ip, b"\x01\x01\x01\x00")
+    frames.append(pk.serialize_packet(pk.fix_checksums(pk.ParsedPacket(base.link, ipv4, base.tcp, b"opt"))))
+    return frames
+
+
+def _header_len(frame: bytes) -> int:
+    """Octets of Ethernet, IPv4 and transport headers at the front of
+    a well formed ``frame``."""
+    p = pk.parse_packet(frame)
+    transport = {pk.PROTO_TCP: 20 + len(p.tcp.options) if p.tcp else 0, pk.PROTO_UDP: 8, pk.PROTO_ICMP: 8}
+    return pk.ETHER_SIZE + pk.MIN_IPV4_HEADER + len(p.ipv4.options) + transport[p.ipv4.protocol]
+
+
+def _malformed(frame: bytes):
+    yield from (frame[:n] for n in range(len(frame)))
+    for pos in range(_header_len(frame)):
+        for bit in range(8):
+            flipped = bytearray(frame)
+            flipped[pos] ^= 1 << bit
+            yield bytes(flipped)
+
+
+def test_parse_verdicts_on_malformed_frames():
+    digest = hashlib.sha256()
+    frames = _corpus_frames()
+    assert len(frames) == 13
+    for frame in frames:
+        for data in _malformed(frame):
+            try:
+                p = pk.parse_packet(data)
+            except pk.PacketError as exc:
+                digest.update(b"E %s %s\n" % (type(exc).__name__.encode(), str(exc).encode()))
+            else:
+                digest.update(b"P %s %s\n" % (repr(p).encode(), pk.serialize_packet(p).hex().encode()))
+    assert digest.hexdigest() == MALFORMED_DIGEST
