@@ -29,7 +29,7 @@ from .handlers import STOCK_IDS, UnknownHandler, build_registry
 from .report import SessionReport, _write_atomic, render_report, write_report
 from .scenarios import calibration_report, simulation_runner
 from .simnet import MICROS, Simulation, parse_workload
-from .topology import Topology, load_topology, parse_bool, parse_float, parse_int, read_sections
+from .topology import ConfigError, Topology, load_topology, parse_bool, parse_float, parse_int, read_sections
 
 T = TypeVar("T")
 
@@ -60,9 +60,36 @@ def _parse_handler_list(text: str) -> Tuple[int, ...]:
     return tuple(ids)
 
 
+def _parse_handler_setting(raw: str, line: int, what: str) -> Tuple[int, ...]:
+    """An engine file's handler list; a bad one is a bad value on ``line``."""
+    try:
+        return _parse_handler_list(raw)
+    except CliError as exc:
+        raise ConfigError(line, str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
+def _positive_int_list(text: str) -> Tuple[int, ...]:
+    """argparse type: a non-empty comma separated list of positive integers."""
+    values = tuple(_positive_int(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma separated list, got %r" % text)
+    return values
+
+
 # Engine file keys: the EngineConfig field each sets and its value parser.
 _ENGINE_KEYS = {
-    "handlers": ("enabled_handlers", lambda raw, line, what: _parse_handler_list(raw)),
+    "handlers": ("enabled_handlers", _parse_handler_setting),
     "encryption": ("encryption", parse_bool),
     "augmented": ("augmented_allowed", parse_bool),
     "preserve_icmp_timestamp": ("preserve_icmp_timestamp", parse_bool),
@@ -218,12 +245,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         build_registry((args.handler,))
     except UnknownHandler as exc:
         raise CliError(EXIT_HANDLER, str(exc))
-    levels = CalibrationPlan.bandwidth_levels
-    if args.levels:
-        levels = tuple(int(x) for x in args.levels.split(",") if x.strip())
     plan = CalibrationPlan(
         sessions=args.sessions,
-        bandwidth_levels=levels,
+        bandwidth_levels=args.levels,
         payload_octets=args.payload,
     )
     result = calibrate_handler(
@@ -377,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="measure one handler's carrier cost")
     cal.add_argument("--handler", type=int, required=True, metavar="ID")
-    cal.add_argument("--sessions", type=int, default=6)
-    cal.add_argument("--levels", metavar="LIST",
+    cal.add_argument("--sessions", type=_positive_int, default=6)
+    cal.add_argument("--levels", type=_positive_int_list, default=CalibrationPlan.bandwidth_levels, metavar="LIST",
                      help="comma separated workload budgets (octets/s)")
-    cal.add_argument("--payload", type=int, default=4000, metavar="OCTETS")
-    cal.add_argument("--max-virtual-s", type=int, default=60,
+    cal.add_argument("--payload", type=_positive_int, default=4000, metavar="OCTETS")
+    cal.add_argument("--max-virtual-s", type=_positive_int, default=60,
                      help="virtual horizon per run")
     cal.add_argument("--seed", type=int)
     cal.add_argument("--out", metavar="FILE", help="write the sweep report here")
@@ -391,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--in", dest="infile", required=True, metavar="PCAP")
     fuse.add_argument("--out", required=True, metavar="PCAP")
     group = fuse.add_mutually_exclusive_group()
-    group.add_argument("--payload", type=int, default=256, metavar="OCTETS",
+    group.add_argument("--payload", type=_positive_int, default=256, metavar="OCTETS",
                        help="embed this many seeded random octets")
     group.add_argument("--payload-file", metavar="FILE",
                        help="embed this file's bytes instead")

@@ -11,6 +11,14 @@ Packets are slotted, frozen dataclasses.  A change goes through this
 module's rebuilders (``with_ipv4``, ``with_tcp_seq_ack``, ``readdress``,
 ``set_*``, ``fix_*``), which call each changed layer's constructor once.
 
+Inside this module, layers are built by positional constructors
+(``_new_ipv4`` and its siblings) made once at import by ``_constructor``.
+Each takes every field in declaration order and fills the slots through
+their member descriptors, where the dataclass ``__init__`` of a frozen
+class goes through ``object.__setattr__`` once per field at about twice
+the cost.  The object is the one the public constructor builds: equal,
+with the same hash and repr, and still frozen.
+
 Only Ethernet link frames are modeled.  Frames with a non-IPv4
 ethertype, and IPv4 packets with an unhandled protocol number, are kept
 as opaque payload so they still round-trip.
@@ -19,7 +27,7 @@ as opaque payload so they still round-trip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -48,7 +56,9 @@ MAX_IPV4_TOTAL = 65535
 MAX_FRAME = ETHER_SIZE + MAX_IPV4_TOTAL
 
 _ETH = struct.Struct("!6s6sH")
-_IPV4 = struct.Struct("!BBHHHBBH4s4s")
+_IPV4 = struct.Struct("!BBHHHBBHII")
+# Ethernet plus the fixed IPv4 header; addresses are integers in both.
+_ETH_IPV4 = struct.Struct("!6s6sHBBHHHBBHII")
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 _ICMP = struct.Struct("!BBHHH")
@@ -197,6 +207,30 @@ class ParsedPacket:
         return ETHER_SIZE + ip_len + len(self.link_trailer)
 
 
+def _constructor(cls):
+    """A function that builds ``cls`` from all of its fields, passed
+    positionally in declaration order: ``object.__new__`` and one slot
+    ``__set__`` per field, in straight-line code generated here as
+    ``dataclasses`` generates ``__init__`` (a loop over the setters costs
+    more than the ``__init__`` it replaces)."""
+    names = [f.name for f in fields(cls)]
+    namespace = {"_new": object.__new__, "_cls": cls}
+    namespace.update(("_set_" + name, getattr(cls, name).__set__) for name in names)
+    body = "".join("    _set_%s(self, %s)\n" % (name, name) for name in names)
+    exec("def new(%s):\n    self = _new(_cls)\n%s    return self\n" % (", ".join(names), body), namespace)
+    new = namespace["new"]
+    new.__qualname__ = new.__name__ = "_new_" + cls.__name__.lower()
+    return new
+
+
+_new_ethernet = _constructor(Ethernet)
+_new_ipv4 = _constructor(Ipv4)
+_new_tcp = _constructor(Tcp)
+_new_udp = _constructor(Udp)
+_new_icmp = _constructor(Icmp)
+_new_packet = _constructor(ParsedPacket)
+
+
 def flow_key(p: ParsedPacket):
     """(src ip, src port, dst ip, dst port, protocol) for TCP/UDP, else None."""
     t = p.transport
@@ -296,12 +330,12 @@ def fix_transport_checksum(p: ParsedPacket) -> ParsedPacket:
     value = transport_checksum(p)
     t = p.transport
     if isinstance(t, Tcp):
-        t = Tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
+        t = _new_tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
     elif isinstance(t, Udp):
-        t = Udp(t.src_port, t.dst_port, value)
+        t = _new_udp(t.src_port, t.dst_port, value)
     else:
-        t = Icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
-    return ParsedPacket(p.link, p.ipv4, t, p.app_payload, p.link_trailer)
+        t = _new_icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
+    return _new_packet(p.link, p.ipv4, t, p.app_payload, p.link_trailer)
 
 
 def fix_checksums(p: ParsedPacket) -> ParsedPacket:
@@ -358,8 +392,7 @@ def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes
     ip = p.ipv4
     ihl, total = _ipv4_lengths(ip, _ipv4_payload_len(p.transport, p.app_payload))
     head = _IPV4.pack((4 << 4) | ihl, ip.tos, total, ip.identification, (ip.flags << 13) | ip.frag_offset, ip.ttl,
-                      ip.protocol, ip.header_checksum if checksum is None else checksum,
-                      ip.src_ip.to_bytes(4, "big"), ip.dst_ip.to_bytes(4, "big"))
+                      ip.protocol, ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip)
     return head + ip.options
 
 
@@ -418,73 +451,63 @@ def parse_packet(data: bytes) -> ParsedPacket:
     """
     if isinstance(data, (bytearray, memoryview)):
         data = bytes(data)
-    if len(data) < ETHER_SIZE:
-        raise Truncated("frame shorter than an Ethernet header")
-    dst, src, ethertype = _ETH.unpack_from(data, 0)
-    link = Ethernet(dst, src, ethertype)
+    size = len(data)
+    if size < _ETH_IPV4.size:
+        if size < ETHER_SIZE:
+            raise Truncated("frame shorter than an Ethernet header")
+        dst, src, ethertype = _ETH.unpack_from(data)
+        if ethertype == ETHERTYPE_IPV4:
+            raise Truncated("IPv4 header truncated")
+        return _new_packet(_new_ethernet(dst, src, ethertype), None, None, data[ETHER_SIZE:], b"")
+    (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, proto, hchk, src_ip,
+     dst_ip) = _ETH_IPV4.unpack_from(data)
+    link = _new_ethernet(dst, src, ethertype)
     if ethertype != ETHERTYPE_IPV4:
-        return ParsedPacket(link=link, app_payload=data[ETHER_SIZE:])
+        return _new_packet(link, None, None, data[ETHER_SIZE:], b"")
 
-    if len(data) < ETHER_SIZE + MIN_IPV4_HEADER:
-        raise Truncated("IPv4 header truncated")
-    (ver_ihl, tos, total, ident, flags_frag, ttl, proto, hchk, src_ip, dst_ip) = _IPV4.unpack_from(data, ETHER_SIZE)
-    version = ver_ihl >> 4
+    version, ihl = ver_ihl >> 4, ver_ihl & 0x0F
     if version != 4:
         raise BadVersion("IPv4 version nibble is %d" % version)
-    ihl = ver_ihl & 0x0F
     if ihl < 5:
         raise Truncated("IPv4 IHL %d below minimum" % ihl)
     header_len = ihl * 4
     if total < header_len:
         raise Truncated("IPv4 total length smaller than header")
-    if ETHER_SIZE + total > len(data):
+    # Transport header from ``start``; IPv4 payload up to ``end``.
+    start, end = ETHER_SIZE + header_len, ETHER_SIZE + total
+    if end > size:
         raise Truncated("IPv4 total length exceeds frame")
-    if ETHER_SIZE + header_len > len(data):
-        raise Truncated("IPv4 options truncated")
-    options = data[ETHER_SIZE + MIN_IPV4_HEADER : ETHER_SIZE + header_len]
-    ipv4 = Ipv4(
-        tos=tos,
-        identification=ident,
-        flags=flags_frag >> 13,
-        frag_offset=flags_frag & 0x1FFF,
-        ttl=ttl,
-        protocol=proto,
-        header_checksum=hchk,
-        src_ip=int.from_bytes(src_ip, "big"),
-        dst_ip=int.from_bytes(dst_ip, "big"),
-        options=options,
-    )
-    body = data[ETHER_SIZE + header_len : ETHER_SIZE + total]
-    trailer = data[ETHER_SIZE + total :]
+    ipv4 = _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip,
+                     data[_ETH_IPV4.size : start])
 
     transport: Optional[Transport] = None
     payload = b""
     if proto == PROTO_TCP:
-        if len(body) < _TCP.size:
+        if end - start < _TCP.size:
             raise Truncated("TCP header truncated")
-        (sport, dport, seq, ack, off_bits, flags, window, chk, urg) = _TCP.unpack_from(body, 0)
-        offset = off_bits >> 4
-        if offset < 5 or offset * 4 > len(body):
+        sport, dport, seq, ack, off_bits, flags, window, chk, urg = _TCP.unpack_from(data, start)
+        offset = (off_bits >> 4) * 4
+        if offset < _TCP.size or start + offset > end:
             raise Truncated("TCP data offset inconsistent with segment")
-        transport = Tcp(sport, dport, seq, ack, flags, window, chk, urg, options=body[_TCP.size : offset * 4])
-        payload = body[offset * 4 :]
+        transport = _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[start + _TCP.size : start + offset])
+        payload = data[start + offset : end]
     elif proto == PROTO_UDP:
-        if len(body) < _UDP.size:
+        if end - start < _UDP.size:
             raise Truncated("UDP header truncated")
-        sport, dport, length, chk = _UDP.unpack_from(body, 0)
-        if length != len(body) or length < _UDP.size:
+        sport, dport, length, chk = _UDP.unpack_from(data, start)
+        if length != end - start:
             raise Truncated("UDP length inconsistent with IPv4 payload")
-        transport = Udp(sport, dport, chk)
-        payload = body[_UDP.size :]
+        transport = _new_udp(sport, dport, chk)
+        payload = data[start + _UDP.size : end]
     elif proto == PROTO_ICMP:
-        if len(body) < _ICMP.size:
+        if end - start < _ICMP.size:
             raise Truncated("ICMP header truncated")
-        itype, code, chk, ident2, seq2 = _ICMP.unpack_from(body, 0)
-        transport = Icmp(itype, code, chk, ident2, seq2, payload=body[_ICMP.size :])
+        itype, code, chk, ident2, seq2 = _ICMP.unpack_from(data, start)
+        transport = _new_icmp(itype, code, chk, ident2, seq2, data[start + _ICMP.size : end])
     else:
-        payload = body
+        payload = data[start:end]
 
-    return ParsedPacket(link=link, ipv4=ipv4, transport=transport, app_payload=payload, link_trailer=trailer)
+    return _new_packet(link, ipv4, transport, payload, data[end:])
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +521,9 @@ def _over(p: ParsedPacket, transport: Optional[Transport], tos: int, identificat
     ip = p.ipv4
     if checksum is None:
         checksum = _ipv4_field_checksum(ip, tos, identification, _ipv4_payload_len(transport, p.app_payload))
-    ipv4 = Ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip, ip.dst_ip,
-                ip.options)
-    return ParsedPacket(p.link, ipv4, transport, p.app_payload, p.link_trailer)
+    ipv4 = _new_ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
+                     ip.dst_ip, ip.options)
+    return _new_packet(p.link, ipv4, transport, p.app_payload, p.link_trailer)
 
 
 def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional[int] = None) -> ParsedPacket:
@@ -516,8 +539,9 @@ def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     if tcp is None or p.ipv4 is None:
         raise UnsupportedProtocol("packet has no TCP header")
     checksum = _tcp_checksum(p.ipv4, tcp, seq, ack, tcp.options, p.app_payload)
-    transport = Tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent, tcp.options)
-    return ParsedPacket(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
+    transport = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent,
+                         tcp.options)
+    return _new_packet(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
 
 
 def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional[int] = None,
@@ -527,20 +551,20 @@ def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional
     TCP and UDP, ports; None keeps a field.  Both checksums are
     recomputed, as ``fix_checksums`` does."""
     ip, t, link = p.ipv4, p.transport, p.link
-    link = Ethernet(link.dst_mac if dst_mac is None else dst_mac, link.src_mac if src_mac is None else src_mac,
-                    link.ethertype)
-    ip = Ipv4(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum,
-              ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options)
+    link = _new_ethernet(link.dst_mac if dst_mac is None else dst_mac,
+                         link.src_mac if src_mac is None else src_mac, link.ethertype)
+    ip = _new_ipv4(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum,
+                   ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options)
     if isinstance(t, (Tcp, Udp)):
         sport = t.src_port if src_port is None else src_port
         dport = t.dst_port if dst_port is None else dst_port
         if isinstance(t, Tcp):
-            t = Tcp(sport, dport, t.seq, t.ack, t.flags, t.window, t.checksum, t.urgent, t.options)
+            t = _new_tcp(sport, dport, t.seq, t.ack, t.flags, t.window, t.checksum, t.urgent, t.options)
         else:
-            t = Udp(sport, dport, t.checksum)
+            t = _new_udp(sport, dport, t.checksum)
     elif src_port is not None or dst_port is not None:
         raise UnsupportedProtocol("only TCP and UDP carry ports")
-    return fix_checksums(ParsedPacket(link, ip, t, p.app_payload, p.link_trailer))
+    return fix_checksums(_new_packet(link, ip, t, p.app_payload, p.link_trailer))
 
 
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
@@ -556,7 +580,8 @@ def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
         raise OptionsOverflow("TCP options of %d octets exceed 40" % len(options))
     padded = options + bytes([TCP_OPT_NOP]) * (-len(options) % 4)
     checksum = _tcp_checksum(ip, tcp, tcp.seq, tcp.ack, padded, p.app_payload)
-    tcp = Tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, checksum, tcp.urgent, padded)
+    tcp = _new_tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, checksum, tcp.urgent,
+                   padded)
     return _over(p, tcp, ip.tos, ip.identification)
 
 
@@ -565,7 +590,7 @@ def set_icmp_payload(p: ParsedPacket, payload: bytes) -> ParsedPacket:
     if icmp is None or ip is None:
         raise UnsupportedProtocol("packet has no ICMP message")
     checksum = checksum16(_icmp_bytes(icmp, 0, payload))
-    icmp = Icmp(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence, payload)
+    icmp = _new_icmp(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence, payload)
     return _over(p, icmp, ip.tos, ip.identification)
 
 
@@ -591,7 +616,7 @@ def build_tcp(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    tcp = Tcp(src_port, dst_port, seq, ack, flags, window, 0, 0, options)
+    tcp = _new_tcp(src_port, dst_port, seq, ack, flags, window, 0, 0, options)
     return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_TCP, tos, ttl, identification, tcp, payload)
 
 
@@ -608,7 +633,7 @@ def build_udp(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    udp = Udp(src_port, dst_port, 0)
+    udp = _new_udp(src_port, dst_port, 0)
     return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_UDP, tos, ttl, identification, udp, payload)
 
 
@@ -626,13 +651,13 @@ def build_icmp_echo(
     ttl: int = 64,
     identification: int = 0,
 ) -> ParsedPacket:
-    icmp = Icmp(icmp_type, 0, 0, identifier, sequence, payload)
+    icmp = _new_icmp(icmp_type, 0, 0, identifier, sequence, payload)
     return _fresh(src_ip, dst_ip, src_mac, dst_mac, PROTO_ICMP, tos, ttl, identification, icmp)
 
 
 def _fresh(src_ip, dst_ip, src_mac, dst_mac, proto: int, tos: int, ttl: int, identification: int,
            transport: Transport, payload: bytes = b"") -> ParsedPacket:
-    link = Ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
+    link = _new_ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
     # Flags 2: don't fragment, the common case.
-    ipv4 = Ipv4(tos, identification, 2, 0, ttl, proto, 0, _coerce_ip(src_ip), _coerce_ip(dst_ip))
-    return fix_checksums(ParsedPacket(link, ipv4, transport, payload))
+    ipv4 = _new_ipv4(tos, identification, 2, 0, ttl, proto, 0, _coerce_ip(src_ip), _coerce_ip(dst_ip), b"")
+    return fix_checksums(_new_packet(link, ipv4, transport, payload, b""))

@@ -180,17 +180,33 @@ def test_engine_config_file(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 2
 
-    for text, line in (("seed = 1\nseed = 2\n", 2), ("cost.7 = 0.2\n", 1)):
+    # A bad handler list is a bad value like any other; only --handler
+    # on the command line exits 4 (test_unknown_handler_exits_4).
+    cases = (("seed = 1\nseed = 2\n", 2), ("cost.7 = 0.2\n", 1), ("handlers = zzz\n", 1),
+             ("seed = 1\nhandlers =\n", 2))
+    for text, line in cases:
         cfg.write_text(text)
         rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "i.pcap"),
                    "--config", str(cfg)])
         assert rc == 2
-        assert "line %d" % line in capsys.readouterr().err
+        assert "error: engine config %s: line %d: " % (cfg, line) in capsys.readouterr().err
     cfg.write_bytes(b"seed = \xff\n")
     rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "j.pcap"),
                "--config", str(cfg)])
     assert rc == 2
     assert "error: engine config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--handler", "1", "--levels", "abc"],
+    ["calibrate", "--handler", "1", "--sessions", "0"],
+    ["fuse-trace", "--in", "c.pcap", "--out", "f.pcap", "--payload", "-5"],
+])
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument %s: " % argv[-2] in capsys.readouterr().err
 
 
 def test_shipped_config_files_hold_the_defaults():

@@ -429,15 +429,15 @@ def test_config_validation():
 
 
 @contextlib.contextmanager
-def _replace_calls():
-    """Count ``dataclasses.replace`` calls made inside the block.  The
-    hook matches the function by its code object, so a module that
+def _calls(*functions):
+    """Count calls to any of ``functions`` made inside the block.  The
+    hook matches each function by its code object, so a module that
     bound it with ``from dataclasses import replace`` is caught too."""
-    target = dataclasses.replace.__code__
+    targets = {function.__code__ for function in functions}
     calls = [0]
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code is target:
+        if event == "call" and frame.f_code in targets:
             calls[0] += 1
 
     sys.setprofile(hook)
@@ -447,15 +447,20 @@ def _replace_calls():
         sys.setprofile(None)
 
 
-def test_carrier_path_calls_no_dataclass_replace():
-    """fuse and extract rebuild carriers through packet.py's constructors."""
+# The dataclass-generated __init__ of every packet layer class.
+LAYER_INITS = tuple(cls.__init__ for cls in (pk.Ethernet, pk.Ipv4, pk.Tcp, pk.Udp, pk.Icmp, pk.ParsedPacket))
+
+
+def _carrier_pass(*functions):
+    """Calls to ``functions`` while a handlers-1,2,4 pair fuses and
+    extracts a 2,000-record capture."""
     capture = tr.synthesize_mixed_trace(2000, seed=17)
     config = EngineConfig(enabled_handlers=(1, 2, 4), seed=17)
     tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
     payload = random.Random(17).randbytes(15 * 2000)
     tx.enqueue_payload(payload)
     delivered = []
-    with _replace_calls() as calls:
+    with _calls(*functions) as calls:
         for record in capture.records:
             fused, _ = tx.fuse(pk.parse_packet(record.data))
             _, secrets, _ = rx.extract(pk.parse_packet(pk.serialize_packet(fused)))
@@ -464,7 +469,18 @@ def test_carrier_path_calls_no_dataclass_replace():
     # Both the segment writers and the exclusion marker ran under the hook.
     assert tx.counters["carriers_excluded"] > 0
     assert tx.counters["carriers_modified"] > 0
-    assert calls[0] == 0
+    return calls[0]
+
+
+def test_carrier_path_calls_no_dataclass_replace():
+    """fuse and extract rebuild carriers through packet.py's constructors."""
+    assert _carrier_pass(dataclasses.replace) == 0
+
+
+def test_carrier_path_calls_no_layer_init():
+    """parse_packet and the rebuilders fill the slots directly instead of
+    going through the frozen dataclasses' generated __init__."""
+    assert _carrier_pass(*LAYER_INITS) == 0
 
 
 def test_gateway_nat_path_calls_no_dataclass_replace():
@@ -474,7 +490,7 @@ def test_gateway_nat_path_calls_no_dataclass_replace():
     topology.nodes["secret_a"].workload = True
     sim = Simulation(topology, engine_config=EngineConfig(seed=3), seed=3)
     transfer = sim.add_bulk_transfer("secret_a", "secret_b", 600)
-    with _replace_calls() as calls:
+    with _calls(dataclasses.replace) as calls:
         sim.run(3 * MICROS)
     assert transfer.delivered_octets == 600
     assert len(sim._phys_nat["gw_a"]) > 1

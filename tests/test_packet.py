@@ -1,7 +1,9 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stegnet.packet as pk
 
@@ -187,3 +189,46 @@ def test_udp_zero_checksum_wire_rule():
         p = pk.build_udp("10.1.1.1", "10.2.2.2", rng.randrange(1, 65536), rng.randrange(1, 65536), payload=rng.randbytes(rng.randrange(40)))
         assert p.udp.checksum != 0
         assert pk.validate_transport_checksum(p)
+
+
+u8 = st.integers(0, 0xFF)
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 0xFFFFFFFF)
+words = st.integers(0, 10).flatmap(lambda n: st.binary(min_size=4 * n, max_size=4 * n))
+ethernet = st.tuples(st.binary(min_size=6, max_size=6), st.binary(min_size=6, max_size=6), u16)
+ipv4 = st.tuples(u8, u16, st.integers(0, 7), st.integers(0, 0x1FFF), u8, u8, u16, u32, u32, words)
+tcp = st.tuples(u16, u16, u32, u32, u8, u16, u16, u16, words)
+udp = st.tuples(u16, u16, u16)
+icmp = st.tuples(u8, u8, u16, u16, u16, st.binary(max_size=64))
+# Each layer class with its positional constructor and field values.
+LAYERS = {
+    "ethernet": (pk.Ethernet, pk._new_ethernet, ethernet),
+    "ipv4": (pk.Ipv4, pk._new_ipv4, ipv4),
+    "tcp": (pk.Tcp, pk._new_tcp, tcp),
+    "udp": (pk.Udp, pk._new_udp, udp),
+    "icmp": (pk.Icmp, pk._new_icmp, icmp),
+    "packet": (pk.ParsedPacket, pk._new_packet, st.tuples(
+        ethernet.map(lambda v: pk.Ethernet(*v)),
+        st.none() | ipv4.map(lambda v: pk.Ipv4(*v)),
+        st.none() | tcp.map(lambda v: pk.Tcp(*v)) | udp.map(lambda v: pk.Udp(*v)) | icmp.map(lambda v: pk.Icmp(*v)),
+        st.binary(max_size=64),
+        st.binary(max_size=8),
+    )),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_positional_constructor_builds_the_dataclass(layer, data):
+    """The fast constructor's object is the public constructor's: equal,
+    same hash and repr, copied by ``replace``, and still frozen."""
+    cls, new, values = LAYERS[layer]
+    values = data.draw(values)
+    fast, public = new(*values), cls(*values)
+    assert type(fast) is cls
+    assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+    assert replace(fast) == public
+    for field, value in zip(fields(cls), values):
+        with pytest.raises(FrozenInstanceError):
+            setattr(fast, field.name, value)
