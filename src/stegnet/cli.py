@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import random
 import sys
@@ -76,6 +77,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number, got %r" % text) from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
     return value
 
 
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a topology and report")
     sim.add_argument("--topology", required=True, metavar="FILE")
     sim.add_argument("--workload", metavar="FILE", help="workload settings file")
-    sim.add_argument("--duration", type=float, default=30.0,
+    sim.add_argument("--duration", type=_positive_float, default=30.0,
                      metavar="SECONDS", help="virtual time budget")
     sim.add_argument("--payload", type=int, default=1000, metavar="OCTETS",
                      help="covert transfer size, 0 to disable")

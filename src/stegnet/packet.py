@@ -217,10 +217,9 @@ def _constructor(cls):
     namespace = {"_new": object.__new__, "_cls": cls}
     namespace.update(("_set_" + name, getattr(cls, name).__set__) for name in names)
     body = "".join("    _set_%s(self, %s)\n" % (name, name) for name in names)
-    exec("def new(%s):\n    self = _new(_cls)\n%s    return self\n" % (", ".join(names), body), namespace)
-    new = namespace["new"]
-    new.__qualname__ = new.__name__ = "_new_" + cls.__name__.lower()
-    return new
+    function = "new_" + cls.__name__
+    exec("def %s(%s):\n    self = _new(_cls)\n%s    return self\n" % (function, ", ".join(names), body), namespace)
+    return namespace[function]
 
 
 _new_ethernet = _constructor(Ethernet)

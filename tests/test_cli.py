@@ -201,6 +201,8 @@ def test_engine_config_file(tmp_path, capsys):
     ["calibrate", "--handler", "1", "--levels", "abc"],
     ["calibrate", "--handler", "1", "--sessions", "0"],
     ["fuse-trace", "--in", "c.pcap", "--out", "f.pcap", "--payload", "-5"],
+    ["simulate", "--topology", "t.topo", "--duration", "nan"],
+    ["simulate", "--topology", "t.topo", "--duration", "0"],
 ])
 def test_bad_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
