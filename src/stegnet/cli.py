@@ -69,15 +69,23 @@ def _parse_handler_setting(raw: str, line: int, what: str) -> Tuple[int, ...]:
         raise ConfigError(line, str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
-    return value
+def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+    """argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError("expected a %s integer, got %r" % (kind, text))
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _positive_float(text: str) -> float:
@@ -205,7 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     workload = _read(args.workload, "workload", EXIT_CONFIG, parse_workload) if args.workload else None
     config = _engine_config_from_args(args)
     sim = Simulation(topology, workload=workload, engine_config=config,
-                     seed=args.seed or 0, covert=not args.no_covert)
+                     seed=config.seed, covert=not args.no_covert)
     transfer = None
     if args.payload > 0:
         src, dst = _secret_pair(topology)
@@ -216,7 +224,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sim.run(horizon)
 
-    report = SessionReport(scenario="simulate", seed=args.seed or 0)
+    report = SessionReport(scenario="simulate", seed=config.seed)
     report.fields["topology"] = os.path.basename(args.topology)
     report.fields["virtual_us"] = sim.now
     if transfer is not None:
@@ -289,7 +297,7 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CliError(EXIT_CONFIG, "cannot read payload: %s" % exc)
     else:
-        payload = _seeded_payload(args.payload, args.seed or 0)
+        payload = _seeded_payload(args.payload, gateway.config.seed)
     if not payload:
         raise CliError(EXIT_CONFIG, "payload is empty")
     try:
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workload", metavar="FILE", help="workload settings file")
     sim.add_argument("--duration", type=_positive_float, default=30.0,
                      metavar="SECONDS", help="virtual time budget")
-    sim.add_argument("--payload", type=int, default=1000, metavar="OCTETS",
+    sim.add_argument("--payload", type=_non_negative_int, default=1000, metavar="OCTETS",
                      help="covert transfer size, 0 to disable")
     sim.add_argument("--no-covert", action="store_true",
                      help="forward traffic without covert processing")

@@ -33,6 +33,7 @@ from . import wire
 from .handlers import (
     DEFAULT_ENABLED,
     HandlerRegistry,
+    HandlerSpec,
     RecoveryClass,
     TCP_ISN_ID,
     build_registry,
@@ -161,6 +162,11 @@ class CovertGateway:
             cost_overrides=self.config.cost_overrides,
             preserve_icmp_timestamp=self.config.preserve_icmp_timestamp,
         )
+        # The sequence-number handler, which carriers may be diverted to
+        # and extraction scans, exists only with augmented correction.
+        self._isn: Optional[HandlerSpec] = None
+        if self.config.augmented_allowed and TCP_ISN_ID in self.registry.ids:
+            self._isn = self.registry.get(TCP_ISN_ID)
         self.local_mac = local_mac
         self._rng = random.Random(_child_seed(self.config.seed, "engine:%s" % node_id))
 
@@ -285,36 +291,36 @@ class CovertGateway:
             candidates, carrier, self._tx_cursor, opening, self.config.augmented_allowed)
         if picked is None:
             return self._exclude(carrier, stats)
-        chosen, capacity = picked
+        spec, capacity = picked
+        isn = self._isn
         if (
-            self.config.augment_probability > 0.0
-            and self.config.augmented_allowed
-            and TCP_ISN_ID in candidates
-            and chosen != TCP_ISN_ID
+            isn is not None
+            and self.config.augment_probability > 0.0
+            and spec is not isn
+            and isn.match(carrier)
             and self._rng.random() < self.config.augment_probability
         ):
-            chosen = TCP_ISN_ID
-            capacity = self.registry.get(chosen).capacity(carrier)
+            spec = isn
+            capacity = isn.capacity(carrier)
         item = self._next_item()
         if item is None:
             return self._exclude(carrier, stats)
-        spec = self.registry.get(chosen)
         remaining = len(item.wire_bytes) - item.sent
         placed = self._tx_cursor.place(
-            chosen, capacity, len(candidates), remaining, item.opening() if opening else None)
+            spec.id, capacity, len(candidates), remaining, item.opening() if opening else None)
         if placed is None:
             return self._exclude(carrier, stats)
         header, n = placed
         segment = (wire.encode_sync(header) if header is not None else b"") + item.wire_bytes[item.sent : item.sent + n]
 
-        isn_before = carrier.tcp.seq if chosen == TCP_ISN_ID else None
+        isn_before = carrier.tcp.seq if spec.id == TCP_ISN_ID else None
         modified = spec.writer(carrier, segment)
-        if chosen == TCP_ISN_ID:
+        if spec.id == TCP_ISN_ID:
             self._record_isn_rewrite(carrier, modified, isn_before)
 
         item.sent += n
         stats.modified = True
-        stats.handler_id = chosen
+        stats.handler_id = spec.id
         stats.sync_octets = wire.SYNC_SIZE if header is not None else 0
         stats.data_octets = n
         stats.item_kind = item.kind
@@ -399,24 +405,25 @@ class CovertGateway:
         sel = picked[0]
 
         scan = [sel]
-        if self.config.augmented_allowed and TCP_ISN_ID in candidates and TCP_ISN_ID != sel:
-            scan.append(TCP_ISN_ID)
+        isn = self._isn
+        if isn is not None and sel is not isn and isn.match(carrier):
+            scan.append(isn)
 
         secrets: List[bytes] = []
         if self._rx_item is None:
-            hid, region, header = self._rx_open(carrier, scan, len(candidates))
+            spec, region, header = self._rx_open(carrier, scan, len(candidates))
             consumed = wire.SYNC_SIZE
             if header.code == wire.CODE_SESSION_RESET:
                 self._rx_cipher_active = False
                 self._session = None
-                stats.handler_id = hid
+                stats.handler_id = spec.id
                 stats.sync_octets = consumed
                 stats.item_kind = ITEM_RESET
                 self.counters["rx_sync_octets"] += consumed
-                return self._repair(carrier, hid), [], stats
+                return self._repair(carrier, spec), [], stats
             self._rx_item = self._open_item(header, carrier)
         else:
-            hid, region, consumed = self._rx_continue(carrier, candidates, sel, scan)
+            spec, region, consumed = self._rx_continue(carrier, candidates, sel, scan)
 
         item = self._rx_item
         avail = region[consumed:]
@@ -433,13 +440,13 @@ class CovertGateway:
             if len(item.buf) == crypto.KE_PREFIX:
                 item.expected = crypto.KE_PREFIX + int.from_bytes(item.buf[7:9], "big")
 
-        stats.handler_id = hid
+        stats.handler_id = spec.id
         stats.sync_octets = consumed
         stats.data_octets = taken
         stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
         self.counters["rx_data_octets"] += taken
-        if hid == TCP_ISN_ID:
+        if spec.id == TCP_ISN_ID:
             self.note_isn_observation(carrier)
 
         if len(item.buf) == item.expected:
@@ -458,9 +465,9 @@ class CovertGateway:
                 elif item.kind == ITEM_RECOVERY:
                     self._handle_recovery(data, carrier)
             except (wire.MalformedRecord, crypto.CryptoError) as exc:
-                self._desync(self._repair(carrier, hid), "undecodable %s item: %s" % (item.kind, exc))
+                self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
 
-        return self._repair(carrier, hid), secrets, stats
+        return self._repair(carrier, spec), secrets, stats
 
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
         encrypted = bool(self.config.encryption and self._rx_cipher_active)
@@ -474,41 +481,41 @@ class CovertGateway:
             return _RxItem(kind=ITEM_RECOVERY, encrypted=encrypted, expected=header.data)
         self._desync(carrier, "unexpected opening code 0x%02x" % header.code)
 
-    def _rx_open(self, carrier: pk.ParsedPacket, scan: List[int], mult: int):
-        for hid in scan:
-            region = self.registry.get(hid).reader(carrier)
+    def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
+        for spec in scan:
+            region = spec.reader(carrier)
             header = wire.decode_sync(region[: wire.SYNC_SIZE])
             if header is not None and header.code != wire.CODE_HANDLER_SWITCH:
-                self._rx_cursor.adopt(hid, mult, opening=True)
-                return hid, region, header
+                self._rx_cursor.adopt(spec.id, mult, opening=True)
+                return spec, region, header
         self._desync(carrier, "no opening header where one was expected")
 
-    def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[int], sel: int, scan: List[int]):
+    def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[HandlerSpec], sel: HandlerSpec,
+                     scan: List[HandlerSpec]):
         cursor, mult = self._rx_cursor, len(candidates)
-        hid = sel  # unambiguous carriers never carry a switch header
+        spec = sel  # unambiguous carriers never carry a switch header
         if cursor.ambiguous(mult):
             # Ambiguous carriers announce every handler change in-band,
             # so look for a switch header even when ``sel`` is the
             # active handler: the sender may have diverted this carrier
             # to the ISN channel.
-            for hid in scan:
-                if hid == cursor.active_handler:
+            for spec in scan:
+                if spec.id == cursor.active_handler:
                     continue
-                region = self.registry.get(hid).reader(carrier)
+                region = spec.reader(carrier)
                 header = wire.decode_sync(region[: wire.SYNC_SIZE])
-                if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == hid:
-                    cursor.adopt(hid, mult, opening=False)
-                    return hid, region, wire.SYNC_SIZE
-            hid = cursor.active_handler
-            if hid not in candidates:
+                if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == spec.id:
+                    cursor.adopt(spec.id, mult, opening=False)
+                    return spec, region, wire.SYNC_SIZE
+            for spec in candidates:
+                if spec.id == cursor.active_handler:
+                    break
+            else:
                 self._desync(carrier, "active handler does not match carrier and no switch announced")
-        cursor.adopt(hid, mult, opening=False)
-        return hid, self.registry.get(hid).reader(carrier), 0
+        cursor.adopt(spec.id, mult, opening=False)
+        return spec, spec.reader(carrier), 0
 
-    def _repair(self, carrier: pk.ParsedPacket, hid: Optional[int]) -> pk.ParsedPacket:
-        if hid is None:
-            return carrier
-        spec = self.registry.get(hid)
+    def _repair(self, carrier: pk.ParsedPacket, spec: HandlerSpec) -> pk.ParsedPacket:
         if spec.recovery is RecoveryClass.SELF_RECOVERABLE:
             return spec.recover(carrier)
         return carrier

@@ -87,9 +87,6 @@ class HandlerSpec:
     manipulation: ManipulationClass
     recovery: RecoveryClass
     recover: Callable[[pk.ParsedPacket], pk.ParsedPacket] = _identity
-    # Set on handlers whose region exists only to hold sync headers;
-    # such regions must be near-free to touch.
-    sync_reserved: bool = False
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +144,7 @@ class HandlerRegistry:
 
     def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
-        self._order: Tuple[int, ...] = ()  # registered ids, ascending
+        self._order: Tuple[HandlerSpec, ...] = ()  # registered specs, by ascending id
 
     def register(self, spec: HandlerSpec) -> int:
         if spec.id in self._specs:
@@ -156,13 +153,11 @@ class HandlerRegistry:
             raise RegistryError("handler id %d out of 8-bit range" % spec.id)
         if not 0.0 <= spec.carrier_cost <= 1.0:
             raise RegistryError("carrier cost %r outside [0, 1]" % spec.carrier_cost)
-        if spec.sync_reserved and spec.carrier_cost >= 0.05:
-            raise RegistryError("a sync-reserved region must cost under 0.05")
         if spec not in _PASSED:
             _self_test(spec)
             _PASSED.add(spec)
         self._specs[spec.id] = spec
-        self._order = tuple(sorted(self._specs))
+        self._order = tuple(self._specs[hid] for hid in sorted(self._specs))
         return spec.id
 
     def get(self, handler_id: int) -> HandlerSpec:
@@ -173,15 +168,15 @@ class HandlerRegistry:
 
     @property
     def ids(self) -> List[int]:
-        return list(self._order)
+        return [spec.id for spec in self._order]
 
-    def match(self, p: pk.ParsedPacket) -> List[int]:
-        """Ids of all handlers accepting ``p``, ascending."""
-        return [hid for hid in self._order if self._specs[hid].match(p)]
+    def match(self, p: pk.ParsedPacket) -> List[HandlerSpec]:
+        """All handlers accepting ``p``, by ascending id."""
+        return [spec for spec in self._order if spec.match(p)]
 
-    def select(self, candidates: Sequence[int], p: pk.ParsedPacket, cursor: SegmentCursor, opening: bool,
-               augmented_allowed: bool) -> Optional[Tuple[int, int]]:
-        """Pick one handler for a carrier: (id, capacity on ``p``), or None.
+    def select(self, candidates: Sequence[HandlerSpec], p: pk.ParsedPacket, cursor: SegmentCursor, opening: bool,
+               augmented_allowed: bool) -> Optional[Tuple[HandlerSpec, int]]:
+        """Pick one handler for a carrier: (spec, capacity on ``p``), or None.
 
         ``cursor`` is the direction's selection state and ``opening``
         is true when the next segment starts a stream item (the receive
@@ -198,8 +193,8 @@ class HandlerRegistry:
         cases.
         """
         multiplicity = len(candidates)
-        best = None
-        for spec in [self.get(c) for c in candidates]:
+        best = chosen = None
+        for spec in candidates:
             if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not augmented_allowed:
                 continue
             header = opening or cursor.switch_needed(spec.id, multiplicity)
@@ -208,8 +203,8 @@ class HandlerRegistry:
                 continue
             key = (spec.carrier_cost, _RECOVERY_RANK[spec.recovery], -capacity, spec.id)
             if best is None or key < best:
-                best = key
-        return None if best is None else (best[3], -best[2])
+                best, chosen = key, spec
+        return None if chosen is None else (chosen, -best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -289,33 +284,36 @@ def make_icmp_payload_handler(
     )
 
 
+def _int_field_handler(width: int, get: Callable[[pk.ParsedPacket], int],
+                       put: Callable[[pk.ParsedPacket, int], pk.ParsedPacket], **fields) -> HandlerSpec:
+    """A big-endian integer header field of ``width`` octets, read with
+    ``get`` and rewritten with ``put``.  A segment overwrites the
+    field's leading octets; the rest keep their old value.  ``fields``
+    are the remaining ``HandlerSpec`` fields."""
+
+    def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
+        if len(segment) > width:
+            raise ValueError("%s field holds at most %d octets" % (fields["name"], width))
+        old = get(p).to_bytes(width, "big")
+        return put(p, int.from_bytes(segment + old[len(segment):], "big"))
+
+    def reader(p: pk.ParsedPacket) -> bytes:
+        return get(p).to_bytes(width, "big")
+
+    return HandlerSpec(writer=writer, reader=reader, capacity=lambda p: width, **fields)
+
+
 def make_ipv4_id_handler(handler_id: int = IPV4_ID_ID, cost: float = COST_HIGH) -> HandlerSpec:
     """IPv4 identification field, 2 octets.
 
     Overwriting it would break reassembly of fragmented traffic, so the
     cost is high and the handler ships disabled.
     """
-
-    def match(p: pk.ParsedPacket) -> bool:
-        return p.ipv4 is not None
-
-    def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
-        if len(segment) > 2:
-            raise ValueError("identification field holds at most 2 octets")
-        old = p.ipv4.identification.to_bytes(2, "big")
-        value = int.from_bytes(segment + old[len(segment):], "big")
-        return pk.with_ipv4(p, p.ipv4.tos, value)
-
-    def reader(p: pk.ParsedPacket) -> bytes:
-        return p.ipv4.identification.to_bytes(2, "big")
-
-    return HandlerSpec(
+    return _int_field_handler(
+        2, lambda p: p.ipv4.identification, lambda p, value: pk.with_ipv4(p, p.ipv4.tos, value),
         id=handler_id,
         name="ipv4_id",
-        match=match,
-        writer=writer,
-        reader=reader,
-        capacity=lambda p: 2,
+        match=lambda p: p.ipv4 is not None,
         carrier_cost=cost,
         manipulation=ManipulationClass.QUALITY_AFFECTING,
         recovery=RecoveryClass.NO_RECOVERY,
@@ -330,27 +328,12 @@ def make_ipv4_checksum_handler(handler_id: int = IPV4_CHECKSUM_ID, cost: float =
     original bytes exactly.  ICMP packets are left to the larger
     payload channel so echo traffic keeps a single matching handler.
     """
-
-    def match(p: pk.ParsedPacket) -> bool:
-        return p.ipv4 is not None and p.ipv4.protocol in (pk.PROTO_TCP, pk.PROTO_UDP)
-
-    def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
-        if len(segment) > 2:
-            raise ValueError("checksum field holds at most 2 octets")
-        old = p.ipv4.header_checksum.to_bytes(2, "big")
-        value = int.from_bytes(segment + old[len(segment):], "big")
-        return pk.with_ipv4(p, p.ipv4.tos, p.ipv4.identification, value)
-
-    def reader(p: pk.ParsedPacket) -> bytes:
-        return p.ipv4.header_checksum.to_bytes(2, "big")
-
-    return HandlerSpec(
+    return _int_field_handler(
+        2, lambda p: p.ipv4.header_checksum,
+        lambda p, value: pk.with_ipv4(p, p.ipv4.tos, p.ipv4.identification, value),
         id=handler_id,
         name="ipv4_checksum",
-        match=match,
-        writer=writer,
-        reader=reader,
-        capacity=lambda p: 2,
+        match=lambda p: p.ipv4 is not None and p.ipv4.protocol in (pk.PROTO_TCP, pk.PROTO_UDP),
         carrier_cost=cost,
         manipulation=ManipulationClass.DESTRUCTIVE,
         recovery=RecoveryClass.SELF_RECOVERABLE,
@@ -365,40 +348,25 @@ def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) 
     original value, emit it as a recovery record, and rewrite the rest
     of the flow.  Ships disabled.
     """
-
-    def match(p: pk.ParsedPacket) -> bool:
-        return p.tcp is not None and bool(p.tcp.flags & pk.TCP_SYN) and not (p.tcp.flags & pk.TCP_ACK)
-
-    def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
-        if len(segment) > 4:
-            raise ValueError("sequence number holds at most 4 octets")
-        old = p.tcp.seq.to_bytes(4, "big")
-        value = int.from_bytes(segment + old[len(segment):], "big")
-        return pk.with_tcp_seq_ack(p, value, p.tcp.ack)
-
-    def reader(p: pk.ParsedPacket) -> bytes:
-        return p.tcp.seq.to_bytes(4, "big")
-
-    return HandlerSpec(
+    return _int_field_handler(
+        4, lambda p: p.tcp.seq, lambda p, value: pk.with_tcp_seq_ack(p, value, p.tcp.ack),
         id=handler_id,
         name="tcp_isn",
-        match=match,
-        writer=writer,
-        reader=reader,
-        capacity=lambda p: 4,
+        match=lambda p: p.tcp is not None and bool(p.tcp.flags & pk.TCP_SYN) and not (p.tcp.flags & pk.TCP_ACK),
         carrier_cost=cost,
         manipulation=ManipulationClass.DESTRUCTIVE,
         recovery=RecoveryClass.AUGMENTED_CORRECTION,
     )
 
 
-# Stock handler factories and their default carrier costs, by id.
+# Stock handler factories by id; each factory's signature holds the
+# handler's default carrier cost.
 _STOCK = {
-    TCP_OPTIONS_ID: (make_tcp_options_handler, 0.34),
-    ICMP_PAYLOAD_ID: (make_icmp_payload_handler, COST_LOW),
-    IPV4_ID_ID: (make_ipv4_id_handler, COST_HIGH),
-    IPV4_CHECKSUM_ID: (make_ipv4_checksum_handler, COST_LOW),
-    TCP_ISN_ID: (make_tcp_isn_handler, COST_HIGH),
+    TCP_OPTIONS_ID: make_tcp_options_handler,
+    ICMP_PAYLOAD_ID: make_icmp_payload_handler,
+    IPV4_ID_ID: make_ipv4_id_handler,
+    IPV4_CHECKSUM_ID: make_ipv4_checksum_handler,
+    TCP_ISN_ID: make_tcp_isn_handler,
 }
 STOCK_IDS = tuple(_STOCK)
 
@@ -423,10 +391,12 @@ def build_registry(
     for hid in (*enabled, *(cost_overrides or ())):
         if hid not in _STOCK:
             raise UnknownHandler("no handler with id %d" % hid)
-    cost = (cost_overrides or {}).get
-    options = {ICMP_PAYLOAD_ID: {"preserve_timestamp": preserve_icmp_timestamp}}
+    overrides = cost_overrides or {}
     registry = HandlerRegistry()
-    for hid, (factory, default_cost) in _STOCK.items():
+    for hid, factory in _STOCK.items():
         if hid in enabled:
-            registry.register(_stock_spec(factory, cost=cost(hid, default_cost), **options.get(hid, {})))
+            options = {"cost": overrides[hid]} if hid in overrides else {}
+            if hid == ICMP_PAYLOAD_ID:
+                options["preserve_timestamp"] = preserve_icmp_timestamp
+            registry.register(_stock_spec(factory, **options))
     return registry

@@ -203,6 +203,7 @@ def test_engine_config_file(tmp_path, capsys):
     ["fuse-trace", "--in", "c.pcap", "--out", "f.pcap", "--payload", "-5"],
     ["simulate", "--topology", "t.topo", "--duration", "nan"],
     ["simulate", "--topology", "t.topo", "--duration", "0"],
+    ["simulate", "--topology", "t.topo", "--payload", "-5"],
 ])
 def test_bad_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -231,6 +232,27 @@ def test_seed_flag_overrides_config_file(tmp_path):
     assert engine_seed("--config", str(cfg), "--seed", "0") == 0
     assert engine_seed("--config", str(cfg)) == 7
     assert engine_seed() == 0
+
+
+def test_config_file_seed_drives_the_run(topo_file, tmp_path, capsys):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("seed = 7\n")
+    reports = []
+    for seeding in (["--config", str(cfg)], ["--seed", "7"]):
+        out = tmp_path / ("run%d.report" % len(reports))
+        assert main(["simulate", "--topology", topo_file, "--payload", "400", "--duration", "20",
+                     "--out", str(out), *seeding]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert parse_report(reports[0].decode()).seed == 7
+
+    fused = tmp_path / "fused.pcap"
+    recovered = tmp_path / "payload.bin"
+    trace = _carrier_trace(tmp_path / "carriers.pcap")
+    assert main(["fuse-trace", "--in", trace, "--out", str(fused), "--payload", "256",
+                 "--config", str(cfg)]) == 0
+    assert main(["extract-trace", "--in", str(fused), "--out", str(recovered), "--config", str(cfg)]) == 0
+    assert recovered.read_bytes() == _seeded_payload(256, 7)
 
 
 def test_fuse_then_extract_round_trip(tmp_path, capsys):

@@ -24,6 +24,7 @@ from stegnet.engine import (
 )
 from stegnet.handlers import (
     ICMP_PAYLOAD_ID,
+    HandlerRegistry,
     TCP_ISN_ID,
     TCP_OPTIONS_ID,
     UnknownHandler,
@@ -481,6 +482,12 @@ def test_carrier_path_calls_no_layer_init():
     """parse_packet and the rebuilders fill the slots directly instead of
     going through the frozen dataclasses' generated __init__."""
     assert _carrier_pass(*LAYER_INITS) == 0
+
+
+def test_carrier_path_looks_up_no_handler_by_id():
+    """fuse and extract pass the registry's specs along instead of
+    turning handler ids back into specs."""
+    assert _carrier_pass(HandlerRegistry.get) == 0
 
 
 def test_gateway_nat_path_calls_no_dataclass_replace():

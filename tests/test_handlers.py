@@ -24,10 +24,15 @@ def _udp():
 
 
 def _select(reg, candidates, p, opening, active_handler=None, active_multiplicity=1, augmented_allowed=False):
-    """The id ``reg.select`` picks under the given stream state, or None."""
+    """The id of the handler ``reg.select`` picks among the ``candidates``
+    ids under the given stream state, or None."""
     cursor = wire.SegmentCursor(active_handler, active_multiplicity)
-    picked = reg.select(candidates, p, cursor, opening, augmented_allowed)
-    return None if picked is None else picked[0]
+    picked = reg.select([reg.get(hid) for hid in candidates], p, cursor, opening, augmented_allowed)
+    return None if picked is None else picked[0].id
+
+
+def _match_ids(reg, p):
+    return [spec.id for spec in reg.match(p)]
 
 
 def test_builtin_table():
@@ -52,10 +57,10 @@ def test_default_enabled_set():
 
 def test_match_dispatch():
     reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
-    assert reg.match(_tcp()) == [1, 3, 4]
-    assert reg.match(_syn()) == [3, 4, 5]
-    assert reg.match(_icmp()) == [2, 3]
-    assert reg.match(_udp()) == [3, 4]
+    assert _match_ids(reg, _tcp()) == [1, 3, 4]
+    assert _match_ids(reg, _syn()) == [3, 4, 5]
+    assert _match_ids(reg, _icmp()) == [2, 3]
+    assert _match_ids(reg, _udp()) == [3, 4]
 
 
 def test_capacities():
@@ -185,7 +190,7 @@ def test_selection_deterministic():
     carriers = [_tcp(), _syn(), _icmp(), _udp()]
     for _ in range(200):
         p = rng.choice(carriers)
-        candidates = reg.match(p)
+        candidates = _match_ids(reg, p)
         state = dict(
             opening=rng.random() < 0.5,
             active_handler=rng.choice((None, 1, 2, 4)),
@@ -200,19 +205,22 @@ def test_selection_deterministic():
 def test_select_returns_capacity_of_the_choice():
     reg = hd.build_registry(enabled=(1, 2, 3, 4, 5))
     for p, chosen, capacity in ((_tcp(), 1, 40), (_icmp(56), 2, 56), (_syn(), 5, 4)):
-        picked = reg.select(reg.match(p), p, wire.SegmentCursor(), True, True)
-        assert picked == (chosen, capacity) == (chosen, reg.get(chosen).capacity(p))
+        spec, got = reg.select(reg.match(p), p, wire.SegmentCursor(), True, True)
+        assert spec is reg.get(chosen)
+        assert (spec.id, got) == (chosen, capacity) == (chosen, reg.get(chosen).capacity(p))
 
 
-def test_sync_reserved_cost_rule():
-    cheap = hd.make_icmp_payload_handler(handler_id=77)
-    reserved = hd.HandlerSpec(
-        id=77, name="reserved", match=cheap.match, writer=cheap.writer,
-        reader=cheap.reader, capacity=cheap.capacity, carrier_cost=0.2,
-        manipulation=cheap.manipulation, recovery=cheap.recovery, sync_reserved=True,
-    )
-    with pytest.raises(hd.RegistryError):
-        hd.HandlerRegistry().register(reserved)
+@pytest.mark.parametrize("hid, carrier", [(3, _tcp), (4, _udp), (5, _syn)])
+def test_integer_field_keeps_unwritten_octets(hid, carrier):
+    spec = hd.build_registry(enabled=(hid,)).get(hid)
+    width = spec.capacity(carrier())
+    # start from a field whose every octet is set and distinct
+    p = spec.writer(carrier(), bytes(range(0xA1, 0xA1 + width)))
+    old = spec.reader(p)
+    assert len(old) == width
+    with pytest.raises(ValueError):
+        spec.writer(p, b"\x5a" * (width + 1))
+    assert spec.reader(spec.writer(p, b"\x5a")) == b"\x5a" + old[1:]
 
 
 def _count_self_tests(monkeypatch):
