@@ -223,6 +223,8 @@ def make_tcp_options_handler(handler_id: int = TCP_OPTIONS_ID, cost: float = 0.3
         return p.tcp is not None and not (p.tcp.flags & pk.TCP_SYN)
 
     def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
+        if len(segment) > pk.MAX_TCP_OPTIONS:
+            raise ValueError("tcp_options field holds at most %d octets" % pk.MAX_TCP_OPTIONS)
         return pk.set_tcp_options(p, segment)
 
     def reader(p: pk.ParsedPacket) -> bytes:

@@ -62,6 +62,8 @@ _ETH_IPV4 = struct.Struct("!6s6sHBBHHHBBHII")
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 _ICMP = struct.Struct("!BBHHH")
+# TCP/UDP pseudo header: addresses, a zero octet, protocol, length.
+_PSEUDO = struct.Struct("!IIxBH")
 
 
 class PacketError(Exception):
@@ -255,10 +257,21 @@ def _fold(total: int) -> int:
 
 
 def checksum16(data: bytes) -> int:
-    """Internet one's-complement checksum over ``data`` (odd length padded)."""
+    """Internet one's-complement checksum over ``data`` (odd length padded).
+
+    The one's-complement sum of 16-bit words is order-free and its
+    carries may be deferred (RFC 1071 §2), and 2**16 is 1 modulo 0xFFFF,
+    so the sum is the whole buffer read as one integer, modulo 0xFFFF:
+    one ``int.from_bytes`` and one remainder instead of a word loop.
+    Non-zero data whose remainder is 0 sums to 0xFFFF, the
+    one's-complement zero that an end-around carry produces.
+    """
+    value = int.from_bytes(data, "big")
     if len(data) & 1:
-        data = data + b"\x00"
-    return _fold(sum(struct.unpack("!%dH" % (len(data) // 2), data)))
+        value <<= 8
+    if not value:
+        return 0xFFFF
+    return 0xFFFF - (value % 0xFFFF or 0xFFFF)
 
 
 def ipv4_checksum(header: bytes) -> int:
@@ -272,29 +285,40 @@ def ipv4_checksum(header: bytes) -> int:
     return checksum16(header)
 
 
-def _ipv4_field_checksum(ip: Ipv4, tos: int, identification: int, payload_len: int) -> int:
-    """Header checksum of ``ip`` with ``tos`` and ``identification``,
-    summed from the field values: the words ``ipv4_checksum`` reads
-    from the packed header with its checksum zeroed."""
-    ihl, total = _ipv4_lengths(ip, payload_len)
-    src, dst = ip.src_ip, ip.dst_ip
+def _ipv4_sum(tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
+              src: int, dst: int, options: bytes, payload_len: int, checksum: int = 0) -> int:
+    """Unfolded sum of the 16-bit words of the IPv4 header these fields
+    make, with ``checksum`` in the checksum field: the words
+    ``_ipv4_header_bytes`` would pack, summed without packing them.
+    Folded with a zero ``checksum`` it is the header checksum; folded
+    with the stored one it is 0 for a valid header."""
+    ihl, total = _ipv4_lengths(options, payload_len)
     words = (
-        ((0x40 | ihl) << 8 | tos) + total + identification + (ip.flags << 13 | ip.frag_offset)
-        + (ip.ttl << 8 | ip.protocol) + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+        ((0x40 | ihl) << 8 | tos) + total + identification + (flags << 13 | frag_offset)
+        + (ttl << 8 | protocol) + checksum + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
     )
-    options = ip.options
     for i in range(0, len(options), 2):
         words += options[i] << 8 | options[i + 1]
-    return _fold(words)
+    return words
 
 
-def _pseudo_header(ip: Ipv4, proto: int, length: int) -> bytes:
-    return struct.pack("!4s4sBBH", ip.src_ip.to_bytes(4, "big"), ip.dst_ip.to_bytes(4, "big"), 0, proto, length)
-
-
-def _tcp_checksum(ip: Ipv4, tcp: Tcp, seq: int, ack: int, options: bytes, payload: bytes) -> int:
+def _tcp_checksum(src: int, dst: int, tcp: Tcp, seq: int, ack: int, options: bytes, payload: bytes) -> int:
     body = _tcp_bytes(tcp, seq, ack, 0, options) + payload
-    return checksum16(_pseudo_header(ip, PROTO_TCP, len(body)) + body)
+    return checksum16(_PSEUDO.pack(src, dst, PROTO_TCP, len(body)) + body)
+
+
+def _transport_checksum(src: int, dst: int, t: Transport, payload: bytes) -> int:
+    """Checksum of ``t`` with its field zeroed, between addresses
+    ``src`` and ``dst``; ``transport_checksum`` documents the rules."""
+    if isinstance(t, Tcp):
+        return _tcp_checksum(src, dst, t, t.seq, t.ack, t.options, payload)
+    if isinstance(t, Udp):
+        body = _udp_bytes(t, len(payload), 0) + payload
+        value = checksum16(_PSEUDO.pack(src, dst, PROTO_UDP, len(body)) + body)
+        return 0xFFFF if value == 0 else value
+    if isinstance(t, Icmp):
+        return checksum16(_icmp_bytes(t, 0, t.payload))
+    raise UnsupportedProtocol("protocol %r" % type(t).__name__)
 
 
 def transport_checksum(p: ParsedPacket) -> int:
@@ -307,15 +331,7 @@ def transport_checksum(p: ParsedPacket) -> int:
     ip, t = p.ipv4, p.transport
     if ip is None or t is None:
         raise UnsupportedProtocol("no transport layer to checksum")
-    if isinstance(t, Tcp):
-        return _tcp_checksum(ip, t, t.seq, t.ack, t.options, p.app_payload)
-    if isinstance(t, Udp):
-        body = _udp_bytes(t, len(p.app_payload), 0) + p.app_payload
-        value = checksum16(_pseudo_header(ip, PROTO_UDP, len(body)) + body)
-        return 0xFFFF if value == 0 else value
-    if isinstance(t, Icmp):
-        return checksum16(_icmp_bytes(t, 0, t.payload))
-    raise UnsupportedProtocol("protocol %r" % type(t).__name__)
+    return _transport_checksum(ip.src_ip, ip.dst_ip, t, p.app_payload)
 
 
 def fix_ipv4_checksum(p: ParsedPacket) -> ParsedPacket:
@@ -325,15 +341,17 @@ def fix_ipv4_checksum(p: ParsedPacket) -> ParsedPacket:
     return with_ipv4(p, ip.tos, ip.identification)
 
 
-def fix_transport_checksum(p: ParsedPacket) -> ParsedPacket:
-    value = transport_checksum(p)
-    t = p.transport
+def _with_checksum(t: Transport, value: int) -> Transport:
+    """``t`` with ``value`` in its checksum field."""
     if isinstance(t, Tcp):
-        t = _new_tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
-    elif isinstance(t, Udp):
-        t = _new_udp(t.src_port, t.dst_port, value)
-    else:
-        t = _new_icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
+        return _new_tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
+    if isinstance(t, Udp):
+        return _new_udp(t.src_port, t.dst_port, value)
+    return _new_icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
+
+
+def fix_transport_checksum(p: ParsedPacket) -> ParsedPacket:
+    t = _with_checksum(p.transport, transport_checksum(p))
     return _new_packet(p.link, p.ipv4, t, p.app_payload, p.link_trailer)
 
 
@@ -346,9 +364,15 @@ def fix_checksums(p: ParsedPacket) -> ParsedPacket:
 
 
 def validate_ipv4_checksum(p: ParsedPacket) -> bool:
-    if p.ipv4 is None:
+    """Whether the header's words, stored checksum included, sum to a
+    one's-complement zero.  Both zeros, 0x0000 and 0xFFFF, are accepted
+    as the stored checksum where either completes the sum."""
+    ip = p.ipv4
+    if ip is None:
         return True
-    return checksum16(_ipv4_header_bytes(p)) == 0
+    words = _ipv4_sum(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.src_ip,
+                      ip.dst_ip, ip.options, _ipv4_payload_len(p.transport, p.app_payload), ip.header_checksum)
+    return _fold(words) == 0
 
 
 def validate_transport_checksum(p: ParsedPacket) -> bool:
@@ -377,19 +401,20 @@ def _ipv4_payload_len(transport: Optional[Transport], app_payload: bytes) -> int
     return len(app_payload)
 
 
-def _ipv4_lengths(ip: Ipv4, payload_len: int) -> Tuple[int, int]:
-    """IHL and total length of ``ip`` over ``payload_len`` octets."""
-    if len(ip.options) > MAX_IP_OPTIONS or len(ip.options) % 4:
+def _ipv4_lengths(options: bytes, payload_len: int) -> Tuple[int, int]:
+    """IHL and total length of an IPv4 header with ``options`` over
+    ``payload_len`` octets."""
+    if len(options) > MAX_IP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("IPv4 options must be 4-aligned and at most 40 octets")
-    total = MIN_IPV4_HEADER + len(ip.options) + payload_len
+    total = MIN_IPV4_HEADER + len(options) + payload_len
     if total > MAX_IPV4_TOTAL:
         raise Truncated("IPv4 total length %d exceeds 65535" % total)
-    return (MIN_IPV4_HEADER + len(ip.options)) // 4, total
+    return (MIN_IPV4_HEADER + len(options)) // 4, total
 
 
 def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes:
     ip = p.ipv4
-    ihl, total = _ipv4_lengths(ip, _ipv4_payload_len(p.transport, p.app_payload))
+    ihl, total = _ipv4_lengths(ip.options, _ipv4_payload_len(p.transport, p.app_payload))
     head = _IPV4.pack((4 << 4) | ihl, ip.tos, total, ip.identification, (ip.flags << 13) | ip.frag_offset, ip.ttl,
                       ip.protocol, ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip)
     return head + ip.options
@@ -519,7 +544,8 @@ def _over(p: ParsedPacket, transport: Optional[Transport], tos: int, identificat
     header checksum; None sums the checksum from the new fields."""
     ip = p.ipv4
     if checksum is None:
-        checksum = _ipv4_field_checksum(ip, tos, identification, _ipv4_payload_len(transport, p.app_payload))
+        checksum = _fold(_ipv4_sum(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.src_ip,
+                                   ip.dst_ip, ip.options, _ipv4_payload_len(transport, p.app_payload)))
     ipv4 = _new_ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
                      ip.dst_ip, ip.options)
     return _new_packet(p.link, ipv4, transport, p.app_payload, p.link_trailer)
@@ -537,7 +563,7 @@ def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     tcp = p.tcp
     if tcp is None or p.ipv4 is None:
         raise UnsupportedProtocol("packet has no TCP header")
-    checksum = _tcp_checksum(p.ipv4, tcp, seq, ack, tcp.options, p.app_payload)
+    checksum = _tcp_checksum(p.ipv4.src_ip, p.ipv4.dst_ip, tcp, seq, ack, tcp.options, p.app_payload)
     transport = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent,
                          tcp.options)
     return _new_packet(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
@@ -578,7 +604,7 @@ def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
     if len(options) > MAX_TCP_OPTIONS:
         raise OptionsOverflow("TCP options of %d octets exceed 40" % len(options))
     padded = options + bytes([TCP_OPT_NOP]) * (-len(options) % 4)
-    checksum = _tcp_checksum(ip, tcp, tcp.seq, tcp.ack, padded, p.app_payload)
+    checksum = _tcp_checksum(ip.src_ip, ip.dst_ip, tcp, tcp.seq, tcp.ack, padded, p.app_payload)
     tcp = _new_tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, checksum, tcp.urgent,
                    padded)
     return _over(p, tcp, ip.tos, ip.identification)
@@ -656,7 +682,15 @@ def build_icmp_echo(
 
 def _fresh(src_ip, dst_ip, src_mac, dst_mac, proto: int, tos: int, ttl: int, identification: int,
            transport: Transport, payload: bytes = b"") -> ParsedPacket:
+    """A new packet over ``transport`` (checksum field zero) with both
+    checksums filled: the transport's over the pseudo header, then the
+    IPv4 header's summed from its fields.  The IPv4 header and the
+    packet are built once, with their final values."""
+    src, dst = _coerce_ip(src_ip), _coerce_ip(dst_ip)
     link = _new_ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
+    transport = _with_checksum(transport, _transport_checksum(src, dst, transport, payload))
     # Flags 2: don't fragment, the common case.
-    ipv4 = _new_ipv4(tos, identification, 2, 0, ttl, proto, 0, _coerce_ip(src_ip), _coerce_ip(dst_ip), b"")
-    return fix_checksums(_new_packet(link, ipv4, transport, payload, b""))
+    checksum = _fold(_ipv4_sum(tos, identification, 2, 0, ttl, proto, src, dst, b"",
+                               _ipv4_payload_len(transport, payload)))
+    ipv4 = _new_ipv4(tos, identification, 2, 0, ttl, proto, checksum, src, dst, b"")
+    return _new_packet(link, ipv4, transport, payload, b"")

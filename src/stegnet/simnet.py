@@ -19,7 +19,17 @@ sorted adjacency map, one BFS per node for the next-hop tables (the
 runs from the gateways also keep the hop counts that decide which side
 of a gateway pair a host sits on, for client targets and secret
 registries), each node's address and MAC as an int and bytes, and each
-monitor's rules with their addresses resolved.  Packets are then handled without parsing strings.
+monitor's rules with their addresses resolved.  Packets are then
+handled without parsing strings.
+
+The per-hop contract: one hop is one heap event, ``(time, serial,
+function, arguments)``, that calls the receive function of the next
+node.  Each node's receive function is resolved at set-up with the
+node's kind, stats object and capture file, so a hop neither branches
+on the kind nor makes a closure.  The frame length travels with the
+event: routers and monitors forward the size they received, and only
+an origin (``send_from``) or a gateway that rebuilds the packet derives
+it again with ``wire_len``.
 
 A ``Simulation`` keeps counters and running digests, never a record
 per packet, and a transfer keeps only its own sends.
@@ -227,7 +237,7 @@ class _WorkloadClient:
                                    src_mac=src_mac, dst_mac=dst_mac)
         size = p.wire_len
         self.emitted_octets += size
-        sim.send_from(self.host, p)
+        sim.send_from(self.host, p, size)
         gap = -(-size * MICROS // self.spec.budget)
         sim._schedule(sim.now + gap, self.tick)
 
@@ -337,7 +347,7 @@ class _PacedTransfer:
                          src_mac=src_mac, dst_mac=dst_mac)
         self.send_times.append(self.sim.now)
         self.sim.send_from(self.src, p)
-        self.sim._schedule(self.sim.now + self.rto_us, lambda: self._timeout(index))
+        self.sim._schedule(self.sim.now + self.rto_us, self._timeout, index)
 
     def _timeout(self, index: int) -> None:
         if self.awaiting == index:
@@ -374,7 +384,7 @@ class Simulation:
         self.seed = seed
         self.covert = covert
         self.now = 0
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
+        self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
         self._serial = 0
 
         self.node_stats: Dict[str, NodeStats] = {n: NodeStats() for n in topology.nodes}
@@ -440,6 +450,10 @@ class Simulation:
         self._bulk_count: Dict[str, int] = {}
         self._bulk_by_port: Dict[Tuple[str, int], _BulkTransfer] = {}
         self._paced_by_src: Dict[str, _PacedTransfer] = {}
+        # What a packet arriving at each node runs: (packet, previous hop, frame length).
+        self._receivers: Dict[str, Callable[[pk.ParsedPacket, str, int], None]] = {
+            name: self._receiver(node) for name, node in topology.nodes.items()
+        }
         self._build_clients(pairs)
         if self.covert and base_config.encryption:
             for engine in self.gateways.values():
@@ -542,16 +556,17 @@ class Simulation:
         self._schedule(start_us, transfer.start)
         return transfer
 
-    def _schedule(self, t: int, fn: Callable[[], None]) -> None:
+    def _schedule(self, t: int, fn: Callable[..., None], *args) -> None:
         self._serial += 1
-        heapq.heappush(self._heap, (t, self._serial, fn))
+        heapq.heappush(self._heap, (t, self._serial, fn, args))
 
     def run(self, duration_us: int) -> None:
         horizon = self.now + duration_us
-        while self._heap and self._heap[0][0] <= horizon:
-            t, _, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            t, _, fn, args = heapq.heappop(heap)
             self.now = t
-            fn()
+            fn(*args)
         self.now = horizon
 
     def run_until(self, predicate: Callable[[], bool], max_us: int, step_us: int = 100_000) -> None:
@@ -573,12 +588,13 @@ class Simulation:
 
     # -- packet movement -----------------------------------------------------
 
-    def send_from(self, node: str, p: pk.ParsedPacket) -> None:
-        """Originate ``p`` at ``node`` and route it one hop."""
+    def send_from(self, node: str, p: pk.ParsedPacket, size: Optional[int] = None) -> None:
+        """Originate ``p`` at ``node`` and route it one hop; ``size`` is
+        its frame length when the caller already has it."""
         self.node_stats[node].sent += 1
-        self._route(node, p)
+        self._route(node, p, p.wire_len if size is None else size)
 
-    def _route(self, node: str, p: pk.ParsedPacket) -> None:
+    def _route(self, node: str, p: pk.ParsedPacket, size: int) -> None:
         if p.ipv4 is None:
             self.unroutable += 1
             return
@@ -592,37 +608,50 @@ class Simulation:
             self.unroutable += 1
             self.node_stats[node].dropped += 1
             return
-        pipe = self._pipes[(node, hop)]
-        arrival = pipe.transit(self.now, p.wire_len)
-        self._schedule(arrival, lambda: self._deliver(hop, p, node))
+        arrival = self._pipes[(node, hop)].transit(self.now, size)
+        self._schedule(arrival, self._receivers[hop], p, node, size)
 
-    def _capture(self, node: str, p: pk.ParsedPacket) -> None:
-        tf = self.captures.get(node)
-        if tf is not None:
-            tf.records.append(pk.RawPacket(pk.serialize_packet(p), capture_time_us=self.now))
+    def _receiver(self, node: topo_mod.NodeDef) -> Callable[[pk.ParsedPacket, str, int], None]:
+        """The function a packet arriving at ``node`` goes to, with the
+        node's kind, stats and capture file resolved here, once."""
+        name = node.name
+        stats = self.node_stats[name]
+        if node.kind == topo_mod.KIND_ROUTER:
+            route = self._route
 
-    def _deliver(self, node: str, p: pk.ParsedPacket, came_from: str) -> None:
-        self.node_stats[node].received += 1
-        self._capture(node, p)
-        kind = self.topology.nodes[node].kind
-        if kind == topo_mod.KIND_HOST:
-            self._host_receive(node, p)
-        elif kind == topo_mod.KIND_ROUTER:
-            self.node_stats[node].forwarded += 1
-            self._route(node, p)
-        elif kind == topo_mod.KIND_MONITOR:
-            self._monitor_receive(node, p, came_from)
-        elif kind == topo_mod.KIND_CGATEWAY:
-            self._gateway_receive(node, p, came_from)
+            def receive(p, came_from, size):
+                stats.received += 1
+                stats.forwarded += 1
+                route(name, p, size)
+        else:
+            handle = {
+                topo_mod.KIND_HOST: self._host_receive,
+                topo_mod.KIND_MONITOR: self._monitor_receive,
+                topo_mod.KIND_CGATEWAY: self._gateway_receive,
+            }[node.kind]
+
+            def receive(p, came_from, size):
+                stats.received += 1
+                handle(name, p, came_from, size)
+        capture = self.captures.get(name)
+        if capture is None:
+            return receive
+        uncaptured, records = receive, capture.records
+
+        def receive(p, came_from, size):
+            records.append(pk.RawPacket(pk.serialize_packet(p), capture_time_us=self.now))
+            uncaptured(p, came_from, size)
+        return receive
 
     # -- hosts -----------------------------------------------------------------
 
-    def _host_receive(self, node: str, p: pk.ParsedPacket) -> None:
+    def _host_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
         if p.ipv4 is None or p.ipv4.dst_ip != self._node_ip[node]:
             self.node_stats[node].dropped += 1
             return
-        if p.tcp is not None and p.tcp.dst_port == SECRET_PORT and p.app_payload:
-            sport = p.tcp.src_port
+        tcp = p.tcp
+        if tcp is not None and tcp.dst_port == SECRET_PORT and p.app_payload:
+            sport = tcp.src_port
             # A gateway lending its address also remapped the port.
             nat = self._phys_nat.get(self._ip_to_node.get(p.ipv4.src_ip))
             if nat and (pk.PROTO_TCP, sport) in nat:
@@ -633,62 +662,63 @@ class Simulation:
                 transfer.delivered_packets += 1
                 transfer.delivered_parts.append(p.app_payload)
                 transfer.finished_us = self.now
-        reply = self._respond(node, p)
+        reply = self._respond(node, p, tcp)
         if reply is not None:
             self.send_from(node, reply)
 
-    def _respond(self, node: str, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
+    def _respond(self, node: str, p: pk.ParsedPacket, tcp: Optional[pk.Tcp]) -> Optional[pk.ParsedPacket]:
         """Stateless service behavior: the reply is a pure function of
-        the request, so reruns with one seed are bit-identical."""
+        the request (``tcp`` is its TCP header or None), so reruns with
+        one seed are bit-identical."""
         src_name = self._ip_to_node.get(p.ipv4.src_ip)
         my_mac = self._node_mac[node]
         dst_mac = self._node_mac[src_name] if src_name else p.link.src_mac
         src_ip = p.ipv4.dst_ip
         dst_ip = p.ipv4.src_ip
+        if tcp is not None:
+            flags = tcp.flags
+            if flags & pk.TCP_SYN and not flags & pk.TCP_ACK:
+                isn = _safe_isn(node, p.ipv4.src_ip, tcp.src_port, tcp.seq)
+                return pk.build_tcp(
+                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
+                    seq=isn, ack=(tcp.seq + 1) & 0xFFFFFFFF,
+                    flags=pk.TCP_SYN | pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
+                )
+            if flags & pk.TCP_SYN and flags & pk.TCP_ACK:
+                return pk.build_tcp(
+                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
+                    seq=tcp.ack, ack=(tcp.seq + 1) & 0xFFFFFFFF,
+                    flags=pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
+                )
+            if p.app_payload and tcp.dst_port == SECRET_PORT:
+                ack_value = (tcp.seq + len(p.app_payload)) & 0xFFFFFFFF
+                return pk.build_tcp(
+                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
+                    seq=tcp.ack, ack=ack_value, flags=pk.TCP_ACK,
+                    src_mac=my_mac, dst_mac=dst_mac,
+                )
+            if p.app_payload and tcp.dst_port in SERVICE_PORTS.values():
+                size = 100 + (tcp.seq % 400)
+                body = hashlib.sha256(p.app_payload[:32] + tcp.seq.to_bytes(4, "big")).digest()
+                payload = (body * (size // len(body) + 1))[:size]
+                return pk.build_tcp(
+                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
+                    seq=tcp.ack, ack=(tcp.seq + len(p.app_payload)) & 0xFFFFFFFF,
+                    flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
+                    src_mac=my_mac, dst_mac=dst_mac,
+                )
+            if flags & pk.TCP_ACK and not p.app_payload and tcp.src_port == SECRET_PORT:
+                transfer = self._paced_by_src.get(node)
+                if transfer is not None:
+                    transfer.on_ack(tcp.ack)
+                return None
+            return None
         if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
             return pk.build_icmp_echo(
                 src_ip, dst_ip, icmp_type=pk.ICMP_ECHO_REPLY,
                 identifier=p.icmp.identifier, sequence=p.icmp.sequence,
                 payload=p.icmp.payload, src_mac=my_mac, dst_mac=dst_mac,
             )
-        if p.tcp is not None:
-            flags = p.tcp.flags
-            if flags & pk.TCP_SYN and not flags & pk.TCP_ACK:
-                isn = _safe_isn(node, p.ipv4.src_ip, p.tcp.src_port, p.tcp.seq)
-                return pk.build_tcp(
-                    src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
-                    seq=isn, ack=(p.tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_SYN | pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if flags & pk.TCP_SYN and flags & pk.TCP_ACK:
-                return pk.build_tcp(
-                    src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
-                    seq=p.tcp.ack, ack=(p.tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if p.app_payload and p.tcp.dst_port == SECRET_PORT:
-                ack_value = (p.tcp.seq + len(p.app_payload)) & 0xFFFFFFFF
-                return pk.build_tcp(
-                    src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
-                    seq=p.tcp.ack, ack=ack_value, flags=pk.TCP_ACK,
-                    src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if p.app_payload and p.tcp.dst_port in SERVICE_PORTS.values():
-                size = 100 + (p.tcp.seq % 400)
-                body = hashlib.sha256(p.app_payload[:32] + p.tcp.seq.to_bytes(4, "big")).digest()
-                payload = (body * (size // len(body) + 1))[:size]
-                return pk.build_tcp(
-                    src_ip, dst_ip, p.tcp.dst_port, p.tcp.src_port,
-                    seq=p.tcp.ack, ack=(p.tcp.seq + len(p.app_payload)) & 0xFFFFFFFF,
-                    flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                    src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if flags & pk.TCP_ACK and not p.app_payload and p.tcp.src_port == SECRET_PORT:
-                transfer = self._paced_by_src.get(node)
-                if transfer is not None:
-                    transfer.on_ack(p.tcp.ack)
-                return None
-            return None
         if p.udp is not None and p.udp.dst_port == UDP_SERVICE_PORT:
             body = hashlib.sha256(bytes(p.app_payload[:16]) + b"udp").digest()
             return pk.build_udp(
@@ -699,7 +729,7 @@ class Simulation:
 
     # -- monitors ----------------------------------------------------------------
 
-    def _monitor_receive(self, node: str, p: pk.ParsedPacket, came_from: str) -> None:
+    def _monitor_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
         stats = self.monitor_stats[node]
         stats.seen += 1
         spec = self.topology.nodes[node]
@@ -736,7 +766,7 @@ class Simulation:
             self.node_stats[node].dropped += 1
             return
         self.node_stats[node].forwarded += 1
-        self._route(node, p)
+        self._route(node, p, size)
 
     def _nat_permits(self, node: str, spec, p: pk.ParsedPacket, came_from: str) -> bool:
         """Flow-tracking address translation: outbound traffic opens a
@@ -757,21 +787,22 @@ class Simulation:
 
     # -- covert gateways ----------------------------------------------------------
 
-    def _gateway_receive(self, node: str, p: pk.ParsedPacket, came_from: str) -> None:
+    def _gateway_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
         engine = self.gateways.get(node)
         if engine is None or not self.covert:
-            self.node_stats[node].forwarded += 1
-            if engine is not None:
-                p = engine.adjust_flow(p)
-            self._route(node, p)
-            return
-        outside = self._gateway_side[node]
-        if came_from == outside:
-            self._gateway_from_peer(node, engine, p)
+            forwarded = p if engine is None else engine.adjust_flow(p)
+        elif came_from == self._gateway_side[node]:
+            forwarded = self._gateway_from_peer(node, engine, p)
         else:
-            self._gateway_toward_peer(node, engine, p)
+            forwarded = self._gateway_toward_peer(node, engine, p)
+        if forwarded is None:
+            return
+        self.node_stats[node].forwarded += 1
+        # A rebuilt packet may have a new length; an untouched one keeps its own.
+        self._route(node, forwarded, size if forwarded is p else forwarded.wire_len)
 
-    def _gateway_from_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> None:
+    def _gateway_from_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
+        """The packet to forward once ``p`` is extracted, or None."""
         try:
             forwarded, secrets, _ = engine.extract(p)
         except DesyncError as exc:
@@ -782,20 +813,17 @@ class Simulation:
             self._deliver_secret(node, blob)
         me = self.topology.nodes[node]
         if me.nat and forwarded.ipv4 is not None and forwarded.ipv4.dst_ip == self._node_ip[node]:
-            unmapped = self._phys_nat_in(node, forwarded)
-            if unmapped is not None:
-                self.node_stats[node].forwarded += 1
-                self._route(node, unmapped)
-            return
-        self.node_stats[node].forwarded += 1
-        self._route(node, forwarded)
+            return self._phys_nat_in(node, forwarded)
+        return forwarded
 
-    def _gateway_toward_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> None:
+    def _gateway_toward_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
+        """The packet to forward once ``p`` is fused, or None when it
+        joins the secret queue instead."""
         registry = self._secret_registry[node]
         me = self.topology.nodes[node]
         if p.ipv4 is not None and p.ipv4.dst_ip in registry:
             engine.enqueue_secret(pk.serialize_packet(p))
-            return
+            return None
         if me.nat and p.ipv4 is not None and p.ipv4.src_ip in self._secret_ips:
             p = self._phys_nat_out(node, p)
         p = engine.adjust_flow(p)
@@ -805,8 +833,7 @@ class Simulation:
         via = self._next_hop[node].get(dest) if dest is not None else None
         if via == self._gateway_side[node]:
             p, _ = engine.fuse(p)
-        self.node_stats[node].forwarded += 1
-        self._route(node, p)
+        return p
 
     def _deliver_secret(self, node: str, blob: bytes) -> None:
         self.secret_chain.update(hashlib.sha256(blob).digest())
@@ -816,7 +843,7 @@ class Simulation:
             return
         if inner.ipv4 is None:
             return
-        self._route(node, inner)
+        self._route(node, inner, inner.wire_len)
 
     # physical address translation at a gateway: secret flows leave with
     # the gateway's own address and a remapped source port.

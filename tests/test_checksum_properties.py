@@ -82,6 +82,35 @@ def test_with_ipv4_matches_packed_header(p, tos, identification):
     assert stored.ipv4.options == p.ipv4.options and stored.transport == p.transport
 
 
+@settings(max_examples=300, deadline=None)
+@given(packets(), st.sampled_from(("random", "fixed", "other zero")))
+def test_validate_agrees_with_the_packed_header(p, stored):
+    """``validate_ipv4_checksum`` sums the fields with the stored word;
+    the reference sums the packed header.  Where the computed checksum
+    is 0x0000, a stored 0xFFFF (the other one's-complement zero) is
+    valid under both."""
+    if stored != "random":
+        p = pk.fix_ipv4_checksum(p)
+        if stored == "other zero":
+            value = p.ipv4.header_checksum
+            if value in (0x0000, 0xFFFF):
+                value ^= 0xFFFF
+            p = pk.with_ipv4(p, p.ipv4.tos, p.ipv4.identification, value)
+    assert pk.validate_ipv4_checksum(p) == (pk.checksum16(pk._ipv4_header_bytes(p)) == 0)
+
+
+def test_validate_accepts_both_zeros():
+    # 0x4500 (version, IHL) + 20 (total length) + 0xBAEB = 0xFFFF: the
+    # computed checksum is 0x0000, and a stored 0xFFFF completes the sum too.
+    p = pk.ParsedPacket(LINK, pk.Ipv4(0, 0xBAEB, 0, 0, 0, 0, 0, 0, 0), None, b"")
+    assert pk.fix_ipv4_checksum(p).ipv4.header_checksum == 0x0000
+    for stored in (0x0000, 0xFFFF):
+        q = pk.with_ipv4(p, 0, 0xBAEB, stored)
+        assert pk.validate_ipv4_checksum(q)
+        assert pk.checksum16(pk._ipv4_header_bytes(q)) == 0
+    assert not pk.validate_ipv4_checksum(pk.with_ipv4(p, 0, 0xBAEB, 0x0001))
+
+
 bad_options = st.one_of(
     st.integers(1, pk.MAX_IP_OPTIONS).filter(lambda n: n % 4).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
     st.just(b"\x01" * 44),
@@ -128,7 +157,8 @@ def carriers(draw):
 @given(carriers(), u16)
 def test_exclusion_marker_recomputes_a_wrong_checksum(p, wrong):
     good = p.ipv4.header_checksum
-    if wrong == good:
+    # Where the checksum is 0x0000, 0xFFFF (the other zero) is right too.
+    if wrong in (good, good or 0xFFFF):
         wrong ^= 1
     damaged = pk.with_ipv4(p, p.ipv4.tos, p.ipv4.identification, wrong)
     assert not pk.validate_ipv4_checksum(damaged)

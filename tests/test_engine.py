@@ -504,3 +504,22 @@ def test_gateway_nat_path_calls_no_dataclass_replace():
     # Replies to the translated workload came back through the table.
     assert sim.node_stats["secret_a"].received > 0
     assert calls[0] == 0
+
+
+def test_simulator_derives_the_frame_length_only_where_a_packet_is_made():
+    """The frame length rides with each hop's event: routers and
+    monitors forward the size they received, so ``wire_len`` runs only
+    for a packet sent from a host, forwarded by a gateway or delivered
+    out of the covert stream."""
+    topology = line_topology(visible_users=4)
+    sim = Simulation(topology, engine_config=EngineConfig(enabled_handlers=(1, 2), seed=5), seed=5)
+    transfer = sim.add_bulk_transfer("secret_b", "secret_a", 8192)
+    with _calls(pk.ParsedPacket.wire_len.fget) as calls:
+        sim.run(5 * MICROS)
+    assert transfer.delivered_octets == 8192
+    sent = sum(stats.sent for stats in sim.node_stats.values())
+    gateway_forwarded = sum(sim.node_stats[name].forwarded for name in sim.gateways)
+    secrets = sum(engine.counters["secret_packets_delivered"] for engine in sim.gateways.values())
+    hops = sum(stats.received for stats in sim.node_stats.values())
+    # Far fewer than one per hop: the routers and the monitor add none.
+    assert calls[0] <= sent + gateway_forwarded + secrets < hops

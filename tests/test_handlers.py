@@ -218,9 +218,17 @@ def test_integer_field_keeps_unwritten_octets(hid, carrier):
     p = spec.writer(carrier(), bytes(range(0xA1, 0xA1 + width)))
     old = spec.reader(p)
     assert len(old) == width
-    with pytest.raises(ValueError):
-        spec.writer(p, b"\x5a" * (width + 1))
     assert spec.reader(spec.writer(p, b"\x5a")) == b"\x5a" + old[1:]
+
+
+@pytest.mark.parametrize("hid, carrier", [(1, _tcp), (2, _icmp), (3, _tcp), (4, _udp), (5, _syn)])
+def test_oversize_segment_raises_value_error(hid, carrier):
+    """Every stock writer refuses a segment one octet longer than its
+    region with the same exception, whatever the layer below raises."""
+    spec = hd.build_registry(enabled=(hid,)).get(hid)
+    p = carrier()
+    with pytest.raises(ValueError, match="at most|exceeds"):
+        spec.writer(p, b"\x5a" * (spec.capacity(p) + 1))
 
 
 def _count_self_tests(monkeypatch):

@@ -33,9 +33,18 @@ def test_checksum_all_zero():
 
 def test_checksum_matches_oracle():
     rng = random.Random(0x5EED)
-    for _ in range(2000):
-        data = rng.randbytes(rng.randrange(0, 120))
-        assert pk.checksum16(data) == checksum_oracle(data)
+    for size in range(0, 1601):
+        data = rng.randbytes(size)
+        assert pk.checksum16(data) == checksum_oracle(data), size
+    # Edges of the one-remainder sum: no data, the zero word at every
+    # parity, all ones, and non-zero data whose sum is 0 modulo 0xFFFF.
+    edges = [b"", b"\xff\xff", b"\x12\x34\xed\xcb", b"\x00\x01\xff\xfe", b"\xff\xff" * 700]
+    for size in (1, 2, 3, 20, 1499, 1500, 1600):
+        edges += [b"\x00" * size, b"\xff" * size]
+    for data in edges:
+        assert pk.checksum16(data) == checksum_oracle(data), data[:4]
+    assert pk.checksum16(b"") == 0xFFFF
+    assert pk.checksum16(b"\xff\xff") == pk.checksum16(b"\x12\x34\xed\xcb") == 0
 
 
 def test_checksum_verification_identity():

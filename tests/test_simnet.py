@@ -340,16 +340,17 @@ def test_sequential_bulk_transfers_to_one_host_stay_apart():
 
 def test_a_lost_packet_stalls_only_its_own_transfer():
     sim = _sim(seed=3, visible_users=4)
-    receive = sim._host_receive
+    # Every hop into secret_a goes through its receive function.
+    receive = sim._receivers["secret_a"]
     lost = []
 
-    def lossy(node, p):
+    def lossy(p, came_from, size):
         if not lost and p.tcp is not None and p.tcp.dst_port == SECRET_PORT and p.app_payload:
             lost.append(p)
             return
-        receive(node, p)
+        receive(p, came_from, size)
 
-    sim._host_receive = lossy
+    sim._receivers["secret_a"] = lossy
     stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
     sim.run(30 * MICROS)
     assert lost and stalled.delivered_octets == 4096 - 512
