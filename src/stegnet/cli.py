@@ -7,9 +7,10 @@ Four tools share one executable:
     fuse-trace     embed a payload into the carriers of a capture file
     extract-trace  recover the payload from a fused capture file
 
-Exit codes: 0 success, 2 bad workload or engine configuration, 3 bad
-topology, 4 unknown handler id, 5 the carrier trace cannot hold the
-payload.  argparse usage errors also exit 2.
+Exit codes: 0 success; 2 bad workload or engine configuration, an
+unreadable payload or capture, a capture that is not Ethernet, or an
+unwritable output; 3 bad topology; 4 unknown handler id; 5 the carrier
+trace cannot hold the payload.  argparse usage errors also exit 2.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import math
 import os
 import random
 import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from . import packet as pk
 from . import trace as tr
 from .calibration import CalibrationPlan, calibrate_handler
-from .engine import CovertGateway, DesyncError, EngineConfig, _child_seed
+from .engine import CovertGateway, EngineConfig, _child_seed
 from .handlers import STOCK_IDS, UnknownHandler, build_registry
-from .report import SessionReport, _write_atomic, render_report, write_report
+from .report import SessionReport, _write_atomic, render_report
 from .scenarios import calibration_report, simulation_runner
 from .simnet import MICROS, Simulation, parse_workload
 from .topology import ConfigError, Topology, load_topology, parse_bool, parse_float, parse_int, read_sections
@@ -173,9 +174,28 @@ def _seeded_payload(size: int, seed: int) -> bytes:
     return random.Random(_child_seed("cli-payload", seed)).randbytes(size)
 
 
+def _write(path: str, data: bytes) -> None:
+    """Atomically replace ``path``; a failure exits 2."""
+    try:
+        _write_atomic(path, data)
+    except OSError as exc:
+        raise CliError(EXIT_CONFIG, "cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def _read_capture(path: str) -> tr.TraceFile:
+    """An Ethernet capture; anything else exits 2."""
+    try:
+        capture = tr.read_trace(path)
+    except (OSError, tr.TraceError) as exc:
+        raise CliError(EXIT_CONFIG, "cannot read trace: %s" % exc) from None
+    if capture.link_type != tr.LINKTYPE_ETHERNET:
+        raise CliError(EXIT_CONFIG, "cannot read trace: link type %d is not Ethernet" % capture.link_type)
+    return capture
+
+
 def _emit_report(report: SessionReport, out: Optional[str]) -> None:
     if out:
-        write_report(report, out)
+        _write(out, render_report(report).encode("utf-8"))
         print("report written to %s" % out)
     else:
         sys.stdout.write(render_report(report))
@@ -277,8 +297,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     print("handler %d carrier cost %.6f over %d runs"
           % (result.handler_id, result.cost, result.run_count))
     if args.out:
-        write_report(calibration_report(result), args.out)
-        print("report written to %s" % args.out)
+        _emit_report(calibration_report(result), args.out)
     return 0
 
 
@@ -293,42 +312,25 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
     gateway = _trace_gateway(args)
     if args.payload_file:
         try:
-            payload = open(args.payload_file, "rb").read()
+            payload = Path(args.payload_file).read_bytes()
         except OSError as exc:
             raise CliError(EXIT_CONFIG, "cannot read payload: %s" % exc)
     else:
         payload = _seeded_payload(args.payload, gateway.config.seed)
     if not payload:
         raise CliError(EXIT_CONFIG, "payload is empty")
-    try:
-        source = tr.read_trace(args.infile)
-    except (OSError, tr.TraceError) as exc:
-        raise CliError(EXIT_CONFIG, "cannot read trace: %s" % exc)
+    source = _read_capture(args.infile)
 
     gateway.enqueue_payload(payload)
-    fused: List[pk.RawPacket] = []
-    carrying = excluded = unparsed = 0
-    for record in source.records:
-        try:
-            carrier = pk.parse_packet(record.data)
-        except pk.PacketError:
-            unparsed += 1
-            fused.append(record)
-            continue
-        carrier, stats = gateway.fuse(carrier)
-        if stats.excluded:
-            excluded += 1
-        elif stats.modified:
-            carrying += 1
-        fused.append(pk.RawPacket(pk.serialize_packet(carrier), record.capture_time_us))
+    fused, tally = tr.fuse_records(gateway, source.records)
     leftover = gateway.pending_octets
     if leftover or not gateway.idle:
         raise CliError(EXIT_CAPACITY, "trace lacks capacity: %d payload octets left over" % leftover)
-    tr.write_trace(tr.TraceFile(records=fused, link_type=source.link_type), args.out)
+    _write(args.out, tr.write_trace(tr.TraceFile(records=fused, link_type=source.link_type)))
     counters = gateway.counters
-    print("fused %d of %d carriers, stamped %d idle matches excluded"
-          % (carrying, len(source.records), excluded))
-    _note_unparsed(unparsed)
+    print("fused %d of %d carriers, excluded %d"
+          % (counters["carriers_modified"], len(source.records), counters["carriers_excluded"]))
+    _note_unparsed(tally.unparsed)
     print("payload octets %d  sha256 %s"
           % (len(payload), hashlib.sha256(payload).hexdigest()))
     print("sync octets %d  data octets %d"
@@ -339,44 +341,20 @@ def _cmd_fuse_trace(args: argparse.Namespace) -> int:
 
 def _cmd_extract_trace(args: argparse.Namespace) -> int:
     gateway = _trace_gateway(args)
-    try:
-        source = tr.read_trace(args.infile)
-    except (OSError, tr.TraceError) as exc:
-        raise CliError(EXIT_CONFIG, "cannot read trace: %s" % exc)
-    chunks: List[bytes] = []
-    repaired_records: List[pk.RawPacket] = []
-    matched = desyncs = unparsed = 0
-    for record in source.records:
-        try:
-            carrier = pk.parse_packet(record.data)
-        except pk.PacketError:
-            unparsed += 1
-            repaired_records.append(record)
-            continue
-        try:
-            repaired, packets, stats = gateway.extract(carrier)
-        except DesyncError as exc:
-            desyncs += 1
-            repaired = exc.forwarded
-            packets = []
-            stats = None
-        if stats is not None and stats.matched:
-            matched += 1
-        chunks.extend(packets)
-        repaired_records.append(pk.RawPacket(pk.serialize_packet(repaired), record.capture_time_us))
-    payload = b"".join(chunks)
-    print("matched %d of %d carriers" % (matched, len(source.records)))
-    _note_unparsed(unparsed)
-    if desyncs:
-        print("desyncs %d" % desyncs, file=sys.stderr)
+    source = _read_capture(args.infile)
+    repaired, tally = tr.extract_records(gateway, source.records)
+    payload = b"".join(tally.chunks)
+    print("matched %d of %d carriers" % (tally.matched, len(source.records)))
+    _note_unparsed(tally.unparsed)
+    if tally.desyncs:
+        print("desyncs %d" % tally.desyncs, file=sys.stderr)
     print("recovered %d octets in %d chunks  sha256 %s"
-          % (len(payload), len(chunks), hashlib.sha256(payload).hexdigest()))
+          % (len(payload), len(tally.chunks), hashlib.sha256(payload).hexdigest()))
     if args.out:
-        _write_atomic(args.out, payload)
+        _write(args.out, payload)
         print("payload written to %s" % args.out)
     if args.trace_out:
-        tr.write_trace(tr.TraceFile(records=repaired_records,
-                                    link_type=source.link_type), args.trace_out)
+        _write(args.trace_out, tr.write_trace(tr.TraceFile(records=repaired, link_type=source.link_type)))
         print("repaired trace written to %s" % args.trace_out)
     return 0
 

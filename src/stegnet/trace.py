@@ -1,4 +1,5 @@
-"""Classic pcap trace reading and writing.
+"""Classic pcap trace reading and writing, and the offline gateway
+passes over a capture's records.
 
 Covers the original little-endian capture format only: magic
 0xa1b2c3d4, version 2.4, microsecond timestamps.  Synthetic records are
@@ -13,8 +14,12 @@ import random
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
+# The passes call parse_packet and serialize_packet through the module,
+# so a wrapper put on either name later sees their calls.
+from . import packet as pk
+from .engine import CovertGateway, DesyncError
 from .packet import RawPacket, build_icmp_echo, build_tcp, build_udp, serialize_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -128,3 +133,54 @@ def synthesize_mixed_trace(count: int, seed: int = 0, *, start_us: int = 0, gap_
         trace.records.append(RawPacket(data=serialize_packet(p), capture_time_us=t))
         t += gap_us
     return trace
+
+
+@dataclass
+class PassTally:
+    """What a pass saw beyond the gateway's counters; ``matched``,
+    ``desyncs`` and the recovered ``chunks``, in order, are extract's."""
+
+    unparsed: int = 0
+    matched: int = 0
+    desyncs: int = 0
+    chunks: List[bytes] = field(default_factory=list)
+
+
+def _each_carrier(records: Sequence[RawPacket],
+                  step: Callable[[pk.ParsedPacket, PassTally], pk.ParsedPacket]) -> Tuple[List[RawPacket], PassTally]:
+    """One record out per record in; a frame that does not parse is
+    copied unchanged and counted."""
+    tally = PassTally()
+    out: List[RawPacket] = []
+    for record in records:
+        try:
+            carrier = pk.parse_packet(record.data)
+        except pk.PacketError:
+            tally.unparsed += 1
+            out.append(record)
+            continue
+        out.append(RawPacket(pk.serialize_packet(step(carrier, tally)), record.capture_time_us))
+    return out, tally
+
+
+def fuse_records(gateway: CovertGateway, records: Sequence[RawPacket]) -> Tuple[List[RawPacket], PassTally]:
+    """The records fused by ``gateway``, whose counters say what was
+    fused and excluded."""
+    return _each_carrier(records, lambda carrier, tally: gateway.fuse(carrier)[0])
+
+
+def extract_records(gateway: CovertGateway, records: Sequence[RawPacket]) -> Tuple[List[RawPacket], PassTally]:
+    """The records as ``gateway`` forwards them after extraction; a
+    ``DesyncError``'s carrier is forwarded and the error counted."""
+
+    def step(carrier: pk.ParsedPacket, tally: PassTally) -> pk.ParsedPacket:
+        try:
+            repaired, chunks, stats = gateway.extract(carrier)
+        except DesyncError as exc:
+            tally.desyncs += 1
+            return exc.forwarded
+        tally.matched += stats.matched
+        tally.chunks.extend(chunks)
+        return repaired
+
+    return _each_carrier(records, step)

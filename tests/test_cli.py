@@ -1,6 +1,8 @@
 """Command line front end: exit codes, reports, trace round trips."""
 
+import gc
 import hashlib
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
@@ -9,7 +11,7 @@ import pytest
 from stegnet import packet as pk
 from stegnet import trace as tr
 from stegnet.cli import _engine_config_from_args, _seeded_payload, build_parser, main
-from stegnet.engine import EngineConfig
+from stegnet.engine import CovertGateway, EngineConfig
 from stegnet.report import parse_report
 from stegnet.simnet import WorkloadSpec, parse_workload
 
@@ -264,6 +266,11 @@ def test_fuse_then_extract_round_trip(tmp_path, capsys):
     assert rc == 0
     fuse_out = capsys.readouterr().out
     expected = _seeded_payload(256, 5)
+    gateway = CovertGateway("trace", "peer", config=EngineConfig(seed=5))
+    gateway.enqueue_payload(expected)
+    tr.fuse_records(gateway, tr.read_trace(trace).records)
+    assert "fused %d of 40 carriers, excluded %d\n" % (
+        gateway.counters["carriers_modified"], gateway.counters["carriers_excluded"]) in fuse_out
     assert hashlib.sha256(expected).hexdigest() in fuse_out
 
     repaired = tmp_path / "repaired.pcap"
@@ -309,9 +316,13 @@ def test_fuse_payload_file(tmp_path, capsys):
     blob = tmp_path / "blob.bin"
     blob.write_bytes(b"covert cargo " * 10)
     fused = tmp_path / "fused.pcap"
-    rc = main(["fuse-trace", "--in", trace, "--out", str(fused),
-               "--payload-file", str(blob)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc = main(["fuse-trace", "--in", trace, "--out", str(fused),
+                   "--payload-file", str(blob)])
+        gc.collect()
     assert rc == 0
+    assert [w.message for w in caught if w.category is ResourceWarning] == []
     out = tmp_path / "back.bin"
     assert main(["extract-trace", "--in", str(fused), "--out", str(out)]) == 0
     assert out.read_bytes() == blob.read_bytes()
@@ -322,6 +333,42 @@ def test_fuse_trace_without_capacity_exits_5(tmp_path):
     rc = main(["fuse-trace", "--in", trace, "--out", str(tmp_path / "f.pcap"),
                "--payload", "500"])
     assert rc == 5
+
+
+@pytest.mark.parametrize("command", ["fuse-trace", "extract-trace"])
+def test_trace_commands_refuse_non_ethernet_captures(command, tmp_path, capsys):
+    # A raw-IPv4 (link type 101) copy of a capture: the same frames
+    # without their Ethernet headers.
+    capture = tr.synthesize_mixed_trace(300, seed=1)
+    records = [pk.RawPacket(r.data[pk.ETHER_SIZE:], r.capture_time_us) for r in capture.records]
+    raw = tmp_path / "raw.pcap"
+    tr.write_trace(tr.TraceFile(records=records, link_type=101), raw)
+    out = tmp_path / "out"
+    assert main([command, "--in", str(raw), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cannot read trace: link type 101 is not Ethernet\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--out"),
+    ("calibrate", "--out"),
+    ("fuse-trace", "--out"),
+    ("extract-trace", "--out"),
+    ("extract-trace", "--trace-out"),
+])
+def test_unwritable_output_exits_2(command, flag, topo_file, tmp_path, capsys):
+    trace = _carrier_trace(tmp_path / "carriers.pcap")
+    inputs = {
+        "simulate": ["--topology", topo_file, "--payload", "0", "--duration", "0.5"],
+        "calibrate": ["--handler", "2", "--sessions", "1", "--levels", "4000",
+                      "--payload", "100", "--max-virtual-s", "5"],
+        "fuse-trace": ["--in", trace],
+        "extract-trace": ["--in", trace],
+    }
+    missing = tmp_path / "missing" / "out"
+    assert main([command, flag, str(missing)] + inputs[command]) == 2
+    assert "error: cannot write %s: No such file or directory\n" % missing in capsys.readouterr().err
+    assert not missing.parent.exists()
 
 
 def test_extract_on_unfused_trace_recovers_nothing(tmp_path, capsys):

@@ -460,13 +460,10 @@ def _carrier_pass(*functions):
     tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
     payload = random.Random(17).randbytes(15 * 2000)
     tx.enqueue_payload(payload)
-    delivered = []
     with _calls(*functions) as calls:
-        for record in capture.records:
-            fused, _ = tx.fuse(pk.parse_packet(record.data))
-            _, secrets, _ = rx.extract(pk.parse_packet(pk.serialize_packet(fused)))
-            delivered.extend(secrets)
-    assert b"".join(delivered) == payload
+        fused, _ = tr.fuse_records(tx, capture.records)
+        _, tally = tr.extract_records(rx, fused)
+    assert b"".join(tally.chunks) == payload
     # Both the segment writers and the exclusion marker ran under the hook.
     assert tx.counters["carriers_excluded"] > 0
     assert tx.counters["carriers_modified"] > 0

@@ -69,17 +69,9 @@ def _fuse_and_repair(config_a, config_b, payload):
     rx = CovertGateway("b", "a", config=config_b)
     tx.enqueue_payload(payload)
 
-    source = tr.synthesize_mixed_trace(TRACE_RECORDS, seed=3)
-    fused, repaired, got = [], [], []
-    for record in source.records:
-        carrier, _ = tx.fuse(pk.parse_packet(record.data))
-        wire_bytes = pk.serialize_packet(carrier)
-        fused.append(pk.RawPacket(wire_bytes, record.capture_time_us))
-        back, secrets, _ = rx.extract(pk.parse_packet(wire_bytes))
-        repaired.append(pk.RawPacket(pk.serialize_packet(back), record.capture_time_us))
-        got.extend(secrets)
-
-    assert tx.idle and b"".join(got) == payload
+    fused, _ = tr.fuse_records(tx, tr.synthesize_mixed_trace(TRACE_RECORDS, seed=3).records)
+    repaired, tally = tr.extract_records(rx, fused)
+    assert tx.idle and b"".join(tally.chunks) == payload
     return (tr.write_trace(tr.TraceFile(records=fused)),
             tr.write_trace(tr.TraceFile(records=repaired)))
 
