@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -44,6 +45,27 @@ def test_keypair_deterministic():
     assert small == again
     other = cr.generate_keypair(8, bits=512)
     assert other != small
+
+
+KEY_DIGESTS = {
+    (101, 2048): "f35077ca59311682141646b322dce735314f011084c354f04c9c92b94575e705",
+    (202, 2048): "fe28f1d46ef8935c2dea0ebf82911f3310db42392554637e57558f23a2f1a494",
+    (7, 512): "923f135d91d1969ecc65b1dcc45e723708a40bb9cff8cf2716ac189da18739b2",
+    (8, 512): "77e59176f7c0879b5ae229ffcf3157fadadd6fa9f4da1cd2686467c72e5e8354",
+    (11, 512): "20d2c08fbfdc03d1df5481b0fe5cb1e1ca8067303c030102bdcd417270719cde",
+    (13, 512): "7748d231422d0f642f404528bbc70755be5999e02ac092c3582fd59fb36e15c7",
+}
+
+
+def test_keys_are_pinned():
+    # sha256 over "n:d" in decimal: the prime search must keep every key bit-identical.
+    def digest(pair):
+        return hashlib.sha256(b"%d:%d" % (pair.public.n, pair.d)).hexdigest()
+
+    assert digest(PAIR_A) == KEY_DIGESTS[(101, 2048)]
+    assert digest(PAIR_B) == KEY_DIGESTS[(202, 2048)]
+    for (seed, bits), expected in KEY_DIGESTS.items():
+        assert digest(cr.generate_keypair(seed, bits=bits)) == expected, (seed, bits)
 
 
 def test_rsa_round_trip_and_determinism():
