@@ -10,6 +10,15 @@ Design constraints drive some unusual choices here:
   runs through the Chinese remainder theorem (CRT).  This trades away
   semantic security, which is acceptable for a research artifact whose
   adversary model is a rule-based traffic monitor.
+* Keys are pinned by their seed, so the prime search may get faster
+  but must never change what it draws.  A candidate that survives
+  trial division by the primes up to 251 takes one gcd with the
+  product of the primes in (251, 2^16].  Each Miller-Rabin round
+  still draws its base as before; when the gcd is a proper divisor m
+  of n, the base is first tried modulo m.  A strong liar for n is a
+  strong liar for every divisor of n, so a base that fails modulo m
+  fails modulo n in the same round: the search returns the same
+  verdict after the same draws, only without the 1024-bit power.
 * Symmetric encryption is AES-256 in CBC mode, keyed by the SHA-256 of
   a 16-octet negotiated secret.  Ciphertext must be exactly as long as
   plaintext so capacity accounting is identical with and without
@@ -24,7 +33,9 @@ always plaintext on the wire.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -116,6 +127,30 @@ class RsaKeyPair:
         return m_q + self.q * (self.qinv * (m_p - m_q) % self.p)
 
 
+@functools.cache
+def _screen() -> int:
+    """Product of the primes in (251, 2^16], built on first use."""
+    limit = 1 << 16
+    sieve = bytearray([1]) * (limit + 1)
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return math.prod(i for i in range(_SMALL_PRIMES[-1] + 1, limit + 1) if sieve[i])
+
+
+def _strong_round(a: int, d: int, r: int, m: int) -> bool:
+    """One Miller-Rabin round of base ``a`` modulo ``m``, where the
+    candidate n (``m`` or a multiple of it) has n - 1 = 2^r * d."""
+    x = pow(a, d, m)
+    if x == 1 or x == m - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     if n < 2:
         return False
@@ -127,16 +162,12 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    m = math.gcd(n, _screen())
     for _ in range(rounds):
         a = rng.randrange(2, n - 2)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
+        if 1 < m < n and not _strong_round(a, d, r, m):
+            return False
+        if not _strong_round(a, d, r, n):
             return False
     return True
 
@@ -152,7 +183,14 @@ _keypair_cache: dict = {}
 
 
 def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
-    """Deterministic RSA key pair for ``seed``; memoized, 2048-bit modulus."""
+    """Deterministic RSA key pair for ``seed``; memoized, 2048-bit modulus.
+
+    ``bits`` must be even, so that two ``bits // 2``-bit primes can
+    multiply to exactly ``bits`` bits, and at least 256, so that the two
+    primes differ and ``rsa_encrypt`` can pad a secret (216 bits needed).
+    """
+    if bits % 2 or bits < 256:
+        raise ValueError("RSA modulus bits must be even and at least 256, got %r" % (bits,))
     cached = _keypair_cache.get((seed, bits))
     if cached is not None:
         return cached

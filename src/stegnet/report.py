@@ -49,11 +49,18 @@ def render_report(report: SessionReport) -> str:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    """Write ``data`` to a sibling temp file, then rename it over ``path``."""
+    """Write ``data`` to a sibling temp file, then rename it over ``path``.
+
+    ``mkstemp`` creates the file owner-only; it gets the mode ``open``
+    would have given it (0666 less the umask) before the rename.
+    """
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import os
+import stat
 import warnings
 from pathlib import Path
 from textwrap import dedent
@@ -369,6 +371,26 @@ def test_unwritable_output_exits_2(command, flag, topo_file, tmp_path, capsys):
     assert main([command, flag, str(missing)] + inputs[command]) == 2
     assert "error: cannot write %s: No such file or directory\n" % missing in capsys.readouterr().err
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_follow_the_umask(umask, mode, topo_file, tmp_path, capsys):
+    trace = _carrier_trace(tmp_path / "carriers.pcap")
+    out = {name: tmp_path / name for name in ("report", "fused.pcap", "payload.bin", "repaired.pcap")}
+    previous = os.umask(umask)
+    try:
+        assert main(["simulate", "--topology", topo_file, "--payload", "0", "--duration", "0.5",
+                     "--out", str(out["report"])]) == 0
+        assert main(["fuse-trace", "--in", trace, "--out", str(out["fused.pcap"]),
+                     "--payload", "64"]) == 0
+        assert main(["extract-trace", "--in", str(out["fused.pcap"]), "--out", str(out["payload.bin"]),
+                     "--trace-out", str(out["repaired.pcap"])]) == 0
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        assert os.umask(previous) == umask
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
+    assert {name: stat.S_IMODE(path.stat().st_mode) for name, path in out.items()} == dict.fromkeys(out, mode)
 
 
 def test_extract_on_unfused_trace_recovers_nothing(tmp_path, capsys):

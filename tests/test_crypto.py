@@ -1,8 +1,11 @@
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stegnet.crypto as cr
 
@@ -66,6 +69,117 @@ def test_keys_are_pinned():
     assert digest(PAIR_B) == KEY_DIGESTS[(202, 2048)]
     for (seed, bits), expected in KEY_DIGESTS.items():
         assert digest(cr.generate_keypair(seed, bits=bits)) == expected, (seed, bits)
+
+
+@pytest.mark.parametrize("bits", [8, 65, 254, 2047])
+def test_keypair_refuses_bits_that_cannot_make_a_key(bits):
+    # An odd size never gets a modulus of exactly that length, and tiny
+    # primes repeat forever; both used to hang instead of failing.
+    with pytest.raises(ValueError, match=r"\b%d\b" % bits):
+        cr.generate_keypair(1, bits=bits)
+
+
+def test_smallest_keypair_carries_a_secret():
+    pair = cr.generate_keypair(3, bits=256)
+    assert pair.public.n.bit_length() == 256
+    secret = bytes(range(cr.SECRET_LEN))
+    assert cr.rsa_decrypt(pair, cr.rsa_encrypt(pair.public, secret)) == secret
+
+
+_SEED_SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+                      97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+                      191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251]
+
+
+def _seed_is_probable_prime(n, rng, rounds=40):
+    """The Miller-Rabin test before the gcd screen, kept as the reference."""
+    if n < 2:
+        return False
+    for p in _SEED_SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 2)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_up_to(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return [i for i in range(limit + 1) if sieve[i]]
+
+
+SCREEN_PRIMES = [p for p in _primes_up_to(1 << 16) if p > 251]
+MERSENNE_PRIMES = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
+# Carmichael numbers and strong pseudoprimes to the first few prime bases.
+PSEUDOPRIMES = [561, 1105, 2047, 1373653, 25326001, 3215031751]
+
+_screen_prime = st.sampled_from(SCREEN_PRIMES)
+_large_prime = st.sampled_from(MERSENNE_PRIMES)
+CANDIDATES = st.one_of(
+    st.integers(12, 1024).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)).map(lambda n: n | 1),
+    _screen_prime,
+    _large_prime,
+    st.tuples(_screen_prime, _screen_prime).map(lambda t: t[0] * t[1]),
+    st.tuples(_screen_prime, _large_prime).map(lambda t: t[0] * t[1]),
+    st.tuples(_large_prime, _large_prime).map(lambda t: t[0] * t[1]),
+    st.sampled_from(PSEUDOPRIMES),
+)
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=CANDIDATES, seed=st.integers(0, 2**64))
+@example(n=561, seed=1)
+@example(n=1105, seed=1)
+@example(n=2047, seed=1)
+@example(n=1373653, seed=1)
+@example(n=25326001, seed=1)
+@example(n=3215031751, seed=1)
+@example(n=257 * (2**127 - 1), seed=1)
+def test_prime_screen_keeps_verdict_and_draws(n, seed):
+    expected_rng = random.Random(seed)
+    expected = _seed_is_probable_prime(n, expected_rng)
+    rng = _CountingRandom(seed)
+    moduli = []
+    strong_round = cr._strong_round
+
+    def spy(a, d, r, m):
+        moduli.append(m)
+        return strong_round(a, d, r, m)
+
+    with mock.patch.object(cr, "_strong_round", spy):
+        got = cr._is_probable_prime(n, rng)
+    assert got == expected
+    assert rng.getstate() == expected_rng.getstate()
+    # At most one full-width round per drawn base; any other modulus is
+    # a proper divisor of n found by the screen.
+    assert moduli.count(n) <= rng.draws
+    assert all(m == n or (1 < m < n and n % m == 0) for m in moduli)
 
 
 def test_rsa_round_trip_and_determinism():
