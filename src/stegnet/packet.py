@@ -58,7 +58,7 @@ MAX_FRAME = ETHER_SIZE + MAX_IPV4_TOTAL
 _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBHII")
 # Ethernet plus the fixed IPv4 header; addresses are integers in both.
-_ETH_IPV4 = struct.Struct("!6s6sHBBHHHBBHII")
+_ETH_IPV4 = struct.Struct(_ETH.format + _IPV4.format[1:])
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 _ICMP = struct.Struct("!BBHHH")
@@ -249,13 +249,6 @@ def reverse_flow_key(key):
 # Checksums
 
 
-def _fold(total: int) -> int:
-    """One's-complement checksum of an unfolded sum of 16-bit words."""
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
 def checksum16(data: bytes) -> int:
     """Internet one's-complement checksum over ``data`` (odd length padded).
 
@@ -283,23 +276,6 @@ def ipv4_checksum(header: bytes) -> int:
     if len(header) % 4:
         raise PacketError("IPv4 header length must be a multiple of 4")
     return checksum16(header)
-
-
-def _ipv4_sum(tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
-              src: int, dst: int, options: bytes, payload_len: int, checksum: int = 0) -> int:
-    """Unfolded sum of the 16-bit words of the IPv4 header these fields
-    make, with ``checksum`` in the checksum field: the words
-    ``_ipv4_header_bytes`` would pack, summed without packing them.
-    Folded with a zero ``checksum`` it is the header checksum; folded
-    with the stored one it is 0 for a valid header."""
-    ihl, total = _ipv4_lengths(options, payload_len)
-    words = (
-        ((0x40 | ihl) << 8 | tos) + total + identification + (flags << 13 | frag_offset)
-        + (ttl << 8 | protocol) + checksum + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
-    )
-    for i in range(0, len(options), 2):
-        words += options[i] << 8 | options[i + 1]
-    return words
 
 
 def _tcp_checksum(src: int, dst: int, tcp: Tcp, seq: int, ack: int, options: bytes, payload: bytes) -> int:
@@ -364,15 +340,10 @@ def fix_checksums(p: ParsedPacket) -> ParsedPacket:
 
 
 def validate_ipv4_checksum(p: ParsedPacket) -> bool:
-    """Whether the header's words, stored checksum included, sum to a
-    one's-complement zero.  Both zeros, 0x0000 and 0xFFFF, are accepted
-    as the stored checksum where either completes the sum."""
-    ip = p.ipv4
-    if ip is None:
-        return True
-    words = _ipv4_sum(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.src_ip,
-                      ip.dst_ip, ip.options, _ipv4_payload_len(p.transport, p.app_payload), ip.header_checksum)
-    return _fold(words) == 0
+    """Whether the packed header's words, stored checksum included, sum
+    to a one's-complement zero.  Both zeros, 0x0000 and 0xFFFF, are
+    accepted as the stored checksum where either completes the sum."""
+    return p.ipv4 is None or checksum16(_ipv4_header_bytes(p)) == 0
 
 
 def validate_transport_checksum(p: ParsedPacket) -> bool:
@@ -412,12 +383,25 @@ def _ipv4_lengths(options: bytes, payload_len: int) -> Tuple[int, int]:
     return (MIN_IPV4_HEADER + len(options)) // 4, total
 
 
+def _ipv4_header(tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
+                 checksum: int, src: int, dst: int, options: bytes, payload_len: int) -> bytes:
+    """The IPv4 header these fields make over ``payload_len`` octets,
+    with ``checksum`` in its checksum field.  Serialization, the header
+    checksum (``checksum16`` of it with a zero ``checksum``) and its
+    validation all pack the header here."""
+    ihl, total = _ipv4_lengths(options, payload_len)
+    head = _IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl, protocol, checksum,
+                      src, dst)
+    return head + options
+
+
 def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes:
+    """The IPv4 header of ``p``, with ``checksum`` in place of the
+    stored one unless it is None."""
     ip = p.ipv4
-    ihl, total = _ipv4_lengths(ip.options, _ipv4_payload_len(p.transport, p.app_payload))
-    head = _IPV4.pack((4 << 4) | ihl, ip.tos, total, ip.identification, (ip.flags << 13) | ip.frag_offset, ip.ttl,
-                      ip.protocol, ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip)
-    return head + ip.options
+    return _ipv4_header(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol,
+                        ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip, ip.options,
+                        _ipv4_payload_len(p.transport, p.app_payload))
 
 
 def _tcp_bytes(tcp: Tcp, seq: int, ack: int, checksum: int, options: bytes) -> bytes:
@@ -541,11 +525,12 @@ def parse_packet(data: bytes) -> ParsedPacket:
 def _over(p: ParsedPacket, transport: Optional[Transport], tos: int, identification: int,
           checksum: Optional[int] = None) -> ParsedPacket:
     """``p`` over ``transport`` with a new IPv4 TOS, identification and
-    header checksum; None sums the checksum from the new fields."""
+    header checksum; None computes the checksum from the new fields."""
     ip = p.ipv4
     if checksum is None:
-        checksum = _fold(_ipv4_sum(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.src_ip,
-                                   ip.dst_ip, ip.options, _ipv4_payload_len(transport, p.app_payload)))
+        checksum = checksum16(_ipv4_header(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, 0,
+                                           ip.src_ip, ip.dst_ip, ip.options,
+                                           _ipv4_payload_len(transport, p.app_payload)))
     ipv4 = _new_ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
                      ip.dst_ip, ip.options)
     return _new_packet(p.link, ipv4, transport, p.app_payload, p.link_trailer)
@@ -684,13 +669,13 @@ def _fresh(src_ip, dst_ip, src_mac, dst_mac, proto: int, tos: int, ttl: int, ide
            transport: Transport, payload: bytes = b"") -> ParsedPacket:
     """A new packet over ``transport`` (checksum field zero) with both
     checksums filled: the transport's over the pseudo header, then the
-    IPv4 header's summed from its fields.  The IPv4 header and the
-    packet are built once, with their final values."""
+    IPv4 header's over the header its fields pack.  The IPv4 header and
+    the packet are built once, with their final values."""
     src, dst = _coerce_ip(src_ip), _coerce_ip(dst_ip)
     link = _new_ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
     transport = _with_checksum(transport, _transport_checksum(src, dst, transport, payload))
     # Flags 2: don't fragment, the common case.
-    checksum = _fold(_ipv4_sum(tos, identification, 2, 0, ttl, proto, src, dst, b"",
-                               _ipv4_payload_len(transport, payload)))
+    checksum = checksum16(_ipv4_header(tos, identification, 2, 0, ttl, proto, 0, src, dst, b"",
+                                       _ipv4_payload_len(transport, payload)))
     ipv4 = _new_ipv4(tos, identification, 2, 0, ttl, proto, checksum, src, dst, b"")
     return _new_packet(link, ipv4, transport, payload, b"")
