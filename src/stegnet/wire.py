@@ -13,12 +13,15 @@ capacity, and no handler is allowed to use the TOS octet as a region.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import packet as pk
 
-SYNC_SIZE = 3
+# Sync header: code, data.
+_SYNC = struct.Struct("!BH")
+SYNC_SIZE = _SYNC.size
 
 CODE_PACKET_START = 0x01
 CODE_HANDLER_SWITCH = 0x02
@@ -33,7 +36,9 @@ SWITCH_MAGIC = 0xA5
 # TOS octet value marking a carrier that holds no secret data.
 EXCLUDE_TOS = 0xE7
 
-RECOVERY_LEN = 17
+# Recovery record, in the field order of ``RecoveryRecord``.
+_RECOVERY = struct.Struct("!IHIHBI")
+RECOVERY_LEN = _RECOVERY.size
 
 FIELD_TCP_ISN = 5
 
@@ -49,18 +54,16 @@ def encode_sync(header: SyncHeader) -> bytes:
         raise ValueError("unknown sync code 0x%02x" % header.code)
     if not 0 <= header.data <= 0xFFFF:
         raise ValueError("sync data %d out of 16-bit range" % header.data)
-    return bytes((header.code, header.data >> 8, header.data & 0xFF))
+    return _SYNC.pack(header.code, header.data)
 
 
 def decode_sync(octets: bytes) -> Optional[SyncHeader]:
-    """Decode 3 octets; None when they cannot be a sync header."""
-    if len(octets) < SYNC_SIZE:
+    """Decode the first 3 octets; None when they cannot be a sync
+    header.  The code octet is tested before anything is unpacked."""
+    if len(octets) < SYNC_SIZE or octets[0] not in SYNC_CODES:
         return None
-    code = octets[0]
-    if code not in SYNC_CODES:
-        return None
-    data = (octets[1] << 8) | octets[2]
-    if code == CODE_HANDLER_SWITCH and octets[1] != SWITCH_MAGIC:
+    code, data = _SYNC.unpack_from(octets)
+    if code == CODE_HANDLER_SWITCH and data >> 8 != SWITCH_MAGIC:
         return None
     return SyncHeader(code, data)
 
@@ -127,28 +130,14 @@ class RecoveryRecord:
 
 
 def encode_recovery(record: RecoveryRecord) -> bytes:
-    out = bytearray()
-    out += record.src_ip.to_bytes(4, "big")
-    out += record.src_port.to_bytes(2, "big")
-    out += record.dst_ip.to_bytes(4, "big")
-    out += record.dst_port.to_bytes(2, "big")
-    out.append(record.field_id)
-    out += record.original.to_bytes(4, "big")
-    assert len(out) == RECOVERY_LEN
-    return bytes(out)
+    return _RECOVERY.pack(record.src_ip, record.src_port, record.dst_ip, record.dst_port, record.field_id,
+                          record.original)
 
 
 def decode_recovery(octets: bytes) -> RecoveryRecord:
     if len(octets) != RECOVERY_LEN:
         raise MalformedRecord("recovery record must be %d octets, got %d" % (RECOVERY_LEN, len(octets)))
-    return RecoveryRecord(
-        src_ip=int.from_bytes(octets[0:4], "big"),
-        src_port=int.from_bytes(octets[4:6], "big"),
-        dst_ip=int.from_bytes(octets[6:10], "big"),
-        dst_port=int.from_bytes(octets[10:12], "big"),
-        field_id=octets[12],
-        original=int.from_bytes(octets[13:17], "big"),
-    )
+    return RecoveryRecord(*_RECOVERY.unpack(octets))
 
 
 # ---------------------------------------------------------------------------
