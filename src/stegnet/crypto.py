@@ -322,24 +322,30 @@ def decrypt_stream(key: bytes, iv: bytes, data: bytes) -> bytes:
 # Key-exchange messages
 
 
+# Key-exchange message prefix: type, MAC, payload length.
+_KE = struct.Struct("!B6sH")
+KE_PREFIX = _KE.size
+
+
 def encode_ke_message(msg_type: int, mac: bytes, payload: bytes) -> bytes:
     """[type:1][MAC:6][length:2][payload]."""
     if len(mac) != 6:
         raise ValueError("MAC address must be 6 octets")
     if len(payload) > 0xFFFF:
         raise ValueError("key exchange payload too long")
-    return bytes([msg_type]) + mac + struct.pack("!H", len(payload)) + payload
+    return _KE.pack(msg_type, mac, len(payload)) + payload
 
 
-KE_PREFIX = 9
+def ke_message_length(prefix: bytes) -> int:
+    """Full length of the message that starts with ``prefix``, which
+    holds at least its first ``KE_PREFIX`` octets."""
+    return KE_PREFIX + _KE.unpack_from(prefix)[2]
 
 
 def decode_ke_message(blob: bytes) -> Tuple[int, bytes, bytes]:
     if len(blob) < KE_PREFIX:
         raise CryptoError("key exchange message truncated")
-    msg_type = blob[0]
-    mac = blob[1:7]
-    (length,) = struct.unpack_from("!H", blob, 7)
+    msg_type, mac, length = _KE.unpack_from(blob)
     payload = blob[KE_PREFIX : KE_PREFIX + length]
     if len(payload) != length:
         raise CryptoError("key exchange payload truncated")

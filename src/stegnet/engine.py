@@ -438,7 +438,7 @@ class CovertGateway:
             if item.expected is not None:
                 break
             if len(item.buf) == crypto.KE_PREFIX:
-                item.expected = crypto.KE_PREFIX + int.from_bytes(item.buf[7:9], "big")
+                item.expected = crypto.ke_message_length(item.buf)
 
         stats.handler_id = spec.id
         stats.sync_octets = consumed
