@@ -44,6 +44,14 @@ ITEM_KEY_EXCHANGE = "key_exchange"
 ITEM_RECOVERY = "recovery"
 ITEM_RESET = "reset"
 
+# The sync code that opens each item kind, and back.  Data and recovery
+# items announce their length and are encrypted once the cipher is on;
+# the others announce a chunk index (0 for a reset) and stay plaintext.
+_OPENING_CODE = {ITEM_DATA: wire.CODE_PACKET_START, ITEM_KEY_EXCHANGE: wire.CODE_KEY_EXCHANGE,
+                 ITEM_RECOVERY: wire.CODE_RECOVERY, ITEM_RESET: wire.CODE_SESSION_RESET}
+_OPENED_KIND = {code: kind for kind, code in _OPENING_CODE.items()}
+_SECRET_KINDS = (ITEM_DATA, ITEM_RECOVERY)
+
 _SEQ_MASK = 0xFFFFFFFF
 
 
@@ -118,13 +126,8 @@ class _TxItem:
     sent: int = 0
 
     def opening(self) -> wire.SyncHeader:
-        if self.kind == ITEM_DATA:
-            return wire.SyncHeader(wire.CODE_PACKET_START, len(self.wire_bytes))
-        if self.kind == ITEM_KEY_EXCHANGE:
-            return wire.SyncHeader(wire.CODE_KEY_EXCHANGE, self.chunk_index)
-        if self.kind == ITEM_RECOVERY:
-            return wire.SyncHeader(wire.CODE_RECOVERY, len(self.wire_bytes))
-        return wire.SyncHeader(wire.CODE_SESSION_RESET, 0)
+        data = len(self.wire_bytes) if self.kind in _SECRET_KINDS else self.chunk_index
+        return wire.SyncHeader(_OPENING_CODE[self.kind], data)
 
 
 @dataclass
@@ -470,16 +473,15 @@ class CovertGateway:
         return self._repair(carrier, spec), secrets, stats
 
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
-        encrypted = bool(self.config.encryption and self._rx_cipher_active)
-        if header.code == wire.CODE_PACKET_START:
-            if header.data < 1:
-                self._desync(carrier, "zero-length packet announcement")
-            return _RxItem(kind=ITEM_DATA, encrypted=encrypted, expected=header.data)
-        if header.code == wire.CODE_KEY_EXCHANGE:
-            return _RxItem(kind=ITEM_KEY_EXCHANGE, encrypted=False, expected=None)
-        if header.code == wire.CODE_RECOVERY:
-            return _RxItem(kind=ITEM_RECOVERY, encrypted=encrypted, expected=header.data)
-        self._desync(carrier, "unexpected opening code 0x%02x" % header.code)
+        kind = _OPENED_KIND.get(header.code)
+        if kind == ITEM_KEY_EXCHANGE:
+            return _RxItem(kind=kind, encrypted=False, expected=None)
+        if kind not in _SECRET_KINDS:
+            self._desync(carrier, "unexpected opening code 0x%02x" % header.code)
+        if kind == ITEM_DATA and header.data < 1:
+            self._desync(carrier, "zero-length packet announcement")
+        return _RxItem(kind=kind, encrypted=bool(self.config.encryption and self._rx_cipher_active),
+                       expected=header.data)
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
         for spec in scan:
