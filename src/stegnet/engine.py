@@ -6,11 +6,13 @@ extracts the peer's stream from carriers arriving back.  The two sides
 are symmetric; a pair of instances with mirrored configuration
 interoperates over any in-order, lossless carrier sequence.
 
-The transmit side is a straight FIFO of stream items (secret packets,
-key-exchange messages, recovery records).  Each item opens with a
-plaintext synchronization header; mid-item handler switches are
-announced in-band exactly when the transition is ambiguous, otherwise
-the receiving side re-derives the same handler selection on its own.
+The transmit side is a FIFO of stream items (secret packets,
+key-exchange messages, recovery records); under encryption, secret
+packets and recovery records wait for the cipher and the others go
+ahead of them.  Each item opens with a plaintext synchronization
+header; mid-item handler switches are announced in-band exactly when
+the transition is ambiguous, otherwise the receiving side re-derives
+the same handler selection on its own.
 
 The receive side never guesses blindly: it consults the same registry
 and selection policy, and scans only the regions the sender could have
@@ -116,11 +118,10 @@ class CarrierStats:
     item_completed: bool = False
 
 
-@dataclass
+@dataclass(eq=False)  # leaves the queue by identity: equal items may wait in it
 class _TxItem:
     kind: str
     payload: bytes
-    encrypted: bool
     chunk_index: int = 0
     wire_bytes: bytes = b""
     sent: int = 0
@@ -215,7 +216,7 @@ class CovertGateway:
             raise EngineError("secret packet must hold at least one octet")
         if len(data) > 0xFFFF:
             raise Oversize("secret packet of %d octets exceeds 65535" % len(data))
-        self._queue.append(_TxItem(kind=ITEM_DATA, payload=bytes(data), encrypted=self._tx_encrypting))
+        self._queue.append(_TxItem(kind=ITEM_DATA, payload=bytes(data)))
 
     def enqueue_payload(self, payload: bytes) -> int:
         """Chunk an arbitrary payload into secret packets; returns count."""
@@ -228,14 +229,10 @@ class CovertGateway:
 
     def reset_session(self) -> None:
         """Queue an in-band session reset and drop local cipher state."""
-        self._queue.append(_TxItem(kind=ITEM_RESET, payload=b"", encrypted=False))
+        self._queue.append(_TxItem(kind=ITEM_RESET, payload=b""))
         self._cipher_boundary = False
         self._session = None
         self._rx_cipher_active = False
-
-    @property
-    def _tx_encrypting(self) -> bool:
-        return bool(self.config.encryption and self._cipher_boundary)
 
     @property
     def pending_octets(self) -> int:
@@ -259,15 +256,27 @@ class CovertGateway:
         """Queue this side's public key; call on both gateways."""
         session = self._ensure_session()
         message = crypto.encode_ke_message(crypto.KE_PUBKEY, self.local_mac, session.keypair.public.to_bytes())
-        self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, encrypted=False, chunk_index=0))
+        self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=0))
 
     def _next_item(self) -> Optional[_TxItem]:
+        """The item in flight, else the next one, opened here, or None.
+
+        Under encryption, data and recovery items wait for the cipher
+        boundary and every other item opens ahead of them, so none of
+        them leaves in plaintext; each is encrypted as it opens."""
         if self._tx_item is not None:
             return self._tx_item
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        item = self._queue.popleft()
-        if item.encrypted:
+        item = queue[0]
+        if self.config.encryption and item.kind in _SECRET_KINDS:
+            item = next((queued for queued in queue if queued.kind not in _SECRET_KINDS),
+                        item if self._cipher_boundary else None)
+            if item is None:
+                return None
+        queue.remove(item)
+        if self.config.encryption and item.kind in _SECRET_KINDS:
             item.wire_bytes = self._ensure_session().encrypt_item(item.payload)
         else:
             item.wire_bytes = item.payload
@@ -357,9 +366,7 @@ class CovertGateway:
             src_ip=key[0], src_port=key[1], dst_ip=key[2], dst_port=key[3],
             field_id=wire.FIELD_TCP_ISN, original=isn_before,
         )
-        self._queue.append(
-            _TxItem(kind=ITEM_RECOVERY, payload=wire.encode_recovery(record), encrypted=self._tx_encrypting)
-        )
+        self._queue.append(_TxItem(kind=ITEM_RECOVERY, payload=wire.encode_recovery(record)))
 
     def adjust_flow(self, p: pk.ParsedPacket) -> pk.ParsedPacket:
         """Seq/ack rewriting for flows whose initial sequence number was
@@ -552,14 +559,15 @@ class CovertGateway:
                 message = crypto.encode_ke_message(
                     crypto.KE_SYMKEY, self.local_mac, crypto.rsa_encrypt(session.peer_public, secret)
                 )
-                self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, encrypted=False, chunk_index=1))
+                self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=1))
                 self._cipher_boundary = True
             else:
                 session.role = crypto.ROLE_RECEIVER
         elif msg_type == crypto.KE_SYMKEY:
             secret = crypto.rsa_decrypt(session.keypair, payload)
             session.install_secret(secret, crypto.ROLE_RECEIVER)
-            self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=crypto.encode_ke_message(crypto.KE_CIPHER_ON, self.local_mac, b""), encrypted=False, chunk_index=2))
+            message = crypto.encode_ke_message(crypto.KE_CIPHER_ON, self.local_mac, b"")
+            self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=2))
             self._cipher_boundary = True
             self._rx_cipher_active = True
         elif msg_type == crypto.KE_CIPHER_ON:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stegnet import packet as pk
-from stegnet.engine import EngineConfig
+from stegnet.engine import ITEM_DATA, CovertGateway, EngineConfig
 from stegnet.scenarios import line_topology, send_counts
 from stegnet.simnet import (
     DEFAULT_MIX,
@@ -492,3 +492,33 @@ def test_setup_walks_the_topology_a_bounded_number_of_times(monkeypatch):
     sim = Simulation(topo, workload=WorkloadSpec(), seed=0)
     assert len(sim.clients) == 200
     assert calls["neighbors"] + calls["hop_count"] <= len(topo.nodes)
+
+
+def test_encrypted_backlog_waits_for_the_key_exchange(monkeypatch):
+    """Secret packets queued before the cipher boundary wait for it:
+    the key exchange opens ahead of them and every one goes encrypted."""
+    opened = []
+    next_item = CovertGateway._next_item
+
+    def spy(self):
+        before = self._tx_item
+        item = next_item(self)
+        if item is not None and item is not before:
+            opened.append((self.node_id, item.kind, item.wire_bytes != item.payload))
+        return item
+
+    monkeypatch.setattr(CovertGateway, "_next_item", spy)
+    sim = Simulation(line_topology(visible_users=1),
+                     engine_config=EngineConfig(enabled_handlers=(1, 2), encryption=True, seed=0), seed=0)
+    transfer = sim.add_bulk_transfer("secret_a", "secret_b", 4000)
+    sim.run_until(lambda: transfer.delivered_octets >= 4000, max_us=30 * MICROS)
+    assert transfer.delivered_octets == 4000 and transfer.delivered_digest == transfer.sent_digest
+    assert sim.desync_count == 0
+    assert all(gateway.session_established for gateway in sim.gateways.values())
+    data = [encrypted for _, kind, encrypted in opened if kind == ITEM_DATA]
+    assert len(data) == 16 and all(data)
+    # On each side every key-exchange item opens before any data item.
+    for node in sim.gateways:
+        kinds = [kind for name, kind, _ in opened if name == node]
+        assert kinds == sorted(kinds, key=lambda kind: kind == ITEM_DATA)
+
