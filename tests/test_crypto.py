@@ -127,6 +127,12 @@ def _primes_up_to(limit):
 
 
 SCREEN_PRIMES = [p for p in _primes_up_to(1 << 16) if p > 251]
+
+
+def test_small_numbers_get_the_sieve_verdict():
+    primes = set(_primes_up_to(600))
+    for n in range(601):
+        assert cr._is_probable_prime(n, random.Random(n)) == (n in primes), n
 MERSENNE_PRIMES = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
 # Carmichael numbers and strong pseudoprimes to the first few prime bases.
 PSEUDOPRIMES = [561, 1105, 2047, 1373653, 25326001, 3215031751]
