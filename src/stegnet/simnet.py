@@ -392,7 +392,6 @@ class Simulation:
         # SHA-256 over the SHA-256 of every secret packet delivered, in order.
         self.secret_chain = hashlib.sha256()
         self.desync_count = 0
-        self.unroutable = 0
         self.captures: Dict[str, trace_mod.TraceFile] = {
             n: trace_mod.TraceFile(records=[]) for n in capture_nodes
         }
@@ -596,16 +595,10 @@ class Simulation:
 
     def _route(self, node: str, p: pk.ParsedPacket, size: int) -> None:
         if p.ipv4 is None:
-            self.unroutable += 1
             return
-        dest = self._ip_to_node.get(p.ipv4.dst_ip)
-        if dest is None or dest == node:
-            self.unroutable += 1
-            self.node_stats[node].dropped += 1
-            return
-        hop = self._next_hop[node].get(dest)
+        # No hop for an unknown address or the node's own.
+        hop = self._next_hop[node].get(self._ip_to_node.get(p.ipv4.dst_ip))
         if hop is None:
-            self.unroutable += 1
             self.node_stats[node].dropped += 1
             return
         arrival = self._pipes[(node, hop)].transit(self.now, size)

@@ -5,6 +5,7 @@ import hashlib
 import os
 import stat
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from textwrap import dedent
 
@@ -405,3 +406,15 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--encrypt", "encryption"),
+    ("--allow-augmented", "augmented_allowed"),
+    ("--preserve-icmp-ts", "preserve_icmp_timestamp"),
+])
+def test_engine_flags_land_in_the_config(flag, field):
+    args = build_parser().parse_args(["simulate", "--topology", "t.topo", flag])
+    config = _engine_config_from_args(args)
+    assert getattr(config, field) is True
+    assert replace(config, **{field: False}) == EngineConfig()

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from stegnet import packet as pk
-from stegnet.engine import ITEM_DATA, CovertGateway, EngineConfig
+from stegnet import wire
+from stegnet.engine import ITEM_DATA, CovertGateway, DesyncError, EngineConfig
 from stegnet.scenarios import line_topology, send_counts
 from stegnet.simnet import (
     DEFAULT_MIX,
@@ -522,3 +523,71 @@ def test_encrypted_backlog_waits_for_the_key_exchange(monkeypatch):
         kinds = [kind for name, kind, _ in opened if name == node]
         assert kinds == sorted(kinds, key=lambda kind: kind == ITEM_DATA)
 
+
+def _probe_topology():
+    """``firewall_bypass.topo`` with a router between gw_a and the core
+    monitor, a log rule on TCP port 80 and a drop rule on UDP port 5353."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "firewall_bypass.topo").read_text()
+    text = text.replace("[link]\na = gw_a\nb = core\n",
+                        "[node]\nname = edge\nkind = router\n\n"
+                        "[link]\na = gw_a\nb = edge\ncapacity = 125000\ndelay_us = 200\n\n"
+                        "[link]\na = edge\nb = core\n")
+    text += ("\n[rule]\nnode = core\naction = log\nproto = tcp\ndst_port = 80\n"
+             "\n[rule]\nnode = core\naction = drop\nproto = udp\ndst_port = 5353\n")
+    return load_topology(text, is_path=False)
+
+
+def test_router_log_rule_and_port_rule():
+    topo = _probe_topology()
+    assert topo.nodes["edge"].kind == "router"
+    assert [(r.action, r.proto, r.dst_port) for r in topo.rules[-2:]] == [("log", "tcp", 80), ("drop", "udp", 5353)]
+    # Handlers 1 and 2 leave UDP alone, so the dropped datagrams carry none of the stream.
+    sim = Simulation(topo, workload=WorkloadSpec(), engine_config=EngineConfig(enabled_handlers=(1, 2), seed=1), seed=1)
+    transfer = sim.add_bulk_transfer("secret_a", "secret_b", 800)
+    sim.run_until(lambda: transfer.delivered_octets >= 800, max_us=30 * MICROS)
+    assert transfer.delivered_octets == 800 and transfer.delivered_digest == transfer.sent_digest
+    assert sim.desync_count == 0
+    router = sim.node_stats["edge"]
+    assert (router.received, router.forwarded, router.dropped) == (59, 59, 0)
+    core = sim.monitor_stats["core"]
+    assert (core.log_hits, core.rule_drops, core.rule_hits) == (11, 6, {4: 11, 5: 6})
+
+
+def test_a_lost_carrier_desyncs_and_the_carriers_still_go_on():
+    sim = _sim(seed=0, visible_users=1)
+    engine = sim.gateways["gw_b"]
+    receive = sim._receivers["gw_b"]
+    lost, desynced, arrived = [], [], []
+
+    def lossy(p, came_from, size):
+        # The first carrier holding a segment opens an item; without it
+        # the rest of that item has no opening header.
+        if not lost and came_from == "core" and engine.registry.match(p) and not wire.is_excluded(p):
+            lost.append(p)
+            return
+        receive(p, came_from, size)
+
+    extract = engine.extract
+
+    def spy(carrier):
+        try:
+            return extract(carrier)
+        except DesyncError as exc:
+            desynced.append(exc.forwarded)
+            raise
+
+    server = sim._receivers["server_b"]
+
+    def at_server(p, came_from, size):
+        arrived.append(p)
+        server(p, came_from, size)
+
+    sim._receivers["gw_b"] = lossy
+    sim._receivers["server_b"] = at_server
+    engine.extract = spy
+    sim.add_bulk_transfer("secret_a", "secret_b", 2000)
+    sim.run(5 * MICROS)
+    assert len(lost) == 1
+    assert sim.desync_count == len(desynced) > 0
+    # Each carrier that could not be read still reached its destination.
+    assert {id(p) for p in desynced} <= {id(p) for p in arrived}
