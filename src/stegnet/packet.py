@@ -386,9 +386,10 @@ def _ipv4_lengths(options: bytes, payload_len: int) -> Tuple[int, int]:
 def _ipv4_header(tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
                  checksum: int, src: int, dst: int, options: bytes, payload_len: int) -> bytes:
     """The IPv4 header these fields make over ``payload_len`` octets,
-    with ``checksum`` in its checksum field.  Serialization, the header
-    checksum (``checksum16`` of it with a zero ``checksum``) and its
-    validation all pack the header here."""
+    with ``checksum`` in its checksum field.  The header checksum
+    (``checksum16`` of it with a zero ``checksum``) and its validation
+    pack the header here; ``serialize_packet`` packs the same fields
+    behind the Ethernet header."""
     ihl, total = _ipv4_lengths(options, payload_len)
     head = _IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl, protocol, checksum,
                       src, dst)
@@ -413,7 +414,10 @@ def _tcp_bytes(tcp: Tcp, seq: int, ack: int, checksum: int, options: bytes) -> b
 
 
 def _udp_bytes(udp: Udp, payload_len: int, checksum: int) -> bytes:
-    return _UDP.pack(udp.src_port, udp.dst_port, _UDP.size + payload_len, checksum)
+    length = _UDP.size + payload_len
+    if length > 0xFFFF:
+        raise Truncated("UDP length %d exceeds 65535" % length)
+    return _UDP.pack(udp.src_port, udp.dst_port, length, checksum)
 
 
 def _icmp_bytes(icmp: Icmp, checksum: int, payload: bytes) -> bytes:
@@ -424,26 +428,25 @@ def serialize_packet(p: ParsedPacket) -> bytes:
     """Emit the frame bytes for ``p``.
 
     Length and offset fields come from the structure itself; stored
-    checksums are written verbatim.
+    checksums are written verbatim.  The transport bytes are built
+    first, and the IPv4 total length is taken from them.
     """
-    out = bytearray(_ETH.pack(p.link.dst_mac, p.link.src_mac, p.link.ethertype))
-    if p.ipv4 is None:
-        out += p.app_payload
-        return bytes(out)
-    out += _ipv4_header_bytes(p)
-    t = p.transport
+    link, ip, t = p.link, p.ipv4, p.transport
+    if ip is None:
+        return _ETH.pack(link.dst_mac, link.src_mac, link.ethertype) + p.app_payload
     if isinstance(t, Tcp):
-        out += _tcp_bytes(t, t.seq, t.ack, t.checksum, t.options)
-        out += p.app_payload
+        body = _tcp_bytes(t, t.seq, t.ack, t.checksum, t.options) + p.app_payload
     elif isinstance(t, Udp):
-        out += _udp_bytes(t, len(p.app_payload), t.checksum)
-        out += p.app_payload
+        body = _udp_bytes(t, len(p.app_payload), t.checksum) + p.app_payload
     elif isinstance(t, Icmp):
-        out += _icmp_bytes(t, t.checksum, t.payload)
+        body = _icmp_bytes(t, t.checksum, t.payload)
     else:
-        out += p.app_payload
-    out += p.link_trailer
-    return bytes(out)
+        body = p.app_payload
+    ihl, total = _ipv4_lengths(ip.options, len(body))
+    head = _ETH_IPV4.pack(link.dst_mac, link.src_mac, link.ethertype, 0x40 | ihl, ip.tos, total, ip.identification,
+                          ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum, ip.src_ip,
+                          ip.dst_ip)
+    return b"".join((head, ip.options, body, p.link_trailer))
 
 
 # ---------------------------------------------------------------------------

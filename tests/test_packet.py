@@ -155,6 +155,27 @@ def test_set_tcp_options_overflow():
         pk.set_tcp_options(p, bytes(41))
 
 
+def test_serialize_refuses_what_the_ipv4_header_cannot_state():
+    # The total length is taken from the transport bytes; 65,535 octets
+    # is the most it can say, and options must fill whole words.
+    tcp = pk.build_tcp("10.0.0.1", "10.0.0.2", 1, 2)
+    udp = pk.build_udp("10.0.0.1", "10.0.0.2", 1, 2)
+    icmp = pk.build_icmp_echo("10.0.0.1", "10.0.0.2")
+    for p, header in ((tcp, 40), (udp, 28), (icmp, 28)):
+        for size, fits in ((pk.MAX_IPV4_TOTAL - header, True), (pk.MAX_IPV4_TOTAL - header + 1, False)):
+            if p.icmp is not None:
+                big = replace(p, transport=replace(p.icmp, payload=bytes(size)))
+            else:
+                big = replace(p, app_payload=bytes(size))
+            if fits:
+                assert len(pk.serialize_packet(big)) == pk.ETHER_SIZE + pk.MAX_IPV4_TOTAL
+            else:
+                with pytest.raises(pk.Truncated):
+                    pk.serialize_packet(big)
+        with pytest.raises(pk.OptionsOverflow):
+            pk.serialize_packet(replace(p, ipv4=replace(p.ipv4, options=bytes(6))))
+
+
 def test_icmp_payload_replacement():
     p = pk.build_icmp_echo("10.0.0.1", "10.0.0.2", payload=b"abcdefgh" * 4)
     swapped = pk.set_icmp_payload(p, b"Z" * 40)
