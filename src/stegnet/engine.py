@@ -228,11 +228,13 @@ class CovertGateway:
         return count
 
     def reset_session(self) -> None:
-        """Queue an in-band session reset and drop local cipher state."""
+        """Queue an in-band session reset and drop local cipher state.
+
+        Receive decryption stays on: items the peer encrypted before it
+        reads the reset end in a desync, not as ciphertext delivered."""
         self._queue.append(_TxItem(kind=ITEM_RESET, payload=b""))
         self._cipher_boundary = False
         self._session = None
-        self._rx_cipher_active = False
 
     @property
     def pending_octets(self) -> int:
@@ -424,7 +426,9 @@ class CovertGateway:
             spec, region, header = self._rx_open(carrier, scan, len(candidates))
             consumed = wire.SYNC_SIZE
             if header.code == wire.CODE_SESSION_RESET:
+                # Queued secrets wait for a new key exchange, as at the peer.
                 self._rx_cipher_active = False
+                self._cipher_boundary = False
                 self._session = None
                 stats.handler_id = spec.id
                 stats.sync_octets = consumed

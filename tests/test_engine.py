@@ -294,14 +294,19 @@ def test_key_exchange_roles_follow_mac_order():
     assert a.session.secret == b.session.secret
 
 
-def test_encrypted_transfer_hides_payload_but_not_sync():
+def _encrypted_pair():
+    """Handler-1 gateways, seeds 101 and 202, with their keys agreed."""
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True, seed=101)
     a = CovertGateway("gw_a", "gw_b", cfg, local_mac=MAC_HIGH)
     b = CovertGateway("gw_b", "gw_a", replace(cfg, seed=202), local_mac=MAC_LOW)
     a.start_key_exchange()
     b.start_key_exchange()
     _drive_key_exchange(a, b)
+    return a, b
 
+
+def test_encrypted_transfer_hides_payload_but_not_sync():
+    a, b = _encrypted_pair()
     secret = b"attack at dawn, move the blue boxes first" * 3
     a.enqueue_secret(secret)
     wire_data = bytearray()
@@ -322,6 +327,49 @@ def test_encrypted_transfer_hides_payload_but_not_sync():
     assert got == [secret]
     assert len(wire_data) == len(secret)
     assert bytes(wire_data) != secret, "payload must not ride in the clear"
+
+
+def _both_ways(a, b, rounds, b_first):
+    """One carrier each way per round; returns what ``a`` delivered and
+    the desyncs it raised."""
+    got, desyncs = [], []
+    for i in range(rounds):
+        for side in ("b", "a") if b_first else ("a", "b"):
+            if side == "a":
+                b.extract(a.fuse(_tcp(i, sport=41000))[0])
+                continue
+            try:
+                got += a.extract(b.fuse(_tcp(i, src="10.0.2.9", dst="10.0.1.5", sport=42000))[0])[1]
+            except DesyncError as exc:
+                desyncs.append(str(exc))
+    return got, desyncs
+
+
+@pytest.mark.parametrize("b_first", [False, True], ids=["reset_read_first", "secret_on_its_way"])
+def test_reset_meets_the_peers_encrypted_secret(b_first):
+    # a resets while b holds an encrypted secret for it.  When b reads the
+    # reset first, the secret waits for a new key exchange (b's fuse used
+    # to raise NotEstablished); when it is already on its way, a ends it
+    # in a desync (a used to deliver the ciphertext as the secret).
+    a, b = _encrypted_pair()
+    secret = b"attack at dawn " * 4
+    b.enqueue_secret(secret)
+    a.reset_session()
+    got, desyncs = _both_ways(a, b, 10, b_first)
+    assert got == []
+    if b_first:
+        assert desyncs == ["undecodable data item: no symmetric key installed"]
+        assert b.idle
+        b.enqueue_secret(secret)
+    else:
+        assert desyncs == []
+        assert b.pending_octets == len(secret)
+    assert not (a.session_established or b.session_established)
+    a.start_key_exchange()
+    b.start_key_exchange()
+    got, desyncs = _both_ways(a, b, 40, b_first)
+    assert got == [secret] and desyncs == []
+    assert a.session.secret == b.session.secret
 
 
 def test_isn_rewrite_translates_and_relays_recovery():
