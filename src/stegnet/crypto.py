@@ -6,10 +6,16 @@ Design constraints drive some unusual choices here:
   reports are compared bit for bit across runs.  Library RSA key
   generation is not seedable, so key pairs are produced by a seeded
   Miller-Rabin search and the asymmetric padding is derived
-  deterministically from the message and recipient key; decryption
-  runs through the Chinese remainder theorem (CRT).  This trades away
-  semantic security, which is acceptable for a research artifact whose
-  adversary model is a rule-based traffic monitor.
+  deterministically from the message and recipient key.  This trades
+  away semantic security, which is acceptable for a research artifact
+  whose adversary model is a rule-based traffic monitor.
+* Decryption runs the private operation and unpadding through OpenSSL.
+  Its PKCS#1 v1.5 decoder answers a bad frame with a made-up message
+  instead of an error (implicit rejection, the defence against
+  Bleichenbacher's padding oracle), so a result is trusted only when it
+  re-encrypts to the very ciphertext received.  Because the padding is
+  derived, every message has one canonical ciphertext, and that check
+  also refuses frames this module would never build and a wrong key.
 * Keys are pinned by their seed, so the prime search may get faster
   but must never change what it draws.  A candidate that survives
   trial division by the primes up to 251 takes one gcd with the
@@ -41,6 +47,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 BLOCK = 16
@@ -119,12 +126,6 @@ class RsaKeyPair:
     dp: int
     dq: int
     qinv: int
-
-    def private(self, c: int) -> int:
-        """``c^d mod n`` from the two half-size powers."""
-        m_p = pow(c, self.dp, self.p)
-        m_q = pow(c, self.dq, self.q)
-        return m_q + self.q * (self.qinv * (m_p - m_q) % self.p)
 
 
 @functools.cache
@@ -243,21 +244,30 @@ def rsa_encrypt(pub: RsaPublicKey, message: bytes) -> bytes:
     return c.to_bytes(key_bytes, "big")
 
 
+@functools.cache
+def _private_key(pair: RsaKeyPair) -> rsa.RSAPrivateKey:
+    """OpenSSL's copy of ``pair``, built once.  The pair is sound by
+    construction, so the library's key check (about 65 ms) is skipped."""
+    public = rsa.RSAPublicNumbers(pair.public.e, pair.public.n)
+    numbers = rsa.RSAPrivateNumbers(pair.p, pair.q, pair.d, pair.dp, pair.dq, pair.qinv, public)
+    return numbers.private_key(unsafe_skip_rsa_key_validation=True)
+
+
 def rsa_decrypt(pair: RsaKeyPair, ciphertext: bytes) -> bytes:
     key_bytes = (pair.public.n.bit_length() + 7) // 8
     if len(ciphertext) != key_bytes:
         raise BadCiphertext("ciphertext must be %d octets" % key_bytes)
-    c = int.from_bytes(ciphertext, "big")
-    if c >= pair.public.n:
+    if int.from_bytes(ciphertext, "big") >= pair.public.n:
         raise BadCiphertext("ciphertext out of range")
-    block = pair.private(c).to_bytes(key_bytes, "big")
-    if block[0] != 0x00 or block[1] != 0x02:
-        raise BadCiphertext("bad padding frame")
     try:
-        sep = block.index(b"\x00", 2)
+        message = _private_key(pair).decrypt(ciphertext, padding.PKCS1v15())
     except ValueError:
-        raise BadCiphertext("padding separator missing") from None
-    return block[sep + 1 :]
+        raise BadCiphertext("bad padding frame") from None
+    # A bad frame still yields a message (implicit rejection); only the
+    # message whose canonical ciphertext this is was really sent.
+    if rsa_encrypt(pair.public, message) != ciphertext:
+        raise BadCiphertext("bad padding frame")
+    return message
 
 
 # ---------------------------------------------------------------------------

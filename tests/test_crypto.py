@@ -287,13 +287,76 @@ def test_stream_cipher_independent_of_segmentation():
             assert cr.decrypt_stream(key, iv, whole[:cut]) + cr.decrypt_stream(key, chain, whole[cut:]) == data
 
 
-def test_crt_private_operation_matches_plain_power():
-    rng = random.Random(23)
+def _seed_rsa_decrypt(pair, ciphertext):
+    """The decoder over the plain private power, before OpenSSL, kept as the reference."""
+    key_bytes = (pair.public.n.bit_length() + 7) // 8
+    if len(ciphertext) != key_bytes:
+        raise cr.BadCiphertext("ciphertext must be %d octets" % key_bytes)
+    c = int.from_bytes(ciphertext, "big")
+    if c >= pair.public.n:
+        raise cr.BadCiphertext("ciphertext out of range")
+    block = pow(c, pair.d, pair.public.n).to_bytes(key_bytes, "big")
+    if block[0] != 0x00 or block[1] != 0x02:
+        raise cr.BadCiphertext("bad padding frame")
+    try:
+        sep = block.index(b"\x00", 2)
+    except ValueError:
+        raise cr.BadCiphertext("padding separator missing") from None
+    return block[sep + 1 :]
+
+
+MAX_MESSAGE = cr.RSA_BYTES - 11  # 00 02, eight octets of padding, 00
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(0, MAX_MESSAGE), seed=st.integers(0, 2**32))
+@example(size=0, seed=1)
+@example(size=1, seed=1)
+@example(size=cr.SECRET_LEN, seed=1)
+@example(size=MAX_MESSAGE, seed=1)
+def test_rsa_decrypt_matches_the_plain_power_decoder(size, seed):
+    message = random.Random(seed).randbytes(size)
     for pair in (PAIR_A, PAIR_B):
+        ct = cr.rsa_encrypt(pair.public, message)
+        assert cr.rsa_decrypt(pair, ct) == _seed_rsa_decrypt(pair, ct) == message
+
+
+def _raw_rsa(pair, block):
+    return pow(int.from_bytes(block, "big"), pair.public.e, pair.public.n).to_bytes(cr.RSA_BYTES, "big")
+
+
+def test_rsa_decrypt_refuses_what_rsa_encrypt_cannot_make():
+    # OpenSSL answers a bad frame with a made-up message, not an error;
+    # each of these must still end in BadCiphertext.
+    rng = random.Random(24)
+    for pair, other in ((PAIR_A, PAIR_B), (PAIR_B, PAIR_A)):
         n = pair.public.n
-        assert pair.p * pair.q == n
-        for c in [0, 1, n - 1] + [rng.randrange(n) for _ in range(20)]:
-            assert pair.private(c) == pow(c, pair.d, n)
+        message = b"s" * (cr.RSA_BYTES - 5)
+        short_ps = _raw_rsa(pair, b"\x00\x02\x01\x01\x00" + message)
+        assert _seed_rsa_decrypt(pair, short_ps) == message
+        refused = [short_ps]
+        ct = cr.rsa_encrypt(pair.public, bytes(range(cr.SECRET_LEN)))
+        for i in range(0, cr.RSA_BYTES, 17):
+            tampered = bytearray(ct)
+            tampered[i] ^= 1 << rng.randrange(8)
+            refused.append(bytes(tampered))
+        refused += [rng.randrange(n).to_bytes(cr.RSA_BYTES, "big") for _ in range(50)]
+        refused += [c.to_bytes(cr.RSA_BYTES, "big") for c in (n, n + 1, (1 << cr.RSA_BITS) - 1)]
+        refused += [ct[:-1], ct + b"\x00", b"", b"\x01" * 10]
+        refused.append(cr.rsa_encrypt(other.public, bytes(range(cr.SECRET_LEN))))
+        for blob in refused:
+            with pytest.raises(cr.BadCiphertext):
+                cr.rsa_decrypt(pair, blob)
+
+
+def test_openssl_key_is_built_once_per_pair():
+    cr._private_key.cache_clear()
+    secret = bytes(range(cr.SECRET_LEN))
+    with mock.patch.object(cr.rsa, "RSAPrivateNumbers", wraps=cr.rsa.RSAPrivateNumbers) as numbers:
+        for _ in range(3):
+            for pair in (PAIR_A, PAIR_B):
+                assert cr.rsa_decrypt(pair, cr.rsa_encrypt(pair.public, secret)) == secret
+    assert numbers.call_count == 2
 
 
 def test_ke_message_codec():
