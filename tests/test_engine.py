@@ -348,9 +348,9 @@ def _both_ways(a, b, rounds, b_first):
 @pytest.mark.parametrize("b_first", [False, True], ids=["reset_read_first", "secret_on_its_way"])
 def test_reset_meets_the_peers_encrypted_secret(b_first):
     # a resets while b holds an encrypted secret for it.  When b reads the
-    # reset first, the secret waits for a new key exchange (b's fuse used
-    # to raise NotEstablished); when it is already on its way, a ends it
-    # in a desync (a used to deliver the ciphertext as the secret).
+    # reset first, the secret waits for a new key exchange, and b's fuse
+    # must not raise NotEstablished; when it is already on its way, a ends
+    # it in a desync rather than deliver the ciphertext as the secret.
     a, b = _encrypted_pair()
     secret = b"attack at dawn " * 4
     b.enqueue_secret(secret)

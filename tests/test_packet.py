@@ -162,7 +162,9 @@ def test_serialize_refuses_what_the_ipv4_header_cannot_state():
     udp = pk.build_udp("10.0.0.1", "10.0.0.2", 1, 2)
     icmp = pk.build_icmp_echo("10.0.0.1", "10.0.0.2")
     for p, header in ((tcp, 40), (udp, 28), (icmp, 28)):
-        for size, fits in ((pk.MAX_IPV4_TOTAL - header, True), (pk.MAX_IPV4_TOTAL - header + 1, False)):
+        limit = pk.MAX_IPV4_TOTAL - header
+        # 70,000 octets also overflow the UDP length field.
+        for size, fits in ((limit, True), (limit + 1, False), (70000, False)):
             if p.icmp is not None:
                 big = replace(p, transport=replace(p.icmp, payload=bytes(size)))
             else:
