@@ -246,7 +246,8 @@ def rsa_encrypt(pub: RsaPublicKey, message: bytes) -> bytes:
 
 @functools.cache
 def _private_key(pair: RsaKeyPair) -> rsa.RSAPrivateKey:
-    """OpenSSL's copy of ``pair``, built once.  The pair is sound by
+    """OpenSSL's copy of ``pair``, built once and kept as
+    ``generate_keypair`` keeps the pair.  The pair is sound by
     construction, so the library's key check (about 65 ms) is skipped."""
     public = rsa.RSAPublicNumbers(pair.public.e, pair.public.n)
     numbers = rsa.RSAPrivateNumbers(pair.p, pair.q, pair.d, pair.dp, pair.dq, pair.qinv, public)

@@ -312,10 +312,6 @@ def test_rsa_decrypt_matches_the_plain_power_decoder(size, seed):
         assert cr.rsa_decrypt(pair, ct) == _seed_rsa_decrypt(pair, ct) == message
 
 
-def _raw_rsa(pair, block):
-    return pow(int.from_bytes(block, "big"), pair.public.e, pair.public.n).to_bytes(cr.RSA_BYTES, "big")
-
-
 def test_rsa_rejects_tampering():
     # Tampered, random, out-of-range and wrong-length ciphertexts, one
     # under the other key, and a frame with two octets of padding, which
@@ -325,7 +321,8 @@ def test_rsa_rejects_tampering():
     for pair, other in ((PAIR_A, PAIR_B), (PAIR_B, PAIR_A)):
         n = pair.public.n
         message = b"s" * (cr.RSA_BYTES - 5)
-        short_ps = _raw_rsa(pair, b"\x00\x02\x01\x01\x00" + message)
+        frame = int.from_bytes(b"\x00\x02\x01\x01\x00" + message, "big")
+        short_ps = pow(frame, pair.public.e, n).to_bytes(cr.RSA_BYTES, "big")
         assert _seed_rsa_decrypt(pair, short_ps) == message
         refused = [short_ps]
         ct = cr.rsa_encrypt(pair.public, bytes(range(cr.SECRET_LEN)))
