@@ -375,7 +375,7 @@ class CovertGateway:
         overwritten here.  Forward packets shift into the rewritten
         space before they leave; reverse acknowledgements shift back so
         the near endpoint never notices."""
-        if p.tcp is None or not self.flow_deltas:
+        if not self.flow_deltas or p.tcp is None:
             return p
         key = pk.flow_key(p)
         if key in self.flow_deltas:

@@ -7,9 +7,12 @@ Length and offset fields (IHL, total length, data offset, UDP length)
 are not stored: serialization derives them from structure.  Checksum
 fields are emitted exactly as stored, so a deliberately overwritten
 checksum stays overwritten until someone recomputes it on purpose.
-Packets are slotted, frozen dataclasses.  A change goes through this
-module's rebuilders (``with_ipv4``, ``with_tcp_seq_ack``, ``readdress``,
-``set_*``, ``fix_*``), which call each changed layer's constructor once.
+Packets are slotted, frozen dataclasses.  Every change (``with_ipv4``,
+``with_tcp_seq_ack``, ``readdress``, ``set_*``, ``fix_*``) and every
+``build_*`` builds each changed layer once and ends in ``_rebuild``,
+which derives the IPv4 lengths once (``_ipv4_lengths``, the one place
+they are derived and bounded), fills the transport checksum and then
+the IPv4 one when asked, and builds one packet.
 
 Inside this module, layers are built by positional constructors
 (``_new_ipv4`` and its siblings) made once at import by ``_constructor``.
@@ -177,7 +180,9 @@ class Icmp:
     payload: bytes = b""
 
 
-Transport = Union[Tcp, Udp, Icmp]
+# ``|``, not ``typing.Union``: typing caches what it subscripts, which
+# would keep these classes, and this module with them, past a re-import.
+Transport = Tcp | Udp | Icmp
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +210,7 @@ class ParsedPacket:
     def wire_len(self) -> int:
         if self.ipv4 is None:
             return ETHER_SIZE + len(self.app_payload)
-        ip_len = MIN_IPV4_HEADER + len(self.ipv4.options) + _ipv4_payload_len(self.transport, self.app_payload)
-        return ETHER_SIZE + ip_len + len(self.link_trailer)
+        return ETHER_SIZE + _ipv4_lengths(self.ipv4.options, self.transport, self.app_payload)[1] + len(self.link_trailer)
 
 
 def _constructor(cls):
@@ -278,22 +282,17 @@ def ipv4_checksum(header: bytes) -> int:
     return checksum16(header)
 
 
-def _tcp_checksum(src: int, dst: int, tcp: Tcp, seq: int, ack: int, options: bytes, payload: bytes) -> int:
-    body = _tcp_bytes(tcp, seq, ack, 0, options) + payload
-    return checksum16(_PSEUDO.pack(src, dst, PROTO_TCP, len(body)) + body)
-
-
-def _transport_checksum(src: int, dst: int, t: Transport, payload: bytes) -> int:
-    """Checksum of ``t`` with its field zeroed, between addresses
-    ``src`` and ``dst``; ``transport_checksum`` documents the rules."""
+def _transport_sum(src: int, dst: int, t: Transport, length: int, payload: bytes) -> int:
+    """Checksum of ``t`` with its field zeroed, between addresses ``src``
+    and ``dst``, for a transport of ``length`` octets (header and
+    payload); ``transport_checksum`` documents the rules."""
     if isinstance(t, Tcp):
-        return _tcp_checksum(src, dst, t, t.seq, t.ack, t.options, payload)
+        return checksum16(b"".join((_PSEUDO.pack(src, dst, PROTO_TCP, length), _tcp_bytes(t, 0), payload)))
     if isinstance(t, Udp):
-        body = _udp_bytes(t, len(payload), 0) + payload
-        value = checksum16(_PSEUDO.pack(src, dst, PROTO_UDP, len(body)) + body)
-        return 0xFFFF if value == 0 else value
+        head = _PSEUDO.pack(src, dst, PROTO_UDP, length) + _UDP.pack(t.src_port, t.dst_port, length, 0)
+        return checksum16(head + payload) or 0xFFFF
     if isinstance(t, Icmp):
-        return checksum16(_icmp_bytes(t, 0, t.payload))
+        return checksum16(_icmp_bytes(t, 0))
     raise UnsupportedProtocol("protocol %r" % type(t).__name__)
 
 
@@ -302,12 +301,14 @@ def transport_checksum(p: ParsedPacket) -> int:
 
     TCP and UDP include the IPv4 pseudo header; ICMP covers only the
     ICMP message.  For UDP the all-zero result is transmitted as 0xFFFF
-    (zero on the wire means "no checksum").
+    (zero on the wire means "no checksum").  A packet whose IPv4 header
+    cannot state its length raises as ``serialize_packet`` does.
     """
     ip, t = p.ipv4, p.transport
     if ip is None or t is None:
         raise UnsupportedProtocol("no transport layer to checksum")
-    return _transport_checksum(ip.src_ip, ip.dst_ip, t, p.app_payload)
+    ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
+    return _transport_sum(ip.src_ip, ip.dst_ip, t, total - 4 * ihl, p.app_payload)
 
 
 def fix_ipv4_checksum(p: ParsedPacket) -> ParsedPacket:
@@ -317,26 +318,17 @@ def fix_ipv4_checksum(p: ParsedPacket) -> ParsedPacket:
     return with_ipv4(p, ip.tos, ip.identification)
 
 
-def _with_checksum(t: Transport, value: int) -> Transport:
-    """``t`` with ``value`` in its checksum field."""
-    if isinstance(t, Tcp):
-        return _new_tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, value, t.urgent, t.options)
-    if isinstance(t, Udp):
-        return _new_udp(t.src_port, t.dst_port, value)
-    return _new_icmp(t.icmp_type, t.code, value, t.identifier, t.sequence, t.payload)
-
-
-def fix_transport_checksum(p: ParsedPacket) -> ParsedPacket:
-    t = _with_checksum(p.transport, transport_checksum(p))
-    return _new_packet(p.link, p.ipv4, t, p.app_payload, p.link_trailer)
-
-
 def fix_checksums(p: ParsedPacket) -> ParsedPacket:
-    if p.transport is not None:
-        p = fix_transport_checksum(p)
-    if p.ipv4 is not None:
-        p = fix_ipv4_checksum(p)
-    return p
+    """``p`` with its transport checksum, if it has a transport, and its
+    IPv4 header checksum summed again, in one rebuild."""
+    ip, t = p.ipv4, p.transport
+    if ip is None:
+        if t is not None:
+            raise UnsupportedProtocol("no transport layer to checksum")
+        return p
+    return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None, ip.src_ip,
+                    ip.dst_ip, ip.options, None if t is None else _copy(t), p.app_payload, p.link_trailer,
+                    t is not None)
 
 
 def validate_ipv4_checksum(p: ParsedPacket) -> bool:
@@ -362,91 +354,73 @@ def validate_checksums(p: ParsedPacket) -> bool:
 # Serialization
 
 
-def _ipv4_payload_len(transport: Optional[Transport], app_payload: bytes) -> int:
-    if isinstance(transport, Tcp):
-        return _TCP.size + len(transport.options) + len(app_payload)
-    if isinstance(transport, Udp):
-        return _UDP.size + len(app_payload)
-    if isinstance(transport, Icmp):
-        return _ICMP.size + len(transport.payload)
-    return len(app_payload)
-
-
-def _ipv4_lengths(options: bytes, payload_len: int) -> Tuple[int, int]:
+def _ipv4_lengths(options: bytes, transport: Optional[Transport], payload: bytes) -> Tuple[int, int]:
     """IHL and total length of an IPv4 header with ``options`` over
-    ``payload_len`` octets."""
-    if len(options) > MAX_IP_OPTIONS or len(options) % 4:
+    ``transport`` and ``payload``: the one derivation of the IPv4 length
+    from a packet's layers, which also checks what the header can state
+    (4-aligned options of at most 40 octets, at most 65,535 in all)."""
+    header = MIN_IPV4_HEADER + len(options)
+    if header > MIN_IPV4_HEADER + MAX_IP_OPTIONS or header % 4:
         raise OptionsOverflow("IPv4 options must be 4-aligned and at most 40 octets")
-    total = MIN_IPV4_HEADER + len(options) + payload_len
+    if isinstance(transport, Tcp):
+        total = header + _TCP.size + len(transport.options) + len(payload)
+    elif isinstance(transport, Udp):
+        total = header + _UDP.size + len(payload)
+    elif isinstance(transport, Icmp):
+        total = header + _ICMP.size + len(transport.payload)
+    else:
+        total = header + len(payload)
     if total > MAX_IPV4_TOTAL:
         raise Truncated("IPv4 total length %d exceeds 65535" % total)
-    return (MIN_IPV4_HEADER + len(options)) // 4, total
-
-
-def _ipv4_header(tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
-                 checksum: int, src: int, dst: int, options: bytes, payload_len: int) -> bytes:
-    """The IPv4 header these fields make over ``payload_len`` octets,
-    with ``checksum`` in its checksum field.  The header checksum
-    (``checksum16`` of it with a zero ``checksum``) and its validation
-    pack the header here; ``serialize_packet`` packs the same fields
-    behind the Ethernet header."""
-    ihl, total = _ipv4_lengths(options, payload_len)
-    head = _IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl, protocol, checksum,
-                      src, dst)
-    return head + options
+    return header // 4, total
 
 
 def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes:
     """The IPv4 header of ``p``, with ``checksum`` in place of the
     stored one unless it is None."""
     ip = p.ipv4
-    return _ipv4_header(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol,
-                        ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip, ip.options,
-                        _ipv4_payload_len(p.transport, p.app_payload))
+    ihl, total = _ipv4_lengths(ip.options, p.transport, p.app_payload)
+    head = _IPV4.pack(0x40 | ihl, ip.tos, total, ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl,
+                      ip.protocol, ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip)
+    return head + ip.options
 
 
-def _tcp_bytes(tcp: Tcp, seq: int, ack: int, checksum: int, options: bytes) -> bytes:
+def _tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
+    options = tcp.options
     if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
     offset = (_TCP.size + len(options)) // 4
-    head = _TCP.pack(tcp.src_port, tcp.dst_port, seq, ack, offset << 4, tcp.flags, tcp.window, checksum, tcp.urgent)
+    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, offset << 4, tcp.flags, tcp.window, checksum,
+                     tcp.urgent)
     return head + options
 
 
-def _udp_bytes(udp: Udp, payload_len: int, checksum: int) -> bytes:
-    length = _UDP.size + payload_len
-    if length > 0xFFFF:
-        raise Truncated("UDP length %d exceeds 65535" % length)
-    return _UDP.pack(udp.src_port, udp.dst_port, length, checksum)
-
-
-def _icmp_bytes(icmp: Icmp, checksum: int, payload: bytes) -> bytes:
-    return _ICMP.pack(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence) + payload
+def _icmp_bytes(icmp: Icmp, checksum: int) -> bytes:
+    return _ICMP.pack(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence) + icmp.payload
 
 
 def serialize_packet(p: ParsedPacket) -> bytes:
     """Emit the frame bytes for ``p``.
 
     Length and offset fields come from the structure itself; stored
-    checksums are written verbatim.  The transport bytes are built
-    first, and the IPv4 total length is taken from them.
+    checksums are written verbatim.
     """
     link, ip, t = p.link, p.ipv4, p.transport
     if ip is None:
         return _ETH.pack(link.dst_mac, link.src_mac, link.ethertype) + p.app_payload
-    if isinstance(t, Tcp):
-        body = _tcp_bytes(t, t.seq, t.ack, t.checksum, t.options) + p.app_payload
-    elif isinstance(t, Udp):
-        body = _udp_bytes(t, len(p.app_payload), t.checksum) + p.app_payload
-    elif isinstance(t, Icmp):
-        body = _icmp_bytes(t, t.checksum, t.payload)
-    else:
-        body = p.app_payload
-    ihl, total = _ipv4_lengths(ip.options, len(body))
+    ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
     head = _ETH_IPV4.pack(link.dst_mac, link.src_mac, link.ethertype, 0x40 | ihl, ip.tos, total, ip.identification,
                           ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum, ip.src_ip,
                           ip.dst_ip)
-    return b"".join((head, ip.options, body, p.link_trailer))
+    if isinstance(t, Tcp):
+        transport = _tcp_bytes(t, t.checksum)
+    elif isinstance(t, Udp):
+        transport = _UDP.pack(t.src_port, t.dst_port, total - 4 * ihl, t.checksum)
+    elif isinstance(t, Icmp):
+        return b"".join((head, ip.options, _icmp_bytes(t, t.checksum), p.link_trailer))
+    else:
+        transport = b""
+    return b"".join((head, ip.options, transport, p.app_payload, p.link_trailer))
 
 
 # ---------------------------------------------------------------------------
@@ -525,36 +499,55 @@ def parse_packet(data: bytes) -> ParsedPacket:
 # Mutation helpers
 
 
-def _over(p: ParsedPacket, transport: Optional[Transport], tos: int, identification: int,
-          checksum: Optional[int] = None) -> ParsedPacket:
-    """``p`` over ``transport`` with a new IPv4 TOS, identification and
-    header checksum; None computes the checksum from the new fields."""
-    ip = p.ipv4
-    if checksum is None:
-        checksum = checksum16(_ipv4_header(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, 0,
-                                           ip.src_ip, ip.dst_ip, ip.options,
-                                           _ipv4_payload_len(transport, p.app_payload)))
-    ipv4 = _new_ipv4(tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
-                     ip.dst_ip, ip.options)
-    return _new_packet(p.link, ipv4, transport, p.app_payload, p.link_trailer)
+# Each transport class's checksum slot setter, for ``_rebuild`` to fill.
+_SET_CHECKSUM = {cls: cls.checksum.__set__ for cls in (Tcp, Udp, Icmp)}
+
+
+def _rebuild(link: Ethernet, tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
+             checksum: Optional[int], src: int, dst: int, options: bytes, transport: Optional[Transport],
+             payload: bytes, trailer: bytes, fill: bool = False) -> ParsedPacket:
+    """The packet these layers make.  With ``fill``, the transport checksum
+    is set in the slot of ``transport``, which the caller has just made for
+    this packet; a ``checksum`` of None is then summed over the header.
+    Either derives and bounds the IPv4 lengths once, before any packing."""
+    if fill or checksum is None:
+        ihl, total = _ipv4_lengths(options, transport, payload)
+        if fill:
+            value = _transport_sum(src, dst, transport, total - 4 * ihl, payload)
+            _SET_CHECKSUM[type(transport)](transport, value)
+        if checksum is None:
+            checksum = checksum16(_IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl,
+                                             protocol, 0, src, dst) + options)
+    ipv4 = _new_ipv4(tos, identification, flags, frag_offset, ttl, protocol, checksum, src, dst, options)
+    return _new_packet(link, ipv4, transport, payload, trailer)
+
+
+def _copy(t: Transport) -> Transport:
+    """A new transport equal to ``t``, for ``_rebuild`` to fill."""
+    if isinstance(t, Tcp):
+        return _new_tcp(t.src_port, t.dst_port, t.seq, t.ack, t.flags, t.window, t.checksum, t.urgent, t.options)
+    if isinstance(t, Udp):
+        return _new_udp(t.src_port, t.dst_port, t.checksum)
+    return _new_icmp(t.icmp_type, t.code, t.checksum, t.identifier, t.sequence, t.payload)
 
 
 def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional[int] = None) -> ParsedPacket:
     """``p`` (which has an IPv4 layer) with a new TOS, identification
     and header checksum.  A ``checksum`` of None is recomputed."""
-    return _over(p, p.transport, tos, identification, checksum)
+    ip = p.ipv4
+    return _rebuild(p.link, tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
+                    ip.dst_ip, ip.options, p.transport, p.app_payload, p.link_trailer)
 
 
 def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     """``p`` with a new TCP sequence and acknowledgement number and the
     TCP checksum recomputed; the IPv4 header is kept as it is."""
-    tcp = p.tcp
-    if tcp is None or p.ipv4 is None:
+    ip, tcp = p.ipv4, p.tcp
+    if tcp is None or ip is None:
         raise UnsupportedProtocol("packet has no TCP header")
-    checksum = _tcp_checksum(p.ipv4.src_ip, p.ipv4.dst_ip, tcp, seq, ack, tcp.options, p.app_payload)
-    transport = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, checksum, tcp.urgent,
-                         tcp.options)
-    return _new_packet(p.link, p.ipv4, transport, p.app_payload, p.link_trailer)
+    tcp = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, 0, tcp.urgent, tcp.options)
+    return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol,
+                    ip.header_checksum, ip.src_ip, ip.dst_ip, ip.options, tcp, p.app_payload, p.link_trailer, True)
 
 
 def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional[int] = None,
@@ -566,18 +559,20 @@ def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional
     ip, t, link = p.ipv4, p.transport, p.link
     link = _new_ethernet(link.dst_mac if dst_mac is None else dst_mac,
                          link.src_mac if src_mac is None else src_mac, link.ethertype)
-    ip = _new_ipv4(ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum,
-                   ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options)
     if isinstance(t, (Tcp, Udp)):
         sport = t.src_port if src_port is None else src_port
         dport = t.dst_port if dst_port is None else dst_port
         if isinstance(t, Tcp):
-            t = _new_tcp(sport, dport, t.seq, t.ack, t.flags, t.window, t.checksum, t.urgent, t.options)
+            t = _new_tcp(sport, dport, t.seq, t.ack, t.flags, t.window, 0, t.urgent, t.options)
         else:
-            t = _new_udp(sport, dport, t.checksum)
+            t = _new_udp(sport, dport, 0)
     elif src_port is not None or dst_port is not None:
         raise UnsupportedProtocol("only TCP and UDP carry ports")
-    return fix_checksums(_new_packet(link, ip, t, p.app_payload, p.link_trailer))
+    elif t is not None:
+        t = _copy(t)
+    return _rebuild(link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None,
+                    ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options, t,
+                    p.app_payload, p.link_trailer, t is not None)
 
 
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
@@ -592,19 +587,18 @@ def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:
     if len(options) > MAX_TCP_OPTIONS:
         raise OptionsOverflow("TCP options of %d octets exceed 40" % len(options))
     padded = options + bytes([TCP_OPT_NOP]) * (-len(options) % 4)
-    checksum = _tcp_checksum(ip.src_ip, ip.dst_ip, tcp, tcp.seq, tcp.ack, padded, p.app_payload)
-    tcp = _new_tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, checksum, tcp.urgent,
-                   padded)
-    return _over(p, tcp, ip.tos, ip.identification)
+    tcp = _new_tcp(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.flags, tcp.window, 0, tcp.urgent, padded)
+    return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None,
+                    ip.src_ip, ip.dst_ip, ip.options, tcp, p.app_payload, p.link_trailer, True)
 
 
 def set_icmp_payload(p: ParsedPacket, payload: bytes) -> ParsedPacket:
     ip, icmp = p.ipv4, p.icmp
     if icmp is None or ip is None:
         raise UnsupportedProtocol("packet has no ICMP message")
-    checksum = checksum16(_icmp_bytes(icmp, 0, payload))
-    icmp = _new_icmp(icmp.icmp_type, icmp.code, checksum, icmp.identifier, icmp.sequence, payload)
-    return _over(p, icmp, ip.tos, ip.identification)
+    icmp = _new_icmp(icmp.icmp_type, icmp.code, 0, icmp.identifier, icmp.sequence, payload)
+    return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None,
+                    ip.src_ip, ip.dst_ip, ip.options, icmp, p.app_payload, p.link_trailer, True)
 
 
 # ---------------------------------------------------------------------------
@@ -670,15 +664,8 @@ def build_icmp_echo(
 
 def _fresh(src_ip, dst_ip, src_mac, dst_mac, proto: int, tos: int, ttl: int, identification: int,
            transport: Transport, payload: bytes = b"") -> ParsedPacket:
-    """A new packet over ``transport`` (checksum field zero) with both
-    checksums filled: the transport's over the pseudo header, then the
-    IPv4 header's over the header its fields pack.  The IPv4 header and
-    the packet are built once, with their final values."""
-    src, dst = _coerce_ip(src_ip), _coerce_ip(dst_ip)
+    """A new packet over the just-made ``transport``, both checksums filled."""
     link = _new_ethernet(_coerce_mac(dst_mac), _coerce_mac(src_mac), ETHERTYPE_IPV4)
-    transport = _with_checksum(transport, _transport_checksum(src, dst, transport, payload))
     # Flags 2: don't fragment, the common case.
-    checksum = checksum16(_ipv4_header(tos, identification, 2, 0, ttl, proto, 0, src, dst, b"",
-                                       _ipv4_payload_len(transport, payload)))
-    ipv4 = _new_ipv4(tos, identification, 2, 0, ttl, proto, checksum, src, dst, b"")
-    return _new_packet(link, ipv4, transport, payload, b"")
+    return _rebuild(link, tos, identification, 2, 0, ttl, proto, None, _coerce_ip(src_ip), _coerce_ip(dst_ip), b"",
+                    transport, payload, b"", True)

@@ -15,24 +15,28 @@ wrap a fuse/extract engine around everything crossing toward or from
 their peer.
 
 Set-up computes every topology fact once per ``Simulation``: one
-sorted adjacency map, one BFS per node for the next-hop tables (the
-runs from the gateways also keep the hop counts that decide which side
-of a gateway pair a host sits on, for client targets and secret
-registries), each node's address and MAC as an int and bytes, and each
-monitor's rules with their addresses resolved.  Packets are then
-handled without parsing strings.
+sorted adjacency map, one BFS per node for the next hops (the runs from
+the gateways also keep the hop counts that decide which side of a
+gateway pair a host sits on, for client targets and secret registries),
+each node's address and MAC as an int and bytes, each monitor's rules
+with their addresses resolved, and from the next hops one forwarding
+table per node: destination address -> (pipe to the next hop, that
+hop's receive function).
 
 The per-hop contract: one hop is one heap event, ``(time, serial,
-function, arguments)``, that calls the receive function of the next
-node.  Each node's receive function is resolved at set-up with the
-node's kind, stats object and capture file, so a hop neither branches
-on the kind nor makes a closure.  The frame length travels with the
-event: routers and monitors forward the size they received, and only
-an origin (``send_from``) or a gateway that rebuilds the packet derives
-it again with ``wire_len``.
+function, arguments)``, found with one lookup in the sender's table,
+that calls the next node's receive function.  Each receive function is
+made at set-up with its node's context resolved (a monitor's rules and
+counters; a gateway's side, secret registry, NAT flag and peer-side
+addresses), so a hop neither branches on the kind nor looks a node up
+by name.  Only a gateway's engine is looked up per packet, so methods
+swapped onto it after set-up (a benchmark's timers) are the ones
+called.  The frame length travels with the event: only an origin, a
+host's reply or a gateway that rebuilds the packet derives it again.
 
 A ``Simulation`` keeps counters and running digests, never a record
-per packet, and a transfer keeps only its own sends.
+per packet; a transfer keeps only its own sends, and a bulk transfer is
+let go once it has all arrived.
 """
 
 from __future__ import annotations
@@ -144,7 +148,7 @@ def _compile_rules(rules: List[topo_mod.RuleDef]) -> Dict[str, List[tuple]]:
     return compiled
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pipe:
     src: str
     dst: str
@@ -155,15 +159,14 @@ class _Pipe:
     carried_octets: int = 0
 
     def transit(self, now: int, size: int) -> int:
-        start = max(now, self.busy_until)
-        tx_us = -(-size * MICROS // self.capacity)  # ceil
-        self.busy_until = start + tx_us
+        start = now if now > self.busy_until else self.busy_until
+        self.busy_until = start - (-size * MICROS // self.capacity)  # ceil of the transmission time
         self.carried_packets += 1
         self.carried_octets += size
         return self.busy_until + self.delay_us
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     sent: int = 0
     received: int = 0
@@ -409,7 +412,8 @@ class Simulation:
         # Hop counts from each gateway, filled by _build_routes; links
         # are undirected, so they also give every node's distance to it.
         self._gateway_dist: Dict[str, Dict[str, int]] = {}
-        self._next_hop = self._build_routes(topology.adjacency(), {gw for pair in pairs for gw in pair})
+        adjacency = topology.adjacency()
+        next_hop = self._build_routes(adjacency, {gw for pair in pairs for gw in pair})
         self._pipes: Dict[Tuple[str, str], _Pipe] = {}
         for link in topology.links:
             self._pipes[(link.a, link.b)] = _Pipe(link.a, link.b, link.capacity, link.delay_us)
@@ -418,6 +422,9 @@ class Simulation:
         base_config = engine_config or EngineConfig()
         self.gateways: Dict[str, CovertGateway] = {}
         self._gateway_side: Dict[str, str] = {}
+        # Per gateway: the addresses whose next hop is its peer's side,
+        # the only traffic that carries the stream.
+        self._peer_side: Dict[str, Set[int]] = {}
         self._secret_registry: Dict[str, Set[int]] = {}
         # Per NAT gateway: (protocol, mapped port) -> (source address,
         # source port), and back from (protocol, address, port).
@@ -429,7 +436,11 @@ class Simulation:
                 cfg = replace(base_config, seed=seed)
                 engine = CovertGateway(gw, peer, cfg, local_mac=self._node_mac[gw])
                 self.gateways[gw] = engine
-                self._gateway_side[gw] = self._toward(gw, peer)
+                side = next_hop[gw].get(peer)
+                if side is None:
+                    raise SimError("no path from %r to %r" % (gw, peer))
+                self._gateway_side[gw] = side
+                self._peer_side[gw] = {ip for ip, dest in self._ip_to_node.items() if next_hop[gw].get(dest) == side}
                 self._secret_registry[gw] = {
                     self._node_ip[h.name]
                     for h in topology.nodes.values()
@@ -449,10 +460,17 @@ class Simulation:
         self._bulk_count: Dict[str, int] = {}
         self._bulk_by_port: Dict[Tuple[str, int], _BulkTransfer] = {}
         self._paced_by_src: Dict[str, _PacedTransfer] = {}
-        # What a packet arriving at each node runs: (packet, previous hop, frame length).
-        self._receivers: Dict[str, Callable[[pk.ParsedPacket, str, int], None]] = {
-            name: self._receiver(node) for name, node in topology.nodes.items()
-        }
+        # Each node's forwarding table: destination address -> (pipe to
+        # the next hop, that hop's receive function, which takes the
+        # packet, the previous hop and the frame length).  Filled once
+        # the receive functions, which hold their own node's table, exist.
+        self._forward: Dict[str, dict] = {name: {} for name in topology.nodes}
+        receivers = {name: self._receiver(node) for name, node in topology.nodes.items()}
+        for origin, table in self._forward.items():
+            hops = next_hop[origin]
+            # One entry per neighbour, shared by every address behind it.
+            via = {n: (self._pipes[(origin, n)], receivers[n]) for n in adjacency[origin]}
+            table.update((ip, via[hops[dest]]) for ip, dest in self._ip_to_node.items() if dest in hops)
         self._build_clients(pairs)
         if self.covert and base_config.encryption:
             for engine in self.gateways.values():
@@ -490,12 +508,6 @@ class Simulation:
     def _addresses(self, src: str, dst: str) -> Tuple[Optional[int], Optional[int], Optional[bytes], Optional[bytes]]:
         """Source and destination address and MAC, resolved at set-up."""
         return self._node_ip[src], self._node_ip[dst], self._node_mac[src], self._node_mac[dst]
-
-    def _toward(self, origin: str, dest: str) -> str:
-        try:
-            return self._next_hop[origin][dest]
-        except KeyError:
-            raise SimError("no path from %r to %r" % (origin, dest)) from None
 
     def _closer_to(self, node: str, a: str, b: str) -> bool:
         """Whether ``node`` is strictly fewer hops from gateway ``a``
@@ -591,41 +603,40 @@ class Simulation:
         """Originate ``p`` at ``node`` and route it one hop; ``size`` is
         its frame length when the caller already has it."""
         self.node_stats[node].sent += 1
-        self._route(node, p, p.wire_len if size is None else size)
+        self._route(self._forward[node], node, p, p.wire_len if size is None else size)
 
-    def _route(self, node: str, p: pk.ParsedPacket, size: int) -> None:
-        if p.ipv4 is None:
+    def _route(self, table: dict, node: str, p: pk.ParsedPacket, size: int) -> None:
+        """Send ``p`` one hop on from ``node``: one lookup in ``node``'s
+        forwarding ``table``, one heap event."""
+        ip = p.ipv4
+        if ip is None:
             return
-        # No hop for an unknown address or the node's own.
-        hop = self._next_hop[node].get(self._ip_to_node.get(p.ipv4.dst_ip))
-        if hop is None:
+        # No entry for an unknown address or the node's own.
+        entry = table.get(ip.dst_ip)
+        if entry is None:
             self.node_stats[node].dropped += 1
             return
-        arrival = self._pipes[(node, hop)].transit(self.now, size)
-        self._schedule(arrival, self._receivers[hop], p, node, size)
+        pipe, receive = entry
+        self._serial += 1
+        heapq.heappush(self._heap, (pipe.transit(self.now, size), self._serial, receive, (p, node, size)))
 
-    def _receiver(self, node: topo_mod.NodeDef) -> Callable[[pk.ParsedPacket, str, int], None]:
+    def _receiver(self, node: topo_mod.NodeDef) -> Callable:
         """The function a packet arriving at ``node`` goes to, with the
-        node's kind, stats and capture file resolved here, once."""
-        name = node.name
-        stats = self.node_stats[name]
+        node's kind, stats, table, capture file and context resolved."""
+        name, stats, table = node.name, self.node_stats[node.name], self._forward[node.name]
         if node.kind == topo_mod.KIND_ROUTER:
             route = self._route
 
             def receive(p, came_from, size):
                 stats.received += 1
                 stats.forwarded += 1
-                route(name, p, size)
+                route(table, name, p, size)
         else:
-            handle = {
-                topo_mod.KIND_HOST: self._host_receive,
-                topo_mod.KIND_MONITOR: self._monitor_receive,
-                topo_mod.KIND_CGATEWAY: self._gateway_receive,
-            }[node.kind]
-
-            def receive(p, came_from, size):
-                stats.received += 1
-                handle(name, p, came_from, size)
+            receive = {
+                topo_mod.KIND_HOST: self._host_receiver,
+                topo_mod.KIND_MONITOR: self._monitor_receiver,
+                topo_mod.KIND_CGATEWAY: self._gateway_receiver,
+            }[node.kind](node, stats, table)
         capture = self.captures.get(name)
         if capture is None:
             return receive
@@ -638,26 +649,35 @@ class Simulation:
 
     # -- hosts -----------------------------------------------------------------
 
-    def _host_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
-        if p.ipv4 is None or p.ipv4.dst_ip != self._node_ip[node]:
-            self.node_stats[node].dropped += 1
-            return
-        tcp = p.tcp
-        if tcp is not None and tcp.dst_port == SECRET_PORT and p.app_payload:
-            sport = tcp.src_port
-            # A gateway lending its address also remapped the port.
-            nat = self._phys_nat.get(self._ip_to_node.get(p.ipv4.src_ip))
-            if nat and (pk.PROTO_TCP, sport) in nat:
-                sport = nat[(pk.PROTO_TCP, sport)][1]
-            transfer = self._bulk_by_port.get((node, sport))
-            if transfer is not None:
-                transfer.delivered_octets += len(p.app_payload)
-                transfer.delivered_packets += 1
-                transfer.delivered_parts.append(p.app_payload)
-                transfer.finished_us = self.now
-        reply = self._respond(node, p, tcp)
-        if reply is not None:
-            self.send_from(node, reply)
+    def _host_receiver(self, node: topo_mod.NodeDef, stats: NodeStats, table: dict) -> Callable:
+        name, my_ip, route = node.name, self._node_ip[node.name], self._route
+
+        def receive(p, came_from, size):
+            stats.received += 1
+            if p.ipv4 is None or p.ipv4.dst_ip != my_ip:
+                stats.dropped += 1
+                return
+            tcp = p.tcp
+            if tcp is not None and tcp.dst_port == SECRET_PORT and p.app_payload:
+                sport = tcp.src_port
+                # A gateway lending its address also remapped the port.
+                nat = self._phys_nat.get(self._ip_to_node.get(p.ipv4.src_ip))
+                if nat and (pk.PROTO_TCP, sport) in nat:
+                    sport = nat[(pk.PROTO_TCP, sport)][1]
+                transfer = self._bulk_by_port.get((name, sport))
+                if transfer is not None:
+                    transfer.delivered_octets += len(p.app_payload)
+                    transfer.delivered_packets += 1
+                    transfer.delivered_parts.append(p.app_payload)
+                    transfer.finished_us = self.now
+                    # A whole transfer is let go; a stalled one stays mapped.
+                    if transfer.delivered_octets >= transfer.payload_octets:
+                        del self._bulk_by_port[(name, sport)]
+            reply = self._respond(name, p, tcp)
+            if reply is not None:
+                stats.sent += 1
+                route(table, name, reply, reply.wire_len)
+        return receive
 
     def _respond(self, node: str, p: pk.ParsedPacket, tcp: Optional[pk.Tcp]) -> Optional[pk.ParsedPacket]:
         """Stateless service behavior: the reply is a pure function of
@@ -669,43 +689,29 @@ class Simulation:
         src_ip = p.ipv4.dst_ip
         dst_ip = p.ipv4.src_ip
         if tcp is not None:
-            flags = tcp.flags
-            if flags & pk.TCP_SYN and not flags & pk.TCP_ACK:
-                isn = _safe_isn(node, p.ipv4.src_ip, tcp.src_port, tcp.seq)
-                return pk.build_tcp(
-                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
-                    seq=isn, ack=(tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_SYN | pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if flags & pk.TCP_SYN and flags & pk.TCP_ACK:
-                return pk.build_tcp(
-                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
-                    seq=tcp.ack, ack=(tcp.seq + 1) & 0xFFFFFFFF,
-                    flags=pk.TCP_ACK, src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if p.app_payload and tcp.dst_port == SECRET_PORT:
-                ack_value = (tcp.seq + len(p.app_payload)) & 0xFFFFFFFF
-                return pk.build_tcp(
-                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
-                    seq=tcp.ack, ack=ack_value, flags=pk.TCP_ACK,
-                    src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if p.app_payload and tcp.dst_port in SERVICE_PORTS.values():
-                size = 100 + (tcp.seq % 400)
-                body = hashlib.sha256(p.app_payload[:32] + tcp.seq.to_bytes(4, "big")).digest()
-                payload = (body * (size // len(body) + 1))[:size]
-                return pk.build_tcp(
-                    src_ip, dst_ip, tcp.dst_port, tcp.src_port,
-                    seq=tcp.ack, ack=(tcp.seq + len(p.app_payload)) & 0xFFFFFFFF,
-                    flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                    src_mac=my_mac, dst_mac=dst_mac,
-                )
-            if flags & pk.TCP_ACK and not p.app_payload and tcp.src_port == SECRET_PORT:
-                transfer = self._paced_by_src.get(node)
-                if transfer is not None:
-                    transfer.on_ack(tcp.ack)
+            flags, payload = tcp.flags, b""
+            if flags & pk.TCP_SYN:
+                # A SYN gets a SYN-ACK and a SYN-ACK an ACK, each acknowledging one octet.
+                advance = 1
+                if flags & pk.TCP_ACK:
+                    flags, seq = pk.TCP_ACK, tcp.ack
+                else:
+                    flags, seq = pk.TCP_SYN | pk.TCP_ACK, _safe_isn(node, p.ipv4.src_ip, tcp.src_port, tcp.seq)
+            elif p.app_payload and (tcp.dst_port == SECRET_PORT or tcp.dst_port in SERVICE_PORTS.values()):
+                flags, seq, advance = pk.TCP_ACK, tcp.ack, len(p.app_payload)
+                if tcp.dst_port != SECRET_PORT:
+                    size = 100 + (tcp.seq % 400)
+                    body = hashlib.sha256(p.app_payload[:32] + tcp.seq.to_bytes(4, "big")).digest()
+                    flags, payload = pk.TCP_ACK | pk.TCP_PSH, (body * (size // len(body) + 1))[:size]
+            else:
+                if flags & pk.TCP_ACK and not p.app_payload and tcp.src_port == SECRET_PORT:
+                    transfer = self._paced_by_src.get(node)
+                    if transfer is not None:
+                        transfer.on_ack(tcp.ack)
                 return None
-            return None
+            return pk.build_tcp(src_ip, dst_ip, tcp.dst_port, tcp.src_port, seq=seq,
+                                ack=(tcp.seq + advance) & 0xFFFFFFFF, flags=flags, payload=payload,
+                                src_mac=my_mac, dst_mac=dst_mac)
         if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
             return pk.build_icmp_echo(
                 src_ip, dst_ip, icmp_type=pk.ICMP_ECHO_REPLY,
@@ -722,44 +728,50 @@ class Simulation:
 
     # -- monitors ----------------------------------------------------------------
 
-    def _monitor_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
-        stats = self.monitor_stats[node]
-        stats.seen += 1
-        spec = self.topology.nodes[node]
-        verdict = None
-        ip = p.ipv4
-        if ip is not None:
-            stats.addresses.add((ip.src_ip, ip.dst_ip))
-            if not pk.validate_ipv4_checksum(p):
-                stats.checksum_anomalies += 1
-            port = p.transport.dst_port if isinstance(p.transport, (pk.Tcp, pk.Udp)) else None
-            for index, action, proto, src, dst, dst_port in self._monitor_rules.get(node, ()):
-                if ((proto is None or ip.protocol == proto)
-                        and (src is None or ip.src_ip == src)
-                        and (dst is None or ip.dst_ip == dst)
-                        and (dst_port is None or port == dst_port)):
-                    stats.rule_hits[index] = stats.rule_hits.get(index, 0) + 1
-                    if action == "log":
-                        stats.log_hits += 1
-                        continue
-                    verdict = action
-                    break
-        if verdict is None:
-            verdict = spec.default_action
+    def _monitor_receiver(self, node: topo_mod.NodeDef, stats: NodeStats, table: dict) -> Callable:
+        """A monitor's receive function, its rules and counters resolved."""
+        name, default_action, nat, route = node.name, node.default_action, node.nat, self._route
+        monitor = self.monitor_stats[name]
+        rules = self._monitor_rules.get(name, ())
+
+        def receive(p, came_from, size):
+            stats.received += 1
+            monitor.seen += 1
+            verdict = None
+            ip = p.ipv4
+            if ip is not None:
+                monitor.addresses.add((ip.src_ip, ip.dst_ip))
+                if not pk.validate_ipv4_checksum(p):
+                    monitor.checksum_anomalies += 1
+                port = p.transport.dst_port if isinstance(p.transport, (pk.Tcp, pk.Udp)) else None
+                for index, action, proto, src, dst, dst_port in rules:
+                    if ((proto is None or ip.protocol == proto)
+                            and (src is None or ip.src_ip == src)
+                            and (dst is None or ip.dst_ip == dst)
+                            and (dst_port is None or port == dst_port)):
+                        monitor.rule_hits[index] = monitor.rule_hits.get(index, 0) + 1
+                        if action == "log":
+                            monitor.log_hits += 1
+                            continue
+                        verdict = action
+                        break
+            if verdict is None:
+                verdict = default_action
+                if verdict == "drop":
+                    monitor.default_drops += 1
+                    stats.dropped += 1
+                    return
             if verdict == "drop":
-                stats.default_drops += 1
-                self.node_stats[node].dropped += 1
+                monitor.rule_drops += 1
+                stats.dropped += 1
                 return
-        if verdict == "drop":
-            stats.rule_drops += 1
-            self.node_stats[node].dropped += 1
-            return
-        if spec.nat and not self._nat_permits(node, spec, p, came_from):
-            stats.nat_drops += 1
-            self.node_stats[node].dropped += 1
-            return
-        self.node_stats[node].forwarded += 1
-        self._route(node, p, size)
+            if nat and not self._nat_permits(name, node, p, came_from):
+                monitor.nat_drops += 1
+                stats.dropped += 1
+                return
+            stats.forwarded += 1
+            route(table, name, p, size)
+        return receive
 
     def _nat_permits(self, node: str, spec, p: pk.ParsedPacket, came_from: str) -> bool:
         """Flow-tracking address translation: outbound traffic opens a
@@ -780,63 +792,61 @@ class Simulation:
 
     # -- covert gateways ----------------------------------------------------------
 
-    def _gateway_receive(self, node: str, p: pk.ParsedPacket, came_from: str, size: int) -> None:
-        engine = self.gateways.get(node)
-        if engine is None or not self.covert:
-            forwarded = p if engine is None else engine.adjust_flow(p)
-        elif came_from == self._gateway_side[node]:
-            forwarded = self._gateway_from_peer(node, engine, p)
-        else:
-            forwarded = self._gateway_toward_peer(node, engine, p)
-        if forwarded is None:
-            return
-        self.node_stats[node].forwarded += 1
-        # A rebuilt packet may have a new length; an untouched one keeps its own.
-        self._route(node, forwarded, size if forwarded is p else forwarded.wire_len)
+    def _gateway_receiver(self, node: topo_mod.NodeDef, stats: NodeStats, table: dict) -> Callable:
+        """A covert gateway's receive function; its engine is looked up per packet."""
+        name, nat, my_ip = node.name, node.nat, self._node_ip[node.name]
+        gateways, route, secret_ips = self.gateways, self._route, self._secret_ips
+        side = self._gateway_side.get(name)
+        registry = self._secret_registry.get(name, set())
+        peer_side = self._peer_side.get(name, set())
 
-    def _gateway_from_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
-        """The packet to forward once ``p`` is extracted, or None."""
-        try:
-            forwarded, secrets, _ = engine.extract(p)
-        except DesyncError as exc:
-            self.desync_count += 1
-            forwarded, secrets = exc.forwarded, []
-        forwarded = engine.adjust_flow(forwarded)
-        for blob in secrets:
-            self._deliver_secret(node, blob)
-        me = self.topology.nodes[node]
-        if me.nat and forwarded.ipv4 is not None and forwarded.ipv4.dst_ip == self._node_ip[node]:
-            return self._phys_nat_in(node, forwarded)
-        return forwarded
+        def from_peer(engine, p):
+            """The packet to forward once ``p`` is extracted, or None."""
+            try:
+                forwarded, secrets, _ = engine.extract(p)
+            except DesyncError as exc:
+                self.desync_count += 1
+                forwarded, secrets = exc.forwarded, []
+            forwarded = engine.adjust_flow(forwarded)
+            for blob in secrets:
+                self.secret_chain.update(hashlib.sha256(blob).digest())
+                try:
+                    inner = pk.parse_packet(blob)
+                except pk.PacketError:
+                    continue
+                route(table, name, inner, inner.wire_len)
+            if nat and forwarded.ipv4 is not None and forwarded.ipv4.dst_ip == my_ip:
+                return self._phys_nat_in(name, forwarded)
+            return forwarded
 
-    def _gateway_toward_peer(self, node: str, engine: CovertGateway, p: pk.ParsedPacket) -> Optional[pk.ParsedPacket]:
-        """The packet to forward once ``p`` is fused, or None when it
-        joins the secret queue instead."""
-        registry = self._secret_registry[node]
-        me = self.topology.nodes[node]
-        if p.ipv4 is not None and p.ipv4.dst_ip in registry:
-            engine.enqueue_secret(pk.serialize_packet(p))
-            return None
-        if me.nat and p.ipv4 is not None and p.ipv4.src_ip in self._secret_ips:
-            p = self._phys_nat_out(node, p)
-        p = engine.adjust_flow(p)
-        # Only traffic actually crossing to the peer side carries the
-        # stream; anything staying local would never reach extraction.
-        dest = self._ip_to_node.get(p.ipv4.dst_ip) if p.ipv4 is not None else None
-        via = self._next_hop[node].get(dest) if dest is not None else None
-        if via == self._gateway_side[node]:
-            p, _ = engine.fuse(p)
-        return p
+        def toward_peer(engine, p):
+            """The packet to forward once ``p`` is fused, or None when it
+            joins the secret queue instead."""
+            if p.ipv4 is not None and p.ipv4.dst_ip in registry:
+                engine.enqueue_secret(pk.serialize_packet(p))
+                return None
+            if nat and p.ipv4 is not None and p.ipv4.src_ip in secret_ips:
+                p = self._phys_nat_out(name, p)
+            p = engine.adjust_flow(p)
+            if p.ipv4 is not None and p.ipv4.dst_ip in peer_side:
+                p, _ = engine.fuse(p)
+            return p
 
-    def _deliver_secret(self, node: str, blob: bytes) -> None:
-        self.secret_chain.update(hashlib.sha256(blob).digest())
-        try:
-            inner = pk.parse_packet(blob)
-        except pk.PacketError:
-            return
-        if inner.ipv4 is None:
-            return
-        self._route(node, inner, inner.wire_len)
+        def receive(p, came_from, size):
+            stats.received += 1
+            engine = gateways.get(name)
+            if engine is None or not self.covert:
+                forwarded = p if engine is None else engine.adjust_flow(p)
+            elif came_from == side:
+                forwarded = from_peer(engine, p)
+            else:
+                forwarded = toward_peer(engine, p)
+            if forwarded is None:
+                return
+            stats.forwarded += 1
+            # A rebuilt packet may have a new length; an untouched one keeps its own.
+            route(table, name, forwarded, size if forwarded is p else forwarded.wire_len)
+        return receive
 
     # physical address translation at a gateway: secret flows leave with
     # the gateway's own address and a remapped source port.

@@ -549,6 +549,20 @@ def test_gateway_nat_path_calls_no_dataclass_replace():
     # Replies to the translated workload came back through the table.
     assert sim.node_stats["secret_a"].received > 0
     assert calls[0] == 0
+    # Each translation, out and back in, builds one packet.
+    secret, server = sim._node_ip["secret_a"], sim._node_ip["server_b"]
+    for request in (pk.build_tcp(secret, server, 40001, 80, flags=pk.TCP_SYN),
+                    pk.build_udp(secret, server, 40002, 5353, payload=b"query"),
+                    pk.build_icmp_echo(secret, server, identifier=7)):
+        with _calls(pk._new_packet) as built:
+            out = sim._phys_nat_out("gw_a", request)
+        assert built[0] == 1 and pk.validate_checksums(out)
+        t = out.transport
+        answer = pk.readdress(out, src_ip=server, dst_ip=out.ipv4.src_ip, src_port=t.dst_port,
+                              dst_port=t.src_port) if out.icmp is None else pk.readdress(out, dst_ip=out.ipv4.src_ip)
+        with _calls(pk._new_packet) as built:
+            back = sim._phys_nat_in("gw_a", answer)
+        assert built[0] == 1 and back.ipv4.dst_ip == secret and pk.validate_checksums(back)
 
 
 def test_simulator_derives_the_frame_length_only_where_a_packet_is_made():
@@ -568,3 +582,21 @@ def test_simulator_derives_the_frame_length_only_where_a_packet_is_made():
     hops = sum(stats.received for stats in sim.node_stats.values())
     # Far fewer than one per hop: the routers and the monitor add none.
     assert calls[0] <= sent + gateway_forwarded + secrets < hops
+
+
+def test_simulator_derives_the_ipv4_length_once_per_packet_operation():
+    """The same run derives the IPv4 length (``_ipv4_lengths``) at most
+    once for each packet built, rebuilt, checksum-validated or
+    serialized, and for each frame length (``wire_len``) asked for."""
+    def run(*functions):
+        sim = Simulation(line_topology(visible_users=4), engine_config=EngineConfig(enabled_handlers=(1, 2), seed=5),
+                         seed=5)
+        transfer = sim.add_bulk_transfer("secret_b", "secret_a", 8192)
+        with _calls(*functions) as calls:
+            sim.run(5 * MICROS)
+        assert transfer.delivered_octets == 8192
+        return calls[0]
+
+    derived = run(pk._ipv4_lengths)
+    operations = run(pk._rebuild, pk.validate_ipv4_checksum, pk.serialize_packet, pk.ParsedPacket.wire_len.fget)
+    assert 1000 < derived <= operations

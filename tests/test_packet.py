@@ -178,6 +178,34 @@ def test_serialize_refuses_what_the_ipv4_header_cannot_state():
             pk.serialize_packet(replace(p, ipv4=replace(p.ipv4, options=bytes(6))))
 
 
+OVERSIZE_ENTRIES = {
+    "transport_checksum": pk.transport_checksum,
+    "fix_checksums": pk.fix_checksums,
+    "readdress": lambda p: pk.readdress(p, src_ip=3),
+    "with_tcp_seq_ack": lambda p: pk.with_tcp_seq_ack(p, 1, 2),
+}
+
+
+@pytest.mark.parametrize("kind, entry", [(kind, entry) for kind in ("tcp", "udp") for entry in OVERSIZE_ENTRIES
+                                         if (kind, entry) != ("udp", "with_tcp_seq_ack")])
+def test_oversize_segments_raise_truncated(kind, entry):
+    """Past what the IPv4 total length can state, every checksum entry
+    point raises ``Truncated`` before it packs a pseudo header."""
+    build = pk.build_tcp if kind == "tcp" else pk.build_udp
+    p = replace(build("10.0.0.1", "10.0.0.2", 1, 2), app_payload=bytes(70000))
+    with pytest.raises(pk.Truncated):
+        OVERSIZE_ENTRIES[entry](p)
+
+
+def test_fix_checksums_leaves_its_input_alone():
+    p = pk.build_tcp("10.0.0.1", "10.0.0.2", 1, 2, payload=b"data")
+    damaged = pk.with_ipv4(replace(p, transport=replace(p.tcp, checksum=0)), 0, 0, 0)
+    fixed = pk.fix_checksums(damaged)
+    assert fixed == pk.with_ipv4(p, 0, 0) and pk.validate_checksums(fixed)
+    # The transport it refilled was a copy.
+    assert damaged.tcp.checksum == 0 and damaged.ipv4.header_checksum == 0
+
+
 def test_icmp_payload_replacement():
     p = pk.build_icmp_echo("10.0.0.1", "10.0.0.2", payload=b"abcdefgh" * 4)
     swapped = pk.set_icmp_payload(p, b"Z" * 40)

@@ -1,6 +1,7 @@
 """Deterministic desk-scale network simulator."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,20 @@ def _sim(seed=0, visible_users=2, covert=True, **kw):
         covert=covert,
         **kw,
     )
+
+
+def _intercept(sim, node, receive):
+    """Send every hop into ``node`` to ``receive`` instead, by swapping
+    the node's entry in every forwarding table.  Returns the node's own
+    receive function, for ``receive`` to pass packets on to."""
+    own = None
+    for table in sim._forward.values():
+        for ip, (pipe, hop) in table.items():
+            if pipe.dst == node:
+                own = hop
+                table[ip] = (pipe, receive)
+    assert own is not None
+    return own
 
 
 def _pipe_totals(sim):
@@ -339,10 +354,22 @@ def test_sequential_bulk_transfers_to_one_host_stay_apart():
     assert finished == sorted(set(finished))
 
 
+def test_a_finished_transfer_is_not_kept():
+    sim = _sim(seed=3, visible_users=4)
+    transfer = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
+    sim.run_until(lambda: transfer.delivered_octets >= 4096, max_us=60 * MICROS)
+    assert transfer.delivered_digest == transfer.sent_digest
+    gone = weakref.ref(transfer)
+    del transfer
+    assert gone() is None
+    # A transfer that has not arrived stays mapped.
+    stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now + 60 * MICROS)
+    sim.run(MICROS)
+    assert list(sim._bulk_by_port.values()) == [stalled]
+
+
 def test_a_lost_packet_stalls_only_its_own_transfer():
     sim = _sim(seed=3, visible_users=4)
-    # Every hop into secret_a goes through its receive function.
-    receive = sim._receivers["secret_a"]
     lost = []
 
     def lossy(p, came_from, size):
@@ -351,7 +378,8 @@ def test_a_lost_packet_stalls_only_its_own_transfer():
             return
         receive(p, came_from, size)
 
-    sim._receivers["secret_a"] = lossy
+    # Every hop into secret_a goes through its receive function.
+    receive = _intercept(sim, "secret_a", lossy)
     stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
     sim.run(30 * MICROS)
     assert lost and stalled.delivered_octets == 4096 - 512
@@ -556,7 +584,6 @@ def test_router_log_rule_and_port_rule():
 def test_a_lost_carrier_desyncs_and_the_carriers_still_go_on():
     sim = _sim(seed=0, visible_users=1)
     engine = sim.gateways["gw_b"]
-    receive = sim._receivers["gw_b"]
     lost, desynced, arrived = [], [], []
 
     def lossy(p, came_from, size):
@@ -576,14 +603,12 @@ def test_a_lost_carrier_desyncs_and_the_carriers_still_go_on():
             desynced.append(exc.forwarded)
             raise
 
-    server = sim._receivers["server_b"]
-
     def at_server(p, came_from, size):
         arrived.append(p)
         server(p, came_from, size)
 
-    sim._receivers["gw_b"] = lossy
-    sim._receivers["server_b"] = at_server
+    receive = _intercept(sim, "gw_b", lossy)
+    server = _intercept(sim, "server_b", at_server)
     engine.extract = spy
     sim.add_bulk_transfer("secret_a", "secret_b", 2000)
     sim.run(5 * MICROS)
