@@ -9,19 +9,25 @@ re-recorded together with the reason in CHANGES.md.
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 import stegnet.packet as pk
 import stegnet.trace as tr
+from stegnet.calibration import CalibrationPlan, calibrate_handler
+from stegnet.cli import main
 from stegnet.engine import CovertGateway, EngineConfig
 from stegnet.report import render_report
 from stegnet.scenarios import (
+    calibration_report,
     scenario_firewall_bypass,
     scenario_impersonation,
     scenario_nat_bypass,
+    scenario_secret_internet,
     scenario_segmentation,
     scenario_stability,
+    simulation_runner,
 )
 
 REPORT_DIGESTS = {
@@ -30,6 +36,7 @@ REPORT_DIGESTS = {
     "segmentation": "ff43b4eb1445be7813fe1ca534791540cdce4a9a110fd731c4e5369fe9b3af60",
     "impersonation": "2b02fc59b722fbd2044995da24666aa88a48ee8dff94aac45443bf619d7be605",
     "stability": "88468bdab1d1d91404515e32a03c3d218532ee0634829d70e26795bc13ced4bb",
+    "secret_internet": "b2efc8ed015e36a9a978c465bbcadb63d033bf3beccb3f37f1163a00f7f32e77",
 }
 SCENARIOS = {
     "firewall_bypass": scenario_firewall_bypass,
@@ -37,6 +44,23 @@ SCENARIOS = {
     "segmentation": scenario_segmentation,
     "impersonation": scenario_impersonation,
     "stability": scenario_stability,
+    "secret_internet": scenario_secret_internet,
+}
+CALIBRATION_DIGEST = "475d80a24179ad08206ae991b517a5cc0f25af91551a716fa340b0177616bb86"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# ``simulate`` with the shipped workload and engine files, a 2000-octet
+# payload and a 10 s horizon, keyed by topology and covert mode.
+SIMULATE_DIGESTS = {
+    ("firewall_bypass", True): "f582fd83c04320978bb58ed580d5ca3c90bd594ff6027e792b126671a03299a0",
+    ("firewall_bypass", False): "09d31665a2fc5c94b680981eb5344d9875386a76576ba1a18d9fc1d5de35a3d5",
+    ("impersonation", True): "a3d2b18a4dcc0c1f6a484a67c1bc4c5f9752b7ffc5aaaf9563acd0f527d866da",
+    ("impersonation", False): "3f1f25df6f320cf3302a724584e0ccf992463fb18849936962a72bece0403c17",
+    ("nat_bypass", True): "2c55dacf9415569f04788c789fa3f2048ee75cc00be10641dab44e4a8c2a6d69",
+    ("nat_bypass", False): "098263a7b5a8a4bc5f1b1628ed4229172c34a8a9f92086e806b5ac8d8df80838",
+    ("secret_internet", True): "bef1fbdc43b8c3366302789fad87c8e0ad6e3a5bd7a46bd50ec76e009662ccfc",
+    ("secret_internet", False): "6c75bc2769a3d3df1f1a3697a91905b34b9ac5c7e2d8e02e04f1fcc009cb7212",
+    ("segmentation", True): "7738b3cf1c295cf7b89deb944925047811e53527a1fa6758e04356600a3fba67",
+    ("segmentation", False): "de137642ad6e7ec92b7274e7b548bad56262e98bf1cf8250b695b99977d0a3d8",
 }
 
 TRACE_RECORDS = 3000
@@ -60,6 +84,22 @@ def _sha(data) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_report_bytes(name):
     assert _sha(render_report(SCENARIOS[name](seed=0))) == REPORT_DIGESTS[name]
+
+
+def test_calibration_report_bytes():
+    plan = CalibrationPlan(sessions=1, bandwidth_levels=(8000, 20000), payload_octets=2000)
+    result = calibrate_handler(simulation_runner(max_virtual_s=30), 2, plan=plan, seed=1)
+    assert _sha(render_report(calibration_report(result))) == CALIBRATION_DIGEST
+
+
+@pytest.mark.parametrize("topology, covert", sorted(SIMULATE_DIGESTS))
+def test_simulate_report_bytes(topology, covert, tmp_path, capsys):
+    out = tmp_path / "simulate.report"
+    argv = ["simulate", "--topology", str(CONFIGS / ("%s.topo" % topology)),
+            "--workload", str(CONFIGS / "workload.cfg"), "--config", str(CONFIGS / "engine.cfg"),
+            "--payload", "2000", "--duration", "10", "--out", str(out)]
+    assert main(argv if covert else argv + ["--no-covert"]) == 0
+    assert _sha(out.read_bytes()) == SIMULATE_DIGESTS[(topology, covert)]
 
 
 def _fuse_and_repair(config_a, config_b, payload):
