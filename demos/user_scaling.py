@@ -8,7 +8,7 @@ delivered octets against per-carrier capacity use, to the octet.
 """
 
 from stegnet.engine import EngineConfig
-from stegnet.scenarios import line_topology
+from stegnet.scenarios import line_topology, run_transfer
 from stegnet.simnet import MICROS, Simulation, WorkloadSpec
 
 PAYLOAD = 4000
@@ -21,22 +21,20 @@ def run(users: int, record=None):
         engine_config=EngineConfig(enabled_handlers=(1, 2), seed=0),
         seed=0,
     )
-    transfer = sim.add_bulk_transfer("secret_a", "secret_b", PAYLOAD, packet_size=400)
     if record is not None:
         gw = sim.gateways["gw_a"]
         inner = gw.fuse
         gw.fuse = lambda c: record(inner(c))
-    sim.run_until(lambda: transfer.delivered_octets >= PAYLOAD, 120 * MICROS)
-    return sim, transfer
+    return sim, run_transfer(sim, "secret_a", "secret_b", PAYLOAD, 120 * MICROS, packet_size=400)
 
 
 def main() -> None:
     print("visible users | time to move %d octets | goodput" % PAYLOAD)
     for users in (1, 2, 4, 6, 8, 10):
-        _, transfer = run(users)
-        seconds = transfer.finished_us / MICROS
+        sim, transfer = run(users)
+        seconds = (transfer.finished_us or sim.now) / MICROS
         print("     %2d       |       %7.3f s        | %7.0f oct/s"
-              % (users, seconds, PAYLOAD / seconds))
+              % (users, seconds, transfer.delivered_octets / seconds))
 
     stats = []
 

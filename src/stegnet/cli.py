@@ -29,9 +29,10 @@ from .calibration import CalibrationPlan, calibrate_handler
 from .engine import CovertGateway, EngineConfig, _child_seed
 from .handlers import STOCK_IDS, UnknownHandler, build_registry
 from .report import SessionReport, _write_atomic, render_report
-from .scenarios import calibration_report, simulation_runner
+from .scenarios import calibration_report, run_transfer, simulation_runner
 from .simnet import MICROS, Simulation, parse_workload
-from .topology import ConfigError, Topology, load_topology, parse_bool, parse_float, parse_int, read_sections
+from .topology import (KIND_CGATEWAY, ConfigError, Topology, load_topology, parse_bool, parse_float, parse_int,
+                       read_sections)
 
 T = TypeVar("T")
 
@@ -214,7 +215,7 @@ def _secret_pair(topology: Topology) -> Tuple[str, str]:
         if not node.secret:
             continue
         for neighbor in topology.neighbors(name):
-            if topology.nodes[neighbor].kind == "cgateway":
+            if topology.nodes[neighbor].kind == KIND_CGATEWAY:
                 by_gateway.setdefault(neighbor, []).append(name)
                 break
     gateways = sorted(by_gateway)
@@ -234,13 +235,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _engine_config_from_args(args)
     sim = Simulation(topology, workload=workload, engine_config=config,
                      seed=config.seed, covert=not args.no_covert)
+    horizon = int(args.duration * MICROS)
     transfer = None
     if args.payload > 0:
-        src, dst = _secret_pair(topology)
-        transfer = sim.add_bulk_transfer(src, dst, args.payload)
-    horizon = int(args.duration * MICROS)
-    if transfer is not None:
-        sim.run_until(lambda: transfer.delivered_octets >= args.payload, horizon)
+        transfer = run_transfer(sim, *_secret_pair(topology), args.payload, horizon)
     else:
         sim.run(horizon)
 

@@ -9,14 +9,14 @@ functions of their seed.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import packet as pk
 from .calibration import CalibrationResult, RunSpec
 from .engine import EngineConfig
 from .handlers import ICMP_PAYLOAD_ID, TCP_ISN_ID, TCP_OPTIONS_ID
 from .report import SessionReport
-from .simnet import MICROS, Simulation, WorkloadSpec
+from .simnet import MICROS, Simulation, WorkloadSpec, _BulkTransfer
 from .topology import Topology, load_topology
 
 DEFAULT_HANDLERS = (TCP_OPTIONS_ID, ICMP_PAYLOAD_ID)
@@ -91,31 +91,22 @@ def line_topology(
     return load_topology("\n".join(parts), is_path=False)
 
 
-def _engine_config(
-    handlers: Sequence[int] = DEFAULT_HANDLERS,
-    encryption: bool = False,
-    augmented: bool = False,
-    augment_probability: float = 0.0,
-    seed: int = 0,
-) -> EngineConfig:
-    return EngineConfig(
-        enabled_handlers=tuple(handlers),
-        encryption=encryption,
-        augmented_allowed=augmented,
-        augment_probability=augment_probability,
-        seed=seed,
-    )
+def run_transfer(
+    sim: Simulation, src: str, dst: str, octets: int, max_us: int, packet_size: int = 512,
+) -> _BulkTransfer:
+    """Send ``octets`` from ``src`` to ``dst`` as one bulk transfer and
+    run ``sim`` until all of them have arrived or the absolute virtual
+    time ``max_us`` passes.  The transfer took ``transfer.finished_us or
+    sim.now``: its last arrival, or the run's end if it did not finish."""
+    transfer = sim.add_bulk_transfer(src, dst, octets, packet_size)
+    sim.run_until(lambda: transfer.delivered_octets >= octets, max_us)
+    return transfer
 
 
 def _invisibility_fields(sim: Simulation, report: SessionReport) -> None:
-    secret_ips = {
-        pk.str_to_ip(n.ip)
-        for n in sim.topology.nodes.values()
-        if n.secret and n.ip
-    }
     # Sightings count per monitor: a pair seen at two monitors counts twice.
     secret_seen = sum(1 for stats in sim.monitor_stats.values() for src, dst in stats.addresses
-                      if src in secret_ips or dst in secret_ips)
+                      if src in sim._secret_ips or dst in sim._secret_ips)
     monitors = sim.monitor_totals()
     report.fields["monitor_drops"] = monitors.rule_drops + monitors.default_drops
     report.fields["monitor_log_hits"] = monitors.log_hits
@@ -123,15 +114,6 @@ def _invisibility_fields(sim: Simulation, report: SessionReport) -> None:
     report.fields["monitor_nat_drops"] = monitors.nat_drops
     report.fields["monitor_secret_address_sightings"] = secret_seen
     report.fields["desyncs"] = sim.desync_count
-
-
-def _gateway_fields(sim: Simulation, report: SessionReport, gw: str = "gw_a") -> None:
-    counters = sim.gateways[gw].counters
-    report.fields["carriers_modified"] = counters["carriers_modified"]
-    report.fields["carriers_excluded"] = counters["carriers_excluded"]
-    report.fields["sync_octets"] = counters["sync_octets"]
-    report.fields["data_octets"] = counters["data_octets"]
-    report.fields["secret_octets_sent"] = counters["secret_octets_sent"]
 
 
 def scenario_secret_internet(
@@ -146,18 +128,12 @@ def scenario_secret_internet(
     report = SessionReport(scenario="secret_internet", seed=seed)
     report.fields["payload_octets"] = payload_octets
     report.fields["encryption"] = encryption
+    config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, encryption=encryption, seed=seed)
     total_drops = 0
     for budget in budgets:
-        topo = line_topology()
-        workload = WorkloadSpec(budget=budget)
-        sim = Simulation(
-            topo, workload=workload,
-            engine_config=_engine_config(encryption=encryption, seed=seed),
-            seed=seed, capture_nodes=(),
-        )
-        transfer = sim.add_bulk_transfer("secret_a", "secret_b", payload_octets)
-        sim.run_until(lambda: transfer.delivered_octets >= payload_octets, max_virtual_s * MICROS)
-        duration_us = transfer.finished_us if transfer.finished_us else sim.now
+        sim = Simulation(line_topology(), workload=WorkloadSpec(budget=budget), engine_config=config, seed=seed)
+        transfer = run_transfer(sim, "secret_a", "secret_b", payload_octets, max_virtual_s * MICROS)
+        duration_us = transfer.finished_us or sim.now
         throughput = transfer.delivered_octets * MICROS / duration_us if duration_us else 0.0
         counters = sim.gateways["gw_a"].counters
         overhead = counters["sync_octets"] + counters["mgmt_octets_sent"]
@@ -175,7 +151,8 @@ def scenario_secret_internet(
         )
         if budget == budgets[-1]:
             _invisibility_fields(sim, report)
-            _gateway_fields(sim, report)
+            for name in ("carriers_modified", "carriers_excluded", "sync_octets", "data_octets", "secret_octets_sent"):
+                report.fields[name] = counters[name]
     report.fields["monitor_total_drops"] = total_drops
     return report
 
@@ -184,25 +161,25 @@ def _blocked_then_covert(
     report: SessionReport,
     topo_factory,
     seed: int,
+    workload: Optional[WorkloadSpec] = None,
     payload_octets: int = 800,
     max_virtual_s: int = 60,
-) -> SessionReport:
+) -> Tuple[Simulation, _BulkTransfer]:
     """Shared shape of the bypass scenarios: a direct attempt across a
-    hostile middle fails, the covert attempt succeeds."""
-    direct = Simulation(topo_factory(), engine_config=_engine_config(seed=seed), seed=seed, covert=False)
-    direct_transfer = direct.add_bulk_transfer("secret_b", "secret_a", payload_octets)
-    direct.run_until(lambda: direct_transfer.delivered_octets >= payload_octets, max_virtual_s * MICROS // 2)
+    hostile middle fails within half the horizon, the covert attempt
+    succeeds.  Returns the covert run and its transfer."""
+    config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed)
+    direct = Simulation(topo_factory(), workload=workload, engine_config=config, seed=seed, covert=False)
+    direct_transfer = run_transfer(direct, "secret_b", "secret_a", payload_octets, max_virtual_s * MICROS // 2)
     report.fields["direct_delivered_octets"] = direct_transfer.delivered_octets
     monitors = direct.monitor_totals()
     report.fields["direct_blocked_packets"] = monitors.rule_drops + monitors.default_drops + monitors.nat_drops
 
-    covert = Simulation(topo_factory(), engine_config=_engine_config(seed=seed), seed=seed)
-    covert_transfer = covert.add_bulk_transfer("secret_b", "secret_a", payload_octets)
-    covert.run_until(lambda: covert_transfer.delivered_octets >= payload_octets, max_virtual_s * MICROS)
-    report.fields["covert_delivered_octets"] = covert_transfer.delivered_octets
-    report.fields["covert_duration_us"] = covert_transfer.finished_us or covert.now
-    _invisibility_fields(covert, report)
-    return report
+    covert = Simulation(topo_factory(), workload=workload, engine_config=config, seed=seed)
+    transfer = run_transfer(covert, "secret_b", "secret_a", payload_octets, max_virtual_s * MICROS)
+    report.fields["covert_delivered_octets"] = transfer.delivered_octets
+    report.fields["covert_duration_us"] = transfer.finished_us or covert.now
+    return covert, transfer
 
 
 def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionReport:
@@ -215,11 +192,12 @@ def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionRep
     """
     report = SessionReport(scenario="nat_bypass", seed=seed)
     factory = lambda: line_topology(nat_monitor=True)
-    _blocked_then_covert(report, factory, seed)
+    bypass, _ = _blocked_then_covert(report, factory, seed)
+    _invisibility_fields(bypass, report)
 
     def handshake_sim(covert: bool) -> Simulation:
         sim = Simulation(
-            factory(), engine_config=_engine_config(seed=seed), seed=seed,
+            factory(), engine_config=EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed), seed=seed,
             covert=covert, capture_nodes=("secret_a", "secret_b"),
         )
         src = sim.topology.nodes["secret_b"]
@@ -270,40 +248,19 @@ def scenario_firewall_bypass(
     The direct transfer hits them immediately; the covert transfer
     delivers the full payload with zero hits on any of them.
     """
-    secret_ips = ("10.0.1.2", "10.0.2.3")
     rules = tuple(
-        "[rule]\nnode = core\naction = %s\nproto = any\n%s = %s" % (action, side, ip)
-        for ip in secret_ips
+        "[rule]\nnode = core\naction = drop\nproto = any\n%s = %s" % (side, ip)
+        for ip in ("10.0.1.2", "10.0.2.3")
         for side in ("src", "dst")
-        for action in ("drop",)
     )
     report = SessionReport(scenario="firewall_bypass", seed=seed)
-    factory = lambda: line_topology(rules=rules, visible_users=visible_users)
-
-    def run(covert: bool):
-        sim = Simulation(
-            factory(), workload=WorkloadSpec(budget=budget),
-            engine_config=_engine_config(seed=seed), seed=seed, covert=covert,
-        )
-        transfer = sim.add_bulk_transfer("secret_b", "secret_a", payload_octets)
-        sim.run_until(
-            lambda: transfer.delivered_octets >= payload_octets,
-            max_virtual_s * MICROS,
-        )
-        return sim, transfer
-
-    direct, direct_transfer = run(covert=False)
-    report.fields["direct_delivered_octets"] = direct_transfer.delivered_octets
-    direct_monitors = direct.monitor_totals()
-    report.fields["direct_blocked_packets"] = direct_monitors.rule_drops + direct_monitors.default_drops
-
-    covert, transfer = run(covert=True)
-    report.fields["covert_delivered_octets"] = transfer.delivered_octets
-    report.fields["covert_duration_us"] = transfer.finished_us or covert.now
+    covert, transfer = _blocked_then_covert(
+        report, lambda: line_topology(rules=rules, visible_users=visible_users), seed,
+        WorkloadSpec(budget=budget), payload_octets, max_virtual_s,
+    )
     report.fields["payload_intact"] = transfer.delivered_digest == transfer.sent_digest
-    rule_count = len(covert.topology.rules)
-    rule_hits = covert.monitor_totals().rule_hits
-    report.fields["secret_ip_rule_hits"] = sum(rule_hits.get(i, 0) for i in range(rule_count))
+    # Every rule in this topology is one of the secret-address drops.
+    report.fields["secret_ip_rule_hits"] = sum(covert.monitor_totals().rule_hits.values())
     _invisibility_fields(covert, report)
     return report
 
@@ -318,9 +275,9 @@ def scenario_segmentation(seed: int = 0) -> SessionReport:
         "[rule]\nnode = core\naction = allow\nproto = icmp",
     )
     report = SessionReport(scenario="segmentation", seed=seed)
-    return _blocked_then_covert(
-        report, lambda: line_topology(rules=rules, default_action="drop"), seed
-    )
+    covert, _ = _blocked_then_covert(report, lambda: line_topology(rules=rules, default_action="drop"), seed)
+    _invisibility_fields(covert, report)
+    return report
 
 
 def scenario_impersonation(seed: int = 0, duration_s: int = 20) -> SessionReport:
@@ -328,7 +285,7 @@ def scenario_impersonation(seed: int = 0, duration_s: int = 20) -> SessionReport
     traffic, so the monitor never sees the secret address at all."""
     topo = line_topology(gateway_nat=True)
     topo.nodes["secret_a"].workload = True
-    sim = Simulation(topo, engine_config=_engine_config(seed=seed), seed=seed)
+    sim = Simulation(topo, engine_config=EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed), seed=seed)
     transfer = sim.add_bulk_transfer("secret_a", "secret_b", 600)
     sim.run(duration_s * MICROS)
     report = SessionReport(scenario="impersonation", seed=seed)
@@ -350,7 +307,7 @@ def scenario_stability(
     def run(covert: bool):
         sim = Simulation(
             line_topology(visible_users=visible_users),
-            engine_config=_engine_config(seed=seed), seed=seed, covert=covert,
+            engine_config=EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed), seed=seed, covert=covert,
         )
         transfer = sim.add_paced_transfer("secret_a", "secret_b", packets)
         sim.run(duration_s * MICROS)
@@ -444,27 +401,22 @@ def simulation_runner(max_virtual_s: int = 60):
 
     def run(spec: RunSpec) -> float:
         if spec.mode == "baseline":
-            config = _engine_config(seed=spec.seed)
-            covert = False
+            config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=spec.seed)
         elif spec.mode == "target":
-            config = _engine_config(_calibration_handlers(spec.handler_id), seed=spec.seed)
-            covert = True
+            config = EngineConfig(enabled_handlers=_calibration_handlers(spec.handler_id), seed=spec.seed)
         elif spec.mode == "augmented":
             handlers = tuple(dict.fromkeys(_calibration_handlers(spec.handler_id) + (TCP_ISN_ID,)))
-            config = _engine_config(
-                handlers, augmented=True,
+            config = EngineConfig(
+                enabled_handlers=handlers, augmented_allowed=True,
                 augment_probability=spec.augment_probability, seed=spec.seed,
             )
-            covert = True
         else:
             raise ValueError("unknown calibration mode %r" % spec.mode)
-        topo = line_topology(visible_users=spec.visible_users)
-        workload = WorkloadSpec(budget=spec.bandwidth)
-        sim = Simulation(topo, workload=workload, engine_config=config, seed=spec.seed, covert=covert)
-        transfer = sim.add_bulk_transfer("secret_a", "secret_b", spec.payload_octets, packet_size=200)
-        sim.run_until(lambda: transfer.delivered_octets >= spec.payload_octets, max_virtual_s * MICROS)
-        end = transfer.finished_us if transfer.delivered_octets >= spec.payload_octets else sim.now
-        return end / MICROS
+        sim = Simulation(line_topology(visible_users=spec.visible_users), workload=WorkloadSpec(budget=spec.bandwidth),
+                         engine_config=config, seed=spec.seed, covert=spec.mode != "baseline")
+        transfer = run_transfer(sim, "secret_a", "secret_b", spec.payload_octets, max_virtual_s * MICROS,
+                                packet_size=200)
+        return (transfer.finished_us or sim.now) / MICROS
 
     return run
 

@@ -265,7 +265,8 @@ class _WorkloadClient:
 
 
 class _BulkTransfer:
-    """Covert payload drain: all packets offered up front."""
+    """Covert payload drain: all packets offered up front.  ``finished_us``
+    stays None until the last octet has arrived."""
 
     def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, sport: int):
         self.sim = sim
@@ -549,21 +550,29 @@ class Simulation:
 
     # -- public API ----------------------------------------------------------
 
-    def add_bulk_transfer(self, src: str, dst: str, payload_octets: int, packet_size: int = 512, start_us: int = 0) -> _BulkTransfer:
+    def add_bulk_transfer(self, src: str, dst: str, payload_octets: int, packet_size: int = 512, start_us: Optional[int] = None) -> _BulkTransfer:
         # The n-th bulk transfer to a host sends from port 41000 + n (mod
         # 1000), so the host tells its packets from those of a concurrent
         # or stalled transfer.
         index = self._bulk_count.get(dst, 0)
-        self._bulk_count[dst] = index + 1
         sport = 41000 + index % 1000
-        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, sport)
+        transfer = self._start(_BulkTransfer(self, src, dst, payload_octets, packet_size, sport), start_us)
+        self._bulk_count[dst] = index + 1
         self._bulk_by_port[(dst, sport)] = transfer
-        self._schedule(start_us, transfer.start)
         return transfer
 
-    def add_paced_transfer(self, src: str, dst: str, packets: int, packet_size: int = 256, rto_us: int = 400_000, start_us: int = 0) -> _PacedTransfer:
-        transfer = _PacedTransfer(self, src, dst, packets, packet_size, rto_us)
+    def add_paced_transfer(self, src: str, dst: str, packets: int, packet_size: int = 256, rto_us: int = 400_000, start_us: Optional[int] = None) -> _PacedTransfer:
+        transfer = self._start(_PacedTransfer(self, src, dst, packets, packet_size, rto_us), start_us)
         self._paced_by_src[src] = transfer
+        return transfer
+
+    def _start(self, transfer, start_us: Optional[int]):
+        """Schedule ``transfer`` to start at ``start_us``, now by default;
+        a time already past is refused."""
+        if start_us is None:
+            start_us = self.now
+        elif start_us < self.now:
+            raise SimError("transfer start %d us is before now (%d us)" % (start_us, self.now))
         self._schedule(start_us, transfer.start)
         return transfer
 
@@ -669,9 +678,9 @@ class Simulation:
                     transfer.delivered_octets += len(p.app_payload)
                     transfer.delivered_packets += 1
                     transfer.delivered_parts.append(p.app_payload)
-                    transfer.finished_us = self.now
                     # A whole transfer is let go; a stalled one stays mapped.
                     if transfer.delivered_octets >= transfer.payload_octets:
+                        transfer.finished_us = self.now
                         del self._bulk_by_port[(name, sport)]
             reply = self._respond(name, p, tcp)
             if reply is not None:

@@ -225,6 +225,18 @@ def test_shipped_config_files_hold_the_defaults():
     assert _engine_config_from_args(args) == EngineConfig()
 
 
+def test_a_stalled_transfer_is_timed_to_the_end_of_the_run(tmp_path, capsys):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    out = tmp_path / "stalled.report"
+    assert main(["simulate", "--topology", str(configs / "secret_internet.topo"),
+                 "--workload", str(configs / "workload.cfg"), "--config", str(configs / "engine.cfg"),
+                 "--payload", "2000", "--duration", "0.5", "--out", str(out)]) == 0
+    assert "transfer incomplete (1024 of 2000 octets)" in capsys.readouterr().err
+    fields = parse_report(out.read_text()).fields
+    assert fields["transfer_us"] == fields["virtual_us"] == "500000"
+    assert float(fields["throughput_oct_s"]) == int(fields["delivered_octets"]) * 10**6 / 500000 == 2048
+
+
 def test_seed_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "engine.cfg"
     cfg.write_text("seed = 7\n")

@@ -15,6 +15,7 @@ from stegnet.simnet import (
     DEFAULT_MIX,
     MICROS,
     SECRET_PORT,
+    SimError,
     Simulation,
     WorkloadSpec,
     parse_workload,
@@ -368,6 +369,21 @@ def test_a_finished_transfer_is_not_kept():
     assert list(sim._bulk_by_port.values()) == [stalled]
 
 
+def test_a_transfer_cannot_start_in_the_past():
+    sim = _sim(seed=3)
+    sim.run(5 * MICROS)
+    for add, amount in ((sim.add_bulk_transfer, 512), (sim.add_paced_transfer, 1)):
+        with pytest.raises(SimError, match="before now"):
+            add("secret_a", "secret_b", amount, start_us=sim.now - 1)
+    bulk = sim.add_bulk_transfer("secret_a", "secret_b", 512)
+    paced = sim.add_paced_transfer("secret_a", "secret_b", 1)
+    sim.run_until(lambda: bulk.finished_us and paced.finished_us, max_us=sim.now + 30 * MICROS)
+    # A default start is now, not virtual time 0.
+    assert paced.send_times[0] == 5 * MICROS
+    assert bulk.finished_us > 5 * MICROS
+    assert list(sim._bulk_by_port) == []
+
+
 def test_a_lost_packet_stalls_only_its_own_transfer():
     sim = _sim(seed=3, visible_users=4)
     lost = []
@@ -383,11 +399,15 @@ def test_a_lost_packet_stalls_only_its_own_transfer():
     stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
     sim.run(30 * MICROS)
     assert lost and stalled.delivered_octets == 4096 - 512
+    # Seven of its eight packets arrived; it has not finished.
+    assert stalled.finished_us is None
     after = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now)
     sim.run_until(lambda: after.delivered_octets >= 4096, max_us=sim.now + 60 * MICROS)
     assert stalled.delivered_octets == 4096 - 512
+    assert stalled.finished_us is None
     assert after.delivered_packets == after.sent_packets
     assert after.delivered_digest == after.sent_digest
+    assert after.finished_us <= sim.now
 
 
 def test_concurrent_bulk_transfers_to_one_host_stay_apart():
