@@ -209,6 +209,7 @@ def test_engine_config_file(tmp_path, capsys):
     ["simulate", "--topology", "t.topo", "--duration", "nan"],
     ["simulate", "--topology", "t.topo", "--duration", "0"],
     ["simulate", "--topology", "t.topo", "--payload", "-5"],
+    ["simulate", "--topology", "t.topo", "--duration", "0.0000001"],
 ])
 def test_bad_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -223,6 +224,21 @@ def test_shipped_config_files_hold_the_defaults():
     args = build_parser().parse_args(["fuse-trace", "--in", "x.pcap", "--out", "y.pcap",
                                       "--config", str(configs / "engine.cfg")])
     assert _engine_config_from_args(args) == EngineConfig()
+
+
+def test_simulate_prints_topology_warnings(tmp_path, capsys):
+    # Three routers between the gateways make a path worth a second look.
+    routers = "".join("[node]\nname = r%d\nkind = router\n\n" % i for i in (2, 3))
+    topology = tmp_path / "long.topo"
+    topology.write_text(routers + TOPOLOGY.replace("kind = monitor", "kind = router").replace(
+        "a = core\nb = gw_b\n",
+        "a = core\nb = r2\ncapacity = 125000\n\n[link]\na = r2\nb = r3\ncapacity = 125000\n\n"
+        "[link]\na = r3\nb = gw_b\n"))
+    assert main(["simulate", "--topology", str(topology), "--payload", "0", "--duration", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: gateways gw_a and gw_b are separated by 3 intermediate nodes; "
+                            "extraction latency grows with each hop\n")
+    assert parse_report(captured.out).fields["virtual_us"] == "1000000"
 
 
 def test_a_stalled_transfer_is_timed_to_the_end_of_the_run(tmp_path, capsys):

@@ -448,6 +448,21 @@ def test_augment_probability_diverts_eligible_carriers():
     assert tx.flow_deltas, "diverted carrier must record its rewrite"
 
 
+def test_a_plugin_at_id_5_is_not_the_isn_channel():
+    # Without augmented correction id 5 is free for a plug-in; this one
+    # writes echo payloads, which have no sequence number to rewrite.
+    registry = HandlerRegistry()
+    registry.register(make_icmp_payload_handler(handler_id=5, name="icmp_as_5"))
+    tx, rx = _pair(EngineConfig(), registry=registry)
+    secret = random.Random(5).randbytes(11)
+    tx.enqueue_secret(secret)
+    fstats, _, got = _pump(tx, rx, [_icmp(0)])
+    assert fstats[0].handler_id == 5 and fstats[0].item_completed
+    assert got == [secret]
+    assert tx.flow_deltas == {}
+    assert tx.idle, "no recovery item may be queued"
+
+
 def test_enqueue_limits_and_chunking():
     tx, _ = _pair()
     with pytest.raises(EngineError):

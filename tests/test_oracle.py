@@ -62,6 +62,9 @@ SIMULATE_DIGESTS = {
     ("segmentation", True): "7738b3cf1c295cf7b89deb944925047811e53527a1fa6758e04356600a3fba67",
     ("segmentation", False): "de137642ad6e7ec92b7274e7b548bad56262e98bf1cf8250b695b99977d0a3d8",
 }
+# The same on secret_internet with the cipher on, a 4000-octet payload
+# and a 60 s horizon: the in-band key exchange, then encrypted items.
+ENCRYPTED_SIMULATE_DIGEST = "04929592d83772caa25004396c471806c38cbf615c877220ee5e572db9d01341"
 
 TRACE_RECORDS = 3000
 TRACE_PAYLOAD = 40_000
@@ -92,14 +95,24 @@ def test_calibration_report_bytes():
     assert _sha(render_report(calibration_report(result))) == CALIBRATION_DIGEST
 
 
+def _simulate_digest(out, topology, *flags):
+    """SHA-256 of the ``simulate`` report for ``topology`` with the
+    shipped workload and engine files and ``flags``."""
+    assert main(["simulate", "--topology", str(CONFIGS / ("%s.topo" % topology)),
+                 "--workload", str(CONFIGS / "workload.cfg"), "--config", str(CONFIGS / "engine.cfg"),
+                 *flags, "--out", str(out)]) == 0
+    return _sha(out.read_bytes())
+
+
 @pytest.mark.parametrize("topology, covert", sorted(SIMULATE_DIGESTS))
 def test_simulate_report_bytes(topology, covert, tmp_path, capsys):
-    out = tmp_path / "simulate.report"
-    argv = ["simulate", "--topology", str(CONFIGS / ("%s.topo" % topology)),
-            "--workload", str(CONFIGS / "workload.cfg"), "--config", str(CONFIGS / "engine.cfg"),
-            "--payload", "2000", "--duration", "10", "--out", str(out)]
-    assert main(argv if covert else argv + ["--no-covert"]) == 0
-    assert _sha(out.read_bytes()) == SIMULATE_DIGESTS[(topology, covert)]
+    flags = ["--payload", "2000", "--duration", "10"] + ([] if covert else ["--no-covert"])
+    assert _simulate_digest(tmp_path / "simulate.report", topology, *flags) == SIMULATE_DIGESTS[(topology, covert)]
+
+
+def test_encrypted_simulate_report_bytes(tmp_path, capsys):
+    flags = ["--encrypt", "--payload", "4000", "--duration", "60"]
+    assert _simulate_digest(tmp_path / "simulate.report", "secret_internet", *flags) == ENCRYPTED_SIMULATE_DIGEST
 
 
 def _fuse_and_repair(config_a, config_b, payload):
