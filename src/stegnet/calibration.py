@@ -81,6 +81,13 @@ def cost_variable(times: Sequence[float], thresholds: Sequence[Tuple[float, floa
 # ---------------------------------------------------------------------------
 # Calibration sweeps
 
+VISIBLE_USERS = 3
+AUGMENT_PROBABILITY = 0.25
+# Throughput below this is unusable no matter what the augmented run
+# measured; keeps the upper threshold off the floor when the augmented
+# overhead happens to be mild.
+FLOOR_BANDWIDTH = 250
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -109,13 +116,7 @@ class CalibrationPlan:
     bandwidth_levels: Tuple[int, ...] = (
         4000, 8000, 12000, 16000, 20000, 24000, 28000, 32000, 36000, 40000,
     )
-    visible_users: int = 3
     payload_octets: int = 4000
-    # Throughput below this is unusable no matter what the augmented
-    # run measured; keeps the upper threshold off the floor when the
-    # augmented overhead happens to be mild.
-    floor_bandwidth: int = 250
-    augment_probability: float = 0.25
 
     @property
     def run_count(self) -> int:
@@ -153,14 +154,14 @@ def calibrate_handler(
     """
     plan = plan or CalibrationPlan()
     result = CalibrationResult(handler_id=handler_id, cost=0.0)
-    ceiling = Fraction(plan.payload_octets, plan.floor_bandwidth)
+    ceiling = Fraction(plan.payload_octets, FLOOR_BANDWIDTH)
     for session in range(plan.sessions):
         for level, bandwidth in enumerate(plan.bandwidth_levels):
             run_seed = seed * 1_000_003 + session * 101 + level
             common = dict(
                 session=session,
                 bandwidth=bandwidth,
-                visible_users=plan.visible_users,
+                visible_users=VISIBLE_USERS,
                 handler_id=handler_id,
                 payload_octets=plan.payload_octets,
                 seed=run_seed,
@@ -168,7 +169,7 @@ def calibrate_handler(
             spec = RunSpec(mode="target", **common)
             base = runner(RunSpec(mode="baseline", **common))
             worst = runner(
-                RunSpec(mode="augmented", augment_probability=plan.augment_probability, **common)
+                RunSpec(mode="augmented", augment_probability=AUGMENT_PROBABILITY, **common)
             )
             t = runner(spec)
             high = max(Fraction(worst), ceiling)

@@ -90,14 +90,14 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite number above 0."""
+def _duration(text: str) -> float:
+    """argparse type: a finite number of seconds, at least one microsecond."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number, got %r" % text) from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
+    if not 1 <= value * MICROS < math.inf:
+        raise argparse.ArgumentTypeError("expected a finite number of seconds, at least 0.000001, got %r" % text)
     return value
 
 
@@ -231,6 +231,8 @@ def _secret_pair(topology: Topology) -> Tuple[str, str]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     topology = _read(args.topology, "topology", EXIT_TOPOLOGY,
                      lambda text: load_topology(text, is_path=False))
+    for warning in topology.warnings:
+        print("warning: %s" % warning, file=sys.stderr)
     workload = _read(args.workload, "workload", EXIT_CONFIG, parse_workload) if args.workload else None
     config = _engine_config_from_args(args)
     sim = Simulation(topology, workload=workload, engine_config=config,
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a topology and report")
     sim.add_argument("--topology", required=True, metavar="FILE")
     sim.add_argument("--workload", metavar="FILE", help="workload settings file")
-    sim.add_argument("--duration", type=_positive_float, default=30.0,
+    sim.add_argument("--duration", type=_duration, default=30.0,
                      metavar="SECONDS", help="virtual time budget")
     sim.add_argument("--payload", type=_non_negative_int, default=1000, metavar="OCTETS",
                      help="covert transfer size, 0 to disable")

@@ -327,10 +327,9 @@ class CovertGateway:
         header, n = placed
         segment = (wire.encode_sync(header) if header is not None else b"") + item.wire_bytes[item.sent : item.sent + n]
 
-        isn_before = carrier.tcp.seq if spec.id == TCP_ISN_ID else None
         modified = spec.writer(carrier, segment)
-        if spec.id == TCP_ISN_ID:
-            self._record_isn_rewrite(carrier, modified, isn_before)
+        if spec is self._isn:
+            self._record_isn_rewrite(carrier, modified)
 
         item.sent += n
         stats.modified = True
@@ -358,15 +357,13 @@ class CovertGateway:
         self.counters["carriers_excluded"] += 1
         return wire.mark_excluded(carrier), stats
 
-    def _record_isn_rewrite(self, original: pk.ParsedPacket, modified: pk.ParsedPacket, isn_before: int) -> None:
-        key = pk.flow_key(original)
-        if key is None:
-            return
-        delta = (modified.tcp.seq - isn_before) & _SEQ_MASK
+    def _record_isn_rewrite(self, original: pk.ParsedPacket, modified: pk.ParsedPacket) -> None:
+        key = pk.flow_key(original)  # a TCP SYN's, never None
+        delta = (modified.tcp.seq - original.tcp.seq) & _SEQ_MASK
         self.flow_deltas[key] = delta
         record = wire.RecoveryRecord(
             src_ip=key[0], src_port=key[1], dst_ip=key[2], dst_port=key[3],
-            field_id=wire.FIELD_TCP_ISN, original=isn_before,
+            field_id=wire.FIELD_TCP_ISN, original=original.tcp.seq,
         )
         self._queue.append(_TxItem(kind=ITEM_RECOVERY, payload=wire.encode_recovery(record)))
 
@@ -460,8 +457,9 @@ class CovertGateway:
         stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
         self.counters["rx_data_octets"] += taken
-        if spec.id == TCP_ISN_ID:
-            self.note_isn_observation(carrier)
+        if spec is self._isn:
+            # The rewritten SYN's on-wire ISN, paired later with its recovery record.
+            self._observed_isn[pk.flow_key(carrier)] = carrier.tcp.seq
 
         if len(item.buf) == item.expected:
             stats.item_completed = True
@@ -484,11 +482,10 @@ class CovertGateway:
         return self._repair(carrier, spec), secrets, stats
 
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
-        kind = _OPENED_KIND.get(header.code)
+        # _rx_open passes no switch and extract takes resets: a key exchange or a secret kind.
+        kind = _OPENED_KIND[header.code]
         if kind == ITEM_KEY_EXCHANGE:
             return _RxItem(kind=kind, encrypted=False, expected=None)
-        if kind not in _SECRET_KINDS:
-            self._desync(carrier, "unexpected opening code 0x%02x" % header.code)
         if kind == ITEM_DATA and header.data < 1:
             self._desync(carrier, "zero-length packet announcement")
         return _RxItem(kind=kind, encrypted=bool(self.config.encryption and self._rx_cipher_active),
@@ -506,7 +503,7 @@ class CovertGateway:
     def _rx_continue(self, carrier: pk.ParsedPacket, candidates: List[HandlerSpec], sel: HandlerSpec,
                      scan: List[HandlerSpec]):
         cursor, mult = self._rx_cursor, len(candidates)
-        spec = sel  # unambiguous carriers never carry a switch header
+        active = sel  # unambiguous carriers never carry a switch header
         if cursor.ambiguous(mult):
             # Ambiguous carriers announce every handler change in-band,
             # so look for a switch header even when ``sel`` is the
@@ -520,13 +517,13 @@ class CovertGateway:
                 if header is not None and header.code == wire.CODE_HANDLER_SWITCH and wire.switch_target(header) == spec.id:
                     cursor.adopt(spec.id, mult, opening=False)
                     return spec, region, wire.SYNC_SIZE
-            for spec in candidates:
-                if spec.id == cursor.active_handler:
+            for active in candidates:
+                if active.id == cursor.active_handler:
                     break
             else:
                 self._desync(carrier, "active handler does not match carrier and no switch announced")
-        cursor.adopt(spec.id, mult, opening=False)
-        return spec, spec.reader(carrier), 0
+        cursor.adopt(active.id, mult, opening=False)
+        return active, active.reader(carrier), 0
 
     def _repair(self, carrier: pk.ParsedPacket, spec: HandlerSpec) -> pk.ParsedPacket:
         if spec.recovery is RecoveryClass.SELF_RECOVERABLE:
@@ -543,13 +540,6 @@ class CovertGateway:
         observed = self._observed_isn.get(key)
         if observed is not None:
             self.recovered_isn[key] = (record.original, observed)
-
-    def note_isn_observation(self, carrier: pk.ParsedPacket) -> None:
-        """Record the on-wire ISN of a rewritten SYN for later pairing
-        with its recovery record."""
-        key = pk.flow_key(carrier)
-        if key is not None and carrier.tcp is not None:
-            self._observed_isn[key] = carrier.tcp.seq
 
     def _handle_key_exchange(self, blob: bytes) -> None:
         msg_type, mac, payload = crypto.decode_ke_message(blob)

@@ -26,13 +26,13 @@ hop's receive function).
 The per-hop contract: one hop is one heap event, ``(time, serial,
 function, arguments)``, found with one lookup in the sender's table,
 that calls the next node's receive function.  Each receive function is
-made at set-up with its node's context resolved (a monitor's rules and
-counters; a gateway's side, secret registry, NAT flag and peer-side
-addresses), so a hop neither branches on the kind nor looks a node up
-by name.  Only a gateway's engine is looked up per packet, so methods
-swapped onto it after set-up (a benchmark's timers) are the ones
-called.  The frame length travels with the event: only an origin, a
-host's reply or a gateway that rebuilds the packet derives it again.
+made at set-up with its node's context resolved (a monitor's rules,
+counters and NAT flows; a gateway's engine, side, secret registry, NAT
+flag and peer-side addresses), so a hop neither branches on the kind
+nor looks a node up by name.  A gateway with nothing to fuse, in a run
+without the channel or without a peer, gets a router's function.  The
+frame length travels with the event: only an origin, a host's reply or
+a gateway that rebuilds the packet derives it again.
 
 A ``Simulation`` keeps counters and running digests, never a record
 per packet; a transfer keeps only its own sends, and a bulk transfer is
@@ -146,6 +146,23 @@ def _compile_rules(rules: List[topo_mod.RuleDef]) -> Dict[str, List[tuple]]:
             rule.dst_port,
         ))
     return compiled
+
+
+def _nat_permits(flows: Set[tuple], pings: Set[tuple], outbound: bool, p: pk.ParsedPacket) -> bool:
+    """Flow-tracking address translation: outbound traffic opens a mapping
+    in ``flows`` or ``pings``, unsolicited inbound traffic is dropped."""
+    key = pk.flow_key(p)
+    if outbound:
+        if key is not None:
+            flows.add(key)
+        elif p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
+            pings.add((p.ipv4.src_ip, p.ipv4.dst_ip, p.icmp.identifier))
+        return True
+    if key is not None:
+        return pk.reverse_flow_key(key) in flows
+    if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REPLY:
+        return (p.ipv4.dst_ip, p.ipv4.src_ip, p.icmp.identifier) in pings
+    return False
 
 
 @dataclass(slots=True)
@@ -371,7 +388,9 @@ class _PacedTransfer:
 
 
 class Simulation:
-    """One experiment: topology + workload + gateway configuration."""
+    """One experiment: topology + workload + gateway configuration.
+    The covert mode and each gateway's engine are fixed at construction;
+    methods patched onto an engine afterwards still run."""
 
     def __init__(
         self,
@@ -450,12 +469,7 @@ class Simulation:
                 self._phys_nat[gw] = {}
                 self._phys_nat_back[gw] = {}
                 self._phys_nat_next[gw] = _NAT_PORT_FIRST
-        for node in topology.nodes.values():
-            if node.kind == topo_mod.KIND_MONITOR:
-                self.monitor_stats[node.name] = MonitorStats()
         self._monitor_rules = _compile_rules(topology.rules)
-        self._nat_flows: Dict[str, Set[tuple]] = {n: set() for n in self.monitor_stats}
-        self._nat_pings: Dict[str, Set[tuple]] = {n: set() for n in self.monitor_stats}
 
         self.clients: Dict[str, _WorkloadClient] = {}
         self._bulk_count: Dict[str, int] = {}
@@ -595,15 +609,14 @@ class Simulation:
             self.run(min(step_us, max_us - self.now))
 
     def monitor_totals(self) -> MonitorStats:
-        """Every monitor's counters summed; rule hits are summed per rule
-        and the address pairs united."""
+        """Every monitor's counters summed, rule hits per rule; the
+        address pairs stay with each monitor's own stats."""
         total = MonitorStats()
         for stats in self.monitor_stats.values():
             for name in ("seen", "log_hits", "rule_drops", "default_drops", "nat_drops", "checksum_anomalies"):
                 setattr(total, name, getattr(total, name) + getattr(stats, name))
             for rule, hits in stats.rule_hits.items():
                 total.rule_hits[rule] = total.rule_hits.get(rule, 0) + hits
-            total.addresses |= stats.addresses
         return total
 
     # -- packet movement -----------------------------------------------------
@@ -633,7 +646,11 @@ class Simulation:
         """The function a packet arriving at ``node`` goes to, with the
         node's kind, stats, table, capture file and context resolved."""
         name, stats, table = node.name, self.node_stats[node.name], self._forward[node.name]
-        if node.kind == topo_mod.KIND_ROUTER:
+        kind = node.kind
+        if kind == topo_mod.KIND_CGATEWAY and (not self.covert or name not in self.gateways):
+            # Nothing is fused, so adjust_flow would return every packet as it came.
+            kind = topo_mod.KIND_ROUTER
+        if kind == topo_mod.KIND_ROUTER:
             route = self._route
 
             def receive(p, came_from, size):
@@ -645,7 +662,7 @@ class Simulation:
                 topo_mod.KIND_HOST: self._host_receiver,
                 topo_mod.KIND_MONITOR: self._monitor_receiver,
                 topo_mod.KIND_CGATEWAY: self._gateway_receiver,
-            }[node.kind](node, stats, table)
+            }[kind](node, stats, table)
         capture = self.captures.get(name)
         if capture is None:
             return receive
@@ -682,6 +699,12 @@ class Simulation:
                     if transfer.delivered_octets >= transfer.payload_octets:
                         transfer.finished_us = self.now
                         del self._bulk_by_port[(name, sport)]
+            elif (tcp is not None and tcp.src_port == SECRET_PORT and not p.app_payload
+                    and tcp.flags & pk.TCP_ACK and not tcp.flags & pk.TCP_SYN):
+                # A paced transfer's acknowledgement, back through the channel.
+                transfer = self._paced_by_src.get(name)
+                if transfer is not None:
+                    transfer.on_ack(tcp.ack)
             reply = self._respond(name, p, tcp)
             if reply is not None:
                 stats.sent += 1
@@ -713,10 +736,6 @@ class Simulation:
                     body = hashlib.sha256(p.app_payload[:32] + tcp.seq.to_bytes(4, "big")).digest()
                     flags, payload = pk.TCP_ACK | pk.TCP_PSH, (body * (size // len(body) + 1))[:size]
             else:
-                if flags & pk.TCP_ACK and not p.app_payload and tcp.src_port == SECRET_PORT:
-                    transfer = self._paced_by_src.get(node)
-                    if transfer is not None:
-                        transfer.on_ack(tcp.ack)
                 return None
             return pk.build_tcp(src_ip, dst_ip, tcp.dst_port, tcp.src_port, seq=seq,
                                 ack=(tcp.seq + advance) & 0xFFFFFFFF, flags=flags, payload=payload,
@@ -738,10 +757,12 @@ class Simulation:
     # -- monitors ----------------------------------------------------------------
 
     def _monitor_receiver(self, node: topo_mod.NodeDef, stats: NodeStats, table: dict) -> Callable:
-        """A monitor's receive function, its rules and counters resolved."""
+        """A monitor's receive function, its rules resolved, its counters and NAT flows made."""
         name, default_action, nat, route = node.name, node.default_action, node.nat, self._route
-        monitor = self.monitor_stats[name]
+        monitor = self.monitor_stats[name] = MonitorStats()
         rules = self._monitor_rules.get(name, ())
+        flows: Set[tuple] = set()  # with NAT, the flows and pings opened from inside
+        pings: Set[tuple] = set()
 
         def receive(p, came_from, size):
             stats.received += 1
@@ -774,7 +795,7 @@ class Simulation:
                 monitor.rule_drops += 1
                 stats.dropped += 1
                 return
-            if nat and not self._nat_permits(name, node, p, came_from):
+            if nat and not _nat_permits(flows, pings, came_from == node.nat_inside, p):
                 monitor.nat_drops += 1
                 stats.dropped += 1
                 return
@@ -782,34 +803,18 @@ class Simulation:
             route(table, name, p, size)
         return receive
 
-    def _nat_permits(self, node: str, spec, p: pk.ParsedPacket, came_from: str) -> bool:
-        """Flow-tracking address translation: outbound traffic opens a
-        mapping, unsolicited inbound traffic is dropped."""
-        outbound = came_from == spec.nat_inside
-        key = pk.flow_key(p)
-        if outbound:
-            if key is not None:
-                self._nat_flows[node].add(key)
-            elif p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST:
-                self._nat_pings[node].add((p.ipv4.src_ip, p.ipv4.dst_ip, p.icmp.identifier))
-            return True
-        if key is not None:
-            return pk.reverse_flow_key(key) in self._nat_flows[node]
-        if p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REPLY:
-            return (p.ipv4.dst_ip, p.ipv4.src_ip, p.icmp.identifier) in self._nat_pings[node]
-        return False
-
     # -- covert gateways ----------------------------------------------------------
 
     def _gateway_receiver(self, node: topo_mod.NodeDef, stats: NodeStats, table: dict) -> Callable:
-        """A covert gateway's receive function; its engine is looked up per packet."""
+        """A paired gateway's receive function in a covert run, its engine resolved."""
+        engine = self.gateways[node.name]
         name, nat, my_ip = node.name, node.nat, self._node_ip[node.name]
-        gateways, route, secret_ips = self.gateways, self._route, self._secret_ips
-        side = self._gateway_side.get(name)
-        registry = self._secret_registry.get(name, set())
-        peer_side = self._peer_side.get(name, set())
+        route, secret_ips = self._route, self._secret_ips
+        side = self._gateway_side[name]
+        registry = self._secret_registry[name]
+        peer_side = self._peer_side[name]
 
-        def from_peer(engine, p):
+        def from_peer(p):
             """The packet to forward once ``p`` is extracted, or None."""
             try:
                 forwarded, secrets, _ = engine.extract(p)
@@ -828,7 +833,7 @@ class Simulation:
                 return self._phys_nat_in(name, forwarded)
             return forwarded
 
-        def toward_peer(engine, p):
+        def toward_peer(p):
             """The packet to forward once ``p`` is fused, or None when it
             joins the secret queue instead."""
             if p.ipv4 is not None and p.ipv4.dst_ip in registry:
@@ -843,13 +848,10 @@ class Simulation:
 
         def receive(p, came_from, size):
             stats.received += 1
-            engine = gateways.get(name)
-            if engine is None or not self.covert:
-                forwarded = p if engine is None else engine.adjust_flow(p)
-            elif came_from == side:
-                forwarded = from_peer(engine, p)
+            if came_from == side:
+                forwarded = from_peer(p)
             else:
-                forwarded = toward_peer(engine, p)
+                forwarded = toward_peer(p)
             if forwarded is None:
                 return
             stats.forwarded += 1

@@ -321,8 +321,7 @@ def test_criterion_06_cost_model():
         ts = [rng.uniform(lo, hi) for _ in range(k)]
         assert cal.cost_variable(ts, [(lo, hi)] * k) == cal.cost_constant(ts, lo, hi)
 
-    plan = cal.CalibrationPlan(sessions=1, bandwidth_levels=(12_000, 20_000),
-                               payload_octets=1200, visible_users=1)
+    plan = cal.CalibrationPlan(sessions=1, bandwidth_levels=(12_000, 20_000), payload_octets=1200)
     runner = sc.simulation_runner(max_virtual_s=60)
     first = cal.calibrate_handler(runner, ICMP_PAYLOAD_ID, plan=plan, seed=4)
     second = cal.calibrate_handler(runner, ICMP_PAYLOAD_ID, plan=plan, seed=4)

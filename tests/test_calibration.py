@@ -7,6 +7,7 @@ import pytest
 
 from stegnet.calibration import (
     BadThresholds,
+    FLOOR_BANDWIDTH,
     CalibrationPlan,
     OutOfRangeWarning,
     RunSpec,
@@ -108,9 +109,9 @@ def test_calibrate_handler_sweeps_and_stays_in_range():
 
 
 def test_calibrate_handler_upper_threshold_never_below_floor():
-    plan = CalibrationPlan(sessions=1, bandwidth_levels=(4000,), floor_bandwidth=250)
+    plan = CalibrationPlan(sessions=1, bandwidth_levels=(4000,))
     result = calibrate_handler(_synthetic_runner(), handler_id=2, plan=plan, seed=0)
-    ceiling = plan.payload_octets / plan.floor_bandwidth
+    ceiling = plan.payload_octets / FLOOR_BANDWIDTH
     assert all(high >= ceiling for _, high in result.thresholds)
 
 

@@ -210,6 +210,7 @@ def test_engine_config_file(tmp_path, capsys):
     ["simulate", "--topology", "t.topo", "--duration", "0"],
     ["simulate", "--topology", "t.topo", "--payload", "-5"],
     ["simulate", "--topology", "t.topo", "--duration", "0.0000001"],
+    ["simulate", "--topology", "t.topo", "--duration", "1e303"],
 ])
 def test_bad_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
