@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from stegnet.calibration import (
-    BadThresholds,
     FLOOR_BANDWIDTH,
+    BadThresholds,
     CalibrationPlan,
     OutOfRangeWarning,
     RunSpec,
