@@ -25,6 +25,18 @@ Design constraints drive some unusual choices here:
   strong liar for every divisor of n, so a base that fails modulo m
   fails modulo n in the same round: the search returns the same
   verdict after the same draws, only without the 1024-bit power.
+* The full-width powers run in forked worker processes, one per CPU
+  the process may run on; every draw and every cheap screen stays in
+  the calling process, in the sequential order.  That process draws
+  ahead on the guess that each candidate fails its first full-width
+  round, as a random composite almost always does, and keeps the rng
+  state after each base.  The first round that passes voids the
+  guesses behind it: the rng goes back to that state, the candidate's
+  other bases are drawn and their rounds run together, and a failure
+  among them rewinds the rng to just after its base.  The search so
+  ends on the same prime, with the rng where the sequential search
+  leaves it, and the worker count never changes a key.  It needs the
+  ``fork`` start method (Linux).
 * Symmetric encryption is AES-256 in CBC mode, keyed by the SHA-256 of
   a 16-octet negotiated secret.  Ciphertext must be exactly as long as
   plaintext so capacity accounting is identical with and without
@@ -42,13 +54,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import random
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Generator, Optional, Tuple
 
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 BLOCK = 16
 RSA_BITS = 2048
@@ -152,7 +169,14 @@ def _strong_round(a: int, d: int, r: int, m: int) -> bool:
     return False
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
+def _miller_rabin(n: int, rng: random.Random, rounds: int = 40) -> Generator[Tuple[int, int, int, int], bool, bool]:
+    """Miller-Rabin test of ``n`` that leaves its full-width rounds to the caller.
+
+    Yields ``(a, d, r, n)`` for each round that the cheap screens leave
+    to a power modulo n, is sent back whether n passed it, and returns
+    the verdict.  Sent the true answers, it draws from ``rng`` and
+    decides as a sequential test does.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -168,16 +192,63 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
         a = rng.randrange(2, n - 2)
         if 1 < m < n and not _strong_round(a, d, r, m):
             return False
-        if not _strong_round(a, d, r, n):
+        if not (yield a, d, r, n):
             return False
     return True
 
 
-def _gen_prime(bits: int, rng: random.Random) -> int:
+def _confirm(rounds: Generator, rng: random.Random, pool: Executor) -> bool:
+    """Finish a candidate that passed its first full-width round.
+
+    Draws its other bases as if every round passed, runs their rounds
+    in ``pool`` together, and on the first that fails leaves ``rng``
+    just after that round's base, where a sequential test stops.
+    """
+    jobs, states = [], []
+    try:
+        while True:
+            jobs.append(rounds.send(True))
+            states.append(rng.getstate())
+    except StopIteration as stop:
+        verdict = stop.value
+    futures = [pool.submit(_strong_round, *job) for job in jobs]
+    for i, future in enumerate(futures):
+        if not future.result():
+            for later in futures[i + 1:]:
+                later.cancel()
+            rng.setstate(states[i])
+            return False
+    return verdict
+
+
+def _gen_prime(bits: int, rng: random.Random, pool: Executor, window: int) -> int:
+    """The prime of ``bits`` bits (at least 9) that a sequential search
+    draws from ``rng``, leaving ``rng`` where that search does.
+
+    Up to ``window`` candidates wait in ``pool`` on their first
+    full-width round, each with the rng state after its base, on the
+    guess that it fails.  The first that passes voids the guesses
+    behind it and rewinds ``rng`` to its state before ``_confirm``.
+    """
+    guesses: Deque[Tuple[Future, int, Generator, tuple]] = deque()
     while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if _is_probable_prime(candidate, rng):
-            return candidate
+        while len(guesses) < window:
+            n = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+            rounds = _miller_rabin(n, rng)
+            try:
+                job = next(rounds)
+            except StopIteration:
+                continue  # n exceeds 251, so the cheap screens can only reject it
+            guesses.append((pool.submit(_strong_round, *job), n, rounds, rng.getstate()))
+        future, n, rounds, state = guesses.popleft()
+        if not future.result():
+            continue
+        for later in guesses:
+            later[0].cancel()
+        guesses.clear()
+        rng.setstate(state)
+        if _confirm(rounds, rng, pool):
+            return n
 
 
 _keypair_cache: dict = {}
@@ -189,31 +260,39 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
     ``bits`` must be even, so that two ``bits // 2``-bit primes can
     multiply to exactly ``bits`` bits, and at least 256, so that the two
     primes differ and ``rsa_encrypt`` can pad a secret (216 bits needed).
+    A key not yet made opens a pool of forked workers, one per CPU this
+    process may run on, for the prime search; it is shut down, its
+    workers joined, when the key is made or the search raises.
     """
     if bits % 2 or bits < 256:
         raise ValueError("RSA modulus bits must be even and at least 256, got %r" % (bits,))
     cached = _keypair_cache.get((seed, bits))
     if cached is not None:
         return cached
+    import concurrent.futures
+    import multiprocessing
+
     rng = random.Random(seed)
     e = 65537
-    while True:
-        p = _gen_prime(bits // 2, rng)
-        q = _gen_prime(bits // 2, rng)
-        if p == q:
-            continue
-        phi = (p - 1) * (q - 1)
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        try:
-            d = pow(e, -1, phi)
-        except ValueError:
-            continue
-        pair = RsaKeyPair(public=RsaPublicKey(n=n, e=e), d=d, p=p, q=q,
-                          dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p))
-        _keypair_cache[(seed, bits)] = pair
-        return pair
+    workers = len(os.sched_getaffinity(0))
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        while True:
+            p = _gen_prime(bits // 2, rng, pool, 2 * workers)
+            q = _gen_prime(bits // 2, rng, pool, 2 * workers)
+            if p == q:
+                continue
+            phi = (p - 1) * (q - 1)
+            n = p * q
+            if n.bit_length() != bits:
+                continue
+            try:
+                d = pow(e, -1, phi)
+            except ValueError:
+                continue
+            pair = RsaKeyPair(public=RsaPublicKey(n=n, e=e), d=d, p=p, q=q,
+                              dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p))
+            _keypair_cache[(seed, bits)] = pair
+            return pair
 
 
 def _pad_stream(tag: bytes, length: int) -> bytes:

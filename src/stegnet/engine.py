@@ -39,6 +39,7 @@ from .handlers import (
     RecoveryClass,
     TCP_ISN_ID,
     build_registry,
+    matches_only_pure_syns,
 )
 
 ITEM_DATA = "data"
@@ -168,9 +169,13 @@ class CovertGateway:
         )
         # The sequence-number handler, which carriers may be diverted to
         # and extraction scans, exists only with augmented correction.
+        # Its writes are recorded as ISN rewrites, so it must ride pure SYNs.
         self._isn: Optional[HandlerSpec] = None
         if self.config.augmented_allowed and TCP_ISN_ID in self.registry.ids:
             self._isn = self.registry.get(TCP_ISN_ID)
+            if not matches_only_pure_syns(self._isn):
+                raise EngineError("handler %r at id %d must match pure TCP SYNs and nothing else under augmented "
+                                  "correction" % (self._isn.name, TCP_ISN_ID))
         self.local_mac = local_mac
         self._rng = random.Random(_child_seed(self.config.seed, "engine:%s" % node_id))
 
@@ -475,7 +480,7 @@ class CovertGateway:
                 elif item.kind == ITEM_KEY_EXCHANGE:
                     self._handle_key_exchange(data)
                 elif item.kind == ITEM_RECOVERY:
-                    self._handle_recovery(data, carrier)
+                    self._handle_recovery(data)
             except (wire.MalformedRecord, crypto.CryptoError) as exc:
                 self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
 
@@ -530,7 +535,7 @@ class CovertGateway:
             return spec.recover(carrier)
         return carrier
 
-    def _handle_recovery(self, data: bytes, carrier: pk.ParsedPacket) -> None:
+    def _handle_recovery(self, data: bytes) -> None:
         # The rewriting gateway already translates seq/ack for both
         # directions, so the delta must not be applied again here; the
         # pairing is kept so the original field value stays recoverable.

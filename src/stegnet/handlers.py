@@ -107,6 +107,16 @@ def _default_vectors(seed: int = 0x5EED) -> Tuple[pk.ParsedPacket, ...]:
     return tuple(vectors)
 
 
+def _is_pure_syn(p: pk.ParsedPacket) -> bool:
+    return p.tcp is not None and p.tcp.flags & (pk.TCP_SYN | pk.TCP_ACK) == pk.TCP_SYN
+
+
+def matches_only_pure_syns(spec: HandlerSpec) -> bool:
+    """Whether, of the default vectors, ``spec`` matches the TCP SYN
+    without ACK and no other: the carriers of the ISN channel."""
+    return all(spec.match(v) == _is_pure_syn(v) for v in _default_vectors())
+
+
 def _self_test(spec: HandlerSpec) -> None:
     """Writer/reader pair law: for every matched packet and segment not
     longer than the capacity, the read-back region starts with the
@@ -354,7 +364,7 @@ def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) 
         4, lambda p: p.tcp.seq, lambda p, value: pk.with_tcp_seq_ack(p, value, p.tcp.ack),
         id=handler_id,
         name="tcp_isn",
-        match=lambda p: p.tcp is not None and bool(p.tcp.flags & pk.TCP_SYN) and not (p.tcp.flags & pk.TCP_ACK),
+        match=_is_pure_syn,
         carrier_cost=cost,
         manipulation=ManipulationClass.DESTRUCTIVE,
         recovery=RecoveryClass.AUGMENTED_CORRECTION,

@@ -8,11 +8,13 @@ are not stored: serialization derives them from structure.  Checksum
 fields are emitted exactly as stored, so a deliberately overwritten
 checksum stays overwritten until someone recomputes it on purpose.
 Packets are slotted, frozen dataclasses.  Every change (``with_ipv4``,
-``with_tcp_seq_ack``, ``readdress``, ``set_*``, ``fix_*``) and every
-``build_*`` builds each changed layer once and ends in ``_rebuild``,
-which derives the IPv4 lengths once (``_ipv4_lengths``, the one place
-they are derived and bounded), fills the transport checksum and then
-the IPv4 one when asked, and builds one packet.
+``readdress``, ``set_*``, ``fix_*``) and every ``build_*`` builds each
+changed layer once and ends in ``_rebuild``, which derives the IPv4
+lengths once (``_ipv4_lengths``, the one place they are derived and
+bounded), fills the transport checksum and then the IPv4 one when
+asked, and builds one packet.  ``with_tcp_seq_ack`` changes TCP alone:
+it keeps the packet's ``Ipv4`` and sums through ``transport_checksum``,
+which derives the lengths the same way.
 
 Inside this module, layers are built by positional constructors
 (``_new_ipv4`` and its siblings) made once at import by ``_constructor``.
@@ -506,18 +508,17 @@ _SET_CHECKSUM = {cls: cls.checksum.__set__ for cls in (Tcp, Udp, Icmp)}
 def _rebuild(link: Ethernet, tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
              checksum: Optional[int], src: int, dst: int, options: bytes, transport: Optional[Transport],
              payload: bytes, trailer: bytes, fill: bool = False) -> ParsedPacket:
-    """The packet these layers make.  With ``fill``, the transport checksum
-    is set in the slot of ``transport``, which the caller has just made for
-    this packet; a ``checksum`` of None is then summed over the header.
-    Either derives and bounds the IPv4 lengths once, before any packing."""
-    if fill or checksum is None:
+    """The packet these layers make.  A ``checksum`` of None is summed
+    over the header, after the IPv4 lengths are derived and bounded once,
+    before any packing; then ``fill`` sets the transport checksum in the
+    slot of ``transport``, which the caller has just made for this packet."""
+    if checksum is None:
         ihl, total = _ipv4_lengths(options, transport, payload)
         if fill:
             value = _transport_sum(src, dst, transport, total - 4 * ihl, payload)
             _SET_CHECKSUM[type(transport)](transport, value)
-        if checksum is None:
-            checksum = checksum16(_IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl,
-                                             protocol, 0, src, dst) + options)
+        checksum = checksum16(_IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl,
+                                         protocol, 0, src, dst) + options)
     ipv4 = _new_ipv4(tos, identification, flags, frag_offset, ttl, protocol, checksum, src, dst, options)
     return _new_packet(link, ipv4, transport, payload, trailer)
 
@@ -541,13 +542,16 @@ def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional
 
 def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     """``p`` with a new TCP sequence and acknowledgement number and the
-    TCP checksum recomputed; the IPv4 header is kept as it is."""
+    TCP checksum recomputed.  Only TCP changes, so the packet keeps the
+    very ``Ipv4`` object of ``p``; ``transport_checksum`` still derives
+    the lengths, and refuses an oversize segment, before it sums."""
     ip, tcp = p.ipv4, p.tcp
     if tcp is None or ip is None:
         raise UnsupportedProtocol("packet has no TCP header")
     tcp = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, 0, tcp.urgent, tcp.options)
-    return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol,
-                    ip.header_checksum, ip.src_ip, ip.dst_ip, ip.options, tcp, p.app_payload, p.link_trailer, True)
+    out = _new_packet(p.link, ip, tcp, p.app_payload, p.link_trailer)
+    _SET_CHECKSUM[Tcp](tcp, transport_checksum(out))
+    return out
 
 
 def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional[int] = None,

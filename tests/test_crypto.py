@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import multiprocessing
 import random
 from unittest import mock
 
@@ -129,10 +131,21 @@ def _primes_up_to(limit):
 SCREEN_PRIMES = [p for p in _primes_up_to(1 << 16) if p > 251]
 
 
+def _is_probable_prime(n, rng):
+    """``crypto._miller_rabin`` with each full-width round run here, in turn."""
+    rounds = cr._miller_rabin(n, rng)
+    try:
+        job = next(rounds)
+        while True:
+            job = rounds.send(cr._strong_round(*job))
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_small_numbers_get_the_sieve_verdict():
     primes = set(_primes_up_to(600))
     for n in range(601):
-        assert cr._is_probable_prime(n, random.Random(n)) == (n in primes), n
+        assert _is_probable_prime(n, random.Random(n)) == (n in primes), n
 MERSENNE_PRIMES = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1]
 # Carmichael numbers and strong pseudoprimes to the first few prime bases.
 PSEUDOPRIMES = [561, 1105, 2047, 1373653, 25326001, 3215031751]
@@ -179,13 +192,122 @@ def test_prime_screen_keeps_verdict_and_draws(n, seed):
         return strong_round(a, d, r, m)
 
     with mock.patch.object(cr, "_strong_round", spy):
-        got = cr._is_probable_prime(n, rng)
+        got = _is_probable_prime(n, rng)
     assert got == expected
     assert rng.getstate() == expected_rng.getstate()
     # At most one full-width round per drawn base; any other modulus is
     # a proper divisor of n found by the screen.
     assert moduli.count(n) <= rng.draws
     assert all(m == n or (1 < m < n and n % m == 0) for m in moduli)
+
+
+def _seed_gen_prime(bits, rng):
+    """``crypto._gen_prime`` as it was before its full-width rounds went
+    to worker processes, over the reference test: the sequential search."""
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+        if _seed_is_probable_prime(candidate, rng):
+            return candidate
+
+
+def _fork_pool(workers):
+    return concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bits=st.integers(128, 512), seed=st.integers(0, 2**64), window=st.integers(1, 6))
+def test_search_draws_the_sequential_prime(bits, seed, window):
+    # However far the search guesses ahead, it ends on the same prime
+    # with the rng where the sequential search leaves it.
+    expected_rng = random.Random(seed)
+    expected = _seed_gen_prime(bits, expected_rng)
+    rng = random.Random(seed)
+    with _fork_pool(2) as pool:
+        assert cr._gen_prime(bits, rng, pool, window) == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+class _RecordingRandom(random.Random):
+    """Keeps the state after every base drawn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.after_base = []
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.after_base.append((value, self.getstate()))
+        return value
+
+
+_real_strong_round = cr._strong_round
+_forced = set()
+
+
+def _forced_round(a, d, r, m):
+    """``_strong_round``, except that the full-width rounds in ``_forced``
+    fail.  Module level, so forked workers inherit it and ``_forced``."""
+    return (m, a) not in _forced and _real_strong_round(a, d, r, m)
+
+
+@pytest.mark.parametrize("round_no", [1, 2, 40])
+def test_search_rewinds_past_a_forced_failure(round_no):
+    # The sequential search would reject the prime after drawing the
+    # base of the failing round and go on from there.
+    bits, seed = 256, 17
+    recording = _RecordingRandom(seed)
+    prime = _seed_gen_prime(bits, recording)
+    base, state = recording.after_base[-40:][round_no - 1]
+    expected_rng = random.Random()
+    expected_rng.setstate(state)
+    expected = _seed_gen_prime(bits, expected_rng)
+    assert expected != prime
+    rng = random.Random(seed)
+    _forced.add((prime, base))
+    try:
+        with mock.patch.object(cr, "_strong_round", _forced_round), _fork_pool(2) as pool:
+            got = cr._gen_prime(bits, rng, pool, 4)
+    finally:
+        _forced.clear()
+    assert got == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    workers = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.workers.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_worker_count_never_changes_a_key(cpus):
+    def digest(pair):
+        return hashlib.sha256(b"%d:%d" % (pair.public.n, pair.d)).hexdigest()
+
+    _CountingPool.workers.clear()
+    with mock.patch.dict(cr._keypair_cache, clear=True), \
+            mock.patch.object(cr.os, "sched_getaffinity", return_value=cpus), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _CountingPool):
+        for seed in (7, 8):
+            assert digest(cr.generate_keypair(seed, bits=512)) == KEY_DIGESTS[(seed, 512)]
+    assert _CountingPool.workers == [len(cpus)] * 2
+
+
+def _broken_round(a, d, r, m):
+    raise ArithmeticError("round of base %d" % a)
+
+
+def test_no_worker_outlives_key_generation():
+    with mock.patch.dict(cr._keypair_cache, clear=True):
+        cr.generate_keypair(3, bits=256)
+        assert multiprocessing.active_children() == []
+        with mock.patch.object(cr, "_strong_round", _broken_round):
+            with pytest.raises(ArithmeticError):
+                cr.generate_keypair(4, bits=256)
+        assert multiprocessing.active_children() == []
+        assert (4, 256) not in cr._keypair_cache
 
 
 def test_rsa_round_trip_and_determinism():

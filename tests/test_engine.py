@@ -30,7 +30,9 @@ from stegnet.handlers import (
     UnknownHandler,
     build_registry,
     make_icmp_payload_handler,
+    make_tcp_isn_handler,
     make_tcp_options_handler,
+    matches_only_pure_syns,
 )
 from stegnet import crypto
 from stegnet import trace as tr
@@ -461,6 +463,18 @@ def test_a_plugin_at_id_5_is_not_the_isn_channel():
     assert got == [secret]
     assert tx.flow_deltas == {}
     assert tx.idle, "no recovery item may be queued"
+
+
+def test_augmented_correction_refuses_a_plugin_at_id_5_that_is_not_on_pure_syns():
+    # Its writes would be recorded as ISN rewrites; the first fuse used
+    # to fail on a carrier without a TCP header instead.
+    any_tcp = replace(make_tcp_isn_handler(), name="tcp_isn_any", match=lambda p: p.tcp is not None)
+    for spec in (make_icmp_payload_handler(handler_id=5, name="icmp_as_5"), any_tcp):
+        registry = HandlerRegistry()
+        registry.register(spec)
+        with pytest.raises(EngineError, match=r"%r at id 5\b" % spec.name):
+            CovertGateway("gw_a", "gw_b", EngineConfig(augmented_allowed=True), registry=registry)
+    assert matches_only_pure_syns(make_tcp_isn_handler())
 
 
 def test_enqueue_limits_and_chunking():

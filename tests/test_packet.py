@@ -232,6 +232,29 @@ def test_readdress_matches_field_replacement():
         pk.readdress(pk.build_icmp_echo("10.0.0.1", "10.0.0.2"), dst_port=7)
 
 
+def _seq_ack_by_field_replacement(p, seq, ack):
+    """The reference: replace both fields, then refill the TCP checksum alone."""
+    moved = replace(p, transport=replace(p.tcp, seq=seq, ack=ack))
+    return replace(moved, transport=replace(moved.tcp, checksum=pk.transport_checksum(moved)))
+
+
+def test_with_tcp_seq_ack_keeps_the_ipv4_object():
+    rng = random.Random(31)
+    packets = [p for p in (_random_packet(rng) for _ in range(600)) if p.tcp is not None]
+    base = pk.build_tcp("10.0.0.1", "10.0.0.2", 1, 2, flags=pk.TCP_SYN, payload=b"data")
+    # IPv4 options, a stale header checksum and link padding all pass through.
+    packets.append(replace(base, ipv4=replace(base.ipv4, options=b"\x01" * 8, header_checksum=0x1234),
+                           link_trailer=b"\0" * 6))
+    for p in packets:
+        seq, ack = rng.randrange(1 << 32), rng.randrange(1 << 32)
+        got = pk.with_tcp_seq_ack(p, seq, ack)
+        assert got.ipv4 is p.ipv4
+        want = _seq_ack_by_field_replacement(p, seq, ack)
+        assert got == want
+        assert pk.serialize_packet(got) == pk.serialize_packet(want)
+        assert (got.tcp.seq, got.tcp.ack) == (seq, ack) and pk.validate_transport_checksum(got)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(pk.Truncated):
         pk.parse_packet(b"\x00" * 10)
