@@ -7,11 +7,10 @@ upper bound past which the channel is considered unusable.  Costs are
 computed with exact rational arithmetic and converted to float once at
 the end, so equal inputs always produce bit-identical results.
 
-Two formula variants are provided.  ``cost_constant`` shares one
-threshold pair across all measurements; ``cost_variable`` carries a
-pair per measurement, which is what a calibration sweep over different
-bandwidth levels produces.  With uniform thresholds the two agree
-exactly, floats included.
+Two formula variants are provided.  ``cost_variable`` carries a
+threshold pair per measurement, which is what a calibration sweep over
+different bandwidth levels produces; ``cost_constant`` is the same
+formula with one pair shared by all measurements.
 """
 
 from __future__ import annotations
@@ -52,16 +51,7 @@ def _warn_out_of_range(index: int, value, low, high) -> None:
 
 def cost_constant(times: Sequence[float], min_threshold: float, max_threshold: float) -> float:
     """Mean position of ``times`` within one shared threshold window."""
-    if not times:
-        raise BadThresholds("at least one measurement is required")
-    _check_pair(min_threshold, max_threshold)
-    low = Fraction(min_threshold)
-    span = Fraction(max_threshold) - low
-    total = Fraction(0)
-    for i, t in enumerate(times):
-        _warn_out_of_range(i, t, min_threshold, max_threshold)
-        total += Fraction(t) - low
-    return float(total / (len(times) * span))
+    return cost_variable(times, [(min_threshold, max_threshold)] * len(times))
 
 
 def cost_variable(times: Sequence[float], thresholds: Sequence[Tuple[float, float]]) -> float:

@@ -169,13 +169,13 @@ def _strong_round(a: int, d: int, r: int, m: int) -> bool:
     return False
 
 
-def _miller_rabin(n: int, rng: random.Random, rounds: int = 40) -> Generator[Tuple[int, int, int, int], bool, bool]:
+def _miller_rabin(n: int, rng: random.Random) -> Generator[Tuple[int, int, int, int], bool, bool]:
     """Miller-Rabin test of ``n`` that leaves its full-width rounds to the caller.
 
-    Yields ``(a, d, r, n)`` for each round that the cheap screens leave
-    to a power modulo n, is sent back whether n passed it, and returns
-    the verdict.  Sent the true answers, it draws from ``rng`` and
-    decides as a sequential test does.
+    Yields ``(a, d, r, n)`` for each of its 40 rounds that the cheap
+    screens leave to a power modulo n, is sent back whether n passed
+    it, and returns the verdict.  Sent the true answers, it draws from
+    ``rng`` and decides as a sequential test does.
     """
     if n < 2:
         return False
@@ -188,7 +188,7 @@ def _miller_rabin(n: int, rng: random.Random, rounds: int = 40) -> Generator[Tup
         d //= 2
         r += 1
     m = math.gcd(n, _screen())
-    for _ in range(rounds):
+    for _ in range(40):
         a = rng.randrange(2, n - 2)
         if 1 < m < n and not _strong_round(a, d, r, m):
             return False
@@ -454,7 +454,6 @@ class CryptoSession:
     local_mac: bytes
     keypair: RsaKeyPair
     role: Optional[str] = None
-    peer_mac: Optional[bytes] = None
     peer_public: Optional[RsaPublicKey] = None
     secret: Optional[bytes] = None
     key: Optional[bytes] = None

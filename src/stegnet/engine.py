@@ -38,6 +38,7 @@ from .handlers import (
     HandlerSpec,
     RecoveryClass,
     TCP_ISN_ID,
+    _is_pure_syn,
     build_registry,
     matches_only_pure_syns,
 )
@@ -215,8 +216,6 @@ class CovertGateway:
 
     def enqueue_secret(self, data: bytes) -> None:
         """Queue one secret packet (opaque bytes) for covert transfer."""
-        if isinstance(data, pk.RawPacket):
-            data = data.data
         if len(data) < 1:
             raise EngineError("secret packet must hold at least one octet")
         if len(data) > 0xFFFF:
@@ -382,7 +381,7 @@ class CovertGateway:
         key = pk.flow_key(p)
         if key in self.flow_deltas:
             delta = self.flow_deltas[key]
-            if p.tcp.flags & pk.TCP_SYN and not (p.tcp.flags & pk.TCP_ACK):
+            if _is_pure_syn(p):
                 return p  # the rewritten SYN itself passes through fuse
             return pk.with_tcp_seq_ack(p, (p.tcp.seq + delta) & _SEQ_MASK, p.tcp.ack)
         rkey = pk.reverse_flow_key(key) if key is not None else None
@@ -551,7 +550,6 @@ class CovertGateway:
         session = self._ensure_session()
         if msg_type == crypto.KE_PUBKEY:
             session.peer_public = crypto.RsaPublicKey.from_bytes(payload)
-            session.peer_mac = mac
             if crypto.choose_generator(self.local_mac, mac):
                 secret = self._rng.randbytes(crypto.SECRET_LEN)
                 session.install_secret(secret, crypto.ROLE_GENERATOR)

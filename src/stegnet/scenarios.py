@@ -20,6 +20,7 @@ from .simnet import MICROS, Simulation, WorkloadSpec, _BulkTransfer
 from .topology import Topology, load_topology
 
 DEFAULT_HANDLERS = (TCP_OPTIONS_ID, ICMP_PAYLOAD_ID)
+_HANDSHAKE_PORT = 9000  # where scenario_nat_bypass sends its handshake SYN
 
 
 def _visible_ip(i: int) -> str:
@@ -32,18 +33,17 @@ def _visible_ip(i: int) -> str:
 
 
 def line_topology(
-    bandwidth: int = 125_000,
     visible_users: int = 1,
     nat_monitor: bool = False,
     gateway_nat: bool = False,
     rules: Sequence[str] = (),
     default_action: str = "allow",
-    delay_us: int = 200,
 ) -> Topology:
     """Two gateway-fronted sites joined through one monitored core.
 
     Site A holds the covert source and ``visible_users`` workload
     hosts; site B holds a visible server and the covert destination.
+    Every link carries 125,000 octets/s with a 200 us delay.
     """
     parts: List[str] = []
 
@@ -59,7 +59,7 @@ def line_topology(
 
     def link(a, b):
         parts.extend(["[link]", "a = %s" % a, "b = %s" % b,
-                      "capacity = %d" % bandwidth, "delay_us = %d" % delay_us, ""])
+                      "capacity = 125000", "delay_us = 200", ""])
 
     node("secret_a", "host", "10.0.1.2", secret="true")
     for i in range(visible_users):
@@ -121,7 +121,6 @@ def scenario_secret_internet(
     budgets: Sequence[int] = (8_000, 16_000, 24_000, 32_000),
     payload_octets: int = 2_000,
     encryption: bool = False,
-    max_virtual_s: int = 120,
 ) -> SessionReport:
     """Covert throughput across a monitored core at rising carrier
     supply.  One row per workload budget level."""
@@ -132,7 +131,7 @@ def scenario_secret_internet(
     total_drops = 0
     for budget in budgets:
         sim = Simulation(line_topology(), workload=WorkloadSpec(budget=budget), engine_config=config, seed=seed)
-        transfer = run_transfer(sim, "secret_a", "secret_b", payload_octets, max_virtual_s * MICROS)
+        transfer = run_transfer(sim, "secret_a", "secret_b", payload_octets, 120 * MICROS)
         duration_us = transfer.finished_us or sim.now
         throughput = transfer.delivered_octets * MICROS / duration_us if duration_us else 0.0
         counters = sim.gateways["gw_a"].counters
@@ -182,7 +181,7 @@ def _blocked_then_covert(
     return covert, transfer
 
 
-def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionReport:
+def scenario_nat_bypass(seed: int = 0) -> SessionReport:
     """Reaching a host behind flow-tracking address translation.
 
     The direct connection attempt is unsolicited inbound traffic and
@@ -203,7 +202,7 @@ def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionRep
         src = sim.topology.nodes["secret_b"]
         dst = sim.topology.nodes["secret_a"]
         syn = pk.build_tcp(
-            src.ip, dst.ip, 31337, handshake_port,
+            src.ip, dst.ip, 31337, _HANDSHAKE_PORT,
             seq=0x41414141, flags=pk.TCP_SYN,
             src_mac=src.mac, dst_mac=dst.mac,
         )
@@ -215,12 +214,12 @@ def scenario_nat_bypass(seed: int = 0, handshake_port: int = 9000) -> SessionRep
         saw_synack = saw_final_ack = False
         for record in sim.captures["secret_b"].records:
             p = pk.parse_packet(record.data)
-            if p.tcp is not None and p.tcp.src_port == handshake_port \
+            if p.tcp is not None and p.tcp.src_port == _HANDSHAKE_PORT \
                     and p.tcp.flags & pk.TCP_SYN and p.tcp.flags & pk.TCP_ACK:
                 saw_synack = True
         for record in sim.captures["secret_a"].records:
             p = pk.parse_packet(record.data)
-            if p.tcp is not None and p.tcp.dst_port == handshake_port \
+            if p.tcp is not None and p.tcp.dst_port == _HANDSHAKE_PORT \
                     and p.tcp.flags == pk.TCP_ACK and not p.app_payload:
                 saw_final_ack = True
         return saw_synack, saw_final_ack
@@ -280,14 +279,14 @@ def scenario_segmentation(seed: int = 0) -> SessionReport:
     return report
 
 
-def scenario_impersonation(seed: int = 0, duration_s: int = 20) -> SessionReport:
+def scenario_impersonation(seed: int = 0) -> SessionReport:
     """The gateway lends its own address to the secret host's visible
     traffic, so the monitor never sees the secret address at all."""
     topo = line_topology(gateway_nat=True)
     topo.nodes["secret_a"].workload = True
     sim = Simulation(topo, engine_config=EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed), seed=seed)
     transfer = sim.add_bulk_transfer("secret_a", "secret_b", 600)
-    sim.run(duration_s * MICROS)
+    sim.run(20 * MICROS)
     report = SessionReport(scenario="impersonation", seed=seed)
     report.fields["covert_delivered_octets"] = transfer.delivered_octets
     report.fields["server_received_packets"] = sim.node_stats["server_b"].received
@@ -299,11 +298,10 @@ def scenario_impersonation(seed: int = 0, duration_s: int = 20) -> SessionReport
 def scenario_stability(
     seed: int = 0,
     packets: int = 40,
-    interval_us: int = 1_000_000,
     duration_s: int = 60,
     visible_users: int = 1,
 ) -> SessionReport:
-    """Send-rate fingerprint of the covert path against a direct run."""
+    """Send-rate fingerprint, per virtual second, of the covert path against a direct run."""
     def run(covert: bool):
         sim = Simulation(
             line_topology(visible_users=visible_users),
@@ -311,7 +309,7 @@ def scenario_stability(
         )
         transfer = sim.add_paced_transfer("secret_a", "secret_b", packets)
         sim.run(duration_s * MICROS)
-        return send_counts(transfer.send_times, interval_us, duration_s * MICROS), transfer
+        return send_counts(transfer.send_times, MICROS, duration_s * MICROS), transfer
 
     base_series, _ = run(covert=False)
     covert_series, covert_transfer = run(covert=True)

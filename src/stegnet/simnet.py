@@ -133,19 +133,15 @@ def _safe_isn(*parts) -> int:
 _PROTO_NUMBERS = {"any": None, "tcp": pk.PROTO_TCP, "udp": pk.PROTO_UDP, "icmp": pk.PROTO_ICMP}
 
 
-def _compile_rules(rules: List[topo_mod.RuleDef]) -> Dict[str, List[tuple]]:
-    """Each node's rules in order as (index, action, protocol number,
+def _compile_rules(rules: List[topo_mod.RuleDef]) -> List[tuple]:
+    """One node's ``rules`` in order as (index, action, protocol number,
     source, destination, destination port); ``None`` matches anything."""
-    compiled: Dict[str, List[tuple]] = {}
-    for rule in rules:
-        own = compiled.setdefault(rule.node, [])
-        own.append((
-            len(own), rule.action, _PROTO_NUMBERS[rule.proto],
-            None if rule.src == "any" else pk.str_to_ip(rule.src),
-            None if rule.dst == "any" else pk.str_to_ip(rule.dst),
-            rule.dst_port,
-        ))
-    return compiled
+    return [(
+        index, rule.action, _PROTO_NUMBERS[rule.proto],
+        None if rule.src == "any" else pk.str_to_ip(rule.src),
+        None if rule.dst == "any" else pk.str_to_ip(rule.dst),
+        rule.dst_port,
+    ) for index, rule in enumerate(rules)]
 
 
 def _nat_permits(flows: Set[tuple], pings: Set[tuple], outbound: bool, p: pk.ParsedPacket) -> bool:
@@ -193,7 +189,6 @@ class NodeStats:
 
 @dataclass
 class MonitorStats:
-    seen: int = 0
     rule_hits: Dict[int, int] = field(default_factory=dict)
     log_hits: int = 0
     rule_drops: int = 0
@@ -469,7 +464,6 @@ class Simulation:
                 self._phys_nat[gw] = {}
                 self._phys_nat_back[gw] = {}
                 self._phys_nat_next[gw] = _NAT_PORT_FIRST
-        self._monitor_rules = _compile_rules(topology.rules)
 
         self.clients: Dict[str, _WorkloadClient] = {}
         self._bulk_count: Dict[str, int] = {}
@@ -603,17 +597,17 @@ class Simulation:
             fn(*args)
         self.now = horizon
 
-    def run_until(self, predicate: Callable[[], bool], max_us: int, step_us: int = 100_000) -> None:
-        """Advance in steps until ``predicate`` holds or ``max_us`` passes."""
+    def run_until(self, predicate: Callable[[], bool], max_us: int) -> None:
+        """Advance in 100 ms steps until ``predicate`` holds or ``max_us`` passes."""
         while self.now < max_us and not predicate():
-            self.run(min(step_us, max_us - self.now))
+            self.run(min(100_000, max_us - self.now))
 
     def monitor_totals(self) -> MonitorStats:
         """Every monitor's counters summed, rule hits per rule; the
         address pairs stay with each monitor's own stats."""
         total = MonitorStats()
         for stats in self.monitor_stats.values():
-            for name in ("seen", "log_hits", "rule_drops", "default_drops", "nat_drops", "checksum_anomalies"):
+            for name in ("log_hits", "rule_drops", "default_drops", "nat_drops", "checksum_anomalies"):
                 setattr(total, name, getattr(total, name) + getattr(stats, name))
             for rule, hits in stats.rule_hits.items():
                 total.rule_hits[rule] = total.rule_hits.get(rule, 0) + hits
@@ -760,13 +754,12 @@ class Simulation:
         """A monitor's receive function, its rules resolved, its counters and NAT flows made."""
         name, default_action, nat, route = node.name, node.default_action, node.nat, self._route
         monitor = self.monitor_stats[name] = MonitorStats()
-        rules = self._monitor_rules.get(name, ())
+        rules = _compile_rules([rule for rule in self.topology.rules if rule.node == name])
         flows: Set[tuple] = set()  # with NAT, the flows and pings opened from inside
         pings: Set[tuple] = set()
 
         def receive(p, came_from, size):
             stats.received += 1
-            monitor.seen += 1
             verdict = None
             ip = p.ipv4
             if ip is not None:

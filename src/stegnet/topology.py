@@ -21,10 +21,10 @@ engine files use the same reader, ``read_sections``.
 Section types: ``[node]`` declares a device (kinds: host, cgateway,
 monitor, router), ``[link]`` an undirected pipe between two declared
 nodes, ``[rule]`` one first-match filter rule on a monitor, and
-``[policy]`` monitor-wide defaults (default action, address
-translation).  Gateways are paired via ``peer``; hosts carrying secret
-traffic are flagged ``secret = true`` and must sit directly on their
-gateway.
+``[policy]`` one node's defaults (a monitor's default action and flow
+tracking, a gateway's address translation for its secret hosts).
+Gateways are paired via ``peer``; hosts carrying secret traffic are
+flagged ``secret = true`` and must sit directly on their gateway.
 """
 
 from __future__ import annotations

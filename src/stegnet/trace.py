@@ -20,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 # so a wrapper put on either name later sees their calls.
 from . import packet as pk
 from .engine import CovertGateway, DesyncError
-from .packet import RawPacket, build_icmp_echo, build_tcp, build_udp, serialize_packet
+from .packet import TCP_SYN, RawPacket, build_icmp_echo, build_tcp, build_udp, serialize_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -85,23 +85,21 @@ def read_trace(source: Source) -> TraceFile:
     return trace
 
 
-def write_trace(trace: TraceFile, sink: Union[str, Path, io.BufferedIOBase, None] = None) -> bytes:
-    """Serialize ``trace``; optionally write it to a path or file object."""
+def write_trace(trace: TraceFile, sink: Union[str, Path, None] = None) -> bytes:
+    """Serialize ``trace``; optionally write it to the path ``sink``."""
     out = bytearray(_GLOBAL.pack(PCAP_MAGIC, PCAP_VERSION[0], PCAP_VERSION[1], 0, 0, PCAP_SNAPLEN, trace.link_type))
     for record in trace.records:
         sec, usec = divmod(record.capture_time_us, 1_000_000)
         out += _RECORD.pack(sec, usec, len(record.data), len(record.data))
         out += record.data
     blob = bytes(out)
-    if isinstance(sink, (str, Path)):
+    if sink is not None:
         Path(sink).write_bytes(blob)
-    elif sink is not None:
-        sink.write(blob)
     return blob
 
 
-def synthesize_mixed_trace(count: int, seed: int = 0, *, start_us: int = 0, gap_us: int = 1000) -> TraceFile:
-    """Deterministic mixed traffic for demos and tooling tests.
+def synthesize_mixed_trace(count: int, seed: int = 0) -> TraceFile:
+    """Deterministic mixed traffic for demos and tooling tests, a record per millisecond from 0 us.
 
     Roughly two thirds TCP data packets, with UDP, ICMP echo requests
     and a few bare TCP SYNs mixed in.  All frames are well formed with
@@ -109,7 +107,6 @@ def synthesize_mixed_trace(count: int, seed: int = 0, *, start_us: int = 0, gap_
     """
     rng = random.Random(seed)
     trace = TraceFile()
-    t = start_us
     for i in range(count):
         kind = rng.random()
         src = "10.1.0.%d" % rng.randint(2, 60)
@@ -120,7 +117,6 @@ def synthesize_mixed_trace(count: int, seed: int = 0, *, start_us: int = 0, gap_
                           payload=rng.randbytes(rng.randint(40, 600)),
                           identification=i & 0xFFFF)
         elif kind < 0.65:
-            from .packet import TCP_SYN
             p = build_tcp(src, dst, rng.randint(1024, 60000), 80, flags=TCP_SYN,
                           seq=rng.getrandbits(32), identification=i & 0xFFFF)
         elif kind < 0.82:
@@ -130,8 +126,7 @@ def synthesize_mixed_trace(count: int, seed: int = 0, *, start_us: int = 0, gap_
         else:
             p = build_icmp_echo(src, dst, identifier=rng.getrandbits(16), sequence=i & 0xFFFF,
                                 payload=rng.randbytes(56), identification=i & 0xFFFF)
-        trace.records.append(RawPacket(data=serialize_packet(p), capture_time_us=t))
-        t += gap_us
+        trace.records.append(RawPacket(data=serialize_packet(p), capture_time_us=1000 * i))
     return trace
 
 

@@ -423,6 +423,38 @@ def test_outputs_follow_the_umask(umask, mode, topo_file, tmp_path, capsys):
     assert {name: stat.S_IMODE(path.stat().st_mode) for name, path in out.items()} == dict.fromkeys(out, mode)
 
 
+@pytest.mark.parametrize("case, code, message", [
+    ("not a pcap", 2, "error: cannot read trace: capture shorter than a pcap global header\n"),
+    ("missing trace", 2, "error: cannot read trace: [Errno 2] No such file or directory"),
+    ("missing payload file", 2, "error: cannot read payload: [Errno 2] No such file or directory"),
+    ("empty payload file", 2, "error: payload is empty\n"),
+    ("zero chunk size", 2, "error: chunk size must be within 1..65535\n"),
+    ("one secret side", 3, "error: need secret hosts behind two different gateways\n"),
+])
+def test_documented_exits(case, code, message, tmp_path, capsys):
+    trace = _carrier_trace(tmp_path / "carriers.pcap")
+    (tmp_path / "short.pcap").write_bytes(b"\xd4\xc3\xb2\xa1")
+    (tmp_path / "empty.bin").write_bytes(b"")
+    (tmp_path / "engine.cfg").write_text("chunk_size = 0\n")
+    # Without secret_b's flag, the only secret host left sits behind gw_a.
+    one_side = TOPOLOGY.replace("ip = 10.0.2.3\nsecret = true\n", "ip = 10.0.2.3\n")
+    assert one_side != TOPOLOGY
+    (tmp_path / "one_side.topo").write_text(one_side)
+    fuse = ["fuse-trace", "--in", trace, "--out", str(tmp_path / "fused.pcap")]
+    argv = {
+        "not a pcap": ["extract-trace", "--in", str(tmp_path / "short.pcap")],
+        "missing trace": ["extract-trace", "--in", str(tmp_path / "missing.pcap")],
+        "missing payload file": fuse + ["--payload-file", str(tmp_path / "missing.bin")],
+        "empty payload file": fuse + ["--payload-file", str(tmp_path / "empty.bin")],
+        "zero chunk size": fuse + ["--config", str(tmp_path / "engine.cfg")],
+        "one secret side": ["simulate", "--topology", str(tmp_path / "one_side.topo"),
+                            "--payload", "100", "--duration", "1"],
+    }[case]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "fused.pcap").exists()
+
+
 def test_extract_on_unfused_trace_recovers_nothing(tmp_path, capsys):
     trace = _carrier_trace(tmp_path / "plain.pcap", count=5)
     rc = main(["extract-trace", "--in", str(trace)])

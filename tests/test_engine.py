@@ -477,6 +477,17 @@ def test_augmented_correction_refuses_a_plugin_at_id_5_that_is_not_on_pure_syns(
     assert matches_only_pure_syns(make_tcp_isn_handler())
 
 
+def test_augmented_correction_refuses_a_plugin_at_id_5_that_also_takes_syn_acks():
+    # A SYN-ACK's ISN is the responder's: rewriting it is not the ISN channel.
+    any_syn = replace(make_tcp_isn_handler(), name="any_syn",
+                      match=lambda p: p.tcp is not None and bool(p.tcp.flags & pk.TCP_SYN))
+    assert not matches_only_pure_syns(any_syn)
+    registry = HandlerRegistry()
+    registry.register(any_syn)
+    with pytest.raises(EngineError, match=r"'any_syn' at id 5\b"):
+        CovertGateway("gw_a", "gw_b", EngineConfig(augmented_allowed=True), registry=registry)
+
+
 def test_enqueue_limits_and_chunking():
     tx, _ = _pair()
     with pytest.raises(EngineError):
