@@ -374,6 +374,29 @@ def test_reset_meets_the_peers_encrypted_secret(b_first):
     assert a.session.secret == b.session.secret
 
 
+def test_forged_reset_ends_in_a_desync_not_in_ciphertext_delivered():
+    # Anyone on the path can write a reset opening (options 04 00 00)
+    # into a handler-1 carrier.  b drops its session, while a still
+    # encrypts: a's next secret must end in a desync at b, not arrive
+    # as ciphertext.
+    a, b = _encrypted_pair()
+    reset = wire.encode_sync(wire.SyncHeader(wire.CODE_SESSION_RESET, 0))
+    forged = b.registry.get(TCP_OPTIONS_ID).writer(_tcp(7), reset)
+    assert forged.tcp.options[:3] == bytes([4, 0, 0])
+    b.extract(forged)
+    secret = random.Random(64).randbytes(64)
+    a.enqueue_secret(secret)
+    got, desyncs, i = [], [], 0
+    while not a.idle:
+        i += 1
+        try:
+            got += b.extract(a.fuse(_tcp(i, sport=43000))[0])[1]
+        except DesyncError as exc:
+            desyncs.append(str(exc))
+    assert got == [] and b.counters["secret_octets_delivered"] == 0
+    assert desyncs and desyncs[0] == "data item opened with the receive cipher off"
+
+
 def test_isn_rewrite_translates_and_relays_recovery():
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True)
     tx, rx = _pair(cfg)
