@@ -40,22 +40,19 @@ def _check_pair(low, high) -> None:
         raise BadThresholds("thresholds must satisfy max > min, got min=%r max=%r" % (low, high))
 
 
-def _warn_out_of_range(index: int, value, low, high) -> None:
-    if value < low or value > high:
-        warnings.warn(
-            "measurement %d (%r) outside threshold window [%r, %r]" % (index, value, low, high),
-            OutOfRangeWarning,
-            stacklevel=3,
-        )
-
-
 def cost_constant(times: Sequence[float], min_threshold: float, max_threshold: float) -> float:
     """Mean position of ``times`` within one shared threshold window."""
-    return cost_variable(times, [(min_threshold, max_threshold)] * len(times))
+    return _mean_position(times, [(min_threshold, max_threshold)] * len(times))
 
 
 def cost_variable(times: Sequence[float], thresholds: Sequence[Tuple[float, float]]) -> float:
     """Mean position of each ``times[i]`` within its own window."""
+    return _mean_position(times, thresholds)
+
+
+def _mean_position(times: Sequence[float], thresholds: Sequence[Tuple[float, float]]) -> float:
+    """Both formulas; an ``OutOfRangeWarning`` names the line that
+    called either of them."""
     if not times:
         raise BadThresholds("at least one measurement is required")
     if len(times) != len(thresholds):
@@ -63,7 +60,9 @@ def cost_variable(times: Sequence[float], thresholds: Sequence[Tuple[float, floa
     acc = Fraction(0)
     for i, (t, (low, high)) in enumerate(zip(times, thresholds)):
         _check_pair(low, high)
-        _warn_out_of_range(i, t, low, high)
+        if t < low or t > high:
+            warnings.warn("measurement %d (%r) outside threshold window [%r, %r]" % (i, t, low, high),
+                          OutOfRangeWarning, stacklevel=3)
         acc += (Fraction(t) - Fraction(low)) / (Fraction(high) - Fraction(low))
     return float(acc / len(times))
 

@@ -492,8 +492,11 @@ class CovertGateway:
             return _RxItem(kind=kind, encrypted=False, expected=None)
         if kind == ITEM_DATA and header.data < 1:
             self._desync(carrier, "zero-length packet announcement")
-        return _RxItem(kind=kind, encrypted=bool(self.config.encryption and self._rx_cipher_active),
-                       expected=header.data)
+        if self.config.encryption and not self._rx_cipher_active:
+            # The peer encrypts every data and recovery item, so one that opens
+            # here (after a forged reset, say) is refused, not delivered as ciphertext.
+            self._desync(carrier, "%s item opened with the receive cipher off" % kind)
+        return _RxItem(kind=kind, encrypted=self.config.encryption, expected=header.data)
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
         for spec in scan:

@@ -16,13 +16,15 @@ asked, and builds one packet.  ``with_tcp_seq_ack`` changes TCP alone:
 it keeps the packet's ``Ipv4`` and sums through ``transport_checksum``,
 which derives the lengths the same way.
 
-Inside this module, layers are built by positional constructors
-(``_new_ipv4`` and its siblings) made once at import by ``_constructor``.
-Each takes every field in declaration order and fills the slots through
-their member descriptors, where the dataclass ``__init__`` of a frozen
-class goes through ``object.__setattr__`` once per field at about twice
-the cost.  The object is the one the public constructor builds: equal,
-with the same hash and repr, and still frozen.
+Inside this module and ``trace``, layers and captured records are
+built by positional constructors (``_new_ipv4`` and its siblings) made
+once at import by ``_constructor``.  Each takes every field in
+declaration order, stores them into a bare slotted twin of the class by
+plain attribute assignment and then sets the object's ``__class__``,
+where the dataclass ``__init__`` of a frozen class goes through
+``object.__setattr__`` once per field at two to three times the cost.
+The object is the one the public constructor builds: of the same class,
+equal, with the same hash and repr, and frozen from then on.
 
 Only Ethernet link frames are modeled.  Frames with a non-IPv4
 ethertype, and IPv4 packets with an unhandled protocol number, are kept
@@ -32,7 +34,7 @@ as opaque payload so they still round-trip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -217,19 +219,23 @@ class ParsedPacket:
 
 def _constructor(cls):
     """A function that builds ``cls`` from all of its fields, passed
-    positionally in declaration order: ``object.__new__`` and one slot
-    ``__set__`` per field, in straight-line code generated here as
-    ``dataclasses`` generates ``__init__`` (a loop over the setters costs
-    more than the ``__init__`` it replaces)."""
-    names = [f.name for f in fields(cls)]
-    namespace = {"_new": object.__new__, "_cls": cls}
-    namespace.update(("_set_" + name, getattr(cls, name).__set__) for name in names)
-    body = "".join("    _set_%s(self, %s)\n" % (name, name) for name in names)
+    positionally in declaration order, in straight-line code generated
+    here as ``dataclasses`` generates ``__init__``.  It fills a bare
+    twin of ``cls``, a class with the same slots and nothing else, by
+    plain attribute stores, which the interpreter specializes into slot
+    writes, and then makes the object a ``cls``: ``__class__``
+    assignment is allowed between classes of the same layout."""
+    names = cls.__slots__
+    twin = type("_" + cls.__name__, (), {"__slots__": names})
+    namespace = {"_new": object.__new__, "_twin": twin, "_cls": cls}
+    body = "".join("    self.%s = %s\n" % (name, name) for name in names)
     function = "new_" + cls.__name__
-    exec("def %s(%s):\n    self = _new(_cls)\n%s    return self\n" % (function, ", ".join(names), body), namespace)
+    exec("def %s(%s):\n    self = _new(_twin)\n%s    self.__class__ = _cls\n    return self\n"
+         % (function, ", ".join(names), body), namespace)
     return namespace[function]
 
 
+_new_raw = _constructor(RawPacket)
 _new_ethernet = _constructor(Ethernet)
 _new_ipv4 = _constructor(Ipv4)
 _new_tcp = _constructor(Tcp)

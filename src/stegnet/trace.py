@@ -9,7 +9,6 @@ holds bit for bit for anything this module produced.
 
 from __future__ import annotations
 
-import io
 import random
 import struct
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from typing import Callable, List, Sequence, Tuple, Union
 # so a wrapper put on either name later sees their calls.
 from . import packet as pk
 from .engine import CovertGateway, DesyncError
-from .packet import TCP_SYN, RawPacket, build_icmp_echo, build_tcp, build_udp, serialize_packet
+from .packet import TCP_SYN, RawPacket, _new_raw, build_icmp_echo, build_tcp, build_udp, serialize_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -49,19 +48,9 @@ class TraceFile:
     link_type: int = LINKTYPE_ETHERNET
 
 
-Source = Union[str, Path, bytes, io.BufferedIOBase]
-
-
-def _read_all(source: Source) -> bytes:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    return source.read()
-
-
-def read_trace(source: Source) -> TraceFile:
-    data = _read_all(source)
+def read_trace(source: Union[str, Path, bytes]) -> TraceFile:
+    """The capture at the path ``source``, or in the bytes ``source``."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else bytes(source)
     if len(data) < _GLOBAL.size:
         raise BadMagic("capture shorter than a pcap global header")
     magic, vmaj, vmin, _zone, _sigfigs, _snaplen, network = _GLOBAL.unpack_from(data, 0)
@@ -80,7 +69,7 @@ def read_trace(source: Source) -> TraceFile:
             raise TruncatedRecord("record body truncated at offset %d" % offset)
         if incl_len != orig_len:
             raise TraceError("snaplen-truncated record (incl %d != orig %d)" % (incl_len, orig_len))
-        trace.records.append(RawPacket(data=data[offset : offset + incl_len], capture_time_us=ts_sec * 1_000_000 + ts_usec))
+        trace.records.append(_new_raw(data[offset : offset + incl_len], ts_sec * 1_000_000 + ts_usec))
         offset += incl_len
     return trace
 
@@ -154,7 +143,7 @@ def _each_carrier(records: Sequence[RawPacket],
             tally.unparsed += 1
             out.append(record)
             continue
-        out.append(RawPacket(pk.serialize_packet(step(carrier, tally)), record.capture_time_us))
+        out.append(_new_raw(pk.serialize_packet(step(carrier, tally)), record.capture_time_us))
     return out, tally
 
 

@@ -61,6 +61,14 @@ def test_out_of_range_measurements_warn_but_still_count():
     assert c == -0.5
 
 
+@pytest.mark.parametrize("cost", [lambda: cost_constant([25.0], 10, 20),
+                                  lambda: cost_variable([25.0], [(10, 20)])], ids=["constant", "variable"])
+def test_out_of_range_warning_names_the_caller(cost):
+    with pytest.warns(OutOfRangeWarning) as caught:
+        cost()
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_threshold_validation():
     with pytest.raises(BadThresholds):
         cost_constant([1.0], 5.0, 5.0)

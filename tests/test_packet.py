@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -283,8 +287,9 @@ ipv4 = st.tuples(u8, u16, st.integers(0, 7), st.integers(0, 0x1FFF), u8, u8, u16
 tcp = st.tuples(u16, u16, u32, u32, u8, u16, u16, u16, words)
 udp = st.tuples(u16, u16, u16)
 icmp = st.tuples(u8, u8, u16, u16, u16, st.binary(max_size=64))
-# Each layer class with its positional constructor and field values.
+# Each packet class with its positional constructor and field values.
 LAYERS = {
+    "raw": (pk.RawPacket, pk._new_raw, st.tuples(st.binary(max_size=64), st.integers(0, 2**64))),
     "ethernet": (pk.Ethernet, pk._new_ethernet, ethernet),
     "ipv4": (pk.Ipv4, pk._new_ipv4, ipv4),
     "tcp": (pk.Tcp, pk._new_tcp, tcp),
@@ -305,13 +310,15 @@ LAYERS = {
 @given(data=st.data())
 def test_positional_constructor_builds_the_dataclass(layer, data):
     """The fast constructor's object is the public constructor's: equal,
-    same hash and repr, copied by ``replace``, and still frozen."""
+    same hash and repr, the same size and garbage-collector tracking,
+    copied by ``replace``, ``copy.copy`` and pickle, and still frozen."""
     cls, new, values = LAYERS[layer]
     values = data.draw(values)
     fast, public = new(*values), cls(*values)
     assert type(fast) is cls
     assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
-    assert replace(fast) == public
+    assert sys.getsizeof(fast) == sys.getsizeof(public) and gc.is_tracked(fast) == gc.is_tracked(public)
+    assert replace(fast) == public and copy.copy(fast) == public and pickle.loads(pickle.dumps(fast)) == public
     for field, value in zip(fields(cls), values):
         with pytest.raises(FrozenInstanceError):
             setattr(fast, field.name, value)

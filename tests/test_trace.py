@@ -1,6 +1,6 @@
-import io
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -46,16 +46,16 @@ def test_record_header_layout():
 
 def test_bad_magic():
     with pytest.raises(tr.BadMagic):
-        tr.read_trace(io.BytesIO(b"\xDE\xAD\xBE\xEF" + b"\x00" * 20))
+        tr.read_trace(b"\xDE\xAD\xBE\xEF" + b"\x00" * 20)
 
 
 def test_truncated_record():
     trace = tr.synthesize_mixed_trace(3, seed=1)
     data = tr.write_trace(trace)
     with pytest.raises(tr.TruncatedRecord):
-        tr.read_trace(io.BytesIO(data[:-5]))
+        tr.read_trace(data[:-5])
     with pytest.raises(tr.TruncatedRecord):
-        tr.read_trace(io.BytesIO(data[: 24 + 10]))
+        tr.read_trace(data[: 24 + 10])
 
 
 def test_synthesized_records_parse_and_validate():
@@ -118,3 +118,29 @@ def test_extract_pass_survives_a_fault_between_the_passes(seed, kind, position, 
     faulted = _fault(fused, kind, carrying[position % len(carrying)], bit)
     repaired, _ = tr.extract_records(rx, faulted)
     assert len(repaired) == len(faulted)
+
+
+def test_passes_call_no_raw_packet_init():
+    """Reading a capture and both gateway passes make their records with
+    packet.py's positional constructor, not the frozen dataclass's
+    generated ``__init__``."""
+    blob = tr.write_trace(tr.synthesize_mixed_trace(400, seed=5))
+    config = EngineConfig(enabled_handlers=(1, 2, 4), seed=5)
+    tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
+    payload = random.Random(5).randbytes(4000)
+    tx.enqueue_payload(payload)
+    init, calls = pk.RawPacket.__init__.__code__, [0]
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is init:
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        records = tr.read_trace(blob).records
+        fused, _ = tr.fuse_records(tx, records)
+        repaired, tally = tr.extract_records(rx, fused)
+    finally:
+        sys.setprofile(None)
+    assert len(repaired) == 400 and b"".join(tally.chunks) == payload
+    assert calls[0] == 0
