@@ -397,6 +397,59 @@ def test_forged_reset_ends_in_a_desync_not_in_ciphertext_delivered():
     assert desyncs and desyncs[0] == "data item opened with the receive cipher off"
 
 
+def _mallory():
+    """A third gateway on the path, its public key queued."""
+    mallory = CovertGateway("mallory", "gw_a", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True,
+                                                            seed=999), local_mac=pk.str_to_mac("02:00:00:00:00:05"))
+    mallory.start_key_exchange()
+    return mallory
+
+
+def _forge_key_exchange(mallory, target):
+    """``mallory`` sends its queue into handler-1 carriers that
+    ``target`` extracts; returns the desync messages."""
+    desyncs, i = [], 0
+    while not mallory.idle:
+        i += 1
+        try:
+            target.extract(mallory.fuse(_tcp(i, sport=44000))[0])
+        except DesyncError as exc:
+            desyncs.append(str(exc))
+    return desyncs
+
+
+def test_forged_key_exchange_leaves_an_established_key_alone():
+    # Its MAC is below a's, so a would take the forged key, make a new
+    # secret as the generator and queue it under the third party's key.
+    a, b = _encrypted_pair()
+    session = a.session
+    key, peer_public = session.key, session.peer_public
+    desyncs = _forge_key_exchange(_mallory(), a)
+    assert desyncs == ["undecodable key_exchange item: public key already received in this session"]
+    assert a.session is session and session.key == key and session.peer_public is peer_public
+    assert a.idle, "no key-exchange reply may be queued"
+    # The pair still talks under its own key.
+    secret = random.Random(65).randbytes(64)
+    a.enqueue_secret(secret)
+    got, i = [], 0
+    while not a.idle:
+        i += 1
+        got += b.extract(a.fuse(_tcp(i, sport=43000))[0])[1]
+    assert got == [secret]
+
+
+def test_key_exchange_at_a_gateway_with_encryption_off_makes_no_key():
+    plain = CovertGateway("gw_a", "gw_b", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), seed=101),
+                          local_mac=MAC_HIGH)
+    mallory = _mallory()
+    with _calls(crypto.generate_keypair) as keygens:
+        desyncs = _forge_key_exchange(mallory, plain)
+    # The item's later carriers open nothing, so each of them desyncs too.
+    assert desyncs and desyncs[0] == "key_exchange item opened with encryption off"
+    assert keygens[0] == 0 and plain.session is None
+    assert plain.idle, "no key-exchange reply may be queued"
+
+
 def test_isn_rewrite_translates_and_relays_recovery():
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True)
     tx, rx = _pair(cfg)
