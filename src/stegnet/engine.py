@@ -303,6 +303,10 @@ class CovertGateway:
         if not candidates:
             return carrier, stats
         stats.matched = True
+        if self.idle and (self._isn is None or self.config.augment_probability == 0.0):
+            # Nothing to send and no diversion to draw for: selection
+            # would end in the exclusion marker either way.
+            return self._exclude(carrier, stats)
         # The item in flight, or the next one _next_item opens, starts here.
         opening = self._tx_item is None or self._tx_item.sent == 0
         picked = self.registry.select(
@@ -489,6 +493,9 @@ class CovertGateway:
         # _rx_open passes no switch and extract takes resets: a key exchange or a secret kind.
         kind = _OPENED_KIND[header.code]
         if kind == ITEM_KEY_EXCHANGE:
+            if not self.config.encryption:
+                # Its peer never sends one; answering would make an RSA key.
+                self._desync(carrier, "%s item opened with encryption off" % kind)
             return _RxItem(kind=kind, encrypted=False, expected=None)
         if kind == ITEM_DATA and header.data < 1:
             self._desync(carrier, "zero-length packet announcement")
@@ -550,6 +557,14 @@ class CovertGateway:
 
     def _handle_key_exchange(self, blob: bytes) -> None:
         msg_type, mac, payload = crypto.decode_ke_message(blob)
+        # The peer sends one public key per session (a reset drops the
+        # session) and never sends the generator a secret: anything else
+        # is refused before it changes any state.
+        if self._session is not None:
+            if msg_type == crypto.KE_PUBKEY and self._session.peer_public is not None:
+                raise crypto.CryptoError("public key already received in this session")
+            if msg_type == crypto.KE_SYMKEY and self._session.role == crypto.ROLE_GENERATOR:
+                raise crypto.CryptoError("secret sent to the generator")
         session = self._ensure_session()
         if msg_type == crypto.KE_PUBKEY:
             session.peer_public = crypto.RsaPublicKey.from_bytes(payload)

@@ -109,7 +109,8 @@ def _default_vectors() -> Tuple[pk.ParsedPacket, ...]:
 
 
 def _is_pure_syn(p: pk.ParsedPacket) -> bool:
-    return p.tcp is not None and p.tcp.flags & (pk.TCP_SYN | pk.TCP_ACK) == pk.TCP_SYN
+    t = p.transport
+    return isinstance(t, pk.Tcp) and t.flags & (pk.TCP_SYN | pk.TCP_ACK) == pk.TCP_SYN
 
 
 def matches_only_pure_syns(spec: HandlerSpec) -> bool:
@@ -231,7 +232,8 @@ def make_tcp_options_handler(handler_id: int = TCP_OPTIONS_ID, cost: float = 0.3
     """
 
     def match(p: pk.ParsedPacket) -> bool:
-        return p.tcp is not None and not (p.tcp.flags & pk.TCP_SYN)
+        t = p.transport
+        return isinstance(t, pk.Tcp) and not (t.flags & pk.TCP_SYN)
 
     def writer(p: pk.ParsedPacket, segment: bytes) -> pk.ParsedPacket:
         if len(segment) > pk.MAX_TCP_OPTIONS:
@@ -269,7 +271,8 @@ def make_icmp_payload_handler(
     offset = 8 if preserve_timestamp else 0
 
     def match(p: pk.ParsedPacket) -> bool:
-        return p.icmp is not None and p.icmp.icmp_type == pk.ICMP_ECHO_REQUEST
+        t = p.transport
+        return isinstance(t, pk.Icmp) and t.icmp_type == pk.ICMP_ECHO_REQUEST
 
     def capacity(p: pk.ParsedPacket) -> int:
         return max(0, len(p.icmp.payload) - offset)

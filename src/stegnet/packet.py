@@ -26,6 +26,18 @@ where the dataclass ``__init__`` of a frozen class goes through
 The object is the one the public constructor builds: of the same class,
 equal, with the same hash and repr, and frozen from then on.
 
+Three fused shapes, Ethernet over a 20-octet IPv4 header over a fixed
+TCP, UDP or ICMP header, are read by ``parse_packet`` and written by
+``serialize_packet`` with one struct call each (``_ETH_IPV4_TCP`` and
+its siblings), and ``_PSEUDO_TCP`` packs the TCP pseudo header with the
+TCP header for its checksum.  A frame qualifies when its ethertype is
+IPv4, its first IPv4 octet is 0x45 and its protocol is TCP, UDP or
+ICMP, and it is read this way only if it passes every length check.
+The general path, layer by layer, reads and writes everything else:
+IPv4 options, other protocols, other ethertypes and every malformed
+frame, so it alone raises the parse errors.  Both paths give the same
+objects and bytes.
+
 Only Ethernet link frames are modeled.  Frames with a non-IPv4
 ethertype, and IPv4 packets with an unhandled protocol number, are kept
 as opaque payload so they still round-trip.
@@ -69,8 +81,18 @@ _ETH_IPV4 = struct.Struct(_ETH.format + _IPV4.format[1:])
 _TCP = struct.Struct("!HHIIBBHHH")
 _UDP = struct.Struct("!HHHH")
 _ICMP = struct.Struct("!BBHHH")
+# The fused shapes (see the module docstring).
+_ETH_IPV4_TCP = struct.Struct(_ETH_IPV4.format + _TCP.format[1:])
+_ETH_IPV4_UDP = struct.Struct(_ETH_IPV4.format + _UDP.format[1:])
+_ETH_IPV4_ICMP = struct.Struct(_ETH_IPV4.format + _ICMP.format[1:])
 # TCP/UDP pseudo header: addresses, a zero octet, protocol, length.
 _PSEUDO = struct.Struct("!IIxBH")
+_PSEUDO_TCP = struct.Struct(_PSEUDO.format + _TCP.format[1:])
+# The first IPv4 octet of a header without options (version 4, IHL 5),
+# the offset of such a frame's protocol octet, and each fused size.
+_VERSION_IHL_5 = 0x45
+_PROTO_AT = ETHER_SIZE + 9
+_TCP_FRAME, _UDP_FRAME, _ICMP_FRAME = _ETH_IPV4_TCP.size, _ETH_IPV4_UDP.size, _ETH_IPV4_ICMP.size
 
 
 class PacketError(Exception):
@@ -295,7 +317,9 @@ def _transport_sum(src: int, dst: int, t: Transport, length: int, payload: bytes
     and ``dst``, for a transport of ``length`` octets (header and
     payload); ``transport_checksum`` documents the rules."""
     if isinstance(t, Tcp):
-        return checksum16(b"".join((_PSEUDO.pack(src, dst, PROTO_TCP, length), _tcp_bytes(t, 0), payload)))
+        head = _PSEUDO_TCP.pack(src, dst, PROTO_TCP, length, t.src_port, t.dst_port, t.seq, t.ack,
+                                _tcp_offset(t.options), t.flags, t.window, 0, t.urgent)
+        return checksum16(b"".join((head, t.options, payload)))
     if isinstance(t, Udp):
         head = _PSEUDO.pack(src, dst, PROTO_UDP, length) + _UDP.pack(t.src_port, t.dst_port, length, 0)
         return checksum16(head + payload) or 0xFFFF
@@ -393,14 +417,18 @@ def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes
     return head + ip.options
 
 
-def _tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
-    options = tcp.options
+def _tcp_offset(options: bytes) -> int:
+    """The data-offset octet of a TCP header over ``options``: the
+    header length in words, in the high nibble."""
     if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
-    offset = (_TCP.size + len(options)) // 4
-    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, offset << 4, tcp.flags, tcp.window, checksum,
-                     tcp.urgent)
-    return head + options
+    return (_TCP.size + len(options)) // 4 << 4
+
+
+def _tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
+    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, _tcp_offset(tcp.options), tcp.flags, tcp.window,
+                     checksum, tcp.urgent)
+    return head + tcp.options
 
 
 def _icmp_bytes(icmp: Icmp, checksum: int) -> bytes:
@@ -417,6 +445,27 @@ def serialize_packet(p: ParsedPacket) -> bytes:
     if ip is None:
         return _ETH.pack(link.dst_mac, link.src_mac, link.ethertype) + p.app_payload
     ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
+    if ihl == 5:
+        # No IPv4 options: Ethernet, IPv4 and the transport header in one pack.
+        if isinstance(t, Tcp):
+            offset = _tcp_offset(t.options)
+            head = _ETH_IPV4_TCP.pack(link.dst_mac, link.src_mac, link.ethertype, _VERSION_IHL_5, ip.tos, total,
+                                      ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol,
+                                      ip.header_checksum, ip.src_ip, ip.dst_ip, t.src_port, t.dst_port, t.seq, t.ack,
+                                      offset, t.flags, t.window, t.checksum, t.urgent)
+            return b"".join((head, t.options, p.app_payload, p.link_trailer))
+        if isinstance(t, Udp):
+            head = _ETH_IPV4_UDP.pack(link.dst_mac, link.src_mac, link.ethertype, _VERSION_IHL_5, ip.tos, total,
+                                      ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol,
+                                      ip.header_checksum, ip.src_ip, ip.dst_ip, t.src_port, t.dst_port,
+                                      total - MIN_IPV4_HEADER, t.checksum)
+            return b"".join((head, p.app_payload, p.link_trailer))
+        if isinstance(t, Icmp):
+            head = _ETH_IPV4_ICMP.pack(link.dst_mac, link.src_mac, link.ethertype, _VERSION_IHL_5, ip.tos, total,
+                                       ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol,
+                                       ip.header_checksum, ip.src_ip, ip.dst_ip, t.icmp_type, t.code, t.checksum,
+                                       t.identifier, t.sequence)
+            return b"".join((head, t.payload, p.link_trailer))
     head = _ETH_IPV4.pack(link.dst_mac, link.src_mac, link.ethertype, 0x40 | ihl, ip.tos, total, ip.identification,
                           ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum, ip.src_ip,
                           ip.dst_ip)
@@ -445,6 +494,43 @@ def parse_packet(data: bytes) -> ParsedPacket:
     if isinstance(data, (bytearray, memoryview)):
         data = bytes(data)
     size = len(data)
+    # A frame of Ethernet, IPv4 without options and one TCP, UDP or ICMP
+    # header is read with one struct call when each length agrees with
+    # the next.  Every other frame, malformed ones included, and one that
+    # fails any of these checks takes the general path below.
+    if size >= _UDP_FRAME:
+        proto = data[_PROTO_AT]
+        if proto == PROTO_TCP and size >= _TCP_FRAME:
+            (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, sport, dport,
+             seq, ack, off_bits, flags, window, chk, urg) = _ETH_IPV4_TCP.unpack_from(data)
+            end, start = ETHER_SIZE + total, _ETH_IPV4.size + (off_bits >> 4) * 4
+            if (ethertype == ETHERTYPE_IPV4 and ver_ihl == _VERSION_IHL_5 and total >= _TCP_FRAME - ETHER_SIZE
+                    and end <= size and off_bits >> 4 >= 5 and start <= end):
+                return _new_packet(
+                    _new_ethernet(dst, src, ethertype),
+                    _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
+                    _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[_TCP_FRAME:start]),
+                    data[start:end], data[end:])
+        elif proto == PROTO_UDP:
+            (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, sport, dport,
+             length, chk) = _ETH_IPV4_UDP.unpack_from(data)
+            end = ETHER_SIZE + total
+            if (ethertype == ETHERTYPE_IPV4 and ver_ihl == _VERSION_IHL_5 and total >= _UDP_FRAME - ETHER_SIZE
+                    and end <= size and length == total - MIN_IPV4_HEADER):
+                return _new_packet(
+                    _new_ethernet(dst, src, ethertype),
+                    _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
+                    _new_udp(sport, dport, chk), data[_UDP_FRAME:end], data[end:])
+        elif proto == PROTO_ICMP:
+            (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, itype, code,
+             chk, ident2, seq2) = _ETH_IPV4_ICMP.unpack_from(data)
+            end = ETHER_SIZE + total
+            if (ethertype == ETHERTYPE_IPV4 and ver_ihl == _VERSION_IHL_5 and total >= _ICMP_FRAME - ETHER_SIZE
+                    and end <= size):
+                return _new_packet(
+                    _new_ethernet(dst, src, ethertype),
+                    _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
+                    _new_icmp(itype, code, chk, ident2, seq2, data[_ICMP_FRAME:end]), b"", data[end:])
     if size < _ETH_IPV4.size:
         if size < ETHER_SIZE:
             raise Truncated("frame shorter than an Ethernet header")

@@ -16,11 +16,13 @@ import pytest
 from stegnet import packet as pk
 from stegnet import wire
 from stegnet.engine import (
+    ITEM_KEY_EXCHANGE,
     CovertGateway,
     DesyncError,
     EngineConfig,
     EngineError,
     Oversize,
+    _TxItem,
 )
 from stegnet.handlers import (
     ICMP_PAYLOAD_ID,
@@ -438,6 +440,20 @@ def test_forged_key_exchange_leaves_an_established_key_alone():
     assert got == [secret]
 
 
+def test_secret_sent_to_the_generator_changes_no_key():
+    a, _ = _encrypted_pair()
+    session, key = a.session, a.session.key
+    assert session.role == crypto.ROLE_GENERATOR
+    mallory = CovertGateway("mallory", "gw_a", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True,
+                                                            seed=999))
+    secret = crypto.rsa_encrypt(session.keypair.public, bytes(crypto.SECRET_LEN))
+    message = crypto.encode_ke_message(crypto.KE_SYMKEY, mallory.local_mac, secret)
+    mallory._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
+    assert _forge_key_exchange(mallory, a) == ["undecodable key_exchange item: secret sent to the generator"]
+    assert a.session is session and session.key == key
+    assert a.idle, "no key-exchange reply may be queued"
+
+
 def test_key_exchange_at_a_gateway_with_encryption_off_makes_no_key():
     plain = CovertGateway("gw_a", "gw_b", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), seed=101),
                           local_mac=MAC_HIGH)
@@ -649,6 +665,32 @@ def test_carrier_path_looks_up_no_handler_by_id():
     """fuse and extract pass the registry's specs along instead of
     turning handler ids back into specs."""
     assert _carrier_pass(HandlerRegistry.get) == 0
+
+
+def test_idle_gateway_marks_carriers_without_selecting():
+    """With nothing to send and no diversion to draw for, ``fuse`` stamps
+    each matched carrier with the exclusion marker without asking the
+    registry to select; the bytes and counters are what selection gave."""
+    carriers = [pk.parse_packet(r.data) for r in tr.synthesize_mixed_trace(300, seed=17).records]
+    idle = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2), seed=17))
+    with _calls(HandlerRegistry.select) as calls:
+        fused = [idle.fuse(c) for c in carriers]
+    assert calls[0] == 0
+    matched = [bool(idle.registry.match(c)) for c in carriers]
+    assert 0 < sum(matched) < len(carriers)
+    for carrier, (out, stats), hit in zip(carriers, fused, matched):
+        assert (stats.matched, stats.excluded, stats.modified) == (hit, hit, hit)
+        assert pk.serialize_packet(out) == pk.serialize_packet(wire.mark_excluded(carrier) if hit else carrier)
+    assert idle.counters == dict(dict.fromkeys(idle.counters, 0), carriers_seen=len(carriers),
+                                 carriers_excluded=sum(matched))
+    # A gateway that may divert SYNs to the ISN channel still selects, so
+    # its draws stay in step with a busy one's.
+    diverting = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2, TCP_ISN_ID), seed=17,
+                                                            augmented_allowed=True, augment_probability=0.25))
+    with _calls(HandlerRegistry.select) as calls:
+        for carrier in carriers:
+            diverting.fuse(carrier)
+    assert calls[0] == diverting.counters["carriers_excluded"] > sum(matched)
 
 
 def test_gateway_nat_path_calls_no_dataclass_replace():

@@ -2,14 +2,21 @@ import copy
 import gc
 import pickle
 import random
+import struct
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stegnet.packet as pk
+from stegnet.packet import (
+    ETHER_SIZE, ETHERTYPE_IPV4, MAX_TCP_OPTIONS, PROTO_ICMP, PROTO_TCP, PROTO_UDP, _ETH, _ETH_IPV4, _ICMP, _PSEUDO,
+    _TCP, _UDP, BadVersion, Icmp, OptionsOverflow, ParsedPacket, Tcp, Transport, Truncated, Udp, UnsupportedProtocol,
+    _icmp_bytes, _ipv4_lengths, _new_ethernet, _new_icmp, _new_ipv4, _new_packet, _new_tcp, _new_udp, checksum16,
+)
 
 
 def checksum_oracle(data: bytes) -> int:
@@ -322,3 +329,248 @@ def test_positional_constructor_builds_the_dataclass(layer, data):
     for field, value in zip(fields(cls), values):
         with pytest.raises(FrozenInstanceError):
             setattr(fast, field.name, value)
+
+
+# ---------------------------------------------------------------------------
+# The codec as it was before it read and wrote the common frame shape
+# with one struct call, copied verbatim but for the names: the reference
+# that both of the library's paths, fused and general, must agree with.
+
+
+def reference_transport_sum(src: int, dst: int, t: Transport, length: int, payload: bytes) -> int:
+    """Checksum of ``t`` with its field zeroed, between addresses ``src``
+    and ``dst``, for a transport of ``length`` octets (header and
+    payload); ``transport_checksum`` documents the rules."""
+    if isinstance(t, Tcp):
+        return checksum16(b"".join((_PSEUDO.pack(src, dst, PROTO_TCP, length), reference_tcp_bytes(t, 0), payload)))
+    if isinstance(t, Udp):
+        head = _PSEUDO.pack(src, dst, PROTO_UDP, length) + _UDP.pack(t.src_port, t.dst_port, length, 0)
+        return checksum16(head + payload) or 0xFFFF
+    if isinstance(t, Icmp):
+        return checksum16(_icmp_bytes(t, 0))
+    raise UnsupportedProtocol("protocol %r" % type(t).__name__)
+
+
+def reference_tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
+    options = tcp.options
+    if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
+        raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
+    offset = (_TCP.size + len(options)) // 4
+    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, offset << 4, tcp.flags, tcp.window, checksum,
+                     tcp.urgent)
+    return head + options
+
+
+def reference_serialize_packet(p: ParsedPacket) -> bytes:
+    """Emit the frame bytes for ``p``.
+
+    Length and offset fields come from the structure itself; stored
+    checksums are written verbatim.
+    """
+    link, ip, t = p.link, p.ipv4, p.transport
+    if ip is None:
+        return _ETH.pack(link.dst_mac, link.src_mac, link.ethertype) + p.app_payload
+    ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
+    head = _ETH_IPV4.pack(link.dst_mac, link.src_mac, link.ethertype, 0x40 | ihl, ip.tos, total, ip.identification,
+                          ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol, ip.header_checksum, ip.src_ip,
+                          ip.dst_ip)
+    if isinstance(t, Tcp):
+        transport = reference_tcp_bytes(t, t.checksum)
+    elif isinstance(t, Udp):
+        transport = _UDP.pack(t.src_port, t.dst_port, total - 4 * ihl, t.checksum)
+    elif isinstance(t, Icmp):
+        return b"".join((head, ip.options, _icmp_bytes(t, t.checksum), p.link_trailer))
+    else:
+        transport = b""
+    return b"".join((head, ip.options, transport, p.app_payload, p.link_trailer))
+
+
+def reference_parse_packet(data: bytes) -> ParsedPacket:
+    """Parse one Ethernet frame.
+
+    Raises Truncated when the buffer ends before a declared length or a
+    declared length is structurally impossible, and BadVersion when an
+    IPv4 ethertype carries a version other than 4.
+    """
+    if isinstance(data, (bytearray, memoryview)):
+        data = bytes(data)
+    size = len(data)
+    if size < _ETH_IPV4.size:
+        if size < ETHER_SIZE:
+            raise Truncated("frame shorter than an Ethernet header")
+        dst, src, ethertype = _ETH.unpack_from(data)
+        if ethertype == ETHERTYPE_IPV4:
+            raise Truncated("IPv4 header truncated")
+        return _new_packet(_new_ethernet(dst, src, ethertype), None, None, data[ETHER_SIZE:], b"")
+    (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, proto, hchk, src_ip,
+     dst_ip) = _ETH_IPV4.unpack_from(data)
+    link = _new_ethernet(dst, src, ethertype)
+    if ethertype != ETHERTYPE_IPV4:
+        return _new_packet(link, None, None, data[ETHER_SIZE:], b"")
+
+    version, ihl = ver_ihl >> 4, ver_ihl & 0x0F
+    if version != 4:
+        raise BadVersion("IPv4 version nibble is %d" % version)
+    if ihl < 5:
+        raise Truncated("IPv4 IHL %d below minimum" % ihl)
+    header_len = ihl * 4
+    if total < header_len:
+        raise Truncated("IPv4 total length smaller than header")
+    # Transport header from ``start``; IPv4 payload up to ``end``.
+    start, end = ETHER_SIZE + header_len, ETHER_SIZE + total
+    if end > size:
+        raise Truncated("IPv4 total length exceeds frame")
+    ipv4 = _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip,
+                     data[_ETH_IPV4.size : start])
+
+    transport: Optional[Transport] = None
+    payload = b""
+    if proto == PROTO_TCP:
+        if end - start < _TCP.size:
+            raise Truncated("TCP header truncated")
+        sport, dport, seq, ack, off_bits, flags, window, chk, urg = _TCP.unpack_from(data, start)
+        offset = (off_bits >> 4) * 4
+        if offset < _TCP.size or start + offset > end:
+            raise Truncated("TCP data offset inconsistent with segment")
+        transport = _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[start + _TCP.size : start + offset])
+        payload = data[start + offset : end]
+    elif proto == PROTO_UDP:
+        if end - start < _UDP.size:
+            raise Truncated("UDP header truncated")
+        sport, dport, length, chk = _UDP.unpack_from(data, start)
+        if length != end - start:
+            raise Truncated("UDP length inconsistent with IPv4 payload")
+        transport = _new_udp(sport, dport, chk)
+        payload = data[start + _UDP.size : end]
+    elif proto == PROTO_ICMP:
+        if end - start < _ICMP.size:
+            raise Truncated("ICMP header truncated")
+        itype, code, chk, ident2, seq2 = _ICMP.unpack_from(data, start)
+        transport = _new_icmp(itype, code, chk, ident2, seq2, data[start + _ICMP.size : end])
+    else:
+        payload = data[start:end]
+
+    return _new_packet(link, ipv4, transport, payload, data[end:])
+
+
+def _verdict(function, *args):
+    """What ``function`` returns, or the class and message it raises."""
+    try:
+        return function(*args)
+    except (pk.PacketError, struct.error) as exc:
+        return type(exc), str(exc)
+
+
+macs = st.binary(min_size=6, max_size=6)
+
+
+def _mostly(draw, usual, other):
+    """``usual`` seven times in eight, else a draw from ``other``."""
+    return draw(other) if draw(st.integers(0, 7)) == 0 else usual
+
+
+@st.composite
+def packets(draw, writable=False):
+    """Packets of each transport, or of none, with and without IPv4
+    options, mostly IPv4 under the protocol number of their transport.
+    Unless ``writable``, some have options no header can state or are
+    too long for the IPv4 total length."""
+    link = pk.Ethernet(draw(macs), draw(macs), _mostly(draw, ETHERTYPE_IPV4, u16))
+    payload = st.binary(max_size=64)
+    options = words
+    if not writable:
+        payload = payload | st.integers(65440, 65520).map(bytes)
+        options = options | st.binary(max_size=44)
+    if draw(st.integers(0, 9)) == 0:
+        return ParsedPacket(link, None, None, draw(payload))
+    proto = draw(st.sampled_from((PROTO_TCP, PROTO_UDP, PROTO_ICMP, None)))
+    transport = {
+        PROTO_TCP: st.builds(Tcp, u16, u16, u32, u32, u8, u16, u16, u16, options),
+        PROTO_UDP: st.builds(Udp, u16, u16, u16),
+        PROTO_ICMP: st.builds(Icmp, u8, u8, u16, u16, u16, payload),
+        None: st.none(),
+    }[proto]
+    ip = pk.Ipv4(draw(u8), draw(u16), draw(st.integers(0, 7)), draw(st.integers(0, 0x1FFF)), draw(u8),
+                 draw(u8) if proto is None else _mostly(draw, proto, u8), draw(u16), draw(u32), draw(u32),
+                 b"" if draw(st.booleans()) else draw(options))
+    return ParsedPacket(link, ip, draw(transport), draw(payload), draw(st.binary(max_size=8)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=packets())
+def test_serialize_agrees_with_the_reference(p):
+    """The same bytes, or the same error in the same order: a frame over
+    65,535 octets is ``Truncated`` before bad TCP options overflow."""
+    assert _verdict(pk.serialize_packet, p) == _verdict(reference_serialize_packet, p)
+    if p.ipv4 is not None and p.transport is not None:
+        assert _verdict(pk.transport_checksum, p) == _verdict(reference_transport_checksum, p)
+
+
+def reference_transport_checksum(p):
+    """``transport_checksum`` over the reference transport sum."""
+    ihl, total = _ipv4_lengths(p.ipv4.options, p.transport, p.app_payload)
+    return reference_transport_sum(p.ipv4.src_ip, p.ipv4.dst_ip, p.transport, total - 4 * ihl, p.app_payload)
+
+
+def _put(frame, at, value, size):
+    """Write ``value`` over the ``size`` octets at ``at``, as far as the
+    frame reaches."""
+    frame[at : at + size] = value.to_bytes(size, "big")[: max(0, len(frame) - at)]
+
+
+def _transport_at(frame):
+    return ETHER_SIZE + (frame[ETHER_SIZE] & 0x0F) * 4 if len(frame) > ETHER_SIZE else len(frame)
+
+
+def _set_reserved_bits(frame, draw):
+    """Set some of the four reserved bits beside a TCP data offset."""
+    at = _transport_at(frame) + 12
+    if at < len(frame):
+        frame[at] |= draw(st.integers(1, 15))
+
+
+def _set_udp_length(frame, draw):
+    _put(frame, _transport_at(frame) + 4, draw(u16), 2)
+
+
+def _set_total_length(frame, draw):
+    _put(frame, ETHER_SIZE + 2, draw(u16), 2)
+
+
+def _truncate(frame, draw):
+    del frame[draw(st.integers(0, len(frame))):]
+
+
+def _flip_bit(frame, draw):
+    if frame:
+        frame[draw(st.integers(0, min(len(frame), 60) - 1))] ^= 1 << draw(st.integers(0, 7))
+
+
+def _add_trailer(frame, draw):
+    frame += draw(st.binary(min_size=1, max_size=16))
+
+
+DAMAGE = (_set_reserved_bits, _set_udp_length, _set_total_length, _truncate, _flip_bit, _add_trailer)
+
+
+@st.composite
+def frames(draw):
+    """Frames the reference writes, half of them then damaged once or
+    twice, as bytes, bytearray or memoryview."""
+    frame = bytearray(reference_serialize_packet(draw(packets(writable=True))))
+    if draw(st.booleans()):
+        for damage in draw(st.lists(st.sampled_from(DAMAGE), min_size=1, max_size=2)):
+            damage(frame, draw)
+    return draw(st.sampled_from((bytes, bytearray, memoryview)))(bytes(frame))
+
+
+@settings(max_examples=600, deadline=None)
+@given(frame=frames())
+def test_parse_agrees_with_the_reference(frame):
+    """The same packet, repr and bytes written back, or the same error."""
+    got, want = _verdict(pk.parse_packet, frame), _verdict(reference_parse_packet, frame)
+    if isinstance(want, ParsedPacket):
+        assert got == want and repr(got) == repr(want)
+        assert pk.serialize_packet(got) == reference_serialize_packet(want)
+    else:
+        assert got == want
