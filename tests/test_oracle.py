@@ -76,6 +76,13 @@ REPAIRED_DIGEST = "d88faba42cd58921418e9a128fac54b37939fac4c69f37e6fe3a3518ec412
 SWITCHING_PAYLOAD = 20_000
 SWITCHING_FUSED_DIGEST = "93eec3037df7da8e2cc64adc37e8e0a212d7678c0a705354630c4b7937da3d0a"
 SWITCHING_REPAIRED_DIGEST = "90e0dbd1c30a73bb4a68334ed599c25b7efbdae88c09d8690529fd1b7caaac1f"
+# One encrypted gateway pair trading carriers both ways: every fused
+# frame, so the key exchange's sync headers are pinned as well as the
+# encrypted items' octets.
+ENCRYPTED_PAIR_ROUNDS = 400
+ENCRYPTED_WIRE_DIGEST = "30784420ef3894f752912fdffc644bdc04f94bb529103830679ca25234bd61f8"
+MAC_HIGH = b"\x02\x00\x00\x00\x00\x0a"
+MAC_LOW = b"\x02\x00\x00\x00\x00\x01"
 
 
 def _sha(data) -> str:
@@ -148,6 +155,38 @@ def test_switching_trace_bytes():
     )
     assert _sha(fused) == SWITCHING_FUSED_DIGEST
     assert _sha(repaired) == SWITCHING_REPAIRED_DIGEST
+
+
+def _pair_carrier(rng, i, src, dst, sport):
+    """Every third carrier an echo request, the others TCP segments."""
+    if i % 3 == 2:
+        return pk.build_icmp_echo(src, dst, identifier=sport, sequence=i, payload=rng.randbytes(56))
+    return pk.build_tcp(src, dst, sport, 80, seq=5000 + i, payload=rng.randbytes(rng.randint(0, 80)))
+
+
+def test_encrypted_wire_bytes():
+    a = CovertGateway("gw_a", "gw_b", EngineConfig(enabled_handlers=(1, 2), encryption=True, seed=101),
+                      local_mac=MAC_HIGH)
+    b = CovertGateway("gw_b", "gw_a", EngineConfig(enabled_handlers=(1, 2), encryption=True, seed=202),
+                      local_mac=MAC_LOW)
+    to_b, to_a = random.Random(13).randbytes(5000), random.Random(14).randbytes(3000)
+    a.enqueue_payload(to_b)
+    b.enqueue_payload(to_a)
+    a.start_key_exchange()
+    b.start_key_exchange()
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    at_a, at_b = [], []
+    for i in range(ENCRYPTED_PAIR_ROUNDS):
+        frame = pk.serialize_packet(a.fuse(_pair_carrier(rng, i, "10.0.1.5", "10.0.2.9", 41000))[0])
+        digest.update(frame)
+        at_b += b.extract(pk.parse_packet(frame))[1]
+        frame = pk.serialize_packet(b.fuse(_pair_carrier(rng, i, "10.0.2.9", "10.0.1.5", 42000))[0])
+        digest.update(frame)
+        at_a += a.extract(pk.parse_packet(frame))[1]
+    assert a.idle and b.idle
+    assert b"".join(at_b) == to_b and b"".join(at_a) == to_a
+    assert digest.hexdigest() == ENCRYPTED_WIRE_DIGEST
 
 
 # ---------------------------------------------------------------------------
