@@ -426,20 +426,15 @@ def encode_ke_message(msg_type: int, mac: bytes, payload: bytes) -> bytes:
     return _KE.pack(msg_type, mac, len(payload)) + payload
 
 
-def ke_message_length(prefix: bytes) -> int:
-    """Full length of the message that starts with ``prefix``, which
-    holds at least its first ``KE_PREFIX`` octets."""
-    return KE_PREFIX + _KE.unpack_from(prefix)[2]
-
-
 def decode_ke_message(blob: bytes) -> Tuple[int, bytes, bytes]:
+    """Type, MAC and payload of ``blob``, which must end where its
+    prefix says the message ends."""
     if len(blob) < KE_PREFIX:
         raise CryptoError("key exchange message truncated")
     msg_type, mac, length = _KE.unpack_from(blob)
-    payload = blob[KE_PREFIX : KE_PREFIX + length]
-    if len(payload) != length:
-        raise CryptoError("key exchange payload truncated")
-    return msg_type, mac, payload
+    if len(blob) != KE_PREFIX + length:
+        raise CryptoError("key exchange payload of %d octets announced as %d" % (len(blob) - KE_PREFIX, length))
+    return msg_type, mac, blob[KE_PREFIX:]
 
 
 @dataclass

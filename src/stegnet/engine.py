@@ -48,9 +48,9 @@ ITEM_KEY_EXCHANGE = "key_exchange"
 ITEM_RECOVERY = "recovery"
 ITEM_RESET = "reset"
 
-# The sync code that opens each item kind, and back.  Data and recovery
-# items announce their length and are encrypted once the cipher is on;
-# the others announce a chunk index (0 for a reset) and stay plaintext.
+# The sync code that opens each item kind, and back.  Every opening
+# announces its item's wire length, 0 for a reset.  Data and recovery
+# items are encrypted once the cipher is on; the others stay plaintext.
 _OPENING_CODE = {ITEM_DATA: wire.CODE_PACKET_START, ITEM_KEY_EXCHANGE: wire.CODE_KEY_EXCHANGE,
                  ITEM_RECOVERY: wire.CODE_RECOVERY, ITEM_RESET: wire.CODE_SESSION_RESET}
 _OPENED_KIND = {code: kind for kind, code in _OPENING_CODE.items()}
@@ -124,20 +124,18 @@ class CarrierStats:
 class _TxItem:
     kind: str
     payload: bytes
-    chunk_index: int = 0
     wire_bytes: bytes = b""
     sent: int = 0
 
     def opening(self) -> wire.SyncHeader:
-        data = len(self.wire_bytes) if self.kind in _SECRET_KINDS else self.chunk_index
-        return wire.SyncHeader(_OPENING_CODE[self.kind], data)
+        return wire.SyncHeader(_OPENING_CODE[self.kind], len(self.wire_bytes))
 
 
 @dataclass
 class _RxItem:
     kind: str
     encrypted: bool
-    expected: Optional[int]
+    expected: int
     buf: bytearray = field(default_factory=bytearray)
 
 
@@ -262,7 +260,7 @@ class CovertGateway:
         """Queue this side's public key; call on both gateways."""
         session = self._ensure_session()
         message = crypto.encode_ke_message(crypto.KE_PUBKEY, self.local_mac, session.keypair.public.to_bytes())
-        self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=0))
+        self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
 
     def _next_item(self) -> Optional[_TxItem]:
         """The item in flight, else the next one, opened here, or None.
@@ -429,42 +427,21 @@ class CovertGateway:
         secrets: List[bytes] = []
         if self._rx_item is None:
             spec, region, header = self._rx_open(carrier, scan, len(candidates))
-            consumed = wire.SYNC_SIZE
-            if header.code == wire.CODE_SESSION_RESET:
-                # Queued secrets wait for a new key exchange, as at the peer.
-                self._rx_cipher_active = False
-                self._cipher_boundary = False
-                self._session = None
-                stats.handler_id = spec.id
-                stats.sync_octets = consumed
-                stats.item_kind = ITEM_RESET
-                self.counters["rx_sync_octets"] += consumed
-                return self._repair(carrier, spec), [], stats
             self._rx_item = self._open_item(header, carrier)
+            consumed = wire.SYNC_SIZE
         else:
             spec, region, consumed = self._rx_continue(carrier, candidates, sel, scan)
 
         item = self._rx_item
-        avail = region[consumed:]
-        taken = 0
-        while avail:
-            # A key exchange's length sits in its prefix; read that first.
-            want = crypto.KE_PREFIX if item.expected is None else item.expected
-            grab = avail[: want - len(item.buf)]
-            item.buf += grab
-            taken += len(grab)
-            avail = avail[len(grab):]
-            if item.expected is not None:
-                break
-            if len(item.buf) == crypto.KE_PREFIX:
-                item.expected = crypto.ke_message_length(item.buf)
+        grab = region[consumed : consumed + item.expected - len(item.buf)]
+        item.buf += grab
 
         stats.handler_id = spec.id
         stats.sync_octets = consumed
-        stats.data_octets = taken
+        stats.data_octets = len(grab)
         stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
-        self.counters["rx_data_octets"] += taken
+        self.counters["rx_data_octets"] += len(grab)
         if spec is self._isn:
             # The rewritten SYN's on-wire ISN, paired later with its recovery record.
             self._observed_isn[pk.flow_key(carrier)] = carrier.tcp.seq
@@ -484,19 +461,25 @@ class CovertGateway:
                     self._handle_key_exchange(data)
                 elif item.kind == ITEM_RECOVERY:
                     self._handle_recovery(data)
+                else:
+                    # A reset: queued secrets wait for a new key exchange, as at the peer.
+                    self._rx_cipher_active = self._cipher_boundary = False
+                    self._session = None
             except (wire.MalformedRecord, crypto.CryptoError) as exc:
                 self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
 
         return self._repair(carrier, spec), secrets, stats
 
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
-        # _rx_open passes no switch and extract takes resets: a key exchange or a secret kind.
+        # _rx_open passes no switch; every other code opens an item of the length it announces.
         kind = _OPENED_KIND[header.code]
-        if kind == ITEM_KEY_EXCHANGE:
-            if not self.config.encryption:
-                # Its peer never sends one; answering would make an RSA key.
-                self._desync(carrier, "%s item opened with encryption off" % kind)
-            return _RxItem(kind=kind, encrypted=False, expected=None)
+        if kind == ITEM_RESET and header.data:
+            self._desync(carrier, "reset opened announcing %d octets" % header.data)
+        if kind == ITEM_KEY_EXCHANGE and not self.config.encryption:
+            # Its peer never sends one; answering would make an RSA key.
+            self._desync(carrier, "%s item opened with encryption off" % kind)
+        if kind not in _SECRET_KINDS:
+            return _RxItem(kind=kind, encrypted=False, expected=header.data)
         if kind == ITEM_DATA and header.data < 1:
             self._desync(carrier, "zero-length packet announcement")
         if self.config.encryption and not self._rx_cipher_active:
@@ -574,7 +557,7 @@ class CovertGateway:
                 message = crypto.encode_ke_message(
                     crypto.KE_SYMKEY, self.local_mac, crypto.rsa_encrypt(session.peer_public, secret)
                 )
-                self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=1))
+                self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
                 self._cipher_boundary = True
             else:
                 session.role = crypto.ROLE_RECEIVER
@@ -582,7 +565,7 @@ class CovertGateway:
             secret = crypto.rsa_decrypt(session.keypair, payload)
             session.install_secret(secret, crypto.ROLE_RECEIVER)
             message = crypto.encode_ke_message(crypto.KE_CIPHER_ON, self.local_mac, b"")
-            self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message, chunk_index=2))
+            self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
             self._cipher_boundary = True
             self._rx_cipher_active = True
         elif msg_type == crypto.KE_CIPHER_ON:

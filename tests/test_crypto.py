@@ -481,6 +481,8 @@ def test_ke_message_codec():
         cr.decode_ke_message(blob[:8])
     with pytest.raises(cr.CryptoError):
         cr.decode_ke_message(blob[:-1])
+    with pytest.raises(cr.CryptoError):
+        cr.decode_ke_message(blob + b"\x00")
 
 
 def test_public_key_codec():

@@ -242,7 +242,7 @@ def _crafted(segment):
     # a recovery item announcing 3 octets instead of 17
     wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 3)) + b"\x01\x02\x03",
     # a key exchange whose encrypted secret is garbage
-    wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, 0))
+    wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, crypto.KE_PREFIX + 5))
     + crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, b"\x00" * 5),
 ], ids=["short_recovery", "garbage_symkey"])
 def test_undecodable_item_is_a_desync(segment):
@@ -269,6 +269,8 @@ def test_session_reset_rides_after_pending_data():
     assert fstats[1].item_kind == "reset"
     assert estats[1].item_kind == "reset"
     assert estats[1].sync_octets == 3 and estats[1].data_octets == 0
+    # A reset is a zero-length item: it completes on its opening carrier.
+    assert fstats[1].item_completed and estats[1].item_completed
     assert not rx._rx_cipher_active
     assert tx.idle
 
@@ -397,6 +399,45 @@ def test_forged_reset_ends_in_a_desync_not_in_ciphertext_delivered():
             desyncs.append(str(exc))
     assert got == [] and b.counters["secret_octets_delivered"] == 0
     assert desyncs and desyncs[0] == "data item opened with the receive cipher off"
+
+
+@pytest.mark.parametrize("announced", [1, 0xFFFF])
+def test_reset_announcing_octets_is_a_desync_that_keeps_the_session(announced):
+    # A reset is a zero-length item, so an opening that announces more
+    # is not the peer's: b refuses it and keeps the session it would drop.
+    a, b = _encrypted_pair()
+    session = b.session
+    forged = b.registry.get(TCP_OPTIONS_ID).writer(
+        _tcp(7), wire.encode_sync(wire.SyncHeader(wire.CODE_SESSION_RESET, announced)))
+    with pytest.raises(DesyncError, match="reset opened announcing %d octets" % announced):
+        b.extract(forged)
+    assert b.session is session and b.session_established
+    secret = random.Random(66).randbytes(64)
+    a.enqueue_secret(secret)
+    got, i = [], 0
+    while not a.idle:
+        i += 1
+        got += b.extract(a.fuse(_tcp(i, sport=43000))[0])[1]
+    assert got == [secret]
+
+
+@pytest.mark.parametrize("skew", [-1, 1], ids=["one_short", "one_long"])
+def test_key_exchange_whose_opening_disagrees_with_its_prefix_is_a_desync(skew):
+    # b's public key, whole, under an opening that announces one octet
+    # fewer or more than its prefix: a takes no key and queues no reply.
+    cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID), encryption=True, seed=101)
+    a = CovertGateway("gw_a", "gw_b", cfg, local_mac=MAC_HIGH)
+    b = CovertGateway("gw_b", "gw_a", replace(cfg, seed=202), local_mac=MAC_LOW)
+    a.start_key_exchange()
+    b.start_key_exchange()
+    queued, session = list(a._queue), a.session
+    message = b._queue[0].payload
+    opening = wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, len(message) + skew))
+    carrier = a.registry.get(ICMP_PAYLOAD_ID).writer(_icmp(size=len(message) + 8), opening + message)
+    with pytest.raises(DesyncError, match="undecodable key_exchange item"):
+        a.extract(carrier)
+    assert a.session is session and session.peer_public is None and session.key is None
+    assert list(a._queue) == queued
 
 
 def _mallory():
