@@ -80,7 +80,7 @@ SWITCHING_REPAIRED_DIGEST = "90e0dbd1c30a73bb4a68334ed599c25b7efbdae88c09d869052
 # frame, so the key exchange's sync headers are pinned as well as the
 # encrypted items' octets.
 ENCRYPTED_PAIR_ROUNDS = 400
-ENCRYPTED_WIRE_DIGEST = "30784420ef3894f752912fdffc644bdc04f94bb529103830679ca25234bd61f8"
+ENCRYPTED_WIRE_DIGEST = "3dd7213d70125a98fe6da974c2f9ffb9dff1af40ad2628a6f32dcfdb1b0c58b5"
 MAC_HIGH = b"\x02\x00\x00\x00\x00\x0a"
 MAC_LOW = b"\x02\x00\x00\x00\x00\x01"
 
