@@ -415,6 +415,9 @@ def decrypt_stream(key: bytes, iv: bytes, data: bytes) -> bytes:
 # Key-exchange message prefix: type, MAC, payload length.
 _KE = struct.Struct("!B6sH")
 KE_PREFIX = _KE.size
+# The longest message built here, a public key: exponent 65537 in 3
+# octets and the modulus, each after a 2-octet length.
+KE_LONGEST = KE_PREFIX + 2 + 3 + 2 + RSA_BYTES
 
 
 def encode_ke_message(msg_type: int, mac: bytes, payload: bytes) -> bytes:
@@ -446,7 +449,6 @@ class CryptoSession:
     transmit IV so the two directions never share a chain.
     """
 
-    local_mac: bytes
     keypair: RsaKeyPair
     role: Optional[str] = None
     peer_public: Optional[RsaPublicKey] = None

@@ -253,7 +253,7 @@ class CovertGateway:
     def _ensure_session(self) -> crypto.CryptoSession:
         if self._session is None:
             pair = crypto.generate_keypair(_child_seed(self.config.seed, "rsa:%s" % self.node_id))
-            self._session = crypto.CryptoSession(local_mac=self.local_mac, keypair=pair)
+            self._session = crypto.CryptoSession(keypair=pair)
         return self._session
 
     def start_key_exchange(self) -> None:
@@ -325,13 +325,18 @@ class CovertGateway:
         item = self._next_item()
         if item is None:
             return self._exclude(carrier, stats)
-        remaining = len(item.wire_bytes) - item.sent
-        placed = self._tx_cursor.place(
-            spec.id, capacity, len(candidates), remaining, item.opening() if opening else None)
-        if placed is None:
+        room = self._tx_cursor.room(spec.id, capacity, len(candidates), opening)
+        if room < 1:
+            # Only a diverted carrier can lack room: select skipped the rest.
             return self._exclude(carrier, stats)
-        header, n = placed
-        segment = (wire.encode_sync(header) if header is not None else b"") + item.wire_bytes[item.sent : item.sent + n]
+        sync = b""
+        if opening:
+            sync = wire.encode_sync(item.opening())
+        elif room < capacity:
+            sync = wire.encode_sync(wire.switch_header(spec.id))
+        n = min(room, len(item.wire_bytes) - item.sent)
+        self._tx_cursor.adopt(spec.id, len(candidates), opening)
+        segment = sync + item.wire_bytes[item.sent : item.sent + n]
 
         modified = spec.writer(carrier, segment)
         if spec is self._isn:
@@ -340,7 +345,7 @@ class CovertGateway:
         item.sent += n
         stats.modified = True
         stats.handler_id = spec.id
-        stats.sync_octets = wire.SYNC_SIZE if header is not None else 0
+        stats.sync_octets = len(sync)
         stats.data_octets = n
         stats.item_kind = item.kind
         self.counters["carriers_modified"] += 1
@@ -478,6 +483,9 @@ class CovertGateway:
         if kind == ITEM_KEY_EXCHANGE and not self.config.encryption:
             # Its peer never sends one; answering would make an RSA key.
             self._desync(carrier, "%s item opened with encryption off" % kind)
+        if kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST:
+            # Taken at its word, a forged length would swallow the peer's stream.
+            self._desync(carrier, "undecodable %s item: %d octets announced" % (kind, header.data))
         if kind not in _SECRET_KINDS:
             return _RxItem(kind=kind, encrypted=False, expected=header.data)
         if kind == ITEM_DATA and header.data < 1:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import packet as pk
-from .wire import SYNC_SIZE, SegmentCursor
+from .wire import SegmentCursor
 
 
 class ManipulationClass(Enum):
@@ -193,25 +193,24 @@ class HandlerRegistry:
         ``cursor`` is the direction's selection state and ``opening``
         is true when the next segment starts a stream item (the receive
         side is idle exactly when the transmit side is about to open).
-        Only handlers whose region fits the header this carrier would
-        need plus one data octet are considered; a two-octet field
-        cannot open an item but can extend one silently.  The remaining
-        order is strictly lexicographic: drop augmented-correction
-        handlers unless allowed, then minimize carrier cost, then
-        prefer NO_RECOVERY over SELF_RECOVERABLE over
-        AUGMENTED_CORRECTION, then maximize capacity on this packet,
-        then lowest id.  Both endpoints evaluate this from state they
-        share, so the choice never needs announcing in the unambiguous
-        cases.
+        Only handlers with ``cursor.room`` for at least one data octet
+        after the header this carrier would need are considered; a
+        two-octet field cannot open an item but can extend one
+        silently.  The remaining order is strictly lexicographic: drop
+        augmented-correction handlers unless allowed, then minimize
+        carrier cost, then prefer NO_RECOVERY over SELF_RECOVERABLE
+        over AUGMENTED_CORRECTION, then maximize capacity on this
+        packet, then lowest id.  Both endpoints evaluate this from
+        state they share, so the choice never needs announcing in the
+        unambiguous cases.
         """
         multiplicity = len(candidates)
         best = chosen = None
         for spec in candidates:
             if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not augmented_allowed:
                 continue
-            header = opening or cursor.switch_needed(spec.id, multiplicity)
             capacity = spec.capacity(p)
-            if capacity < (SYNC_SIZE if header else 0) + 1:
+            if cursor.room(spec.id, capacity, multiplicity, opening) < 1:
                 continue
             key = (spec.carrier_cost, _RECOVERY_RANK[spec.recovery], -capacity, spec.id)
             if best is None or key < best:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import packet as pk
 
@@ -147,10 +147,10 @@ def decode_recovery(octets: bytes) -> RecoveryRecord:
 class SegmentCursor:
     """Handler-selection state of one stream direction: the active
     handler and the multiplicity (number of matching handlers) of the
-    carrier that established it.  The sender calls ``place`` once per
-    carrier, the receiver ``adopt`` with the handler it found, so both
-    mirrors apply the same switch rule.  Excluded carriers leave the
-    state untouched."""
+    carrier that established it.  ``room`` is the one fit rule: both
+    sides select by it, the sender sizes each segment by it, and each
+    side then calls ``adopt`` with the handler it used, so the two
+    mirrors stay in step.  Excluded carriers leave the state untouched."""
 
     def __init__(self, active_handler: Optional[int] = None, active_multiplicity: int = 1):
         self.active_handler = active_handler
@@ -161,13 +161,17 @@ class SegmentCursor:
         handler matched more than one handler."""
         return multiplicity > 1 or self.active_multiplicity > 1
 
-    def switch_needed(self, handler_id: int, multiplicity: int) -> bool:
-        """Whether a carrier must announce ``handler_id`` in-band: it
-        changes the active handler and the change is ambiguous.  The
-        peer re-derives unambiguous changes on its own."""
-        if self.active_handler is None or handler_id == self.active_handler:
-            return False
-        return self.ambiguous(multiplicity)
+    def room(self, handler_id: int, capacity: int, multiplicity: int, opening: bool) -> int:
+        """Data octets a region of ``capacity`` holds on this carrier
+        after the header it needs: an opening header when the carrier
+        opens an item, a switch header when it changes the active
+        handler and the change is ambiguous, else none.  The peer
+        re-derives unambiguous changes on its own.  Below 1, the region
+        cannot carry this carrier's segment."""
+        active = self.active_handler
+        if opening or (active is not None and active != handler_id and self.ambiguous(multiplicity)):
+            return capacity - SYNC_SIZE
+        return capacity
 
     def adopt(self, handler_id: int, multiplicity: int, opening: bool) -> None:
         """Make ``handler_id`` active for a carrier of ``multiplicity``.
@@ -176,28 +180,3 @@ class SegmentCursor:
         if opening or handler_id != self.active_handler:
             self.active_multiplicity = multiplicity
         self.active_handler = handler_id
-
-    def place(
-        self,
-        handler_id: int,
-        capacity: int,
-        multiplicity: int,
-        remaining: int,
-        opening: Optional[SyncHeader] = None,
-    ) -> Optional[Tuple[Optional[SyncHeader], int]]:
-        """Plan one carrier. Returns (sync header or None, data octets),
-        or None when the carrier cannot make progress and must be
-        excluded.  A carrier is usable only if its capacity fits the
-        required header plus at least one data octet (header-only items
-        with nothing left to send just need the header)."""
-        if opening is not None:
-            header: Optional[SyncHeader] = opening
-        elif self.switch_needed(handler_id, multiplicity):
-            header = switch_header(handler_id)
-        else:
-            header = None
-        overhead = SYNC_SIZE if header is not None else 0
-        if capacity < overhead + min(remaining, 1):
-            return None
-        self.adopt(handler_id, multiplicity, opening is not None)
-        return header, min(capacity - overhead, remaining)

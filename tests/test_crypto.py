@@ -503,8 +503,8 @@ def test_negotiate_roles_and_session():
     secret = cr.rsa_decrypt(PAIR_B, ciphertext)
     assert secret == sent and len(secret) == cr.SECRET_LEN
 
-    gen = cr.CryptoSession(local_mac=MAC_A, keypair=PAIR_A)
-    rcv = cr.CryptoSession(local_mac=MAC_B, keypair=PAIR_B)
+    gen = cr.CryptoSession(keypair=PAIR_A)
+    rcv = cr.CryptoSession(keypair=PAIR_B)
     gen.install_secret(secret, cr.ROLE_GENERATOR)
     rcv.install_secret(secret, cr.ROLE_RECEIVER)
     assert gen.established and rcv.established
@@ -517,6 +517,6 @@ def test_negotiate_roles_and_session():
 
 
 def test_session_requires_key():
-    session = cr.CryptoSession(local_mac=MAC_A, keypair=PAIR_A)
+    session = cr.CryptoSession(keypair=PAIR_A)
     with pytest.raises(cr.NotEstablished):
         session.encrypt_item(b"x")

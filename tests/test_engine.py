@@ -26,10 +26,12 @@ from stegnet.engine import (
 )
 from stegnet.handlers import (
     ICMP_PAYLOAD_ID,
+    IPV4_CHECKSUM_ID,
     HandlerRegistry,
     TCP_ISN_ID,
     TCP_OPTIONS_ID,
     UnknownHandler,
+    _is_pure_syn,
     build_registry,
     make_icmp_payload_handler,
     make_tcp_isn_handler,
@@ -440,6 +442,30 @@ def test_key_exchange_whose_opening_disagrees_with_its_prefix_is_a_desync(skew):
     assert list(a._queue) == queued
 
 
+@pytest.mark.parametrize("announced", [crypto.KE_PREFIX - 1, 0xFFFF], ids=["below_the_prefix", "longest_possible"])
+def test_key_exchange_opening_beyond_the_longest_message_is_a_desync(announced):
+    # A forged opening announcing 65,535 octets, taken at its word, would
+    # swallow a's stream at b until that many octets had passed; one
+    # shorter than the prefix holds no message.  Both end at the opening.
+    a, b = _encrypted_pair()
+    # The bound is the longest message a gateway builds: its public key.
+    longest = crypto.encode_ke_message(crypto.KE_PUBKEY, MAC_HIGH, a.session.keypair.public.to_bytes())
+    assert len(longest) == crypto.KE_LONGEST == 272
+    prefix = crypto.encode_ke_message(crypto.KE_PUBKEY, MAC_HIGH, bytes(0xFFFF - crypto.KE_PREFIX))[:crypto.KE_PREFIX]
+    opening = wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, announced))
+    forged = b.registry.get(TCP_OPTIONS_ID).writer(_tcp(7), opening + prefix)
+    with pytest.raises(DesyncError, match="undecodable key_exchange item: %d octets announced" % announced):
+        b.extract(forged)
+    rng = random.Random(67)
+    secrets = [rng.randbytes(200) for _ in range(20)]
+    for secret in secrets:
+        a.enqueue_secret(secret)
+    got = []
+    for i in range(120):
+        got += b.extract(a.fuse(_tcp(i, sport=43000))[0])[1]
+    assert got == secrets
+
+
 def _mallory():
     """A third gateway on the path, its public key queued."""
     mallory = CovertGateway("mallory", "gw_a", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True,
@@ -581,6 +607,39 @@ def test_augment_probability_diverts_eligible_carriers():
     fused, fs = tx.fuse(syn)
     assert fs.handler_id == TCP_ISN_ID
     assert tx.flow_deltas, "diverted carrier must record its rewrite"
+
+
+def test_carrier_diverted_to_a_region_without_room_is_excluded():
+    # A 2-octet plug-in on pure SYNs at id 5: a SYN that handler 4
+    # would continue an item on is diverted to it, where a switch
+    # header alone overflows the region, so fuse excludes the carrier.
+    isn_two = replace(make_tcp_isn_handler(), name="tcp_isn_two_octets", capacity=lambda p: 2)
+
+    def _run(augmented):
+        registry = build_registry(enabled=(ICMP_PAYLOAD_ID, IPV4_CHECKSUM_ID))
+        registry.register(isn_two)
+        cfg = EngineConfig(enabled_handlers=(ICMP_PAYLOAD_ID, IPV4_CHECKSUM_ID), augmented_allowed=augmented,
+                           augment_probability=1.0 if augmented else 0.0, seed=5)
+        tx, rx = _pair(cfg, registry=registry)
+        payload = random.Random(68).randbytes(3000)
+        tx.enqueue_payload(payload)
+        carriers = [pk.parse_packet(r.data) for r in tr.synthesize_mixed_trace(1500, seed=19).records]
+        syns, got = [], []
+        for c in carriers:
+            # Handler 4 writes the IPv4 checksum field, so no checksum check here.
+            fused, fs = tx.fuse(c)
+            got += rx.extract(fused)[1]
+            if _is_pure_syn(c):
+                syns.append(fs)
+        assert tx.idle and b"".join(got) == payload
+        assert tx.flow_deltas == {} and rx.counters["rx_data_octets"] == tx.counters["data_octets"]
+        return syns
+
+    # Without the diversion, handler 4 carries data on some SYNs ...
+    assert any(fs.handler_id == IPV4_CHECKSUM_ID for fs in _run(False))
+    # ... and with it, every SYN is excluded.
+    syns = _run(True)
+    assert syns and all(fs.excluded and fs.handler_id is None for fs in syns)
 
 
 def test_a_plugin_at_id_5_is_not_the_isn_channel():

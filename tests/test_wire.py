@@ -4,6 +4,8 @@ import pytest
 
 import stegnet.packet as pk
 import stegnet.wire as wire
+from stegnet.engine import CovertGateway, EngineConfig
+from stegnet.handlers import ICMP_PAYLOAD_ID
 
 
 def test_sync_encode_fixtures():
@@ -51,7 +53,10 @@ def test_exclusion_marking():
 
 def test_handler_switch_rule_table():
     def switch_needed(chosen, active, multiplicity, active_multiplicity):
-        return wire.SegmentCursor(active, active_multiplicity).switch_needed(chosen, multiplicity)
+        # A continuing carrier loses room exactly to a switch header.
+        room = wire.SegmentCursor(active, active_multiplicity).room(chosen, 10, multiplicity, opening=False)
+        assert room in (10, 10 - wire.SYNC_SIZE)
+        return room < 10
 
     # chosen == active never switches; no active handler never switches
     assert not switch_needed(1, 1, 3, 3)
@@ -87,19 +92,28 @@ CASE_TWO = [(1, 40, 1), (1, 40, 1), (2, 56, 2), (1, 40, 1), (1, 40, 1)]
 
 
 def _plan(secret_len, carriers):
-    """Lay one secret packet over ``carriers`` with ``SegmentCursor.place``,
-    as the sender does: one (sync header, data octets) per carrier, None
-    for an excluded one, stopping once the packet is placed."""
+    """Lay one secret packet over ``carriers`` as the sender does, with
+    ``SegmentCursor.room`` and ``adopt``: one (sync header, data octets)
+    per carrier, None for an excluded one, stopping once the packet is
+    placed."""
     cursor = wire.SegmentCursor()
     steps, remaining = [], secret_len
     for handler_id, capacity, multiplicity in carriers:
         if remaining == 0:
             break
-        opening = wire.SyncHeader(wire.CODE_PACKET_START, secret_len) if remaining == secret_len else None
-        step = cursor.place(handler_id, capacity, multiplicity, remaining, opening)
-        steps.append(step)
-        if step is not None:
-            remaining -= step[1]
+        opening = remaining == secret_len
+        room = cursor.room(handler_id, capacity, multiplicity, opening)
+        if room < 1:
+            steps.append(None)
+            continue
+        sync = None
+        if opening:
+            sync = wire.SyncHeader(wire.CODE_PACKET_START, secret_len)
+        elif room < capacity:
+            sync = wire.switch_header(handler_id)
+        cursor.adopt(handler_id, multiplicity, opening)
+        steps.append((sync, min(room, remaining)))
+        remaining -= steps[-1][1]
     return steps
 
 
@@ -156,11 +170,17 @@ def test_plan_two_octet_regions_cannot_open():
     assert steps[1][1] == 10
 
 
-def test_plan_header_only_reset_semantics():
-    # Zero remaining with a pending header fits a 3-octet region.
-    cursor = wire.SegmentCursor()
-    placed = cursor.place(1, 3, 1, 0, opening=wire.SyncHeader(wire.CODE_SESSION_RESET, 0))
-    assert placed == (wire.SyncHeader(wire.CODE_SESSION_RESET, 0), 0)
+def test_plan_reset_opens_on_no_region_below_header_plus_one():
+    # A reset is a zero-length item, yet it opens only where a data item
+    # could: the one fit rule asks every opening for one data octet.
+    gateway = CovertGateway("gw_a", "gw_b", EngineConfig(enabled_handlers=(ICMP_PAYLOAD_ID,)))
+    gateway.reset_session()
+    for size in range(wire.SYNC_SIZE + 2):
+        echo = pk.build_icmp_echo("10.0.1.5", "10.0.2.9", identifier=9, sequence=size, payload=bytes(size))
+        _, stats = gateway.fuse(echo)
+        assert stats.excluded == (size <= wire.SYNC_SIZE)
+    assert (stats.item_kind, stats.sync_octets, stats.data_octets) == ("reset", wire.SYNC_SIZE, 0)
+    assert stats.item_completed and gateway.idle
 
 
 def test_recovery_record_round_trip():
