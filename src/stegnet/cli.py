@@ -229,8 +229,7 @@ def _secret_pair(topology: Topology) -> Tuple[str, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    topology = _read(args.topology, "topology", EXIT_TOPOLOGY,
-                     lambda text: load_topology(text, is_path=False))
+    topology = _read(args.topology, "topology", EXIT_TOPOLOGY, load_topology)
     for warning in topology.warnings:
         print("warning: %s" % warning, file=sys.stderr)
     workload = _read(args.workload, "workload", EXIT_CONFIG, parse_workload) if args.workload else None

@@ -483,7 +483,11 @@ class CovertGateway:
         if kind == ITEM_KEY_EXCHANGE and not self.config.encryption:
             # Its peer never sends one; answering would make an RSA key.
             self._desync(carrier, "%s item opened with encryption off" % kind)
-        if kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST:
+        if kind == ITEM_RECOVERY and self._isn is None:
+            # Its peer, without the ISN channel either, never sends one.
+            self._desync(carrier, "%s item opened without the ISN channel" % kind)
+        if (kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST
+                or kind == ITEM_RECOVERY and header.data != wire.RECOVERY_LEN):
             # Taken at its word, a forged length would swallow the peer's stream.
             self._desync(carrier, "undecodable %s item: %d octets announced" % (kind, header.data))
         if kind not in _SECRET_KINDS:

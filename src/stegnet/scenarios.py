@@ -88,7 +88,7 @@ def line_topology(
     parts.append("")
     if gateway_nat:
         parts.extend(["[policy]", "node = gw_a", "nat = true", ""])
-    return load_topology("\n".join(parts), is_path=False)
+    return load_topology("\n".join(parts))
 
 
 def run_transfer(
@@ -120,14 +120,13 @@ def scenario_secret_internet(
     seed: int = 0,
     budgets: Sequence[int] = (8_000, 16_000, 24_000, 32_000),
     payload_octets: int = 2_000,
-    encryption: bool = False,
 ) -> SessionReport:
     """Covert throughput across a monitored core at rising carrier
-    supply.  One row per workload budget level."""
+    supply, unencrypted.  One row per workload budget level."""
     report = SessionReport(scenario="secret_internet", seed=seed)
     report.fields["payload_octets"] = payload_octets
-    report.fields["encryption"] = encryption
-    config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, encryption=encryption, seed=seed)
+    report.fields["encryption"] = False
+    config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=seed)
     total_drops = 0
     for budget in budgets:
         sim = Simulation(line_topology(), workload=WorkloadSpec(budget=budget), engine_config=config, seed=seed)

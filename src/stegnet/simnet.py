@@ -329,13 +329,15 @@ class _PacedTransfer:
     retransmissions); its per-interval counts feed the stability metric.
     """
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, packet_size: int, rto_us: int):
+    PACKET_SIZE = 256
+    RTO_US = 400_000
+
+    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int):
         self.sim = sim
         self.src = src
         self.dst = dst
         self.packets = packets
-        self.packet_size = packet_size
-        self.rto_us = rto_us
+        self.base_seq = _safe_isn(src, "paced")
         self.next_index = 0
         self.awaiting: Optional[int] = None
         self.retransmissions = 0
@@ -356,14 +358,13 @@ class _PacedTransfer:
     def _emit(self, index: int) -> None:
         src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         rng = _child_rng(self.sim.seed, "paced:%s:%d" % (self.src, index))
-        payload = rng.randbytes(self.packet_size)
-        p = pk.build_tcp(src_ip, dst_ip, 42000, SECRET_PORT,
-                         seq=(_safe_isn(self.src, "paced") + index) & 0xFFFFFFFF,
+        payload = rng.randbytes(self.PACKET_SIZE)
+        p = pk.build_tcp(src_ip, dst_ip, 42000, SECRET_PORT, seq=(self.base_seq + index) & 0xFFFFFFFF,
                          flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
                          src_mac=src_mac, dst_mac=dst_mac)
         self.send_times.append(self.sim.now)
         self.sim.send_from(self.src, p)
-        self.sim._schedule(self.sim.now + self.rto_us, self._timeout, index)
+        self.sim._schedule(self.sim.now + self.RTO_US, self._timeout, index)
 
     def _timeout(self, index: int) -> None:
         if self.awaiting == index:
@@ -373,8 +374,7 @@ class _PacedTransfer:
     def on_ack(self, ack_value: int) -> None:
         if self.awaiting is None:
             return
-        base = _safe_isn(self.src, "paced")
-        acked = (ack_value - base - self.packet_size) & 0xFFFFFFFF
+        acked = (ack_value - self.base_seq - self.PACKET_SIZE) & 0xFFFFFFFF
         if acked == self.awaiting:
             self.awaiting = None
             self.delivered_packets += 1
@@ -562,26 +562,25 @@ class Simulation:
         # The n-th bulk transfer to a host sends from port 41000 + n (mod
         # 1000), so the host tells its packets from those of a concurrent
         # or stalled transfer.
-        index = self._bulk_count.get(dst, 0)
-        sport = 41000 + index % 1000
-        transfer = self._start(_BulkTransfer(self, src, dst, payload_octets, packet_size, sport), start_us)
-        self._bulk_count[dst] = index + 1
-        self._bulk_by_port[(dst, sport)] = transfer
-        return transfer
-
-    def add_paced_transfer(self, src: str, dst: str, packets: int, packet_size: int = 256, rto_us: int = 400_000, start_us: Optional[int] = None) -> _PacedTransfer:
-        transfer = self._start(_PacedTransfer(self, src, dst, packets, packet_size, rto_us), start_us)
-        self._paced_by_src[src] = transfer
-        return transfer
-
-    def _start(self, transfer, start_us: Optional[int]):
-        """Schedule ``transfer`` to start at ``start_us``, now by default;
-        a time already past is refused."""
+        if packet_size < 1:
+            raise SimError("packet size %d is below 1 octet" % packet_size)
         if start_us is None:
             start_us = self.now
         elif start_us < self.now:
             raise SimError("transfer start %d us is before now (%d us)" % (start_us, self.now))
+        index = self._bulk_count.get(dst, 0)
+        sport = 41000 + index % 1000
+        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, sport)
         self._schedule(start_us, transfer.start)
+        self._bulk_count[dst] = index + 1
+        self._bulk_by_port[(dst, sport)] = transfer
+        return transfer
+
+    def add_paced_transfer(self, src: str, dst: str, packets: int) -> _PacedTransfer:
+        """Start, now, a stop-and-wait transfer of ``packets`` requests."""
+        transfer = _PacedTransfer(self, src, dst, packets)
+        self._schedule(self.now, transfer.start)
+        self._paced_by_src[src] = transfer
         return transfer
 
     def _schedule(self, t: int, fn: Callable[..., None], *args) -> None:
@@ -589,6 +588,8 @@ class Simulation:
         heapq.heappush(self._heap, (t, self._serial, fn, args))
 
     def run(self, duration_us: int) -> None:
+        if duration_us < 0:
+            raise SimError("run duration %d us is negative" % duration_us)
         horizon = self.now + duration_us
         heap = self._heap
         while heap and heap[0][0] <= horizon:
@@ -821,7 +822,7 @@ class Simulation:
                     inner = pk.parse_packet(blob)
                 except pk.PacketError:
                     continue
-                route(table, name, inner, inner.wire_len)
+                route(table, name, inner, len(blob))
             if nat and forwarded.ipv4 is not None and forwarded.ipv4.dst_ip == my_ip:
                 return self._phys_nat_in(name, forwarded)
             return forwarded
@@ -886,7 +887,5 @@ class Simulation:
         if entry is None:
             return None
         oip, oport = entry
-        if icmp:
-            return pk.readdress(p, dst_ip=oip)
-        host = self._ip_to_node.get(oip)
-        return pk.readdress(p, dst_ip=oip, dst_port=oport, dst_mac=self._node_mac[host] if host else None)
+        return pk.readdress(p, dst_ip=oip, dst_port=None if icmp else oport,
+                            dst_mac=self._node_mac.get(self._ip_to_node.get(oip)))

@@ -399,10 +399,6 @@ def validate_topology(topo: Topology) -> Topology:
     return topo
 
 
-def load_topology(path_or_text, is_path: bool = True) -> Topology:
-    if is_path:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = path_or_text
+def load_topology(text: str) -> Topology:
+    """The validated topology that ``text``, a topology file's contents, describes."""
     return validate_topology(parse_topology(text))

@@ -243,10 +243,13 @@ def _crafted(segment):
 @pytest.mark.parametrize("segment", [
     # a recovery item announcing 3 octets instead of 17
     wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 3)) + b"\x01\x02\x03",
+    # a well-formed recovery record, which a gateway without the ISN channel never sends
+    wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, wire.RECOVERY_LEN))
+    + wire.encode_recovery(wire.RecoveryRecord(0x0A000105, 40000, 0x0A000209, 80, TCP_ISN_ID, 5000)),
     # a key exchange whose encrypted secret is garbage
     wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, crypto.KE_PREFIX + 5))
     + crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, b"\x00" * 5),
-], ids=["short_recovery", "garbage_symkey"])
+], ids=["short_recovery", "recovery_without_isn_channel", "garbage_symkey"])
 def test_undecodable_item_is_a_desync(segment):
     tx, rx = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,)))
     crafted = _crafted(segment)
@@ -455,6 +458,28 @@ def test_key_exchange_opening_beyond_the_longest_message_is_a_desync(announced):
     opening = wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, announced))
     forged = b.registry.get(TCP_OPTIONS_ID).writer(_tcp(7), opening + prefix)
     with pytest.raises(DesyncError, match="undecodable key_exchange item: %d octets announced" % announced):
+        b.extract(forged)
+    rng = random.Random(67)
+    secrets = [rng.randbytes(200) for _ in range(20)]
+    for secret in secrets:
+        a.enqueue_secret(secret)
+    got = []
+    for i in range(120):
+        got += b.extract(a.fuse(_tcp(i, sport=43000))[0])[1]
+    assert got == secrets
+
+
+@pytest.mark.parametrize("config, reason", [
+    (EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), seed=3), "recovery item opened without the ISN channel"),
+    (EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, TCP_ISN_ID), augmented_allowed=True, seed=3),
+     "undecodable recovery item: 65535 octets announced"),
+], ids=["without_isn_channel", "with_isn_channel"])
+def test_recovery_opening_of_any_other_length_is_a_desync(config, reason):
+    # A record is RECOVERY_LEN octets; a forged opening announcing 65,535,
+    # taken at its word, would swallow a's stream at b.  It ends at the opening.
+    a, b = _pair(config)
+    forged = _crafted(wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 0xFFFF)))
+    with pytest.raises(DesyncError, match=reason):
         b.extract(forged)
     rng = random.Random(67)
     secrets = [rng.randbytes(200) for _ in range(20)]

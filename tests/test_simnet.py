@@ -15,6 +15,7 @@ from stegnet.simnet import (
     DEFAULT_MIX,
     MICROS,
     SECRET_PORT,
+    UDP_SERVICE_PORT,
     SimError,
     Simulation,
     WorkloadSpec,
@@ -282,7 +283,7 @@ def test_gateway_address_translation_ports_wrap():
 
 def test_paced_transfer_retransmits_without_carriers():
     sim = Simulation(line_topology(visible_users=0), workload=WorkloadSpec(), seed=9)
-    transfer = sim.add_paced_transfer("secret_a", "secret_b", packets=3, rto_us=400_000)
+    transfer = sim.add_paced_transfer("secret_a", "secret_b", packets=3)
     sim.run(MICROS)
     assert transfer.delivered_packets == 0
     assert transfer.retransmissions == 2  # timeouts at 0.4 s and 0.8 s
@@ -291,7 +292,7 @@ def test_paced_transfer_retransmits_without_carriers():
 
 def test_paced_transfer_completes_with_carriers():
     sim = _sim(seed=10, visible_users=2)
-    transfer = sim.add_paced_transfer("secret_a", "secret_b", packets=5, packet_size=200)
+    transfer = sim.add_paced_transfer("secret_a", "secret_b", packets=5)
     sim.run_until(lambda: transfer.finished_us is not None, max_us=60 * MICROS)
     assert transfer.finished_us is not None
     assert transfer.delivered_packets == 5
@@ -371,9 +372,8 @@ def test_a_finished_transfer_is_not_kept():
 def test_a_transfer_cannot_start_in_the_past():
     sim = _sim(seed=3)
     sim.run(5 * MICROS)
-    for add, amount in ((sim.add_bulk_transfer, 512), (sim.add_paced_transfer, 1)):
-        with pytest.raises(SimError, match="before now"):
-            add("secret_a", "secret_b", amount, start_us=sim.now - 1)
+    with pytest.raises(SimError, match="before now"):
+        sim.add_bulk_transfer("secret_a", "secret_b", 512, start_us=sim.now - 1)
     bulk = sim.add_bulk_transfer("secret_a", "secret_b", 512)
     paced = sim.add_paced_transfer("secret_a", "secret_b", 1)
     sim.run_until(lambda: bulk.finished_us and paced.finished_us, max_us=sim.now + 30 * MICROS)
@@ -381,6 +381,41 @@ def test_a_transfer_cannot_start_in_the_past():
     assert paced.send_times[0] == 5 * MICROS
     assert bulk.finished_us > 5 * MICROS
     assert list(sim._bulk_by_port) == []
+
+
+def test_the_clock_cannot_run_backwards():
+    sim = _sim(seed=3)
+    sim.run(1000)
+    with pytest.raises(SimError, match="negative"):
+        sim.run(-600)
+    assert sim.now == 1000
+
+
+@pytest.mark.parametrize("packet_size", [0, -1])
+def test_a_bulk_transfer_refuses_packets_without_octets(packet_size):
+    # A zero-octet packet never drains the payload, so the transfer
+    # would loop at its start; it is refused before anything runs.
+    sim = _sim(seed=3)
+    with pytest.raises(SimError, match="packet size"):
+        sim.add_bulk_transfer("secret_a", "secret_b", 512, packet_size=packet_size)
+    assert not sim._bulk_by_port
+
+
+def test_translated_replies_reach_the_secret_host_at_its_own_mac():
+    sim = Simulation(line_topology(visible_users=1, gateway_nat=True), workload=WorkloadSpec(), seed=4,
+                     capture_nodes=("secret_a",))
+    nodes = sim.topology.nodes
+    addresses = dict(src_mac=nodes["secret_a"].mac, dst_mac=nodes["gw_a"].mac)
+    sim.send_from("secret_a", pk.build_icmp_echo(nodes["secret_a"].ip, nodes["server_b"].ip, identifier=7,
+                                                 sequence=1, payload=b"p" * 32, **addresses))
+    sim.send_from("secret_a", pk.build_udp(nodes["secret_a"].ip, nodes["server_b"].ip, 33000, UDP_SERVICE_PORT,
+                                           payload=b"q" * 32, **addresses))
+    sim.run(MICROS)
+    replies = [pk.parse_packet(r.data) for r in sim.captures["secret_a"].records]
+    assert sorted(r.ipv4.protocol for r in replies) == [pk.PROTO_ICMP, pk.PROTO_UDP]
+    for reply in replies:
+        assert reply.ipv4.dst_ip == pk.str_to_ip(nodes["secret_a"].ip)
+        assert reply.link.dst_mac == pk.str_to_mac(nodes["secret_a"].mac)
 
 
 def test_a_lost_packet_stalls_only_its_own_transfer():
@@ -501,9 +536,9 @@ class _BruteForce:
 
 @pytest.mark.parametrize(
     "make_topology",
-    [lambda path=path: load_topology(str(path)) for path in CONFIGS]
+    [lambda path=path: load_topology(path.read_text(encoding="utf-8")) for path in CONFIGS]
     + [lambda n=n: line_topology(visible_users=n) for n in (1, 7, 33)]
-    + [lambda: load_topology(TIES, is_path=False)],
+    + [lambda: load_topology(TIES)],
     ids=[path.stem for path in CONFIGS] + ["line_%d" % n for n in (1, 7, 33)] + ["ties"],
 )
 def test_setup_facts_match_brute_force(make_topology):
@@ -581,7 +616,7 @@ def _probe_topology():
                         "[link]\na = edge\nb = core\n")
     text += ("\n[rule]\nnode = core\naction = log\nproto = tcp\ndst_port = 80\n"
              "\n[rule]\nnode = core\naction = drop\nproto = udp\ndst_port = 5353\n")
-    return load_topology(text, is_path=False)
+    return load_topology(text)
 
 
 def test_router_log_rule_and_port_rule():

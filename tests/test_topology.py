@@ -58,7 +58,7 @@ MINIMAL = dedent(
 
 
 def _load(text):
-    return load_topology(text, is_path=False)
+    return load_topology(text)
 
 
 def test_minimal_pair_loads():
