@@ -398,17 +398,16 @@ def simulation_runner(max_virtual_s: int = 60):
 
     def run(spec: RunSpec) -> float:
         if spec.mode == "baseline":
-            config = EngineConfig(enabled_handlers=DEFAULT_HANDLERS, seed=spec.seed)
+            handlers = DEFAULT_HANDLERS
         elif spec.mode == "target":
-            config = EngineConfig(enabled_handlers=_calibration_handlers(spec.handler_id), seed=spec.seed)
+            handlers = _calibration_handlers(spec.handler_id)
         elif spec.mode == "augmented":
             handlers = tuple(dict.fromkeys(_calibration_handlers(spec.handler_id) + (TCP_ISN_ID,)))
-            config = EngineConfig(
-                enabled_handlers=handlers, augmented_allowed=True,
-                augment_probability=spec.augment_probability, seed=spec.seed,
-            )
         else:
             raise ValueError("unknown calibration mode %r" % spec.mode)
+        # The ISN channel carries only with augmented correction allowed, also when it is the target.
+        config = EngineConfig(enabled_handlers=handlers, augmented_allowed=TCP_ISN_ID in handlers,
+                              augment_probability=spec.augment_probability, seed=spec.seed)
         sim = Simulation(line_topology(visible_users=spec.visible_users), workload=WorkloadSpec(budget=spec.bandwidth),
                          engine_config=config, seed=spec.seed, covert=spec.mode != "baseline")
         transfer = run_transfer(sim, "secret_a", "secret_b", spec.payload_octets, max_virtual_s * MICROS,

@@ -35,14 +35,15 @@ frame length travels with the event: only an origin, a host's reply or
 a gateway that rebuilds the packet derives it again.
 
 A ``Simulation`` keeps counters and running digests, never a record
-per packet; a transfer keeps only its own sends, and a bulk transfer is
-let go once it has all arrived.
+per packet; a covert transfer keeps only its own sends, and leaves the
+flow table, keyed by the port each transfer sends from, once finished.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -277,8 +278,8 @@ class _WorkloadClient:
 
 
 class _BulkTransfer:
-    """Covert payload drain: all packets offered up front.  ``finished_us``
-    stays None until the last octet has arrived."""
+    """Covert payload drain from port ``sport``: all packets offered up
+    front.  ``finished_us`` stays None until the last octet has arrived."""
 
     def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, sport: int):
         self.sim = sim
@@ -311,6 +312,16 @@ class _BulkTransfer:
             self.sent_packets += 1
             remaining -= size
 
+    def arrive(self, node: str, p: pk.ParsedPacket) -> None:
+        """Credit a packet of this flow that reached ``node``, if that is ``dst``."""
+        if node == self.dst:
+            self.delivered_octets += len(p.app_payload)
+            self.delivered_packets += 1
+            self.delivered_parts.append(p.app_payload)
+            if self.delivered_octets >= self.payload_octets:
+                self.finished_us = self.sim.now
+                del self.sim._flows[self.sport]
+
     @property
     def sent_digest(self) -> str:
         return hashlib.sha256(b"".join(self.digest_parts)).hexdigest()
@@ -321,45 +332,43 @@ class _BulkTransfer:
 
 
 class _PacedTransfer:
-    """Stop-and-wait covert sender with a fixed retransmission timeout.
+    """Stop-and-wait covert sender from port ``sport``, with a fixed retransmission timeout.
 
-    Sends one request, waits for the peer's acknowledgement to come back
-    through the channel, and retransmits when the timeout lapses first.
-    ``send_times`` holds the virtual time of every send (demand plus
-    retransmissions); its per-interval counts feed the stability metric.
+    Sends request ``delivered_packets``, waits for its acknowledgement to
+    come back through the channel to ``src``, and retransmits when the
+    timeout lapses first.  ``send_times`` holds the virtual time of every
+    send (demand plus retransmissions); its per-interval counts feed the
+    stability metric.
     """
 
     PACKET_SIZE = 256
     RTO_US = 400_000
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int):
+    def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, sport: int):
         self.sim = sim
         self.src = src
         self.dst = dst
+        self.sport = sport
         self.packets = packets
         self.base_seq = _safe_isn(src, "paced")
-        self.next_index = 0
-        self.awaiting: Optional[int] = None
         self.retransmissions = 0
         self.delivered_packets = 0
         self.finished_us: Optional[int] = None
         self.send_times: List[int] = []
 
     def start(self) -> None:
-        self._send_next()
-
-    def _send_next(self) -> None:
-        if self.next_index >= self.packets:
+        """Send the awaited request, or finish once every one is acknowledged."""
+        if self.delivered_packets < self.packets:
+            self._emit(self.delivered_packets)
+        else:
             self.finished_us = self.sim.now
-            return
-        self.awaiting = self.next_index
-        self._emit(self.next_index)
+            del self.sim._flows[self.sport]
 
     def _emit(self, index: int) -> None:
         src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         rng = _child_rng(self.sim.seed, "paced:%s:%d" % (self.src, index))
         payload = rng.randbytes(self.PACKET_SIZE)
-        p = pk.build_tcp(src_ip, dst_ip, 42000, SECRET_PORT, seq=(self.base_seq + index) & 0xFFFFFFFF,
+        p = pk.build_tcp(src_ip, dst_ip, self.sport, SECRET_PORT, seq=(self.base_seq + index) & 0xFFFFFFFF,
                          flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
                          src_mac=src_mac, dst_mac=dst_mac)
         self.send_times.append(self.sim.now)
@@ -367,19 +376,15 @@ class _PacedTransfer:
         self.sim._schedule(self.sim.now + self.RTO_US, self._timeout, index)
 
     def _timeout(self, index: int) -> None:
-        if self.awaiting == index:
+        if index == self.delivered_packets:
             self.retransmissions += 1
             self._emit(index)
 
-    def on_ack(self, ack_value: int) -> None:
-        if self.awaiting is None:
-            return
-        acked = (ack_value - self.base_seq - self.PACKET_SIZE) & 0xFFFFFFFF
-        if acked == self.awaiting:
-            self.awaiting = None
+    def arrive(self, node: str, p: pk.ParsedPacket) -> None:
+        """Take an acknowledgement of this flow that reached ``node``, if that is ``src``."""
+        if node == self.src and (p.tcp.ack - self.base_seq - self.PACKET_SIZE) & 0xFFFFFFFF == self.delivered_packets:
             self.delivered_packets += 1
-            self.next_index += 1
-            self._send_next()
+            self.start()
 
 
 class Simulation:
@@ -466,9 +471,9 @@ class Simulation:
                 self._phys_nat_next[gw] = _NAT_PORT_FIRST
 
         self.clients: Dict[str, _WorkloadClient] = {}
-        self._bulk_count: Dict[str, int] = {}
-        self._bulk_by_port: Dict[Tuple[str, int], _BulkTransfer] = {}
-        self._paced_by_src: Dict[str, _PacedTransfer] = {}
+        # Covert transfers not yet finished, by the source port each sends from.
+        self._flows: Dict[int, _BulkTransfer | _PacedTransfer] = {}
+        self._flow_ports = itertools.cycle(range(41000, 42000))
         # Each node's forwarding table: destination address -> (pipe to
         # the next hop, that hop's receive function, which takes the
         # packet, the previous hop and the frame length).  Filled once
@@ -559,28 +564,28 @@ class Simulation:
     # -- public API ----------------------------------------------------------
 
     def add_bulk_transfer(self, src: str, dst: str, payload_octets: int, packet_size: int = 512, start_us: Optional[int] = None) -> _BulkTransfer:
-        # The n-th bulk transfer to a host sends from port 41000 + n (mod
-        # 1000), so the host tells its packets from those of a concurrent
-        # or stalled transfer.
+        """Start, at ``start_us`` (default now), a transfer of ``payload_octets`` in packets of
+        ``packet_size``, from port 41000 + n mod 1000 as the n-th covert transfer (from 0)."""
+        if payload_octets < 1:
+            raise SimError("payload of %d octets is below 1 octet" % payload_octets)
         if packet_size < 1:
             raise SimError("packet size %d is below 1 octet" % packet_size)
         if start_us is None:
             start_us = self.now
         elif start_us < self.now:
             raise SimError("transfer start %d us is before now (%d us)" % (start_us, self.now))
-        index = self._bulk_count.get(dst, 0)
-        sport = 41000 + index % 1000
-        transfer = _BulkTransfer(self, src, dst, payload_octets, packet_size, sport)
-        self._schedule(start_us, transfer.start)
-        self._bulk_count[dst] = index + 1
-        self._bulk_by_port[(dst, sport)] = transfer
-        return transfer
+        return self._open_flow(start_us, _BulkTransfer, src, dst, payload_octets, packet_size)
 
     def add_paced_transfer(self, src: str, dst: str, packets: int) -> _PacedTransfer:
-        """Start, now, a stop-and-wait transfer of ``packets`` requests."""
-        transfer = _PacedTransfer(self, src, dst, packets)
-        self._schedule(self.now, transfer.start)
-        self._paced_by_src[src] = transfer
+        """Start, now, a stop-and-wait transfer of ``packets`` requests, from
+        port 41000 + n mod 1000 as the n-th covert transfer (from 0)."""
+        return self._open_flow(self.now, _PacedTransfer, src, dst, packets)
+
+    def _open_flow(self, start_us: int, kind: type, *args):
+        """Start a ``kind`` transfer from the next flow port at ``start_us``; it stays in ``_flows`` until finished."""
+        transfer = kind(self, *args, next(self._flow_ports))
+        self._flows[transfer.sport] = transfer
+        self._schedule(start_us, transfer.start)
         return transfer
 
     def _schedule(self, t: int, fn: Callable[..., None], *args) -> None:
@@ -679,27 +684,16 @@ class Simulation:
                 stats.dropped += 1
                 return
             tcp = p.tcp
-            if tcp is not None and tcp.dst_port == SECRET_PORT and p.app_payload:
-                sport = tcp.src_port
-                # A gateway lending its address also remapped the port.
+            if tcp is not None and SECRET_PORT in (tcp.src_port, tcp.dst_port):
+                # A covert transfer's data or acknowledgement.  A gateway lending its address also remapped
+                # the port; an acknowledgement's port, 41000-41999, is never one it maps (61000 up).
+                port = tcp.dst_port if tcp.src_port == SECRET_PORT else tcp.src_port
                 nat = self._phys_nat.get(self._ip_to_node.get(p.ipv4.src_ip))
-                if nat and (pk.PROTO_TCP, sport) in nat:
-                    sport = nat[(pk.PROTO_TCP, sport)][1]
-                transfer = self._bulk_by_port.get((name, sport))
+                if nat and (pk.PROTO_TCP, port) in nat:
+                    port = nat[(pk.PROTO_TCP, port)][1]
+                transfer = self._flows.get(port)
                 if transfer is not None:
-                    transfer.delivered_octets += len(p.app_payload)
-                    transfer.delivered_packets += 1
-                    transfer.delivered_parts.append(p.app_payload)
-                    # A whole transfer is let go; a stalled one stays mapped.
-                    if transfer.delivered_octets >= transfer.payload_octets:
-                        transfer.finished_us = self.now
-                        del self._bulk_by_port[(name, sport)]
-            elif (tcp is not None and tcp.src_port == SECRET_PORT and not p.app_payload
-                    and tcp.flags & pk.TCP_ACK and not tcp.flags & pk.TCP_SYN):
-                # A paced transfer's acknowledgement, back through the channel.
-                transfer = self._paced_by_src.get(name)
-                if transfer is not None:
-                    transfer.on_ack(tcp.ack)
+                    transfer.arrive(name, p)
             reply = self._respond(name, p, tcp)
             if reply is not None:
                 stats.sent += 1

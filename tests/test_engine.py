@@ -249,7 +249,9 @@ def _crafted(segment):
     # a key exchange whose encrypted secret is garbage
     wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, crypto.KE_PREFIX + 5))
     + crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, b"\x00" * 5),
-], ids=["short_recovery", "recovery_without_isn_channel", "garbage_symkey"])
+    # a data item announcing no octets: 01 00 00
+    wire.encode_sync(wire.SyncHeader(wire.CODE_PACKET_START, 0)),
+], ids=["short_recovery", "recovery_without_isn_channel", "garbage_symkey", "empty_packet"])
 def test_undecodable_item_is_a_desync(segment):
     tx, rx = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,)))
     crafted = _crafted(segment)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from stegnet.calibration import CalibrationResult, RunSpec
+from stegnet.calibration import CalibrationPlan, CalibrationResult, RunSpec, calibrate_handler
 from stegnet.report import SessionReport, parse_report, render_report, write_report
 from stegnet.scenarios import (
     EmptyBase,
@@ -131,6 +131,13 @@ def test_simulation_runner_modes():
     assert run(RunSpec(mode="baseline", **common)) == base
     with pytest.raises(ValueError):
         run(RunSpec(mode="sideways", **common))
+
+
+def test_calibrating_the_isn_handler_measures_it():
+    # Handler 5 carries only in SYNs, which it may take only with augmented correction allowed.
+    plan = CalibrationPlan(sessions=1, bandwidth_levels=(8000, 16000), payload_octets=1000)
+    times = {h: calibrate_handler(simulation_runner(max_virtual_s=30), h, plan=plan, seed=1).times for h in (2, 5)}
+    assert times[5] != times[2]
 
 
 def test_calibration_report_round_trip(tmp_path):

@@ -287,7 +287,6 @@ def test_paced_transfer_retransmits_without_carriers():
     sim.run(MICROS)
     assert transfer.delivered_packets == 0
     assert transfer.retransmissions == 2  # timeouts at 0.4 s and 0.8 s
-    assert transfer.awaiting == 0
 
 
 def test_paced_transfer_completes_with_carriers():
@@ -297,6 +296,15 @@ def test_paced_transfer_completes_with_carriers():
     assert transfer.finished_us is not None
     assert transfer.delivered_packets == 5
     assert sim.desync_count == 0
+
+
+def test_two_paced_transfers_from_one_host_each_get_their_acknowledgements():
+    sim = _sim(seed=0, visible_users=2, engine_config=EngineConfig(enabled_handlers=(1, 2), seed=0))
+    transfers = [sim.add_paced_transfer("secret_a", "secret_b", 3) for _ in range(2)]
+    sim.run_until(lambda: all(t.finished_us is not None for t in transfers), max_us=30 * MICROS)
+    assert [t.delivered_packets for t in transfers] == [3, 3]
+    assert [t.retransmissions for t in transfers] == [0, 0]
+    assert not sim._flows
 
 
 def test_sent_series_buckets_by_interval():
@@ -366,7 +374,7 @@ def test_a_finished_transfer_is_not_kept():
     # A transfer that has not arrived stays mapped.
     stalled = sim.add_bulk_transfer("secret_b", "secret_a", 4096, start_us=sim.now + 60 * MICROS)
     sim.run(MICROS)
-    assert list(sim._bulk_by_port.values()) == [stalled]
+    assert list(sim._flows.values()) == [stalled]
 
 
 def test_a_transfer_cannot_start_in_the_past():
@@ -380,7 +388,7 @@ def test_a_transfer_cannot_start_in_the_past():
     # A default start is now, not virtual time 0.
     assert paced.send_times[0] == 5 * MICROS
     assert bulk.finished_us > 5 * MICROS
-    assert list(sim._bulk_by_port) == []
+    assert list(sim._flows) == []
 
 
 def test_the_clock_cannot_run_backwards():
@@ -398,7 +406,15 @@ def test_a_bulk_transfer_refuses_packets_without_octets(packet_size):
     sim = _sim(seed=3)
     with pytest.raises(SimError, match="packet size"):
         sim.add_bulk_transfer("secret_a", "secret_b", 512, packet_size=packet_size)
-    assert not sim._bulk_by_port
+    assert not sim._flows
+
+
+def test_a_bulk_transfer_refuses_an_empty_payload():
+    # An empty payload sends nothing, so it would never finish.
+    sim = _sim(seed=3)
+    with pytest.raises(SimError, match="payload of 0 octets"):
+        sim.add_bulk_transfer("secret_a", "secret_b", 0)
+    assert not sim._flows
 
 
 def test_translated_replies_reach_the_secret_host_at_its_own_mac():
