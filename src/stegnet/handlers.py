@@ -157,6 +157,8 @@ class HandlerRegistry:
     def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
         self._order: Tuple[HandlerSpec, ...] = ()  # registered specs, by ascending id
+        # Each registered spec's _RECOVERY_RANK by id: an Enum hashes in Python code, an int in C.
+        self._rank: Dict[int, int] = {}
 
     def register(self, spec: HandlerSpec) -> int:
         if spec.id in self._specs:
@@ -169,6 +171,7 @@ class HandlerRegistry:
             _self_test(spec)
             _PASSED.add(spec)
         self._specs[spec.id] = spec
+        self._rank[spec.id] = _RECOVERY_RANK[spec.recovery]
         self._order = tuple(self._specs[hid] for hid in sorted(self._specs))
         return spec.id
 
@@ -204,7 +207,7 @@ class HandlerRegistry:
         state they share, so the choice never needs announcing in the
         unambiguous cases.
         """
-        multiplicity = len(candidates)
+        multiplicity, rank = len(candidates), self._rank
         best = chosen = None
         for spec in candidates:
             if spec.recovery is RecoveryClass.AUGMENTED_CORRECTION and not augmented_allowed:
@@ -212,7 +215,7 @@ class HandlerRegistry:
             capacity = spec.capacity(p)
             if cursor.room(spec.id, capacity, multiplicity, opening) < 1:
                 continue
-            key = (spec.carrier_cost, _RECOVERY_RANK[spec.recovery], -capacity, spec.id)
+            key = (spec.carrier_cost, rank[spec.id], -capacity, spec.id)
             if best is None or key < best:
                 best, chosen = key, spec
         return None if chosen is None else (chosen, -best[2])

@@ -4,17 +4,29 @@ Parsing and serialization are inverses: a well formed frame survives
 ``parse_packet`` -> ``serialize_packet`` without a single bit changing,
 and a packet built through the constructors survives the reverse trip.
 Length and offset fields (IHL, total length, data offset, UDP length)
-are not stored: serialization derives them from structure.  Checksum
-fields are emitted exactly as stored, so a deliberately overwritten
-checksum stays overwritten until someone recomputes it on purpose.
-Packets are slotted, frozen dataclasses.  Every change (``with_ipv4``,
+are not layer fields: they follow from structure.  Checksum fields are
+emitted exactly as stored, so a deliberately overwritten checksum stays
+overwritten until someone recomputes it on purpose.  Packets are
+slotted, frozen dataclasses.  Every change (``with_ipv4``,
 ``readdress``, ``set_*``, ``fix_*``) and every ``build_*`` builds each
-changed layer once and ends in ``_rebuild``, which derives the IPv4
-lengths once (``_ipv4_lengths``, the one place they are derived and
-bounded), fills the transport checksum and then the IPv4 one when
-asked, and builds one packet.  ``with_tcp_seq_ack`` changes TCP alone:
-it keeps the packet's ``Ipv4`` and sums through ``transport_checksum``,
-which derives the lengths the same way.
+changed layer once and ends in ``_rebuild``, which fills the transport
+checksum and then the IPv4 one when asked, and builds one packet.
+
+A packet carries two facts its maker already holds, so that no later
+call derives them again.  Its IPv4 total length: ``parse_packet`` reads
+it from the header, a change that keeps every length (``with_ipv4``,
+``fix_*``, ``with_tcp_seq_ack``) takes it from the source packet, and
+``_rebuild`` otherwise derives it once with ``_ipv4_lengths``, the one
+place lengths are derived and bounded.  And its frame, which only
+``parse_packet`` sets, and only for a frame that ``serialize_packet``
+would give back byte for byte; no rebuilt packet carries one.
+``serialize_packet`` returns a carried frame, and it, ``wire_len`` and
+the checksums read the total through ``_lengths``.
+Neither fact can go stale: a packet's layers never change after it is
+built, and ``_rebuild`` fills only a transport its caller has just made.
+Both stay out of ``__init__``, equality, hashing, ``repr`` and
+``dataclasses.replace``, so a packet made any other way carries neither
+and derives its length from its layers.
 
 Inside this module and ``trace``, layers and captured records are
 built by positional constructors (``_new_ipv4`` and its siblings) made
@@ -46,7 +58,7 @@ as opaque payload so they still round-trip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -219,6 +231,12 @@ class ParsedPacket:
     app_payload: bytes = b""
     # Link-level bytes past the declared IPv4 total length (padding).
     link_trailer: bytes = b""
+    # The IPv4 total length and the frame this packet carries (see the
+    # module docstring).  Neither goes stale: a packet's layers never
+    # change after it is built, and ``_rebuild`` fills only a transport
+    # its caller has just made.
+    _total: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _frame: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tcp(self) -> Optional[Tcp]:
@@ -236,7 +254,7 @@ class ParsedPacket:
     def wire_len(self) -> int:
         if self.ipv4 is None:
             return ETHER_SIZE + len(self.app_payload)
-        return ETHER_SIZE + _ipv4_lengths(self.ipv4.options, self.transport, self.app_payload)[1] + len(self.link_trailer)
+        return ETHER_SIZE + _lengths(self)[1] + len(self.link_trailer)
 
 
 def _constructor(cls):
@@ -246,14 +264,17 @@ def _constructor(cls):
     twin of ``cls``, a class with the same slots and nothing else, by
     plain attribute stores, which the interpreter specializes into slot
     writes, and then makes the object a ``cls``: ``__class__``
-    assignment is allowed between classes of the same layout."""
+    assignment is allowed between classes of the same layout.  A field
+    left out of ``__init__`` is an optional last argument, None unless
+    given."""
     names = cls.__slots__
     twin = type("_" + cls.__name__, (), {"__slots__": names})
     namespace = {"_new": object.__new__, "_twin": twin, "_cls": cls}
+    params = ", ".join(f.name if f.init else f.name + "=None" for f in fields(cls))
     body = "".join("    self.%s = %s\n" % (name, name) for name in names)
     function = "new_" + cls.__name__
     exec("def %s(%s):\n    self = _new(_twin)\n%s    self.__class__ = _cls\n    return self\n"
-         % (function, ", ".join(names), body), namespace)
+         % (function, params, body), namespace)
     return namespace[function]
 
 
@@ -339,7 +360,7 @@ def transport_checksum(p: ParsedPacket) -> int:
     ip, t = p.ipv4, p.transport
     if ip is None or t is None:
         raise UnsupportedProtocol("no transport layer to checksum")
-    ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
+    ihl, total = _lengths(p)
     return _transport_sum(ip.src_ip, ip.dst_ip, t, total - 4 * ihl, p.app_payload)
 
 
@@ -360,7 +381,7 @@ def fix_checksums(p: ParsedPacket) -> ParsedPacket:
         return p
     return _rebuild(p.link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None, ip.src_ip,
                     ip.dst_ip, ip.options, None if t is None else _copy(t), p.app_payload, p.link_trailer,
-                    t is not None)
+                    t is not None, p._total)
 
 
 def validate_ipv4_checksum(p: ParsedPacket) -> bool:
@@ -407,11 +428,20 @@ def _ipv4_lengths(options: bytes, transport: Optional[Transport], payload: bytes
     return header // 4, total
 
 
+def _lengths(p: ParsedPacket) -> Tuple[int, int]:
+    """IHL and total length of the IPv4 header of ``p``: the total it
+    carries, or else the one ``_ipv4_lengths`` derives."""
+    ip, total = p.ipv4, p._total
+    if total is None:
+        return _ipv4_lengths(ip.options, p.transport, p.app_payload)
+    return 5 + len(ip.options) // 4, total
+
+
 def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes:
     """The IPv4 header of ``p``, with ``checksum`` in place of the
     stored one unless it is None."""
     ip = p.ipv4
-    ihl, total = _ipv4_lengths(ip.options, p.transport, p.app_payload)
+    ihl, total = _lengths(p)
     head = _IPV4.pack(0x40 | ihl, ip.tos, total, ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl,
                       ip.protocol, ip.header_checksum if checksum is None else checksum, ip.src_ip, ip.dst_ip)
     return head + ip.options
@@ -438,13 +468,17 @@ def _icmp_bytes(icmp: Icmp, checksum: int) -> bytes:
 def serialize_packet(p: ParsedPacket) -> bytes:
     """Emit the frame bytes for ``p``.
 
-    Length and offset fields come from the structure itself; stored
-    checksums are written verbatim.
+    A parsed packet gives back the frame it carries.  Otherwise length
+    and offset fields come from the structure itself; stored checksums
+    are written verbatim.
     """
+    frame = p._frame
+    if frame is not None:
+        return frame
     link, ip, t = p.link, p.ipv4, p.transport
     if ip is None:
         return _ETH.pack(link.dst_mac, link.src_mac, link.ethertype) + p.app_payload
-    ihl, total = _ipv4_lengths(ip.options, t, p.app_payload)
+    ihl, total = _lengths(p)
     if ihl == 5:
         # No IPv4 options: Ethernet, IPv4 and the transport header in one pack.
         if isinstance(t, Tcp):
@@ -497,7 +531,10 @@ def parse_packet(data: bytes) -> ParsedPacket:
     # A frame of Ethernet, IPv4 without options and one TCP, UDP or ICMP
     # header is read with one struct call when each length agrees with
     # the next.  Every other frame, malformed ones included, and one that
-    # fails any of these checks takes the general path below.
+    # fails any of these checks takes the general path below.  Each
+    # carries ``data`` as its frame, except a TCP one with a bit of the
+    # reserved nibble set: the data-offset octet keeps only its high
+    # nibble, so such a frame serializes with those bits cleared.
     if size >= _UDP_FRAME:
         proto = data[_PROTO_AT]
         if proto == PROTO_TCP and size >= _TCP_FRAME:
@@ -510,7 +547,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
                     _new_ethernet(dst, src, ethertype),
                     _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
                     _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[_TCP_FRAME:start]),
-                    data[start:end], data[end:])
+                    data[start:end], data[end:], total, None if off_bits & 0x0F else data)
         elif proto == PROTO_UDP:
             (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, sport, dport,
              length, chk) = _ETH_IPV4_UDP.unpack_from(data)
@@ -520,7 +557,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
                 return _new_packet(
                     _new_ethernet(dst, src, ethertype),
                     _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
-                    _new_udp(sport, dport, chk), data[_UDP_FRAME:end], data[end:])
+                    _new_udp(sport, dport, chk), data[_UDP_FRAME:end], data[end:], total, data)
         elif proto == PROTO_ICMP:
             (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, itype, code,
              chk, ident2, seq2) = _ETH_IPV4_ICMP.unpack_from(data)
@@ -530,7 +567,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
                 return _new_packet(
                     _new_ethernet(dst, src, ethertype),
                     _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
-                    _new_icmp(itype, code, chk, ident2, seq2, data[_ICMP_FRAME:end]), b"", data[end:])
+                    _new_icmp(itype, code, chk, ident2, seq2, data[_ICMP_FRAME:end]), b"", data[end:], total, data)
     if size < _ETH_IPV4.size:
         if size < ETHER_SIZE:
             raise Truncated("frame shorter than an Ethernet header")
@@ -586,7 +623,7 @@ def parse_packet(data: bytes) -> ParsedPacket:
     else:
         payload = data[start:end]
 
-    return _new_packet(link, ipv4, transport, payload, data[end:])
+    return _new_packet(link, ipv4, transport, payload, data[end:], total)
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +636,25 @@ _SET_CHECKSUM = {cls: cls.checksum.__set__ for cls in (Tcp, Udp, Icmp)}
 
 def _rebuild(link: Ethernet, tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
              checksum: Optional[int], src: int, dst: int, options: bytes, transport: Optional[Transport],
-             payload: bytes, trailer: bytes, fill: bool = False) -> ParsedPacket:
-    """The packet these layers make.  A ``checksum`` of None is summed
-    over the header, after the IPv4 lengths are derived and bounded once,
-    before any packing; then ``fill`` sets the transport checksum in the
-    slot of ``transport``, which the caller has just made for this packet."""
+             payload: bytes, trailer: bytes, fill: bool = False, total: Optional[int] = None) -> ParsedPacket:
+    """The packet these layers make, carrying ``total``, the IPv4 total
+    length of a source packet whose lengths the change keeps.  A
+    ``checksum`` of None is summed over the header, after a ``total`` of
+    None is derived and bounded once, before any packing; then ``fill``
+    sets the transport checksum in the slot of ``transport``, which the
+    caller has just made for this packet."""
     if checksum is None:
-        ihl, total = _ipv4_lengths(options, transport, payload)
+        if total is None:
+            ihl, total = _ipv4_lengths(options, transport, payload)
+        else:
+            ihl = 5 + len(options) // 4
         if fill:
             value = _transport_sum(src, dst, transport, total - 4 * ihl, payload)
             _SET_CHECKSUM[type(transport)](transport, value)
         checksum = checksum16(_IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl,
                                          protocol, 0, src, dst) + options)
     ipv4 = _new_ipv4(tos, identification, flags, frag_offset, ttl, protocol, checksum, src, dst, options)
-    return _new_packet(link, ipv4, transport, payload, trailer)
+    return _new_packet(link, ipv4, transport, payload, trailer, total)
 
 
 def _copy(t: Transport) -> Transport:
@@ -629,19 +671,21 @@ def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional
     and header checksum.  A ``checksum`` of None is recomputed."""
     ip = p.ipv4
     return _rebuild(p.link, tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
-                    ip.dst_ip, ip.options, p.transport, p.app_payload, p.link_trailer)
+                    ip.dst_ip, ip.options, p.transport, p.app_payload, p.link_trailer, False, p._total)
 
 
 def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
     """``p`` with a new TCP sequence and acknowledgement number and the
     TCP checksum recomputed.  Only TCP changes, so the packet keeps the
-    very ``Ipv4`` object of ``p``; ``transport_checksum`` still derives
-    the lengths, and refuses an oversize segment, before it sums."""
+    very ``Ipv4`` object of ``p`` and its total length;
+    ``transport_checksum`` reads that total or, for a packet that
+    carries none, derives it and refuses an oversize segment before it
+    sums."""
     ip, tcp = p.ipv4, p.tcp
     if tcp is None or ip is None:
         raise UnsupportedProtocol("packet has no TCP header")
     tcp = _new_tcp(tcp.src_port, tcp.dst_port, seq, ack, tcp.flags, tcp.window, 0, tcp.urgent, tcp.options)
-    out = _new_packet(p.link, ip, tcp, p.app_payload, p.link_trailer)
+    out = _new_packet(p.link, ip, tcp, p.app_payload, p.link_trailer, p._total)
     _SET_CHECKSUM[Tcp](tcp, transport_checksum(out))
     return out
 

@@ -759,13 +759,15 @@ def _calls(*functions):
 LAYER_INITS = tuple(cls.__init__ for cls in (pk.Ethernet, pk.Ipv4, pk.Tcp, pk.Udp, pk.Icmp, pk.ParsedPacket))
 
 
-def _carrier_pass(*functions):
+def _carrier_pass(*functions, seed=17, octets=15 * 2000):
     """Calls to ``functions`` while a handlers-1,2,4 pair fuses and
-    extracts a 2,000-record capture."""
-    capture = tr.synthesize_mixed_trace(2000, seed=17)
-    config = EngineConfig(enabled_handlers=(1, 2, 4), seed=17)
+    extracts a 2,000-record capture carrying ``octets`` secret octets.
+    The gateways are built, and the registry has run its self-test,
+    before the count starts."""
+    capture = tr.synthesize_mixed_trace(2000, seed=seed)
+    config = EngineConfig(enabled_handlers=(1, 2, 4), seed=seed)
     tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
-    payload = random.Random(17).randbytes(15 * 2000)
+    payload = random.Random(seed).randbytes(octets)
     tx.enqueue_payload(payload)
     with _calls(*functions) as calls:
         fused, _ = tr.fuse_records(tx, capture.records)
@@ -775,6 +777,15 @@ def _carrier_pass(*functions):
     assert tx.counters["carriers_excluded"] > 0
     assert tx.counters["carriers_modified"] > 0
     return calls[0]
+
+
+def test_carrier_path_derives_the_ipv4_length_only_where_a_writer_changes_it():
+    """A parsed carrier carries the total its header states through the
+    exclusion marker, the checksum repair and serialization, so only the
+    writers that change a length (``set_tcp_options``,
+    ``set_icmp_payload``) derive one."""
+    derived = _carrier_pass(pk._ipv4_lengths, seed=3, octets=20000)
+    assert 0 < derived <= _carrier_pass(pk.set_tcp_options, pk.set_icmp_payload, seed=3, octets=20000)
 
 
 def test_carrier_path_calls_no_dataclass_replace():
@@ -871,8 +882,10 @@ def test_simulator_derives_the_frame_length_only_where_a_packet_is_made():
 
 def test_simulator_derives_the_ipv4_length_once_per_packet_operation():
     """The same run derives the IPv4 length (``_ipv4_lengths``) at most
-    once for each packet built, rebuilt, checksum-validated or
-    serialized, and for each frame length (``wire_len``) asked for."""
+    once for each packet whose layers may change length: each one built
+    (``_fresh``), given new TCP options or ICMP payload, or readdressed.
+    Every other rebuild, checksum validation, serialization and frame
+    length (``wire_len``) reads the total its packet carries."""
     def run(*functions):
         sim = Simulation(line_topology(visible_users=4), engine_config=EngineConfig(enabled_handlers=(1, 2), seed=5),
                          seed=5)
@@ -883,5 +896,5 @@ def test_simulator_derives_the_ipv4_length_once_per_packet_operation():
         return calls[0]
 
     derived = run(pk._ipv4_lengths)
-    operations = run(pk._rebuild, pk.validate_ipv4_checksum, pk.serialize_packet, pk.ParsedPacket.wire_len.fget)
+    operations = run(pk._fresh, pk.set_tcp_options, pk.set_icmp_payload, pk.readdress)
     assert 1000 < derived <= operations

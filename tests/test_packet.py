@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stegnet.packet as pk
+from stegnet import handlers
+from stegnet import trace as tr
 from stegnet.packet import (
     ETHER_SIZE, ETHERTYPE_IPV4, MAX_TCP_OPTIONS, PROTO_ICMP, PROTO_TCP, PROTO_UDP, _ETH, _ETH_IPV4, _ICMP, _PSEUDO,
     _TCP, _UDP, BadVersion, Icmp, OptionsOverflow, ParsedPacket, Tcp, Transport, Truncated, Udp, UnsupportedProtocol,
@@ -574,3 +576,105 @@ def test_parse_agrees_with_the_reference(frame):
         assert pk.serialize_packet(got) == reference_serialize_packet(want)
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The two facts a packet carries: its IPv4 total length and its frame.
+
+
+MIXED_FRAMES = tuple(record.data for record in tr.synthesize_mixed_trace(300, seed=5).records)
+STOCK_SPECS = tuple(factory() for factory in handlers._STOCK.values())
+
+
+def test_a_parsed_capture_carries_its_frames_and_lengths():
+    """Every frame of a synthesized capture takes a fused path, so its
+    packet carries the frame itself and the total its header states."""
+    for frame in MIXED_FRAMES:
+        p = pk.parse_packet(frame)
+        assert p._frame is frame and pk.serialize_packet(p) is frame
+        assert p._total == int.from_bytes(frame[ETHER_SIZE + 2 : ETHER_SIZE + 4], "big") and p.wire_len == len(frame)
+
+
+def _assert_carries_the_truth(p):
+    """A carried total is the one the layers give, a carried frame is
+    what they serialize to, and copies made without the constructor's
+    facts are equal and serialize to the same bytes."""
+    bare = replace(p)
+    assert bare._total is None and bare._frame is None
+    if p._total is not None:
+        assert p._total == _ipv4_lengths(p.ipv4.options, p.transport, p.app_payload)[1]
+    if p._frame is not None:
+        assert p._frame == pk.serialize_packet(bare)
+    wire = pk.serialize_packet(p)
+    assert p.wire_len == len(wire)
+    for twin in (copy.copy(p), pickle.loads(pickle.dumps(p)),
+                 ParsedPacket(p.link, p.ipv4, p.transport, p.app_payload, p.link_trailer)):
+        assert twin == p and pk.serialize_packet(twin) == wire
+
+
+def _operations(p, data):
+    """Thunks for every packet the builders, rebuilders and stock
+    handlers make, the rebuilders and handlers from ``p``."""
+    addresses = st.tuples(u32, u32, u16, u16)
+    src, dst, sport, dport = data.draw(addresses)
+    payload = st.binary(max_size=64)
+    yield lambda: pk.build_tcp(src, dst, sport, dport, options=data.draw(words), payload=data.draw(payload))
+    yield lambda: pk.build_udp(src, dst, sport, dport, payload=data.draw(payload))
+    yield lambda: pk.build_icmp_echo(src, dst, identifier=sport, payload=data.draw(payload))
+    yield lambda: pk.fix_checksums(p)
+    if p.ipv4 is None:
+        return
+    yield lambda: pk.with_ipv4(p, data.draw(u8), data.draw(u16))
+    yield lambda: pk.with_ipv4(p, data.draw(u8), data.draw(u16), data.draw(u16))
+    yield lambda: pk.fix_ipv4_checksum(p)
+    ports = {"src_port": sport, "dst_port": dport} if isinstance(p.transport, (Tcp, Udp)) else {}
+    yield lambda: pk.readdress(p, src_ip=src, dst_ip=dst, src_mac=data.draw(macs), **ports)
+    if p.tcp is not None:
+        yield lambda: pk.with_tcp_seq_ack(p, data.draw(u32), data.draw(u32))
+        yield lambda: pk.set_tcp_options(p, data.draw(st.binary(max_size=MAX_TCP_OPTIONS)))
+    if p.icmp is not None:
+        yield lambda: pk.set_icmp_payload(p, data.draw(payload))
+    for spec in STOCK_SPECS:
+        if spec.match(p) and spec.capacity(p) > 0:
+            segment = data.draw(st.binary(min_size=1, max_size=spec.capacity(p)))
+            yield lambda spec=spec, segment=segment: spec.writer(p, segment)
+            yield lambda spec=spec, segment=segment: spec.recover(spec.writer(p, segment))
+
+
+@st.composite
+def carried_frames(draw):
+    """Frames of a synthesized capture or written from ``packets()``,
+    half of them with reserved bits set beside a TCP data offset."""
+    if draw(st.booleans()):
+        frame = bytearray(draw(st.sampled_from(MIXED_FRAMES)))
+    else:
+        frame = bytearray(pk.serialize_packet(draw(packets(writable=True))))
+    if draw(st.booleans()):
+        _set_reserved_bits(frame, draw)
+    return bytes(frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=carried_frames(), data=st.data())
+def test_carried_facts_never_go_stale(frame, data):
+    """Whatever parses, builds or rebuilds a packet, what it carries
+    agrees with its layers, and the parsed packet it came from still
+    does afterwards: no rebuild fills a transport it shares."""
+    try:
+        p = pk.parse_packet(frame)
+    except pk.PacketError:
+        return
+    assert p._frame in (None, frame) and (p.ipv4 is None) == (p._total is None)
+    if p.tcp is not None and frame[_transport_at(frame) + 12] & 0x0F:
+        # The codec drops the reserved nibble, so such a frame is not carried.
+        assert p._frame is None
+    _assert_carries_the_truth(p)
+    for make in _operations(p, data):
+        try:
+            q = make()
+        except pk.PacketError:
+            continue
+        assert q is p or q._frame is None
+        assert q.ipv4 is None or q._total is not None
+        _assert_carries_the_truth(q)
+        _assert_carries_the_truth(p)
