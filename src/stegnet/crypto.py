@@ -26,8 +26,9 @@ Design constraints drive some unusual choices here:
   fails modulo n in the same round: the search returns the same
   verdict after the same draws, only without the 1024-bit power.
 * The full-width powers run in forked worker processes, one per CPU
-  the process may run on; every draw and every cheap screen stays in
-  the calling process, in the sequential order.  That process draws
+  the process may run on, or in the calling process when it may run on
+  one CPU only; every draw and every cheap screen stays in the calling
+  process, in the sequential order.  That process draws
   ahead on the guess that each candidate fails its first full-width
   round, as a random composite almost always does, and keeps the rng
   state after each base.  The first round that passes voids the
@@ -251,6 +252,26 @@ def _gen_prime(bits: int, rng: random.Random, pool: Executor, window: int) -> in
             return n
 
 
+class _InProcess:
+    """The executor of a search on one CPU: ``submit`` makes the call at
+    once, so a call that raises raises there, and returns its completed
+    future.  No process is started and no round is pickled."""
+
+    def __enter__(self) -> "_InProcess":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 _keypair_cache: dict = {}
 
 
@@ -262,7 +283,8 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
     primes differ and ``rsa_encrypt`` can pad a secret (216 bits needed).
     A key not yet made opens a pool of forked workers, one per CPU this
     process may run on, for the prime search; it is shut down, its
-    workers joined, when the key is made or the search raises.
+    workers joined, when the key is made or the search raises.  On one
+    CPU the search runs in this process, one candidate at a time.
     """
     if bits % 2 or bits < 256:
         raise ValueError("RSA modulus bits must be even and at least 256, got %r" % (bits,))
@@ -275,10 +297,15 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
     rng = random.Random(seed)
     e = 65537
     workers = len(os.sched_getaffinity(0))
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    if workers == 1:
+        pool, window = _InProcess(), 1
+    else:
+        pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        window = 2 * workers
+    with pool:
         while True:
-            p = _gen_prime(bits // 2, rng, pool, 2 * workers)
-            q = _gen_prime(bits // 2, rng, pool, 2 * workers)
+            p = _gen_prime(bits // 2, rng, pool, window)
+            q = _gen_prime(bits // 2, rng, pool, window)
             if p == q:
                 continue
             phi = (p - 1) * (q - 1)

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import packet as pk
 from .wire import SegmentCursor
@@ -143,11 +143,14 @@ def _self_test(spec: HandlerSpec) -> None:
             raise SelfTestFailed("handler %r fails exact read-back at full capacity" % spec.name)
 
 
-_PASSED: Set[HandlerSpec] = set()  # specs that passed _self_test in this process
+# The specs that passed _self_test in this process, by ``id``: a spec
+# hashes its Enum fields in Python code.  Each value keeps its spec
+# alive, so its id is never reused.
+_PASSED: Dict[int, HandlerSpec] = {}
 
-# Selection prefers the cheapest repair: lower rank wins.
-_RECOVERY_RANK = {RecoveryClass.NO_RECOVERY: 0, RecoveryClass.SELF_RECOVERABLE: 1,
-                  RecoveryClass.AUGMENTED_CORRECTION: 2}
+# Selection prefers the cheapest repair: a spec's rank is the index of
+# its recovery class here, found by identity, not by hashing the Enum.
+_RECOVERY_ORDER = (RecoveryClass.NO_RECOVERY, RecoveryClass.SELF_RECOVERABLE, RecoveryClass.AUGMENTED_CORRECTION)
 
 
 class HandlerRegistry:
@@ -157,7 +160,7 @@ class HandlerRegistry:
     def __init__(self) -> None:
         self._specs: Dict[int, HandlerSpec] = {}
         self._order: Tuple[HandlerSpec, ...] = ()  # registered specs, by ascending id
-        # Each registered spec's _RECOVERY_RANK by id: an Enum hashes in Python code, an int in C.
+        # Each registered spec's rank in _RECOVERY_ORDER by id: an Enum hashes in Python code, an int in C.
         self._rank: Dict[int, int] = {}
 
     def register(self, spec: HandlerSpec) -> int:
@@ -167,11 +170,11 @@ class HandlerRegistry:
             raise RegistryError("handler id %d out of 8-bit range" % spec.id)
         if not 0.0 <= spec.carrier_cost <= 1.0:
             raise RegistryError("carrier cost %r outside [0, 1]" % spec.carrier_cost)
-        if spec not in _PASSED:
+        if id(spec) not in _PASSED:
             _self_test(spec)
-            _PASSED.add(spec)
+            _PASSED[id(spec)] = spec
         self._specs[spec.id] = spec
-        self._rank[spec.id] = _RECOVERY_RANK[spec.recovery]
+        self._rank[spec.id] = _RECOVERY_ORDER.index(spec.recovery)
         self._order = tuple(self._specs[hid] for hid in sorted(self._specs))
         return spec.id
 

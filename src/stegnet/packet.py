@@ -15,11 +15,14 @@ checksum and then the IPv4 one when asked, and builds one packet.
 A packet carries two facts its maker already holds, so that no later
 call derives them again.  Its IPv4 total length: ``parse_packet`` reads
 it from the header, a change that keeps every length (``with_ipv4``,
-``fix_*``, ``with_tcp_seq_ack``) takes it from the source packet, and
-``_rebuild`` otherwise derives it once with ``_ipv4_lengths``, the one
-place lengths are derived and bounded.  And its frame, which only
-``parse_packet`` sets, and only for a frame that ``serialize_packet``
-would give back byte for byte; no rebuilt packet carries one.
+``readdress``, ``fix_*``, ``with_tcp_seq_ack``) takes it from the
+source packet, and ``_rebuild`` otherwise derives it once with
+``_ipv4_lengths``, the one place lengths are derived and bounded.  And
+its frame: ``parse_packet`` sets it only for a frame that
+``serialize_packet`` would give back byte for byte, and ``with_ipv4``
+(so the exclusion marker, ``fix_ipv4_checksum`` and the IPv4 handlers
+too) carries its source's frame on with the new IPv4 header written
+into it, the only octets it changes.  No other rebuild carries one.
 ``serialize_packet`` returns a carried frame, and it, ``wire_len`` and
 the checksums read the total through ``_lengths``.
 Neither fact can go stale: a packet's layers never change after it is
@@ -468,7 +471,7 @@ def _icmp_bytes(icmp: Icmp, checksum: int) -> bytes:
 def serialize_packet(p: ParsedPacket) -> bytes:
     """Emit the frame bytes for ``p``.
 
-    A parsed packet gives back the frame it carries.  Otherwise length
+    A packet that carries a frame gives it back.  Otherwise length
     and offset fields come from the structure itself; stored checksums
     are written verbatim.
     """
@@ -636,14 +639,29 @@ _SET_CHECKSUM = {cls: cls.checksum.__set__ for cls in (Tcp, Udp, Icmp)}
 
 def _rebuild(link: Ethernet, tos: int, identification: int, flags: int, frag_offset: int, ttl: int, protocol: int,
              checksum: Optional[int], src: int, dst: int, options: bytes, transport: Optional[Transport],
-             payload: bytes, trailer: bytes, fill: bool = False, total: Optional[int] = None) -> ParsedPacket:
+             payload: bytes, trailer: bytes, fill: bool = False, total: Optional[int] = None,
+             frame: Optional[bytes] = None) -> ParsedPacket:
     """The packet these layers make, carrying ``total``, the IPv4 total
     length of a source packet whose lengths the change keeps.  A
     ``checksum`` of None is summed over the header, after a ``total`` of
     None is derived and bounded once, before any packing; then ``fill``
     sets the transport checksum in the slot of ``transport``, which the
-    caller has just made for this packet."""
-    if checksum is None:
+    caller has just made for this packet.  A ``frame`` is the one a
+    parsed source packet carries, with its total, when only the IPv4
+    header changes, which then has no options and no transport to fill:
+    the packet carries that frame with the new header, checksum summed
+    in the one packing, written over octets 14-33."""
+    if frame is not None:
+        head = _IPV4.pack(_VERSION_IHL_5, tos, total, identification, flags << 13 | frag_offset, ttl, protocol,
+                          checksum or 0, src, dst)
+        if checksum is None:
+            # Summed with a zero field, then set in octets 10-11 of the header.
+            checksum = checksum16(head)
+            frame = b"".join((frame[:ETHER_SIZE], head[:10], checksum.to_bytes(2, "big"), head[12:],
+                              frame[_ETH_IPV4.size:]))
+        else:
+            frame = b"".join((frame[:ETHER_SIZE], head, frame[_ETH_IPV4.size:]))
+    elif checksum is None:
         if total is None:
             ihl, total = _ipv4_lengths(options, transport, payload)
         else:
@@ -654,7 +672,7 @@ def _rebuild(link: Ethernet, tos: int, identification: int, flags: int, frag_off
         checksum = checksum16(_IPV4.pack(0x40 | ihl, tos, total, identification, flags << 13 | frag_offset, ttl,
                                          protocol, 0, src, dst) + options)
     ipv4 = _new_ipv4(tos, identification, flags, frag_offset, ttl, protocol, checksum, src, dst, options)
-    return _new_packet(link, ipv4, transport, payload, trailer, total)
+    return _new_packet(link, ipv4, transport, payload, trailer, total, frame)
 
 
 def _copy(t: Transport) -> Transport:
@@ -668,10 +686,12 @@ def _copy(t: Transport) -> Transport:
 
 def with_ipv4(p: ParsedPacket, tos: int, identification: int, checksum: Optional[int] = None) -> ParsedPacket:
     """``p`` (which has an IPv4 layer) with a new TOS, identification
-    and header checksum.  A ``checksum`` of None is recomputed."""
+    and header checksum.  A ``checksum`` of None is recomputed.  Only
+    the IPv4 header changes, so a frame ``p`` carries is carried on
+    with the new header in it."""
     ip = p.ipv4
     return _rebuild(p.link, tos, identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, checksum, ip.src_ip,
-                    ip.dst_ip, ip.options, p.transport, p.app_payload, p.link_trailer, False, p._total)
+                    ip.dst_ip, ip.options, p.transport, p.app_payload, p.link_trailer, False, p._total, p._frame)
 
 
 def with_tcp_seq_ack(p: ParsedPacket, seq: int, ack: int) -> ParsedPacket:
@@ -695,7 +715,8 @@ def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional
               src_mac: Optional[bytes] = None, dst_mac: Optional[bytes] = None) -> ParsedPacket:
     """``p`` (which has an IPv4 layer) with new addresses, MACs and, for
     TCP and UDP, ports; None keeps a field.  Both checksums are
-    recomputed, as ``fix_checksums`` does."""
+    recomputed, as ``fix_checksums`` does, and no length changes, so
+    the packet keeps the total ``p`` carries."""
     ip, t, link = p.ipv4, p.transport, p.link
     link = _new_ethernet(link.dst_mac if dst_mac is None else dst_mac,
                          link.src_mac if src_mac is None else src_mac, link.ethertype)
@@ -712,7 +733,7 @@ def readdress(p: ParsedPacket, *, src_ip: Optional[int] = None, dst_ip: Optional
         t = _copy(t)
     return _rebuild(link, ip.tos, ip.identification, ip.flags, ip.frag_offset, ip.ttl, ip.protocol, None,
                     ip.src_ip if src_ip is None else src_ip, ip.dst_ip if dst_ip is None else dst_ip, ip.options, t,
-                    p.app_payload, p.link_trailer, t is not None)
+                    p.app_payload, p.link_trailer, t is not None, p._total)
 
 
 def set_tcp_options(p: ParsedPacket, options: bytes) -> ParsedPacket:

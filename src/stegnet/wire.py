@@ -86,7 +86,9 @@ def mark_excluded(p: pk.ParsedPacket) -> pk.ParsedPacket:
     """Stamp the capacity-free exclusion signature on a carrier.
 
     The IPv4 header checksum is recomputed so the marked packet stays
-    structurally valid in transit.
+    structurally valid in transit.  Only the IPv4 header changes, so a
+    parsed carrier's frame is carried on with the new header in it and
+    serializes without a pack.
     """
     if p.ipv4 is None:
         raise pk.UnsupportedProtocol("exclusion marker needs an IPv4 header")
@@ -99,7 +101,9 @@ def is_excluded(p: pk.ParsedPacket) -> bool:
 
 def clear_exclusion(p: pk.ParsedPacket) -> pk.ParsedPacket:
     """Zero the TOS octet before forwarding; the original value is not
-    restored (accepted loss, generators never emit the marker value)."""
+    restored (accepted loss, generators never emit the marker value).
+    The IPv4 header checksum is recomputed, and a carried frame is kept
+    as ``mark_excluded`` keeps it."""
     if p.ipv4 is None:
         return p
     return pk.with_ipv4(p, 0, p.ipv4.identification)

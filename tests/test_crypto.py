@@ -281,7 +281,7 @@ class _CountingPool(concurrent.futures.ProcessPoolExecutor):
         super().__init__(max_workers, **kwargs)
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
 def test_worker_count_never_changes_a_key(cpus):
     def digest(pair):
         return hashlib.sha256(b"%d:%d" % (pair.public.n, pair.d)).hexdigest()
@@ -293,6 +293,22 @@ def test_worker_count_never_changes_a_key(cpus):
         for seed in (7, 8):
             assert digest(cr.generate_keypair(seed, bits=512)) == KEY_DIGESTS[(seed, 512)]
     assert _CountingPool.workers == [len(cpus)] * 2
+
+
+def test_one_cpu_searches_in_process():
+    # With one CPU a worker would only share the core with the caller:
+    # the search runs here, starts no process and draws the same keys.
+    def digest(pair):
+        return hashlib.sha256(b"%d:%d" % (pair.public.n, pair.d)).hexdigest()
+
+    _CountingPool.workers.clear()
+    with mock.patch.dict(cr._keypair_cache, clear=True), \
+            mock.patch.object(cr.os, "sched_getaffinity", return_value={0}), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _CountingPool):
+        for seed in (7, 8):
+            assert digest(cr.generate_keypair(seed, bits=512)) == KEY_DIGESTS[(seed, 512)]
+        assert multiprocessing.active_children() == []
+    assert _CountingPool.workers == []
 
 
 def _broken_round(a, d, r, m):

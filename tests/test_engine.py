@@ -737,15 +737,17 @@ def test_config_validation():
 
 
 @contextlib.contextmanager
-def _calls(*functions):
-    """Count calls to any of ``functions`` made inside the block.  The
-    hook matches each function by its code object, so a module that
-    bound it with ``from dataclasses import replace`` is caught too."""
+def _calls(*functions, when=None):
+    """Count calls to any of ``functions`` made inside the block, only
+    those whose arguments ``when`` accepts if it is given (it is passed
+    the called frame's locals).  The hook matches each function by its
+    code object, so a module that bound it with ``from dataclasses
+    import replace`` is caught too."""
     targets = {function.__code__ for function in functions}
     calls = [0]
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code in targets:
+        if event == "call" and frame.f_code in targets and (when is None or when(frame.f_locals)):
             calls[0] += 1
 
     sys.setprofile(hook)
@@ -759,17 +761,17 @@ def _calls(*functions):
 LAYER_INITS = tuple(cls.__init__ for cls in (pk.Ethernet, pk.Ipv4, pk.Tcp, pk.Udp, pk.Icmp, pk.ParsedPacket))
 
 
-def _carrier_pass(*functions, seed=17, octets=15 * 2000):
-    """Calls to ``functions`` while a handlers-1,2,4 pair fuses and
-    extracts a 2,000-record capture carrying ``octets`` secret octets.
-    The gateways are built, and the registry has run its self-test,
-    before the count starts."""
+def _carrier_pass(*functions, seed=17, octets=15 * 2000, when=None):
+    """Calls to ``functions`` (those ``when`` accepts, as in ``_calls``)
+    while a handlers-1,2,4 pair fuses and extracts a 2,000-record
+    capture carrying ``octets`` secret octets.  The gateways are built,
+    and the registry has run its self-test, before the count starts."""
     capture = tr.synthesize_mixed_trace(2000, seed=seed)
     config = EngineConfig(enabled_handlers=(1, 2, 4), seed=seed)
     tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
     payload = random.Random(seed).randbytes(octets)
     tx.enqueue_payload(payload)
-    with _calls(*functions) as calls:
+    with _calls(*functions, when=when) as calls:
         fused, _ = tr.fuse_records(tx, capture.records)
         _, tally = tr.extract_records(rx, fused)
     assert b"".join(tally.chunks) == payload
@@ -786,6 +788,19 @@ def test_carrier_path_derives_the_ipv4_length_only_where_a_writer_changes_it():
     ``set_icmp_payload``) derive one."""
     derived = _carrier_pass(pk._ipv4_lengths, seed=3, octets=20000)
     assert 0 < derived <= _carrier_pass(pk.set_tcp_options, pk.set_icmp_payload, seed=3, octets=20000)
+
+
+def test_carrier_path_packs_only_the_carriers_a_writer_resized():
+    """The exclusion marker, its clearing and the checksum handler's
+    write and repair change only the IPv4 header, so each of their
+    carriers serializes as the frame it was parsed from with that header
+    written in.  Only a carrier given new TCP options or ICMP payload
+    is packed again."""
+    serialized = _carrier_pass(pk.serialize_packet, seed=3, octets=20000)
+    packed = _carrier_pass(pk.serialize_packet, seed=3, octets=20000, when=lambda args: args["p"]._frame is None)
+    resized = _carrier_pass(pk.set_tcp_options, pk.set_icmp_payload, seed=3, octets=20000)
+    assert serialized == 2 * 2000
+    assert 0 < packed <= resized < serialized // 2
 
 
 def test_carrier_path_calls_no_dataclass_replace():
@@ -883,9 +898,9 @@ def test_simulator_derives_the_frame_length_only_where_a_packet_is_made():
 def test_simulator_derives_the_ipv4_length_once_per_packet_operation():
     """The same run derives the IPv4 length (``_ipv4_lengths``) at most
     once for each packet whose layers may change length: each one built
-    (``_fresh``), given new TCP options or ICMP payload, or readdressed.
-    Every other rebuild, checksum validation, serialization and frame
-    length (``wire_len``) reads the total its packet carries."""
+    (``_fresh``) or given new TCP options or ICMP payload.  Every other
+    rebuild, readdressing included, checksum validation, serialization
+    and frame length (``wire_len``) reads the total its packet carries."""
     def run(*functions):
         sim = Simulation(line_topology(visible_users=4), engine_config=EngineConfig(enabled_handlers=(1, 2), seed=5),
                          seed=5)
@@ -896,5 +911,21 @@ def test_simulator_derives_the_ipv4_length_once_per_packet_operation():
         return calls[0]
 
     derived = run(pk._ipv4_lengths)
-    operations = run(pk._fresh, pk.set_tcp_options, pk.set_icmp_payload, pk.readdress)
+    operations = run(pk._fresh, pk.set_tcp_options, pk.set_icmp_payload)
     assert 1000 < derived <= operations
+
+
+def test_readdressing_a_parsed_packet_derives_no_length():
+    """Readdressing changes no length, so the packet it makes carries
+    the total of the parsed one, and equals the readdressing of a copy
+    that carries none."""
+    for record in tr.synthesize_mixed_trace(60, seed=4).records:
+        p = pk.parse_packet(record.data)
+        ports = {} if p.icmp is not None else {"src_port": 7, "dst_port": 9}
+        with _calls(pk._ipv4_lengths) as calls:
+            q = pk.readdress(p, src_ip=0x0A000001, dst_ip=0x0A000002, src_mac=b"\x02" * 6, **ports)
+        assert calls[0] == 0
+        bare = pk.readdress(dataclasses.replace(p), src_ip=0x0A000001, dst_ip=0x0A000002, src_mac=b"\x02" * 6,
+                            **ports)
+        assert q == bare and q._total == p._total and pk.serialize_packet(q) == pk.serialize_packet(bare)
+        assert pk.validate_checksums(q)

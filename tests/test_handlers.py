@@ -1,4 +1,6 @@
+import enum
 import random
+import sys
 
 import pytest
 
@@ -233,7 +235,7 @@ def test_oversize_segment_raises_value_error(hid, carrier):
 
 def _count_self_tests(monkeypatch):
     """Forget every verdict of this process and count the self-tests run."""
-    monkeypatch.setattr(hd, "_PASSED", set())
+    monkeypatch.setattr(hd, "_PASSED", {})
     tested = []
     real = hd._self_test
 
@@ -282,4 +284,28 @@ def test_custom_spec_still_tested_after_stock_registries():
     for _ in range(2):
         with pytest.raises(hd.SelfTestFailed):
             hd.HandlerRegistry().register(bad)
-    assert bad not in hd._PASSED
+    assert id(bad) not in hd._PASSED
+
+
+def test_build_registry_hashes_no_enum(monkeypatch):
+    """A registry keys its self-test verdicts by spec identity and ranks
+    recovery classes by position, so building one, its self-tests
+    included, hashes no ``Enum`` (whose ``__hash__`` runs in Python)."""
+    _count_self_tests(monkeypatch)
+    hashes = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is enum.Enum.__hash__.__code__:
+            hashes.append(frame.f_locals["self"])
+
+    sys.setprofile(hook)
+    try:
+        cold = hd.build_registry(enabled=hd.STOCK_IDS)
+        warm = hd.build_registry(enabled=hd.STOCK_IDS)
+    finally:
+        sys.setprofile(None)
+    assert hashes == []
+    assert cold.ids == warm.ids == list(hd.STOCK_IDS)
+    ranks = {hd.RecoveryClass.NO_RECOVERY: 0, hd.RecoveryClass.SELF_RECOVERABLE: 1,
+             hd.RecoveryClass.AUGMENTED_CORRECTION: 2}
+    assert warm._rank == {hid: ranks[warm.get(hid).recovery] for hid in warm.ids}

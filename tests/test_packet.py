@@ -4,8 +4,10 @@ import pickle
 import random
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, fields, replace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from stegnet.packet import (
     _TCP, _UDP, BadVersion, Icmp, OptionsOverflow, ParsedPacket, Tcp, Transport, Truncated, Udp, UnsupportedProtocol,
     _icmp_bytes, _ipv4_lengths, _new_ethernet, _new_icmp, _new_ipv4, _new_packet, _new_tcp, _new_udp, checksum16,
 )
+from stegnet.wire import clear_exclusion, mark_excluded
 
 
 def checksum_oracle(data: bytes) -> int:
@@ -627,6 +630,8 @@ def _operations(p, data):
     yield lambda: pk.with_ipv4(p, data.draw(u8), data.draw(u16))
     yield lambda: pk.with_ipv4(p, data.draw(u8), data.draw(u16), data.draw(u16))
     yield lambda: pk.fix_ipv4_checksum(p)
+    yield lambda: mark_excluded(p)
+    yield lambda: clear_exclusion(p)
     ports = {"src_port": sport, "dst_port": dport} if isinstance(p.transport, (Tcp, Udp)) else {}
     yield lambda: pk.readdress(p, src_ip=src, dst_ip=dst, src_mac=data.draw(macs), **ports)
     if p.tcp is not None:
@@ -654,12 +659,32 @@ def carried_frames(draw):
     return bytes(frame)
 
 
+@contextmanager
+def _header_rewrites():
+    """Patches ``pk.with_ipv4`` to list each packet it makes, with
+    whether its source carried a frame.  The exclusion marker,
+    ``clear_exclusion``, ``fix_ipv4_checksum`` and the IPv4 handlers
+    all make their packets through it."""
+    made = []
+    real = pk.with_ipv4
+
+    def recording(p, *args):
+        q = real(p, *args)
+        made.append((q, p._frame is not None))
+        return q
+
+    with mock.patch.object(pk, "with_ipv4", recording):
+        yield made
+
+
 @settings(max_examples=300, deadline=None)
 @given(frame=carried_frames(), data=st.data())
 def test_carried_facts_never_go_stale(frame, data):
     """Whatever parses, builds or rebuilds a packet, what it carries
     agrees with its layers, and the parsed packet it came from still
-    does afterwards: no rebuild fills a transport it shares."""
+    does afterwards: no rebuild fills a transport it shares.  A packet
+    carries a frame exactly when it is that parsed packet carrying one,
+    or ``with_ipv4`` made it from a packet carrying one."""
     try:
         p = pk.parse_packet(frame)
     except pk.PacketError:
@@ -670,11 +695,16 @@ def test_carried_facts_never_go_stale(frame, data):
         assert p._frame is None
     _assert_carries_the_truth(p)
     for make in _operations(p, data):
-        try:
-            q = make()
-        except pk.PacketError:
-            continue
-        assert q is p or q._frame is None
+        with _header_rewrites() as made:
+            try:
+                q = make()
+            except pk.PacketError:
+                continue
+        if q is p:
+            kept = p._frame is not None
+        else:
+            kept = any(r is q and framed for r, framed in made)
+        assert (q._frame is not None) == kept
         assert q.ipv4 is None or q._total is not None
         _assert_carries_the_truth(q)
         _assert_carries_the_truth(p)
