@@ -67,6 +67,9 @@ _NAT_PORT_FIRST, _NAT_PORT_LAST = 61000, 0xFFFF
 # Flow serials wrap so a workload source port, 20000 + 3 * serial + 2 at most, fits 16 bits.
 _FLOW_SERIALS = (0xFFFF - 20000 - 2) // len(SERVICE_PORTS) + 1
 
+# The most an echo request holds: an IPv4 packet's 65,535 octets less its 20-octet header and 8 of ICMP.
+_MAX_ICMP_PAYLOAD = 65535 - 20 - 8
+
 DEFAULT_MIX = {
     "http": 0.31,
     "tls": 0.15,
@@ -96,6 +99,9 @@ class WorkloadSpec:
             raise ValueError("workload budget must be positive")
         if set(self.mix) != set(DEFAULT_MIX):
             raise ValueError("mix must weight exactly %s" % sorted(DEFAULT_MIX))
+        for kind, weight in self.mix.items():
+            if not weight >= 0:  # so that NaN fails too
+                raise ValueError("mix weight %s must not be negative, got %r" % (kind, weight))
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("mix weights must sum to 1, got %r" % total)
@@ -103,6 +109,8 @@ class WorkloadSpec:
             raise ValueError("restart_every must be at least 1")
         if not 0 < self.min_frame <= self.max_frame <= 1400:
             raise ValueError("frame bounds must satisfy 0 < min <= max <= 1400")
+        if not 0 <= self.icmp_payload <= _MAX_ICMP_PAYLOAD:
+            raise ValueError("icmp_payload must be 0 to %d octets, got %d" % (_MAX_ICMP_PAYLOAD, self.icmp_payload))
 
 
 def parse_workload(text: str) -> WorkloadSpec:

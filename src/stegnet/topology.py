@@ -25,11 +25,17 @@ nodes, ``[rule]`` one first-match filter rule on a monitor, and
 tracking, a gateway's address translation for its secret hosts).
 Gateways are paired via ``peer``; hosts carrying secret traffic are
 flagged ``secret = true`` and must sit directly on their gateway.
+
+Each key is declared once, in ``_SECTIONS``: with its section type,
+the parser of its value, and whether the section must hold it.
+``parse_topology`` reads the file through that table, and
+``validate_topology`` then checks that the sections fit together.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
@@ -44,15 +50,6 @@ KINDS = (KIND_HOST, KIND_CGATEWAY, KIND_MONITOR, KIND_ROUTER)
 
 ACTIONS = ("allow", "drop", "log")
 PROTOS = ("any", "tcp", "udp", "icmp")
-
-# The keys each section type may hold.
-_SECTION_KEYS = {
-    "node": ("name", "kind", "ip", "mac", "peer", "secret", "workload"),
-    "link": ("a", "b", "capacity", "delay_us"),
-    "rule": ("node", "action", "proto", "src", "dst", "dst_port"),
-    "policy": ("node", "default", "nat", "inside"),
-}
-
 
 class ConfigError(ValueError):
     """Syntax or vocabulary problem in a description file."""
@@ -227,108 +224,96 @@ def read_sections(text: str, keys: Mapping[str, Collection[str]],
     return sections
 
 
+# Value parsers: each takes (value, line, key) and returns what the
+# section's dataclass holds, or raises ConfigError on that line.
+def _text(raw: str, line: int, key: str) -> str:
+    return raw
+
+
+def _choice(options: Tuple[str, ...], what: str):
+    def parse(raw: str, line: int, key: str) -> str:
+        if raw not in options:
+            raise ConfigError(line, "unknown %s %r (expected one of %s)" % (what, raw, ", ".join(options)))
+        return raw
+    return parse
+
+
+def _address(convert, what: str):
+    def parse(raw: str, line: int, key: str) -> str:
+        try:
+            convert(raw)
+        except ValueError:
+            raise ConfigError(line, "bad %s address %r" % (what, raw)) from None
+        return raw
+    return parse
+
+
+def _int_in(low: int, high: float, bound: str):
+    def parse(raw: str, line: int, key: str) -> int:
+        value = parse_int(raw, line, key)
+        if not low <= value <= high:
+            raise ConfigError(line, "%s must %s, got %d" % (key, bound, value))
+        return value
+    return parse
+
+
+def _any_or(parse, anything):
+    """``parse``, except that the value ``any`` gives ``anything``."""
+    return lambda raw, line, key: anything if raw == "any" else parse(raw, line, key)
+
+
+_IPV4 = _address(pk.str_to_ip, "IPv4")
+
+# Each section type: the keys it must hold, then every key it may hold
+# with the parser of its value, in the order the values are checked.
+_SECTIONS = {
+    "node": (("name", "kind"), {
+        "name": _text, "kind": _choice(KINDS, "node kind"), "ip": _IPV4,
+        "mac": _address(pk.str_to_mac, "MAC"), "peer": _text,
+        "secret": parse_bool, "workload": parse_bool,
+    }),
+    "link": (("a", "b", "capacity"), {
+        "a": _text, "b": _text, "capacity": _int_in(1, math.inf, "be positive"),
+        "delay_us": _int_in(0, math.inf, "not be negative"),
+    }),
+    "rule": (("node", "action"), {
+        "node": _text, "action": _choice(ACTIONS, "rule action"), "proto": _choice(PROTOS, "protocol"),
+        "src": _any_or(_IPV4, "any"), "dst": _any_or(_IPV4, "any"),
+        "dst_port": _any_or(_int_in(0, 0xFFFF, "lie in 0..65535"), None),
+    }),
+    "policy": (("node",), {
+        "node": _text, "default": _choice(("allow", "drop"), "default action"),
+        "nat": parse_bool, "inside": _text,
+    }),
+}
+
+_POLICY_FIELDS = {"default": "default_action", "inside": "nat_inside"}  # [policy] keys named unlike their fields
+
+
 def parse_topology(text: str) -> Topology:
     """Parse a description file; raises ConfigError with line numbers."""
     topo = Topology()
-    finish = {"node": _finish_node, "link": _finish_link, "rule": _finish_rule, "policy": _finish_policy}
-    for section, line, fields in read_sections(text, _SECTION_KEYS):
-        finish[section](topo, fields, line)
+    for section, line, fields in read_sections(text, {name: keys for name, (_, keys) in _SECTIONS.items()}):
+        required, parsers = _SECTIONS[section]
+        for key in required:
+            if key not in fields:
+                raise ConfigError(line, "[%s] section is missing required key %r" % (section, key))
+        values = {key: parse(*fields[key], key) for key, parse in parsers.items() if key in fields}
+        if section == "node":
+            if values["name"] in topo.nodes:
+                raise ConfigError(line, "duplicate node name %r" % values["name"])
+            topo.nodes[values["name"]] = NodeDef(**values)
+        elif section == "link":
+            topo.links.append(LinkDef(**values))
+        elif section == "rule":
+            topo.rules.append(RuleDef(**values))
+        else:
+            name = values.pop("node")
+            if name not in topo.nodes:
+                raise ConfigError(fields["node"][1], "policy for undeclared node %r" % name)
+            for key, value in values.items():
+                setattr(topo.nodes[name], _POLICY_FIELDS.get(key, key), value)
     return topo
-
-
-def _require(fields, key, section, line):
-    if key not in fields:
-        raise ConfigError(line, "[%s] section is missing required key %r" % (section, key))
-    return fields[key]
-
-
-def _finish_node(topo: Topology, fields, line: int) -> None:
-    name, _ = _require(fields, "name", "node", line)
-    kind, kind_line = _require(fields, "kind", "node", line)
-    if kind not in KINDS:
-        raise ConfigError(kind_line, "unknown node kind %r (expected one of %s)" % (kind, ", ".join(KINDS)))
-    if name in topo.nodes:
-        raise ConfigError(line, "duplicate node name %r" % name)
-    node = NodeDef(name=name, kind=kind)
-    if "ip" in fields:
-        value, ip_line = fields["ip"]
-        try:
-            pk.str_to_ip(value)
-        except Exception:
-            raise ConfigError(ip_line, "bad IPv4 address %r" % value) from None
-        node.ip = value
-    if "mac" in fields:
-        value, mac_line = fields["mac"]
-        try:
-            pk.str_to_mac(value)
-        except Exception:
-            raise ConfigError(mac_line, "bad MAC address %r" % value) from None
-        node.mac = value
-    if "peer" in fields:
-        node.peer = fields["peer"][0]
-    if "secret" in fields:
-        node.secret = parse_bool(*fields["secret"], "secret")
-    if "workload" in fields:
-        node.workload = parse_bool(*fields["workload"], "workload")
-    topo.nodes[name] = node
-
-
-def _finish_link(topo: Topology, fields, line: int) -> None:
-    a, _ = _require(fields, "a", "link", line)
-    b, _ = _require(fields, "b", "link", line)
-    cap_raw, cap_line = _require(fields, "capacity", "link", line)
-    capacity = parse_int(cap_raw, cap_line, "capacity")
-    if capacity <= 0:
-        raise ConfigError(cap_line, "link capacity must be positive")
-    delay = 0
-    if "delay_us" in fields:
-        delay = parse_int(*fields["delay_us"], "delay_us")
-        if delay < 0:
-            raise ConfigError(fields["delay_us"][1], "delay_us must not be negative")
-    topo.links.append(LinkDef(a=a, b=b, capacity=capacity, delay_us=delay))
-
-
-def _finish_rule(topo: Topology, fields, line: int) -> None:
-    node, _ = _require(fields, "node", "rule", line)
-    action, action_line = _require(fields, "action", "rule", line)
-    if action not in ACTIONS:
-        raise ConfigError(action_line, "unknown rule action %r" % action)
-    rule = RuleDef(node=node, action=action)
-    if "proto" in fields:
-        proto, proto_line = fields["proto"]
-        if proto not in PROTOS:
-            raise ConfigError(proto_line, "unknown protocol %r" % proto)
-        rule.proto = proto
-    for key in ("src", "dst"):
-        if key in fields:
-            value, key_line = fields[key]
-            if value != "any":
-                try:
-                    pk.str_to_ip(value)
-                except Exception:
-                    raise ConfigError(key_line, "bad IPv4 address %r" % value) from None
-            setattr(rule, key, value)
-    if "dst_port" in fields:
-        value, port_line = fields["dst_port"]
-        if value != "any":
-            rule.dst_port = parse_int(value, port_line, "dst_port")
-    topo.rules.append(rule)
-
-
-def _finish_policy(topo: Topology, fields, line: int) -> None:
-    name, node_line = _require(fields, "node", "policy", line)
-    if name not in topo.nodes:
-        raise ConfigError(node_line, "policy for undeclared node %r" % name)
-    node = topo.nodes[name]
-    if "default" in fields:
-        action, action_line = fields["default"]
-        if action not in ("allow", "drop"):
-            raise ConfigError(action_line, "default action must be allow or drop")
-        node.default_action = action
-    if "nat" in fields:
-        node.nat = parse_bool(*fields["nat"], "nat")
-    if "inside" in fields:
-        node.nat_inside = fields["inside"][0]
 
 
 def _auto_mac(name: str) -> str:
@@ -355,6 +340,11 @@ def validate_topology(topo: Topology) -> Topology:
         if topo.nodes[rule.node].kind != KIND_MONITOR:
             raise InvalidTopology("rules only attach to monitor nodes, %r is a %s" % (rule.node, topo.nodes[rule.node].kind))
     for node in topo.nodes.values():
+        for key, is_set, kinds in (("default", node.default_action != "allow", (KIND_MONITOR,)),
+                                   ("inside", node.nat_inside is not None, (KIND_MONITOR,)),
+                                   ("nat", node.nat, (KIND_MONITOR, KIND_CGATEWAY))):
+            if is_set and node.kind not in kinds:
+                raise InvalidTopology("policy key %r only applies to a %s, %r is a %s" % (key, " or ".join(kinds), node.name, node.kind))
         if node.nat and node.kind == KIND_MONITOR and node.nat_inside is None:
             raise InvalidTopology("address-translating monitor %r needs an inside neighbor (policy key 'inside')" % node.name)
         if node.nat_inside is not None and node.nat_inside not in topo.nodes:

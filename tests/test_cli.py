@@ -158,6 +158,21 @@ def test_workload_errors_exit_2(topo_file, tmp_path):
     assert main(["simulate", "--topology", topo_file, "--workload", str(wl)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "icmp_payload = -1\n",
+    "icmp_payload = 70000\n",
+    "http = 1.31\ntls = -0.31\ntcp = 0\nudp = 0\nicmp = 0\n",
+])
+def test_workload_values_the_run_cannot_use_exit_2(text, topo_file, tmp_path, capsys):
+    wl = tmp_path / "wl.cfg"
+    wl.write_text(text)
+    rc = main(["simulate", "--topology", topo_file, "--workload", str(wl),
+               "--payload", "100", "--duration", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: workload %s: " % wl in err and "Traceback" not in err
+
+
 def test_unknown_handler_exits_4(topo_file, tmp_path, capsys):
     assert main(["simulate", "--topology", topo_file, "--handler", "99"]) == 4
     assert main(["calibrate", "--handler", "99"]) == 4

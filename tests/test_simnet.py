@@ -155,6 +155,25 @@ def test_workload_parsing_and_validation():
         WorkloadSpec(min_frame=0).validate()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("icmp_payload = -1\n", "icmp_payload must be 0 to 65507"),
+        ("icmp_payload = 70000\n", "icmp_payload must be 0 to 65507"),
+        ("http = 1.31\ntls = -0.31\ntcp = 0\nudp = 0\nicmp = 0\n", "mix weight tls must not be negative"),
+        ("http = nan\n", "mix weight http must not be negative"),
+    ],
+)
+def test_workload_refuses_values_the_run_cannot_use(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_workload(text)
+
+
+def test_workload_takes_either_icmp_payload_bound():
+    assert parse_workload("icmp_payload = 0\n").icmp_payload == 0
+    assert parse_workload("icmp_payload = 65507\n").icmp_payload == 65507
+
+
 def test_nat_monitor_blocks_unsolicited_inbound():
     sim = Simulation(
         line_topology(visible_users=1, nat_monitor=True),

@@ -110,6 +110,14 @@ def test_line_topology_generator_builds_reference_shape():
         ("[node]\nname = x\nkind = host\nbroken line", 4, "expected 'key = value'"),
         # The whole file is read before any section is checked.
         ("[node]\nkind = host\n[link]\nbroken line", 4, "expected 'key = value'"),
+        # A port the monitor could never see would make the rule match nothing.
+        ("[rule]\nnode = m\naction = drop\ndst_port = 70000", 4, "0..65535"),
+        ("[rule]\nnode = m\naction = drop\ndst_port = -3", 4, "0..65535"),
+        ("[rule]\nnode = m\naction = drop\nsrc = 10.0.0.999", 4, "bad IPv4"),
+        ("[rule]\nnode = m\naction = drop\ndst_port = x", 4, "expected an integer"),
+        ("[node]\nname = m\nkind = monitor\n[policy]\nnode = m\ndefault = deny", 6, "default action"),
+        ("[node]\nname = m\nkind = monitor\n[policy]\nnode = m\nnat = maybe", 6, "expected a boolean"),
+        ("[link]\na = x\nb = y\ncapacity = 5\ndelay_us = slow", 5, "expected an integer"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -224,6 +232,20 @@ def test_nat_monitor_needs_inside():
     ok = text.replace("nat = true", "nat = true\ninside = gw_a")
     topo = _load(ok)
     assert topo.nodes["edge"].nat and topo.nodes["edge"].nat_inside == "gw_a"
+
+
+@pytest.mark.parametrize(
+    "extra,key",
+    [
+        ("[policy]\nnode = gw_b\ndefault = drop", "default"),
+        ("[policy]\nnode = gw_b\ninside = h_b", "inside"),
+        ("[policy]\nnode = h_b\nnat = true", "nat"),
+        ("[node]\nname = r1\nkind = router\n[policy]\nnode = r1\nnat = true", "nat"),
+    ],
+)
+def test_policy_keys_only_on_kinds_that_read_them(extra, key):
+    with pytest.raises(InvalidTopology, match="policy key '%s' only applies" % key):
+        _load(MINIMAL + extra)
 
 
 def test_disconnected_gateways_rejected():
