@@ -322,13 +322,16 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
             return pair
 
 
+# Maps each octet b to b % 255 + 1, so no padding octet is zero.
+_NONZERO = bytes(b % 255 + 1 for b in range(256))
+
+
 def _pad_stream(tag: bytes, length: int) -> bytes:
     """Deterministic non-zero padding bytes derived from ``tag``."""
     out = bytearray()
     counter = 0
     while len(out) < length:
-        block = hashlib.sha256(tag + counter.to_bytes(4, "big")).digest()
-        out += bytes((b % 255) + 1 for b in block)
+        out += hashlib.sha256(tag + counter.to_bytes(4, "big")).digest().translate(_NONZERO)
         counter += 1
     return bytes(out[:length])
 

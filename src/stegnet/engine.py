@@ -175,6 +175,8 @@ class CovertGateway:
             if not matches_only_pure_syns(self._isn):
                 raise EngineError("handler %r at id %d must match pure TCP SYNs and nothing else under augmented "
                                   "correction" % (self._isn.name, TCP_ISN_ID))
+        # Whether fuse may draw to divert a carrier to that handler.
+        self._divert = self._isn is not None and self.config.augment_probability > 0.0
         self.local_mac = local_mac
         self._rng = random.Random(_child_seed(self.config.seed, "engine:%s" % node_id))
 
@@ -293,18 +295,23 @@ class CovertGateway:
 
         Unmatched carriers pass through untouched.  Matched carriers
         either receive a segment or are stamped with the exclusion
-        marker, so the peer never has to guess.
+        marker, so the peer never has to guess.  A sender with nothing
+        in flight or queued and no ISN diversion to draw for marks a
+        carrier at the first handler that matches it, without building
+        the candidate list or selecting: the marker is the same
+        whichever handler matched.
         """
         stats = CarrierStats()
         self.counters["carriers_seen"] += 1
+        if self._tx_item is None and not self._queue and not self._divert:
+            if not self.registry.matches(carrier):
+                return carrier, stats
+            stats.matched = True
+            return self._exclude(carrier, stats)
         candidates = self.registry.match(carrier)
         if not candidates:
             return carrier, stats
         stats.matched = True
-        if self.idle and (self._isn is None or self.config.augment_probability == 0.0):
-            # Nothing to send and no diversion to draw for: selection
-            # would end in the exclusion marker either way.
-            return self._exclude(carrier, stats)
         # The item in flight, or the next one _next_item opens, starts here.
         opening = self._tx_item is None or self._tx_item.sent == 0
         picked = self.registry.select(
@@ -314,8 +321,7 @@ class CovertGateway:
         spec, capacity = picked
         isn = self._isn
         if (
-            isn is not None
-            and self.config.augment_probability > 0.0
+            self._divert
             and spec is not isn
             and isn.match(carrier)
             and self._rng.random() < self.config.augment_probability

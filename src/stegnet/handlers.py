@@ -192,6 +192,14 @@ class HandlerRegistry:
         """All handlers accepting ``p``, by ascending id."""
         return [spec for spec in self._order if spec.match(p)]
 
+    def matches(self, p: pk.ParsedPacket) -> bool:
+        """Whether any handler accepts ``p``; stops at the first, by
+        ascending id."""
+        for spec in self._order:
+            if spec.match(p):
+                return True
+        return False
+
     def select(self, candidates: Sequence[HandlerSpec], p: pk.ParsedPacket, cursor: SegmentCursor, opening: bool,
                augmented_allowed: bool) -> Optional[Tuple[HandlerSpec, int]]:
         """Pick one handler for a carrier: (spec, capacity on ``p``), or None.

@@ -589,9 +589,12 @@ class Simulation:
         port 41000 + n mod 1000 as the n-th covert transfer (from 0)."""
         return self._open_flow(self.now, _PacedTransfer, src, dst, packets)
 
-    def _open_flow(self, start_us: int, kind: type, *args):
+    def _open_flow(self, start_us: int, kind: type, src: str, dst: str, *args):
         """Start a ``kind`` transfer from the next flow port at ``start_us``; it stays in ``_flows`` until finished."""
-        transfer = kind(self, *args, next(self._flow_ports))
+        for name in (src, dst):
+            if self._node_ip.get(name) is None:
+                raise SimError("transfer endpoint %r is not a node with an address" % name)
+        transfer = kind(self, src, dst, *args, next(self._flow_ports))
         self._flows[transfer.sport] = transfer
         self._schedule(start_us, transfer.start)
         return transfer

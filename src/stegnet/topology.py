@@ -364,6 +364,8 @@ def validate_topology(topo: Topology) -> Topology:
                 raise InvalidTopology("covert gateway %r peers with %r which is a %s" % (node.name, node.peer, peer.kind))
             if peer.peer != node.name:
                 raise InvalidTopology("gateway pairing %r -> %r is not mutual" % (node.name, node.peer))
+        elif node.peer:
+            raise InvalidTopology("only covert gateways have a peer, %r is a %s" % (node.name, node.kind))
         if node.workload and node.kind != KIND_HOST:
             raise InvalidTopology("only hosts can generate workload traffic, %r is a %s" % (node.name, node.kind))
         if node.secret:

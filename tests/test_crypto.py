@@ -335,6 +335,26 @@ def test_rsa_round_trip_and_determinism():
     assert cr.rsa_encrypt(PAIR_A.public, b"other") != ct
 
 
+def _seed_pad_stream(tag: bytes, length: int) -> bytes:
+    """``crypto._pad_stream`` as it was before it mapped each block with
+    one ``bytes.translate``."""
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        block = hashlib.sha256(tag + counter.to_bytes(4, "big")).digest()
+        out += bytes((b % 255) + 1 for b in block)
+        counter += 1
+    return bytes(out[:length])
+
+
+def test_pad_stream_matches_the_per_octet_reference():
+    for length in range(0, 301):
+        tag = hashlib.sha256(length.to_bytes(2, "big")).digest()
+        assert cr._pad_stream(tag, length) == _seed_pad_stream(tag, length)
+    # Every SHA-256 octet value, 255 among them, maps to a non-zero octet.
+    assert sorted(set(cr._NONZERO)) == list(range(1, 256))
+
+
 def test_stream_cipher_length_preserving():
     key = cr.derive_cipher_key(b"0123456789abcdef")
     iv = cr.derive_iv(key, cr.ROLE_GENERATOR)

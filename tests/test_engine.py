@@ -846,6 +846,35 @@ def test_idle_gateway_marks_carriers_without_selecting():
     assert calls[0] == diverting.counters["carriers_excluded"] > sum(matched)
 
 
+def test_idle_gateway_builds_no_candidate_list():
+    """An idle sender with no diversion to draw for asks the registry
+    only whether some handler matches, so it neither lists the
+    candidates nor selects; a busy or diverting sender still lists them
+    for every carrier."""
+    carriers = [pk.parse_packet(r.data) for r in tr.synthesize_mixed_trace(300, seed=17).records]
+    idle = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2), seed=17))
+    with _calls(HandlerRegistry.match, HandlerRegistry.select) as calls:
+        fused = [idle.fuse(c) for c in carriers]
+    assert calls[0] == 0
+    matched = [bool(idle.registry.match(c)) for c in carriers]
+    assert 0 < sum(matched) < len(carriers)
+    assert [pk.serialize_packet(out) for out, _ in fused] == [
+        pk.serialize_packet(wire.mark_excluded(c) if hit else c) for c, hit in zip(carriers, matched)]
+    assert [(s.matched, s.excluded, s.modified) for _, s in fused] == [(hit, hit, hit) for hit in matched]
+    assert idle.counters == dict(dict.fromkeys(idle.counters, 0), carriers_seen=len(carriers),
+                                 carriers_excluded=sum(matched))
+    busy = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2), seed=17))
+    busy.enqueue_secret(bytes(60000))
+    diverting = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(1, 2, TCP_ISN_ID), seed=17,
+                                                            augmented_allowed=True, augment_probability=0.25))
+    for gateway in (busy, diverting):
+        with _calls(HandlerRegistry.match) as calls:
+            for carrier in carriers:
+                gateway.fuse(carrier)
+        assert calls[0] == len(carriers)
+    assert busy.pending_octets > 0 and diverting.idle
+
+
 def test_gateway_nat_path_calls_no_dataclass_replace():
     """Gateway address translation rewrites packets through packet.py
     as well, both on the way out and on the way back in."""

@@ -1,4 +1,5 @@
 import enum
+import itertools
 import random
 import sys
 
@@ -63,6 +64,14 @@ def test_match_dispatch():
     assert _match_ids(reg, _syn()) == [3, 4, 5]
     assert _match_ids(reg, _icmp()) == [2, 3]
     assert _match_ids(reg, _udp()) == [3, 4]
+
+
+def test_matches_agrees_with_match():
+    carriers = (_tcp(), _syn(), _icmp(), _udp())
+    for size in range(len(hd.STOCK_IDS) + 1):
+        for enabled in itertools.combinations(hd.STOCK_IDS, size):
+            reg = hd.build_registry(enabled=enabled)
+            assert [reg.matches(p) for p in carriers] == [bool(reg.match(p)) for p in carriers], enabled
 
 
 def test_capacities():

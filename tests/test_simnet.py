@@ -436,6 +436,20 @@ def test_a_bulk_transfer_refuses_an_empty_payload():
     assert not sim._flows
 
 
+@pytest.mark.parametrize("add", [lambda sim, src, dst: sim.add_bulk_transfer(src, dst, 512),
+                                 lambda sim, src, dst: sim.add_paced_transfer(src, dst, 1)], ids=["bulk", "paced"])
+@pytest.mark.parametrize("src,dst,bad", [("secret_a", "nonexistent", "nonexistent"), ("core", "secret_b", "core")])
+def test_a_transfer_refuses_an_endpoint_without_an_address(add, src, dst, bad):
+    # An undeclared name, or a monitor with no address, would end the
+    # next run with a traceback from inside the transfer's start.
+    sim = _sim(seed=3)
+    with pytest.raises(SimError, match="endpoint '%s' is not a node with an address" % bad):
+        add(sim, src, dst)
+    assert not sim._flows
+    sim.run(MICROS)
+    assert add(sim, "secret_a", "secret_b").sport == 41000
+
+
 def test_translated_replies_reach_the_secret_host_at_its_own_mac():
     sim = Simulation(line_topology(visible_users=1, gateway_nat=True), workload=WorkloadSpec(), seed=4,
                      capture_nodes=("secret_a",))

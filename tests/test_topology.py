@@ -183,6 +183,19 @@ def test_secret_and_workload_flags_are_host_only():
         _load(text)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "[node]\nname = h_c\nkind = host\nip = 10.0.2.3\npeer = gw_a",
+        "[node]\nname = m1\nkind = monitor\npeer = gw_a",
+        "[node]\nname = r1\nkind = router\npeer = gw_a",
+    ],
+)
+def test_peer_is_gateway_only(extra):
+    with pytest.raises(InvalidTopology, match="only covert gateways have a peer"):
+        _load(MINIMAL + extra)
+
+
 def test_link_endpoints_must_exist():
     text = MINIMAL + "\n[link]\na = h_a\nb = ghost\ncapacity = 10\n"
     with pytest.raises(InvalidTopology, match="undeclared node"):
