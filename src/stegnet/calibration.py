@@ -85,8 +85,10 @@ class RunSpec:
     ``mode`` selects what the run measures: "baseline" transfers the
     payload directly (lower threshold), "target" uses only the handler
     under calibration, "augmented" additionally lets carriers divert to
-    the sequence-number channel, which strictly adds overhead (upper
-    threshold).
+    the sequence-number channel.  That channel can carry on SYNs the
+    target handler cannot use, so the augmented run may finish before
+    the target run; the upper threshold is the slower of the augmented
+    run and the floor-bandwidth bound.
     """
 
     session: int

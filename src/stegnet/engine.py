@@ -7,12 +7,17 @@ are symmetric; a pair of instances with mirrored configuration
 interoperates over any in-order, lossless carrier sequence.
 
 The transmit side is a FIFO of stream items (secret packets,
-key-exchange messages, recovery records); under encryption, secret
-packets and recovery records wait for the cipher and the others go
-ahead of them.  Each item opens with a plaintext synchronization
-header; mid-item handler switches are announced in-band exactly when
-the transition is ambiguous, otherwise the receiving side re-derives
-the same handler selection on its own.
+key-exchange messages, session resets); under encryption, secret
+packets wait for the cipher and the others go ahead of them.  Each
+item opens with a plaintext synchronization header; mid-item handler
+switches are announced in-band exactly when the transition is
+ambiguous, otherwise the receiving side re-derives the same handler
+selection on its own.
+
+Augmented correction lets a carrier divert to the sequence-number
+channel, which overwrites a pure SYN's initial sequence number.  The
+fusing gateway corrects that flow itself (``flow_deltas`` and
+``adjust_flow``) and sends its peer nothing about the rewrite.
 
 The receive side never guesses blindly: it consults the same registry
 and selection policy, and scans only the regions the sender could have
@@ -45,16 +50,14 @@ from .handlers import (
 
 ITEM_DATA = "data"
 ITEM_KEY_EXCHANGE = "key_exchange"
-ITEM_RECOVERY = "recovery"
 ITEM_RESET = "reset"
 
 # The sync code that opens each item kind, and back.  Every opening
-# announces its item's wire length, 0 for a reset.  Data and recovery
-# items are encrypted once the cipher is on; the others stay plaintext.
+# announces its item's wire length, 0 for a reset.  Data items are
+# encrypted once the cipher is on; the others stay plaintext.
 _OPENING_CODE = {ITEM_DATA: wire.CODE_PACKET_START, ITEM_KEY_EXCHANGE: wire.CODE_KEY_EXCHANGE,
-                 ITEM_RECOVERY: wire.CODE_RECOVERY, ITEM_RESET: wire.CODE_SESSION_RESET}
+                 ITEM_RESET: wire.CODE_SESSION_RESET}
 _OPENED_KIND = {code: kind for kind, code in _OPENING_CODE.items()}
-_SECRET_KINDS = (ITEM_DATA, ITEM_RECOVERY)
 
 _SEQ_MASK = 0xFFFFFFFF
 
@@ -192,9 +195,6 @@ class CovertGateway:
         self._session: Optional[crypto.CryptoSession] = None
 
         self.flow_deltas: Dict[tuple, int] = {}
-        self.received_recovery_records: List[wire.RecoveryRecord] = []
-        self.recovered_isn: Dict[tuple, Tuple[int, int]] = {}
-        self._observed_isn: Dict[tuple, int] = {}
 
         # Counters for reporting; data octets are split by item kind.
         self.counters = {
@@ -267,22 +267,22 @@ class CovertGateway:
     def _next_item(self) -> Optional[_TxItem]:
         """The item in flight, else the next one, opened here, or None.
 
-        Under encryption, data and recovery items wait for the cipher
-        boundary and every other item opens ahead of them, so none of
-        them leaves in plaintext; each is encrypted as it opens."""
+        Under encryption, data items wait for the cipher boundary and
+        every other item opens ahead of them, so none of them leaves in
+        plaintext; each is encrypted as it opens."""
         if self._tx_item is not None:
             return self._tx_item
         queue = self._queue
         if not queue:
             return None
         item = queue[0]
-        if self.config.encryption and item.kind in _SECRET_KINDS:
-            item = next((queued for queued in queue if queued.kind not in _SECRET_KINDS),
+        if self.config.encryption and item.kind == ITEM_DATA:
+            item = next((queued for queued in queue if queued.kind != ITEM_DATA),
                         item if self._cipher_boundary else None)
             if item is None:
                 return None
         queue.remove(item)
-        if self.config.encryption and item.kind in _SECRET_KINDS:
+        if self.config.encryption and item.kind == ITEM_DATA:
             item.wire_bytes = self._ensure_session().encrypt_item(item.payload)
         else:
             item.wire_bytes = item.payload
@@ -376,13 +376,7 @@ class CovertGateway:
 
     def _record_isn_rewrite(self, original: pk.ParsedPacket, modified: pk.ParsedPacket) -> None:
         key = pk.flow_key(original)  # a TCP SYN's, never None
-        delta = (modified.tcp.seq - original.tcp.seq) & _SEQ_MASK
-        self.flow_deltas[key] = delta
-        record = wire.RecoveryRecord(
-            src_ip=key[0], src_port=key[1], dst_ip=key[2], dst_port=key[3],
-            field_id=wire.FIELD_TCP_ISN, original=original.tcp.seq,
-        )
-        self._queue.append(_TxItem(kind=ITEM_RECOVERY, payload=wire.encode_recovery(record)))
+        self.flow_deltas[key] = (modified.tcp.seq - original.tcp.seq) & _SEQ_MASK
 
     def adjust_flow(self, p: pk.ParsedPacket) -> pk.ParsedPacket:
         """Seq/ack rewriting for flows whose initial sequence number was
@@ -453,9 +447,6 @@ class CovertGateway:
         stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
         self.counters["rx_data_octets"] += len(grab)
-        if spec is self._isn:
-            # The rewritten SYN's on-wire ISN, paired later with its recovery record.
-            self._observed_isn[pk.flow_key(carrier)] = carrier.tcp.seq
 
         if len(item.buf) == item.expected:
             stats.item_completed = True
@@ -463,20 +454,21 @@ class CovertGateway:
             try:
                 data = bytes(item.buf)
                 if item.encrypted:
-                    data = self._ensure_session().decrypt_item(data)
+                    if self._session is None:
+                        # A local reset dropped the key; a new session would hold none either.
+                        raise crypto.NotEstablished("no session")
+                    data = self._session.decrypt_item(data)
                 if item.kind == ITEM_DATA:
                     secrets.append(data)
                     self.counters["secret_octets_delivered"] += len(data)
                     self.counters["secret_packets_delivered"] += 1
                 elif item.kind == ITEM_KEY_EXCHANGE:
                     self._handle_key_exchange(data)
-                elif item.kind == ITEM_RECOVERY:
-                    self._handle_recovery(data)
                 else:
                     # A reset: queued secrets wait for a new key exchange, as at the peer.
                     self._rx_cipher_active = self._cipher_boundary = False
                     self._session = None
-            except (wire.MalformedRecord, crypto.CryptoError) as exc:
+            except crypto.CryptoError as exc:
                 self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
 
         return self._repair(carrier, spec), secrets, stats
@@ -489,21 +481,20 @@ class CovertGateway:
         if kind == ITEM_KEY_EXCHANGE and not self.config.encryption:
             # Its peer never sends one; answering would make an RSA key.
             self._desync(carrier, "%s item opened with encryption off" % kind)
-        if kind == ITEM_RECOVERY and self._isn is None:
-            # Its peer, without the ISN channel either, never sends one.
-            self._desync(carrier, "%s item opened without the ISN channel" % kind)
-        if (kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST
-                or kind == ITEM_RECOVERY and header.data != wire.RECOVERY_LEN):
+        if kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST:
             # Taken at its word, a forged length would swallow the peer's stream.
             self._desync(carrier, "undecodable %s item: %d octets announced" % (kind, header.data))
-        if kind not in _SECRET_KINDS:
+        if kind != ITEM_DATA:
             return _RxItem(kind=kind, encrypted=False, expected=header.data)
-        if kind == ITEM_DATA and header.data < 1:
+        if header.data < 1:
             self._desync(carrier, "zero-length packet announcement")
         if self.config.encryption and not self._rx_cipher_active:
-            # The peer encrypts every data and recovery item, so one that opens
-            # here (after a forged reset, say) is refused, not delivered as ciphertext.
+            # The peer encrypts every data item, so one that opens here
+            # (after a forged reset, say) is refused, not delivered as ciphertext.
             self._desync(carrier, "%s item opened with the receive cipher off" % kind)
+        if self.config.encryption and self._session is None:
+            # A local reset dropped the key it would be decrypted under.
+            self._desync(carrier, "%s item opened with no session" % kind)
         return _RxItem(kind=kind, encrypted=self.config.encryption, expected=header.data)
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
@@ -544,17 +535,6 @@ class CovertGateway:
         if spec.recovery is RecoveryClass.SELF_RECOVERABLE:
             return spec.recover(carrier)
         return carrier
-
-    def _handle_recovery(self, data: bytes) -> None:
-        # The rewriting gateway already translates seq/ack for both
-        # directions, so the delta must not be applied again here; the
-        # pairing is kept so the original field value stays recoverable.
-        record = wire.decode_recovery(data)
-        self.received_recovery_records.append(record)
-        key = (record.src_ip, record.src_port, record.dst_ip, record.dst_port, pk.PROTO_TCP)
-        observed = self._observed_isn.get(key)
-        if observed is not None:
-            self.recovered_isn[key] = (record.original, observed)
 
     def _handle_key_exchange(self, blob: bytes) -> None:
         msg_type, mac, payload = crypto.decode_ke_message(blob)

@@ -11,8 +11,10 @@ reassembled data.
 Every handler carries a manipulation class (how badly the write hurts
 the carrier) and a recovery class (what it takes to repair it).  A
 DESTRUCTIVE handler must either repair itself from the packet alone
-(``recover``) or be flagged for augmented correction, in which case the
-engine ships the original value to the peer as a recovery record.
+(``recover``) or be flagged for augmented correction.  Augmented
+correction here means the fusing gateway corrects the flow it rewrote:
+it shifts that flow's later sequence and acknowledgement numbers, and
+sends nothing to the peer.
 """
 
 from __future__ import annotations
@@ -373,9 +375,10 @@ def make_ipv4_checksum_handler(handler_id: int = IPV4_CHECKSUM_ID, cost: float =
 def make_tcp_isn_handler(handler_id: int = TCP_ISN_ID, cost: float = COST_HIGH) -> HandlerSpec:
     """Initial sequence number of pure SYN segments, 4 octets.
 
-    Destroys the flow's sequence space; the engine must record the
-    original value, emit it as a recovery record, and rewrite the rest
-    of the flow.  Ships disabled.
+    Destroys the flow's sequence space; the fusing gateway records the
+    shift and rewrites the rest of the flow's sequence and
+    acknowledgement numbers itself, sending nothing to the peer.  Ships
+    disabled.
     """
     return _int_field_handler(
         4, lambda p: p.tcp.seq, lambda p, value: pk.with_tcp_seq_ack(p, value, p.tcp.ack),

@@ -594,6 +594,8 @@ class Simulation:
         for name in (src, dst):
             if self._node_ip.get(name) is None:
                 raise SimError("transfer endpoint %r is not a node with an address" % name)
+        if src == dst:
+            raise SimError("transfer from %r to itself" % src)
         transfer = kind(self, src, dst, *args, next(self._flow_ports))
         self._flows[transfer.sport] = transfer
         self._schedule(start_us, transfer.start)

@@ -74,7 +74,7 @@ class NodeDef:
     workload: bool = False
     nat: bool = False
     nat_inside: Optional[str] = None
-    default_action: str = "allow"
+    default_action: Optional[str] = None  # validate_topology fills in a monitor's "allow"
 
 
 @dataclass
@@ -340,7 +340,7 @@ def validate_topology(topo: Topology) -> Topology:
         if topo.nodes[rule.node].kind != KIND_MONITOR:
             raise InvalidTopology("rules only attach to monitor nodes, %r is a %s" % (rule.node, topo.nodes[rule.node].kind))
     for node in topo.nodes.values():
-        for key, is_set, kinds in (("default", node.default_action != "allow", (KIND_MONITOR,)),
+        for key, is_set, kinds in (("default", node.default_action is not None, (KIND_MONITOR,)),
                                    ("inside", node.nat_inside is not None, (KIND_MONITOR,)),
                                    ("nat", node.nat, (KIND_MONITOR, KIND_CGATEWAY))):
             if is_set and node.kind not in kinds:
@@ -352,6 +352,8 @@ def validate_topology(topo: Topology) -> Topology:
     for node in topo.nodes.values():
         if node.mac is None:
             node.mac = _auto_mac(node.name)
+        if node.kind == KIND_MONITOR and node.default_action is None:
+            node.default_action = "allow"
         if node.kind in (KIND_HOST, KIND_CGATEWAY) and node.ip is None:
             raise InvalidTopology("node %r of kind %s needs an ip" % (node.name, node.kind))
         if node.kind == KIND_CGATEWAY:

@@ -27,20 +27,13 @@ CODE_PACKET_START = 0x01
 CODE_HANDLER_SWITCH = 0x02
 CODE_KEY_EXCHANGE = 0x03
 CODE_SESSION_RESET = 0x04
-CODE_RECOVERY = 0x05
 
-SYNC_CODES = frozenset((CODE_PACKET_START, CODE_HANDLER_SWITCH, CODE_KEY_EXCHANGE, CODE_SESSION_RESET, CODE_RECOVERY))
+SYNC_CODES = frozenset((CODE_PACKET_START, CODE_HANDLER_SWITCH, CODE_KEY_EXCHANGE, CODE_SESSION_RESET))
 
 SWITCH_MAGIC = 0xA5
 
 # TOS octet value marking a carrier that holds no secret data.
 EXCLUDE_TOS = 0xE7
-
-# Recovery record, in the field order of ``RecoveryRecord``.
-_RECOVERY = struct.Struct("!IHIHBI")
-RECOVERY_LEN = _RECOVERY.size
-
-FIELD_TCP_ISN = 5
 
 
 @dataclass(frozen=True)
@@ -107,41 +100,6 @@ def clear_exclusion(p: pk.ParsedPacket) -> pk.ParsedPacket:
     if p.ipv4 is None:
         return p
     return pk.with_ipv4(p, 0, p.ipv4.identification)
-
-
-# ---------------------------------------------------------------------------
-# Recovery records
-
-
-class MalformedRecord(Exception):
-    """Recovery record bytes of the wrong shape."""
-
-
-@dataclass(frozen=True)
-class RecoveryRecord:
-    """Original value of a destructively overwritten field.
-
-    The flow key identifies the rewritten flow; ``field_id`` names the
-    handler that did the damage; ``original`` is the pre-write value.
-    """
-
-    src_ip: int
-    src_port: int
-    dst_ip: int
-    dst_port: int
-    field_id: int
-    original: int
-
-
-def encode_recovery(record: RecoveryRecord) -> bytes:
-    return _RECOVERY.pack(record.src_ip, record.src_port, record.dst_ip, record.dst_port, record.field_id,
-                          record.original)
-
-
-def decode_recovery(octets: bytes) -> RecoveryRecord:
-    if len(octets) != RECOVERY_LEN:
-        raise MalformedRecord("recovery record must be %d octets, got %d" % (RECOVERY_LEN, len(octets)))
-    return RecoveryRecord(*_RECOVERY.unpack(octets))
 
 
 # ---------------------------------------------------------------------------

@@ -241,11 +241,10 @@ def _crafted(segment):
 
 
 @pytest.mark.parametrize("segment", [
-    # a recovery item announcing 3 octets instead of 17
-    wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 3)) + b"\x01\x02\x03",
-    # a well-formed recovery record, which a gateway without the ISN channel never sends
-    wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, wire.RECOVERY_LEN))
-    + wire.encode_recovery(wire.RecoveryRecord(0x0A000105, 40000, 0x0A000209, 80, TCP_ISN_ID, 5000)),
+    # code 0x05, which opens no item kind, announcing 3 octets
+    b"\x05\x00\x03" + b"\x01\x02\x03",
+    # code 0x05 announcing 17 octets: a flow key, a field id and an original ISN
+    b"\x05\x00\x11" + bytes.fromhex("0a0001059c400a00020900500500001388"),
     # a key exchange whose encrypted secret is garbage
     wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, crypto.KE_PREFIX + 5))
     + crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, b"\x00" * 5),
@@ -363,7 +362,8 @@ def test_reset_meets_the_peers_encrypted_secret(b_first):
     # a resets while b holds an encrypted secret for it.  When b reads the
     # reset first, the secret waits for a new key exchange, and b's fuse
     # must not raise NotEstablished; when it is already on its way, a ends
-    # it in a desync rather than deliver the ciphertext as the secret.
+    # it in a desync at its opening rather than deliver the ciphertext as
+    # the secret, and the item's second carrier opens nothing.
     a, b = _encrypted_pair()
     secret = b"attack at dawn " * 4
     b.enqueue_secret(secret)
@@ -371,7 +371,7 @@ def test_reset_meets_the_peers_encrypted_secret(b_first):
     got, desyncs = _both_ways(a, b, 10, b_first)
     assert got == []
     if b_first:
-        assert desyncs == ["undecodable data item: no symmetric key installed"]
+        assert desyncs == ["data item opened with no session", "no opening header where one was expected"]
         assert b.idle
         b.enqueue_secret(secret)
     else:
@@ -471,17 +471,17 @@ def test_key_exchange_opening_beyond_the_longest_message_is_a_desync(announced):
     assert got == secrets
 
 
-@pytest.mark.parametrize("config, reason", [
-    (EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), seed=3), "recovery item opened without the ISN channel"),
-    (EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, TCP_ISN_ID), augmented_allowed=True, seed=3),
-     "undecodable recovery item: 65535 octets announced"),
+@pytest.mark.parametrize("config", [
+    EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), seed=3),
+    EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, TCP_ISN_ID), augmented_allowed=True, seed=3),
 ], ids=["without_isn_channel", "with_isn_channel"])
-def test_recovery_opening_of_any_other_length_is_a_desync(config, reason):
-    # A record is RECOVERY_LEN octets; a forged opening announcing 65,535,
-    # taken at its word, would swallow a's stream at b.  It ends at the opening.
+def test_recovery_opening_of_any_other_length_is_a_desync(config):
+    # 0x05 once opened a recovery item; it opens nothing now, with the ISN
+    # channel or without it.  A forged 05 ff ff taken at its word would
+    # swallow a's stream at b.  It ends at the opening.
     a, b = _pair(config)
-    forged = _crafted(wire.encode_sync(wire.SyncHeader(wire.CODE_RECOVERY, 0xFFFF)))
-    with pytest.raises(DesyncError, match=reason):
+    forged = _crafted(b"\x05\xff\xff")
+    with pytest.raises(DesyncError, match="no opening header where one was expected"):
         b.extract(forged)
     rng = random.Random(67)
     secrets = [rng.randbytes(200) for _ in range(20)]
@@ -560,7 +560,35 @@ def test_key_exchange_at_a_gateway_with_encryption_off_makes_no_key():
     assert plain.idle, "no key-exchange reply may be queued"
 
 
-def test_isn_rewrite_translates_and_relays_recovery():
+@pytest.mark.parametrize("opened_before_reset, reason", [
+    (True, "undecodable data item: no session"),
+    (False, "data item opened with no session"),
+], ids=["completes_after_reset", "opens_after_reset"])
+def test_secret_item_after_a_local_reset_makes_no_key(opened_before_reset, reason):
+    # a's reset drops its session and keeps its receive cipher on, so b's
+    # item, encrypted under the old key, cannot be read.  Decrypting it
+    # used to make a's next key pair first.
+    a, b = _encrypted_pair()
+    b.enqueue_payload(random.Random(69).randbytes(1400))
+    first = b.fuse(_tcp(0, sport=43000))[0]
+    if opened_before_reset:
+        a.extract(first)
+    a.reset_session()
+    pending = [] if opened_before_reset else [first]
+    desyncs, i = [], 0
+    with _calls(crypto.generate_keypair) as keygens:
+        while pending or not b.idle:
+            i += 1
+            carrier = pending.pop() if pending else b.fuse(_tcp(i, sport=43000))[0]
+            try:
+                a.extract(carrier)
+            except DesyncError as exc:
+                desyncs.append(str(exc))
+    assert keygens[0] == 0 and a.session is None
+    assert desyncs and desyncs[0] == reason
+
+
+def test_isn_rewrite_translates_and_sends_nothing():
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True)
     tx, rx = _pair(cfg)
     tx.enqueue_secret(b"\x99")
@@ -570,6 +598,7 @@ def test_isn_rewrite_translates_and_relays_recovery():
     fused_syn, fs = tx.fuse(syn)
     assert fs.handler_id == TCP_ISN_ID and fs.sync_octets == 3 and fs.data_octets == 1
     assert fs.item_completed
+    assert tx.idle, "the rewrite queues nothing for the peer"
     delta = (fused_syn.tcp.seq - 0x11111111) & 0xFFFFFFFF
     assert tx.flow_deltas[key] == delta
 
@@ -586,19 +615,10 @@ def test_isn_rewrite_translates_and_relays_recovery():
     assert back.tcp.ack == 0x11111112
     assert pk.validate_checksums(back)
 
-    # Peer: secret arrives on the SYN itself, the recovery record on
-    # the next carrier.  Knowledge lands in the recovery table, not in
-    # the translation table, so seq/ack shifting happens exactly once.
+    # Peer: the secret arrives on the SYN itself.  Only the rewriting
+    # gateway translates, so seq/ack shifting happens exactly once.
     _, secrets, es = rx.extract(fused_syn)
     assert secrets == [b"\x99"] and es.handler_id == TCP_ISN_ID
-    fused_next, fs2 = tx.fuse(_tcp(1))
-    assert fs2.item_kind == "recovery"
-    rx.extract(fused_next)
-    assert len(rx.received_recovery_records) == 1
-    record = rx.received_recovery_records[0]
-    assert record.field_id == wire.FIELD_TCP_ISN
-    assert record.original == 0x11111111
-    assert rx.recovered_isn[key] == (0x11111111, fused_syn.tcp.seq)
     assert rx.flow_deltas == {}
     assert rx.adjust_flow(data_pkt).tcp.seq == 0x11111112
 
@@ -681,7 +701,7 @@ def test_a_plugin_at_id_5_is_not_the_isn_channel():
     assert fstats[0].handler_id == 5 and fstats[0].item_completed
     assert got == [secret]
     assert tx.flow_deltas == {}
-    assert tx.idle, "no recovery item may be queued"
+    assert tx.idle, "a write at a plug-in id 5 queues nothing after its item"
 
 
 def test_augmented_correction_refuses_a_plugin_at_id_5_that_is_not_on_pure_syns():

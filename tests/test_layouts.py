@@ -1,7 +1,7 @@
 """Each in-band layout against the hand-written codec it replaced.
 
-The sync header, the recovery record and the key-exchange prefix are
-each one ``struct.Struct`` now.  The functions below are the codecs as
+The sync header and the key-exchange prefix are each one
+``struct.Struct`` now.  The functions below are the codecs as
 they were before that, kept verbatim as references: the new ones must
 give the same bytes, the same values and the same refusals.
 """
@@ -16,12 +16,9 @@ import stegnet.wire as wire
 from stegnet.crypto import CryptoError
 from stegnet.wire import (
     CODE_HANDLER_SWITCH,
-    RECOVERY_LEN,
     SWITCH_MAGIC,
     SYNC_CODES,
     SYNC_SIZE,
-    MalformedRecord,
-    RecoveryRecord,
 )
 
 KE_PREFIX = 9
@@ -52,31 +49,6 @@ def decode_sync(octets: bytes) -> Optional[SyncHeader]:
     if code == CODE_HANDLER_SWITCH and octets[1] != SWITCH_MAGIC:
         return None
     return SyncHeader(code, data)
-
-
-def encode_recovery(record: RecoveryRecord) -> bytes:
-    out = bytearray()
-    out += record.src_ip.to_bytes(4, "big")
-    out += record.src_port.to_bytes(2, "big")
-    out += record.dst_ip.to_bytes(4, "big")
-    out += record.dst_port.to_bytes(2, "big")
-    out.append(record.field_id)
-    out += record.original.to_bytes(4, "big")
-    assert len(out) == RECOVERY_LEN
-    return bytes(out)
-
-
-def decode_recovery(octets: bytes) -> RecoveryRecord:
-    if len(octets) != RECOVERY_LEN:
-        raise MalformedRecord("recovery record must be %d octets, got %d" % (RECOVERY_LEN, len(octets)))
-    return RecoveryRecord(
-        src_ip=int.from_bytes(octets[0:4], "big"),
-        src_port=int.from_bytes(octets[4:6], "big"),
-        dst_ip=int.from_bytes(octets[6:10], "big"),
-        dst_port=int.from_bytes(octets[10:12], "big"),
-        field_id=octets[12],
-        original=int.from_bytes(octets[13:17], "big"),
-    )
 
 
 def encode_ke_message(msg_type: int, mac: bytes, payload: bytes) -> bytes:
@@ -113,7 +85,7 @@ def _as_tuple(header):
 
 
 def test_sizes_match_the_references():
-    assert (wire.SYNC_SIZE, wire.RECOVERY_LEN, cr.KE_PREFIX) == (3, 17, KE_PREFIX)
+    assert (wire.SYNC_SIZE, cr.KE_PREFIX) == (3, KE_PREFIX)
 
 
 def test_sync_decode_matches_the_reference_on_every_prefix():
@@ -134,21 +106,6 @@ def test_sync_encode_matches_the_reference():
             expected = _outcome(encode_sync, SyncHeader(code, data))
             assert _outcome(wire.encode_sync, wire.SyncHeader(code, data)) == expected
             assert (expected is ValueError) == (code not in SYNC_CODES or not 0 <= data <= 0xFFFF)
-
-
-def test_recovery_codec_matches_the_reference():
-    rng = random.Random(17)
-    for _ in range(20000):
-        record = RecoveryRecord(
-            src_ip=rng.randrange(1 << 32), src_port=rng.randrange(1 << 16),
-            dst_ip=rng.randrange(1 << 32), dst_port=rng.randrange(1 << 16),
-            field_id=rng.randrange(256), original=rng.randrange(1 << 32),
-        )
-        octets = wire.encode_recovery(record)
-        assert octets == encode_recovery(record)
-        assert wire.decode_recovery(octets) == decode_recovery(octets) == record
-        noise = rng.randbytes(rng.choice((0, 16, 17, 17, 18)))
-        assert _outcome(wire.decode_recovery, noise) == _outcome(decode_recovery, noise)
 
 
 def test_ke_codec_matches_the_reference():

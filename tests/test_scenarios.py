@@ -3,6 +3,7 @@
 import pytest
 
 from stegnet.calibration import CalibrationPlan, CalibrationResult, RunSpec, calibrate_handler
+from stegnet.engine import CovertGateway, EngineConfig
 from stegnet.report import SessionReport, parse_report, render_report, write_report
 from stegnet.scenarios import (
     EmptyBase,
@@ -10,6 +11,7 @@ from stegnet.scenarios import (
     calibration_report,
     line_topology,
     mean_abs_distance,
+    run_transfer,
     scenario_firewall_bypass,
     scenario_impersonation,
     scenario_nat_bypass,
@@ -19,6 +21,7 @@ from stegnet.scenarios import (
     simulation_runner,
     stability_distance,
 )
+from stegnet.simnet import MICROS, Simulation
 
 
 def test_stability_distance_zero_against_itself():
@@ -133,11 +136,40 @@ def test_simulation_runner_modes():
         run(RunSpec(mode="sideways", **common))
 
 
-def test_calibrating_the_isn_handler_measures_it():
-    # Handler 5 carries only in SYNs, which it may take only with augmented correction allowed.
+def test_calibrating_the_isn_handler_measures_it(monkeypatch):
+    # Handler 5 carries only in SYNs, which it may take only with augmented
+    # correction allowed.  So its target runs write it, and handler 2's,
+    # whose augmented runs divert to it, do not.
+    fuse, sink = CovertGateway.fuse, [set()]
+
+    def recording_fuse(self, carrier):
+        fused, stats = fuse(self, carrier)
+        sink[0].add(stats.handler_id)
+        return fused, stats
+
+    monkeypatch.setattr(CovertGateway, "fuse", recording_fuse)
+    run, target = simulation_runner(max_virtual_s=30), {2: set(), 5: set()}
+
+    def runner(spec):
+        sink[0] = target[spec.handler_id] if spec.mode == "target" else set()
+        return run(spec)
+
     plan = CalibrationPlan(sessions=1, bandwidth_levels=(8000, 16000), payload_octets=1000)
-    times = {h: calibrate_handler(simulation_runner(max_virtual_s=30), h, plan=plan, seed=1).times for h in (2, 5)}
-    assert times[5] != times[2]
+    for handler_id in target:
+        calibrate_handler(runner, handler_id, plan=plan, seed=1)
+    assert 5 in target[5] and 5 not in target[2]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("gateway_nat", [False, True], ids=["plain", "gateway_nat"])
+def test_isn_rewrites_keep_the_transfer_whole(gateway_nat, seed):
+    # The fusing gateway corrects each flow whose SYN it rewrote and
+    # tells its peer nothing; the secret still arrives whole and in step.
+    config = EngineConfig(enabled_handlers=(1, 2, 5), augmented_allowed=True, augment_probability=0.25, seed=seed)
+    sim = Simulation(line_topology(visible_users=4, gateway_nat=gateway_nat), engine_config=config, seed=seed)
+    transfer = run_transfer(sim, "secret_a", "secret_b", 20_000, 20 * MICROS)
+    assert transfer.delivered_digest == transfer.sent_digest and sim.desync_count == 0
+    assert sim.gateways["gw_a"].flow_deltas, "the ISN channel must have written"
 
 
 def test_calibration_report_round_trip(tmp_path):

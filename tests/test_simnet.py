@@ -450,6 +450,16 @@ def test_a_transfer_refuses_an_endpoint_without_an_address(add, src, dst, bad):
     assert add(sim, "secret_a", "secret_b").sport == 41000
 
 
+@pytest.mark.parametrize("add", [lambda sim, name: sim.add_bulk_transfer(name, name, 2000),
+                                 lambda sim, name: sim.add_paced_transfer(name, name, 1)], ids=["bulk", "paced"])
+def test_a_transfer_refuses_a_host_sending_to_itself(add):
+    # Such a transfer used to be accepted and then deliver nothing until the run's deadline.
+    sim = _sim(seed=1)
+    with pytest.raises(SimError, match="transfer from 'secret_a' to itself"):
+        add(sim, "secret_a")
+    assert not sim._flows
+
+
 def test_translated_replies_reach_the_secret_host_at_its_own_mac():
     sim = Simulation(line_topology(visible_users=1, gateway_nat=True), workload=WorkloadSpec(), seed=4,
                      capture_nodes=("secret_a",))

@@ -251,6 +251,7 @@ def test_nat_monitor_needs_inside():
     "extra,key",
     [
         ("[policy]\nnode = gw_b\ndefault = drop", "default"),
+        ("[policy]\nnode = h_b\ndefault = allow", "default"),
         ("[policy]\nnode = gw_b\ninside = h_b", "inside"),
         ("[policy]\nnode = h_b\nnat = true", "nat"),
         ("[node]\nname = r1\nkind = router\n[policy]\nnode = r1\nnat = true", "nat"),
@@ -259,6 +260,12 @@ def test_nat_monitor_needs_inside():
 def test_policy_keys_only_on_kinds_that_read_them(extra, key):
     with pytest.raises(InvalidTopology, match="policy key '%s' only applies" % key):
         _load(MINIMAL + extra)
+
+
+def test_a_monitor_without_a_default_allows():
+    topo = _load(MINIMAL + "[node]\nname = m1\nkind = monitor")
+    assert topo.nodes["m1"].default_action == "allow"
+    assert topo.nodes["h_b"].default_action is None
 
 
 def test_disconnected_gateways_rejected():

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 import stegnet.packet as pk
 import stegnet.wire as wire
 from stegnet.engine import CovertGateway, EngineConfig
@@ -181,24 +179,3 @@ def test_plan_reset_opens_on_no_region_below_header_plus_one():
         assert stats.excluded == (size <= wire.SYNC_SIZE)
     assert (stats.item_kind, stats.sync_octets, stats.data_octets) == ("reset", wire.SYNC_SIZE, 0)
     assert stats.item_completed and gateway.idle
-
-
-def test_recovery_record_round_trip():
-    rng = random.Random(4)
-    for _ in range(300):
-        record = wire.RecoveryRecord(
-            src_ip=rng.randrange(1 << 32), src_port=rng.randrange(1 << 16),
-            dst_ip=rng.randrange(1 << 32), dst_port=rng.randrange(1 << 16),
-            field_id=rng.randrange(256), original=rng.randrange(1 << 32),
-        )
-        octets = wire.encode_recovery(record)
-        assert len(octets) == wire.RECOVERY_LEN == 17
-        assert wire.decode_recovery(octets) == record
-
-
-def test_recovery_record_malformed():
-    with pytest.raises(wire.MalformedRecord):
-        wire.decode_recovery(b"\x00" * 5)
-    good = wire.encode_recovery(wire.RecoveryRecord(1, 2, 3, 4, 5, 6))
-    with pytest.raises(wire.MalformedRecord):
-        wire.decode_recovery(good + b"\x00")
