@@ -71,11 +71,11 @@ TRACE_PAYLOAD = 40_000
 FUSED_DIGEST = "f089ac3c091916a003028c3f297e8ebf94547507bdbe2d68a357462c71196ee0"
 REPAIRED_DIGEST = "d88faba42cd58921418e9a128fac54b37939fac4c69f37e6fe3a3518ec412618"
 # All five handlers with the ISN channel allowed and a quarter of the
-# eligible carriers diverted to it: handler switches, recovery records
-# and the augment path all reach the wire.
+# eligible carriers diverted to it: handler switches and the augment
+# path both reach the wire.
 SWITCHING_PAYLOAD = 20_000
-SWITCHING_FUSED_DIGEST = "93eec3037df7da8e2cc64adc37e8e0a212d7678c0a705354630c4b7937da3d0a"
-SWITCHING_REPAIRED_DIGEST = "90e0dbd1c30a73bb4a68334ed599c25b7efbdae88c09d8690529fd1b7caaac1f"
+SWITCHING_FUSED_DIGEST = "9474a2fc0c67236fd77a21860dec09e720a438f34f3464b22bc368d8c2bfc2db"
+SWITCHING_REPAIRED_DIGEST = "8c28bd9e7297782fe08ce66de65027c9d1d93a3c170600ba909ea39f27538d51"
 # One encrypted gateway pair trading carriers both ways: every fused
 # frame, so the key exchange's sync headers are pinned as well as the
 # encrypted items' octets.
