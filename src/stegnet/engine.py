@@ -491,10 +491,10 @@ class CovertGateway:
         if self.config.encryption and not self._rx_cipher_active:
             # The peer encrypts every data item, so one that opens here
             # (after a forged reset, say) is refused, not delivered as ciphertext.
-            self._desync(carrier, "%s item opened with the receive cipher off" % kind)
+            self._desync(carrier, "data item opened with the receive cipher off")
         if self.config.encryption and self._session is None:
             # A local reset dropped the key it would be decrypted under.
-            self._desync(carrier, "%s item opened with no session" % kind)
+            self._desync(carrier, "data item opened with no session")
         return _RxItem(kind=kind, encrypted=self.config.encryption, expected=header.data)
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
