@@ -235,7 +235,10 @@ class CovertGateway:
         """Queue an in-band session reset and drop local cipher state.
 
         Receive decryption stays on: items the peer encrypted before it
-        reads the reset end in a desync, not as ciphertext delivered."""
+        reads the reset end in a desync, not as ciphertext delivered.
+        Queued secrets wait for a new key exchange, which both sides
+        start once both sessions are gone and no reset or key-exchange
+        message is left to send either way."""
         self._queue.append(_TxItem(kind=ITEM_RESET, payload=b""))
         self._cipher_boundary = False
         self._session = None
@@ -539,15 +542,21 @@ class CovertGateway:
     def _handle_key_exchange(self, blob: bytes) -> None:
         msg_type, mac, payload = crypto.decode_ke_message(blob)
         # The peer sends one public key per session (a reset drops the
-        # session) and never sends the generator a secret: anything else
-        # is refused before it changes any state.
-        if self._session is not None:
-            if msg_type == crypto.KE_PUBKEY and self._session.peer_public is not None:
-                raise crypto.CryptoError("public key already received in this session")
-            if msg_type == crypto.KE_SYMKEY and self._session.role == crypto.ROLE_GENERATOR:
-                raise crypto.CryptoError("secret sent to the generator")
-        session = self._ensure_session()
+        # session), answers only a session this side holds, and never
+        # sends the generator a secret: anything else is refused before
+        # it changes any state.  Only a public key makes a session.
+        session = self._session
         if msg_type == crypto.KE_PUBKEY:
+            if session is not None and session.peer_public is not None:
+                raise crypto.CryptoError("public key already received in this session")
+        elif msg_type not in (crypto.KE_SYMKEY, crypto.KE_CIPHER_ON):
+            raise crypto.CryptoError("unknown message type %#04x" % msg_type)
+        elif session is None:
+            raise crypto.CryptoError("message type %#04x with no session" % msg_type)
+        elif msg_type == crypto.KE_SYMKEY and session.role == crypto.ROLE_GENERATOR:
+            raise crypto.CryptoError("secret sent to the generator")
+        if msg_type == crypto.KE_PUBKEY:
+            session = self._ensure_session()
             session.peer_public = crypto.RsaPublicKey.from_bytes(payload)
             if crypto.choose_generator(self.local_mac, mac):
                 secret = self._rng.randbytes(crypto.SECRET_LEN)

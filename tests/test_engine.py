@@ -588,6 +588,41 @@ def test_secret_item_after_a_local_reset_makes_no_key(opened_before_reset, reaso
     assert desyncs and desyncs[0] == reason
 
 
+@pytest.mark.parametrize("message, reason", [
+    (crypto.encode_ke_message(0x07, MAC_HIGH, b""), "unknown message type 0x07"),
+    (crypto.encode_ke_message(crypto.KE_CIPHER_ON, MAC_HIGH, b""), "message type 0x03 with no session"),
+    (crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, bytes(5)), "message type 0x02 with no session"),
+], ids=["unknown_type", "cipher_on", "short_secret"])
+def test_only_a_public_key_makes_a_session(message, reason):
+    # Encryption on and no session: anything but a peer's public key is
+    # refused before it changes any state.  Each used to make a key pair.
+    gateway = CovertGateway("gw_b", "gw_a", EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True,
+                                                         seed=202), local_mac=MAC_LOW)
+    opening = wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, len(message)))
+    with _calls(crypto.generate_keypair) as keygens:
+        with pytest.raises(DesyncError, match="undecodable key_exchange item: %s" % reason):
+            gateway.extract(_crafted(opening + message))
+    assert keygens[0] == 0 and gateway.session is None
+    assert not gateway._rx_cipher_active and gateway.idle
+
+
+def test_cipher_on_after_the_generators_reset_makes_no_key():
+    # a, the generator, resets while b's cipher-on is on its way: a
+    # refuses it, and neither makes a session nor turns its cipher on.
+    cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True, seed=101)
+    a = CovertGateway("gw_a", "gw_b", cfg, local_mac=MAC_HIGH)
+    b = CovertGateway("gw_b", "gw_a", replace(cfg, seed=202), local_mac=MAC_LOW)
+    a.start_key_exchange()
+    b.start_key_exchange()
+    assert _forge_key_exchange(a, b) == _forge_key_exchange(b, a) == []
+    assert _forge_key_exchange(a, b) == [] and b.session_established
+    a.reset_session()
+    with _calls(crypto.generate_keypair) as keygens:
+        desyncs = _forge_key_exchange(b, a)
+    assert desyncs == ["undecodable key_exchange item: message type 0x03 with no session"]
+    assert keygens[0] == 0 and a.session is None and not a._rx_cipher_active
+
+
 def test_isn_rewrite_translates_and_sends_nothing():
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True)
     tx, rx = _pair(cfg)
