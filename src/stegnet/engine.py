@@ -52,12 +52,17 @@ ITEM_DATA = "data"
 ITEM_KEY_EXCHANGE = "key_exchange"
 ITEM_RESET = "reset"
 
-# The sync code that opens each item kind, and back.  Every opening
-# announces its item's wire length, 0 for a reset.  Data items are
-# encrypted once the cipher is on; the others stay plaintext.
-_OPENING_CODE = {ITEM_DATA: wire.CODE_PACKET_START, ITEM_KEY_EXCHANGE: wire.CODE_KEY_EXCHANGE,
-                 ITEM_RESET: wire.CODE_SESSION_RESET}
-_OPENED_KIND = {code: kind for kind, code in _OPENING_CODE.items()}
+# Each item kind: the sync code that opens it, then the least and the
+# most octets its opening may announce as the item's wire length.  An
+# opening outside them is not the peer's, and taken at its word it
+# would swallow the peer's stream.  Data items are encrypted once the
+# cipher is on; the others stay plaintext.
+_KINDS = {
+    ITEM_DATA: (wire.CODE_PACKET_START, 1, 0xFFFF),
+    ITEM_KEY_EXCHANGE: (wire.CODE_KEY_EXCHANGE, crypto.KE_PREFIX, crypto.KE_LONGEST),
+    ITEM_RESET: (wire.CODE_SESSION_RESET, 0, 0),
+}
+_OPENED_KIND = {code: kind for kind, (code, _, _) in _KINDS.items()}
 
 _SEQ_MASK = 0xFFFFFFFF
 
@@ -130,14 +135,10 @@ class _TxItem:
     wire_bytes: bytes = b""
     sent: int = 0
 
-    def opening(self) -> wire.SyncHeader:
-        return wire.SyncHeader(_OPENING_CODE[self.kind], len(self.wire_bytes))
-
 
 @dataclass
 class _RxItem:
     kind: str
-    encrypted: bool
     expected: int
     buf: bytearray = field(default_factory=bytearray)
 
@@ -186,7 +187,6 @@ class CovertGateway:
         self._queue: Deque[_TxItem] = deque()
         self._tx_item: Optional[_TxItem] = None
         self._tx_cursor = wire.SegmentCursor()
-        self._cipher_boundary = False
 
         self._rx_item: Optional[_RxItem] = None
         self._rx_cursor = wire.SegmentCursor()
@@ -240,7 +240,6 @@ class CovertGateway:
         start once both sessions are gone and no reset or key-exchange
         message is left to send either way."""
         self._queue.append(_TxItem(kind=ITEM_RESET, payload=b""))
-        self._cipher_boundary = False
         self._session = None
 
     @property
@@ -270,9 +269,9 @@ class CovertGateway:
     def _next_item(self) -> Optional[_TxItem]:
         """The item in flight, else the next one, opened here, or None.
 
-        Under encryption, data items wait for the cipher boundary and
-        every other item opens ahead of them, so none of them leaves in
-        plaintext; each is encrypted as it opens."""
+        Under encryption, data items wait for an established session
+        and every other item opens ahead of them, so none of them
+        leaves in plaintext; each is encrypted as it opens."""
         if self._tx_item is not None:
             return self._tx_item
         queue = self._queue
@@ -281,12 +280,12 @@ class CovertGateway:
         item = queue[0]
         if self.config.encryption and item.kind == ITEM_DATA:
             item = next((queued for queued in queue if queued.kind != ITEM_DATA),
-                        item if self._cipher_boundary else None)
+                        item if self.session_established else None)
             if item is None:
                 return None
         queue.remove(item)
         if self.config.encryption and item.kind == ITEM_DATA:
-            item.wire_bytes = self._ensure_session().encrypt_item(item.payload)
+            item.wire_bytes = self._session.encrypt_item(item.payload)
         else:
             item.wire_bytes = item.payload
         item.sent = 0
@@ -340,7 +339,7 @@ class CovertGateway:
             return self._exclude(carrier, stats)
         sync = b""
         if opening:
-            sync = wire.encode_sync(item.opening())
+            sync = wire.encode_sync(wire.SyncHeader(_KINDS[item.kind][0], len(item.wire_bytes)))
         elif room < capacity:
             sync = wire.encode_sync(wire.switch_header(spec.id))
         n = min(room, len(item.wire_bytes) - item.sent)
@@ -456,12 +455,12 @@ class CovertGateway:
             self._rx_item = None
             try:
                 data = bytes(item.buf)
-                if item.encrypted:
-                    if self._session is None:
-                        # A local reset dropped the key; a new session would hold none either.
-                        raise crypto.NotEstablished("no session")
-                    data = self._session.decrypt_item(data)
                 if item.kind == ITEM_DATA:
+                    if self.config.encryption:
+                        if self._session is None:
+                            # A local reset dropped the key; a new session would hold none either.
+                            raise crypto.NotEstablished("no session")
+                        data = self._session.decrypt_item(data)
                     secrets.append(data)
                     self.counters["secret_octets_delivered"] += len(data)
                     self.counters["secret_packets_delivered"] += 1
@@ -469,7 +468,7 @@ class CovertGateway:
                     self._handle_key_exchange(data)
                 else:
                     # A reset: queued secrets wait for a new key exchange, as at the peer.
-                    self._rx_cipher_active = self._cipher_boundary = False
+                    self._rx_cipher_active = False
                     self._session = None
             except crypto.CryptoError as exc:
                 self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
@@ -479,26 +478,22 @@ class CovertGateway:
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
         # _rx_open passes no switch; every other code opens an item of the length it announces.
         kind = _OPENED_KIND[header.code]
-        if kind == ITEM_RESET and header.data:
-            self._desync(carrier, "reset opened announcing %d octets" % header.data)
+        _, least, most = _KINDS[kind]
+        if not least <= header.data <= most:
+            self._desync(carrier, "undecodable %s item: %d octets announced" % (kind, header.data))
         if kind == ITEM_KEY_EXCHANGE and not self.config.encryption:
             # Its peer never sends one; answering would make an RSA key.
             self._desync(carrier, "%s item opened with encryption off" % kind)
-        if kind == ITEM_KEY_EXCHANGE and not crypto.KE_PREFIX <= header.data <= crypto.KE_LONGEST:
-            # Taken at its word, a forged length would swallow the peer's stream.
-            self._desync(carrier, "undecodable %s item: %d octets announced" % (kind, header.data))
-        if kind != ITEM_DATA:
-            return _RxItem(kind=kind, encrypted=False, expected=header.data)
-        if header.data < 1:
-            self._desync(carrier, "zero-length packet announcement")
-        if self.config.encryption and not self._rx_cipher_active:
+        if kind != ITEM_DATA or not self.config.encryption:
+            return _RxItem(kind=kind, expected=header.data)
+        if not self._rx_cipher_active:
             # The peer encrypts every data item, so one that opens here
             # (after a forged reset, say) is refused, not delivered as ciphertext.
             self._desync(carrier, "data item opened with the receive cipher off")
-        if self.config.encryption and self._session is None:
+        if self._session is None:
             # A local reset dropped the key it would be decrypted under.
             self._desync(carrier, "data item opened with no session")
-        return _RxItem(kind=kind, encrypted=self.config.encryption, expected=header.data)
+        return _RxItem(kind=kind, expected=header.data)
 
     def _rx_open(self, carrier: pk.ParsedPacket, scan: List[HandlerSpec], mult: int):
         for spec in scan:
@@ -565,7 +560,6 @@ class CovertGateway:
                     crypto.KE_SYMKEY, self.local_mac, crypto.rsa_encrypt(session.peer_public, secret)
                 )
                 self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
-                self._cipher_boundary = True
             else:
                 session.role = crypto.ROLE_RECEIVER
         elif msg_type == crypto.KE_SYMKEY:
@@ -573,7 +567,6 @@ class CovertGateway:
             session.install_secret(secret, crypto.ROLE_RECEIVER)
             message = crypto.encode_ke_message(crypto.KE_CIPHER_ON, self.local_mac, b"")
             self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
-            self._cipher_boundary = True
             self._rx_cipher_active = True
         elif msg_type == crypto.KE_CIPHER_ON:
             self._rx_cipher_active = True

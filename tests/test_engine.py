@@ -235,6 +235,34 @@ def test_desync_drops_only_inflight_item():
     assert got == [kept]
 
 
+def test_a_carrier_the_active_handler_cannot_ride_is_a_desync():
+    # a's item opened on handler 1 with two candidates, so every later
+    # handler change is announced.  A third party's echo request matches
+    # only handler 2 and announces no switch: b cannot read it as a's.
+    a, b = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, IPV4_CHECKSUM_ID), seed=3))
+    a.enqueue_secret(bytes(1000))
+    fused, fs = a.fuse(_tcp(0))
+    assert fs.handler_id == TCP_OPTIONS_ID and len(a.registry.match(_tcp(0))) == 2
+    b.extract(fused)
+    echo = pk.build_icmp_echo("10.0.7.7", "10.0.2.9", identifier=3, sequence=1, payload=bytes(range(56)))
+    sent = pk.serialize_packet(echo)
+    with pytest.raises(DesyncError, match="^active handler does not match carrier and no switch announced$") as err:
+        b.extract(echo)
+    assert pk.serialize_packet(err.value.forwarded) == sent
+
+    # The rest of the interrupted item desyncs; the next one arrives whole.
+    kept = random.Random(70).randbytes(300)
+    a.enqueue_secret(kept)
+    got, i = [], 0
+    while not a.idle:
+        i += 1
+        try:
+            got += b.extract(a.fuse(_tcp(i))[0])[1]
+        except DesyncError:
+            pass
+    assert got == [kept]
+
+
 def _crafted(segment):
     """A TCP carrier whose options region holds ``segment`` verbatim."""
     return build_registry(enabled=(TCP_OPTIONS_ID,)).get(TCP_OPTIONS_ID).writer(_tcp(0), segment)
@@ -416,7 +444,7 @@ def test_reset_announcing_octets_is_a_desync_that_keeps_the_session(announced):
     session = b.session
     forged = b.registry.get(TCP_OPTIONS_ID).writer(
         _tcp(7), wire.encode_sync(wire.SyncHeader(wire.CODE_SESSION_RESET, announced)))
-    with pytest.raises(DesyncError, match="reset opened announcing %d octets" % announced):
+    with pytest.raises(DesyncError, match="undecodable reset item: %d octets announced" % announced):
         b.extract(forged)
     assert b.session is session and b.session_established
     secret = random.Random(66).randbytes(64)
