@@ -93,7 +93,8 @@ _ETH = struct.Struct("!6s6sH")
 _IPV4 = struct.Struct("!BBHHHBBHII")
 # Ethernet plus the fixed IPv4 header; addresses are integers in both.
 _ETH_IPV4 = struct.Struct(_ETH.format + _IPV4.format[1:])
-_TCP = struct.Struct("!HHIIBBHHH")
+# TCP octets 12-13 are one field: the data offset over ``Tcp.flags``.
+_TCP = struct.Struct("!HHIIHHHH")
 _UDP = struct.Struct("!HHHH")
 _ICMP = struct.Struct("!BBHHH")
 # The fused shapes (see the module docstring).
@@ -193,6 +194,10 @@ class Ipv4:
 
 @dataclass(frozen=True, slots=True)
 class Tcp:
+    """A TCP header.  ``flags`` is the 12 bits after the data offset, as
+    Wireshark's ``tcp.flags`` is: the reserved nibble (its low bit is
+    RFC 3540's NS, AccECN's AE) over the eight control bits."""
+
     src_port: int
     dst_port: int
     seq: int
@@ -342,7 +347,7 @@ def _transport_sum(src: int, dst: int, t: Transport, length: int, payload: bytes
     payload); ``transport_checksum`` documents the rules."""
     if isinstance(t, Tcp):
         head = _PSEUDO_TCP.pack(src, dst, PROTO_TCP, length, t.src_port, t.dst_port, t.seq, t.ack,
-                                _tcp_offset(t.options), t.flags, t.window, 0, t.urgent)
+                                _tcp_offset_flags(t), t.window, 0, t.urgent)
         return checksum16(b"".join((head, t.options, payload)))
     if isinstance(t, Udp):
         head = _PSEUDO.pack(src, dst, PROTO_UDP, length) + _UDP.pack(t.src_port, t.dst_port, length, 0)
@@ -450,17 +455,20 @@ def _ipv4_header_bytes(p: ParsedPacket, checksum: Optional[int] = None) -> bytes
     return head + ip.options
 
 
-def _tcp_offset(options: bytes) -> int:
-    """The data-offset octet of a TCP header over ``options``: the
-    header length in words, in the high nibble."""
+def _tcp_offset_flags(tcp: Tcp) -> int:
+    """Octets 12-13 of ``tcp``: the header length in words in the top
+    four bits, over the 12 flag bits."""
+    options = tcp.options
     if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
-    return (_TCP.size + len(options)) // 4 << 4
+    if tcp.flags >> 12:
+        raise PacketError("TCP flags %#x exceed 12 bits" % tcp.flags)
+    return (_TCP.size + len(options)) // 4 << 12 | tcp.flags
 
 
 def _tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
-    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, _tcp_offset(tcp.options), tcp.flags, tcp.window,
-                     checksum, tcp.urgent)
+    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, _tcp_offset_flags(tcp), tcp.window, checksum,
+                     tcp.urgent)
     return head + tcp.options
 
 
@@ -485,11 +493,10 @@ def serialize_packet(p: ParsedPacket) -> bytes:
     if ihl == 5:
         # No IPv4 options: Ethernet, IPv4 and the transport header in one pack.
         if isinstance(t, Tcp):
-            offset = _tcp_offset(t.options)
             head = _ETH_IPV4_TCP.pack(link.dst_mac, link.src_mac, link.ethertype, _VERSION_IHL_5, ip.tos, total,
                                       ip.identification, ip.flags << 13 | ip.frag_offset, ip.ttl, ip.protocol,
                                       ip.header_checksum, ip.src_ip, ip.dst_ip, t.src_port, t.dst_port, t.seq, t.ack,
-                                      offset, t.flags, t.window, t.checksum, t.urgent)
+                                      _tcp_offset_flags(t), t.window, t.checksum, t.urgent)
             return b"".join((head, t.options, p.app_payload, p.link_trailer))
         if isinstance(t, Udp):
             head = _ETH_IPV4_UDP.pack(link.dst_mac, link.src_mac, link.ethertype, _VERSION_IHL_5, ip.tos, total,
@@ -533,24 +540,22 @@ def parse_packet(data: bytes) -> ParsedPacket:
     size = len(data)
     # A frame of Ethernet, IPv4 without options and one TCP, UDP or ICMP
     # header is read with one struct call when each length agrees with
-    # the next.  Every other frame, malformed ones included, and one that
-    # fails any of these checks takes the general path below.  Each
-    # carries ``data`` as its frame, except a TCP one with a bit of the
-    # reserved nibble set: the data-offset octet keeps only its high
-    # nibble, so such a frame serializes with those bits cleared.
+    # the next, and carries ``data`` as its frame.  Every other frame,
+    # malformed ones included, and one that fails any of these checks
+    # takes the general path below.
     if size >= _UDP_FRAME:
         proto = data[_PROTO_AT]
         if proto == PROTO_TCP and size >= _TCP_FRAME:
             (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, sport, dport,
-             seq, ack, off_bits, flags, window, chk, urg) = _ETH_IPV4_TCP.unpack_from(data)
-            end, start = ETHER_SIZE + total, _ETH_IPV4.size + (off_bits >> 4) * 4
+             seq, ack, offset_flags, window, chk, urg) = _ETH_IPV4_TCP.unpack_from(data)
+            end, start = ETHER_SIZE + total, _ETH_IPV4.size + (offset_flags >> 12) * 4
             if (ethertype == ETHERTYPE_IPV4 and ver_ihl == _VERSION_IHL_5 and total >= _TCP_FRAME - ETHER_SIZE
-                    and end <= size and off_bits >> 4 >= 5 and start <= end):
+                    and end <= size and offset_flags >> 12 >= 5 and start <= end):
                 return _new_packet(
                     _new_ethernet(dst, src, ethertype),
                     _new_ipv4(tos, ident, flags_frag >> 13, flags_frag & 0x1FFF, ttl, proto, hchk, src_ip, dst_ip, b""),
-                    _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[_TCP_FRAME:start]),
-                    data[start:end], data[end:], total, None if off_bits & 0x0F else data)
+                    _new_tcp(sport, dport, seq, ack, offset_flags & 0x0FFF, window, chk, urg, data[_TCP_FRAME:start]),
+                    data[start:end], data[end:], total, data)
         elif proto == PROTO_UDP:
             (dst, src, ethertype, ver_ihl, tos, total, ident, flags_frag, ttl, _, hchk, src_ip, dst_ip, sport, dport,
              length, chk) = _ETH_IPV4_UDP.unpack_from(data)
@@ -604,11 +609,12 @@ def parse_packet(data: bytes) -> ParsedPacket:
     if proto == PROTO_TCP:
         if end - start < _TCP.size:
             raise Truncated("TCP header truncated")
-        sport, dport, seq, ack, off_bits, flags, window, chk, urg = _TCP.unpack_from(data, start)
-        offset = (off_bits >> 4) * 4
+        sport, dport, seq, ack, offset_flags, window, chk, urg = _TCP.unpack_from(data, start)
+        offset = (offset_flags >> 12) * 4
         if offset < _TCP.size or start + offset > end:
             raise Truncated("TCP data offset inconsistent with segment")
-        transport = _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[start + _TCP.size : start + offset])
+        transport = _new_tcp(sport, dport, seq, ack, offset_flags & 0x0FFF, window, chk, urg,
+                             data[start + _TCP.size : start + offset])
         payload = data[start + offset : end]
     elif proto == PROTO_UDP:
         if end - start < _UDP.size:

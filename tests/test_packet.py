@@ -18,7 +18,7 @@ from stegnet import handlers
 from stegnet import trace as tr
 from stegnet.packet import (
     ETHER_SIZE, ETHERTYPE_IPV4, MAX_TCP_OPTIONS, PROTO_ICMP, PROTO_TCP, PROTO_UDP, _ETH, _ETH_IPV4, _ICMP, _PSEUDO,
-    _TCP, _UDP, BadVersion, Icmp, OptionsOverflow, ParsedPacket, Tcp, Transport, Truncated, Udp, UnsupportedProtocol,
+    _UDP, BadVersion, Icmp, OptionsOverflow, ParsedPacket, Tcp, Transport, Truncated, Udp, UnsupportedProtocol,
     _icmp_bytes, _ipv4_lengths, _new_ethernet, _new_icmp, _new_ipv4, _new_packet, _new_tcp, _new_udp, checksum16,
 )
 from stegnet.wire import clear_exclusion, mark_excluded
@@ -194,6 +194,20 @@ def test_serialize_refuses_what_the_ipv4_header_cannot_state():
             pk.serialize_packet(replace(p, ipv4=replace(p.ipv4, options=bytes(6))))
 
 
+def test_tcp_flags_hold_the_reserved_nibble():
+    # Octets 12-13 are the data offset over 12 flag bits; a 13th bit
+    # would overwrite the offset, so it is refused.
+    p = pk.build_tcp("10.0.0.1", "10.0.0.2", 1, 2, flags=0x100 | pk.TCP_ACK)
+    frame = pk.serialize_packet(p)
+    assert frame[46:48] == bytes((0x51, 0x10)) and pk.validate_checksums(p)
+    assert pk.parse_packet(frame) == p and pk.serialize_packet(replace(p)) == frame
+    wide = replace(p, transport=replace(p.tcp, flags=0x1000))
+    for make in (lambda: pk.build_tcp("10.0.0.1", "10.0.0.2", 1, 2, flags=0x1000),
+                 lambda: pk.serialize_packet(wide), lambda: pk.transport_checksum(wide)):
+        with pytest.raises(pk.PacketError, match="TCP flags 0x1000 exceed 12 bits"):
+            make()
+
+
 OVERSIZE_ENTRIES = {
     "transport_checksum": pk.transport_checksum,
     "fix_checksums": pk.fix_checksums,
@@ -340,6 +354,10 @@ def test_positional_constructor_builds_the_dataclass(layer, data):
 # The codec as it was before it read and wrote the common frame shape
 # with one struct call, copied verbatim but for the names: the reference
 # that both of the library's paths, fused and general, must agree with.
+# Its TCP header keeps its own copy of the layout of that time, with the
+# data-offset octet and the flags octet apart, and it now keeps the
+# reserved nibble of the first in the top four of the 12 flag bits.
+_REFERENCE_TCP = struct.Struct("!HHIIBBHHH")
 
 
 def reference_transport_sum(src: int, dst: int, t: Transport, length: int, payload: bytes) -> int:
@@ -360,9 +378,9 @@ def reference_tcp_bytes(tcp: Tcp, checksum: int) -> bytes:
     options = tcp.options
     if len(options) > MAX_TCP_OPTIONS or len(options) % 4:
         raise OptionsOverflow("TCP options must be 4-aligned and at most 40 octets")
-    offset = (_TCP.size + len(options)) // 4
-    head = _TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, offset << 4, tcp.flags, tcp.window, checksum,
-                     tcp.urgent)
+    offset = (_REFERENCE_TCP.size + len(options)) // 4
+    head = _REFERENCE_TCP.pack(tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, offset << 4 | tcp.flags >> 8,
+                               tcp.flags & 0xFF, tcp.window, checksum, tcp.urgent)
     return head + options
 
 
@@ -431,13 +449,14 @@ def reference_parse_packet(data: bytes) -> ParsedPacket:
     transport: Optional[Transport] = None
     payload = b""
     if proto == PROTO_TCP:
-        if end - start < _TCP.size:
+        if end - start < _REFERENCE_TCP.size:
             raise Truncated("TCP header truncated")
-        sport, dport, seq, ack, off_bits, flags, window, chk, urg = _TCP.unpack_from(data, start)
+        sport, dport, seq, ack, off_bits, flags, window, chk, urg = _REFERENCE_TCP.unpack_from(data, start)
         offset = (off_bits >> 4) * 4
-        if offset < _TCP.size or start + offset > end:
+        if offset < _REFERENCE_TCP.size or start + offset > end:
             raise Truncated("TCP data offset inconsistent with segment")
-        transport = _new_tcp(sport, dport, seq, ack, flags, window, chk, urg, data[start + _TCP.size : start + offset])
+        transport = _new_tcp(sport, dport, seq, ack, (off_bits & 0x0F) << 8 | flags, window, chk, urg,
+                             data[start + _REFERENCE_TCP.size : start + offset])
         payload = data[start + offset : end]
     elif proto == PROTO_UDP:
         if end - start < _UDP.size:
@@ -490,7 +509,7 @@ def packets(draw, writable=False):
         return ParsedPacket(link, None, None, draw(payload))
     proto = draw(st.sampled_from((PROTO_TCP, PROTO_UDP, PROTO_ICMP, None)))
     transport = {
-        PROTO_TCP: st.builds(Tcp, u16, u16, u32, u32, u8, u16, u16, u16, options),
+        PROTO_TCP: st.builds(Tcp, u16, u16, u32, u32, st.integers(0, 0xFFF), u16, u16, u16, options),
         PROTO_UDP: st.builds(Udp, u16, u16, u16),
         PROTO_ICMP: st.builds(Icmp, u8, u8, u16, u16, u16, payload),
         None: st.none(),
@@ -690,9 +709,9 @@ def test_carried_facts_never_go_stale(frame, data):
     except pk.PacketError:
         return
     assert p._frame in (None, frame) and (p.ipv4 is None) == (p._total is None)
-    if p.tcp is not None and frame[_transport_at(frame) + 12] & 0x0F:
-        # The codec drops the reserved nibble, so such a frame is not carried.
-        assert p._frame is None
+    if p.tcp is not None:
+        # The codec keeps the reserved nibble, in the top four flag bits.
+        assert p.tcp.flags >> 8 == frame[_transport_at(frame) + 12] & 0x0F
     _assert_carries_the_truth(p)
     for make in _operations(p, data):
         with _header_rewrites() as made:

@@ -98,6 +98,33 @@ def _fault(records, kind, i, bit):
     return records
 
 
+def _with_ns_bit(frame: bytes) -> bytes:
+    """A TCP frame without IPv4 options with RFC 3540's NS bit (AccECN's
+    AE), bit 0x01 of octet 46, set and its TCP checksum summed again
+    over the raw segment."""
+    f = bytearray(frame)
+    f[46] |= 0x01
+    f[50:52] = bytes(2)
+    segment = bytes(f[34 : pk.ETHER_SIZE + int.from_bytes(f[16:18], "big")])
+    pseudo = struct.pack("!4s4sxBH", f[26:30], f[30:34], pk.PROTO_TCP, len(segment))
+    f[50:52] = pk.checksum16(pseudo + segment).to_bytes(2, "big")
+    return bytes(f)
+
+
+@pytest.mark.parametrize("handlers", [(1, 2, 4), (2,)])
+def test_tcp_reserved_bits_leave_an_idle_pair_as_they_came(handlers):
+    # The codec used to drop the reserved nibble, so each such segment
+    # left with the bit cleared and a checksum that no longer verified.
+    records = [pk.RawPacket(_with_ns_bit(r.data) if r.data[23] == pk.PROTO_TCP else r.data, r.capture_time_us)
+               for r in tr.synthesize_mixed_trace(2000, seed=11).records]
+    assert sum(r.data[46] & 0x01 for r in records if r.data[23] == pk.PROTO_TCP) == 1338
+    assert all(pk.validate_checksums(pk.parse_packet(r.data)) for r in records)
+    config = EngineConfig(enabled_handlers=handlers)
+    fused, _ = tr.fuse_records(CovertGateway("a", "b", config=config), records)
+    repaired, _ = tr.extract_records(CovertGateway("b", "a", config=config), fused)
+    assert [r.data for r in repaired] == [r.data for r in records]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("drop", "swap", "flip")),
        position=st.integers(0, 2**16), bit=st.integers(0, 2**16))
