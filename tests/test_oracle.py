@@ -196,7 +196,7 @@ def test_encrypted_wire_bytes():
 # serialization) goes into one digest, so a rewrite of the parser keeps
 # which frames it rejects, why, and what it reads from the rest.
 
-MALFORMED_DIGEST = "3f8ddcd2fdf4198fc2532106f4b3410e6ddaa0f446803c9cc0b43c099d553a90"
+MALFORMED_DIGEST = "b344b2ccc31768e35b6dc51938e1c3db5de640b94ba28d17676737d0706ef0ec"
 
 
 def _corpus_frames():
