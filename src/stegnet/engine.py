@@ -551,8 +551,9 @@ class CovertGateway:
         elif msg_type == crypto.KE_SYMKEY and session.role == crypto.ROLE_GENERATOR:
             raise crypto.CryptoError("secret sent to the generator")
         if msg_type == crypto.KE_PUBKEY:
+            peer_public = crypto.RsaPublicKey.from_bytes(payload)
             session = self._ensure_session()
-            session.peer_public = crypto.RsaPublicKey.from_bytes(payload)
+            session.peer_public = peer_public
             if crypto.choose_generator(self.local_mac, mac):
                 secret = self._rng.randbytes(crypto.SECRET_LEN)
                 session.install_secret(secret, crypto.ROLE_GENERATOR)

@@ -620,7 +620,8 @@ def test_secret_item_after_a_local_reset_makes_no_key(opened_before_reset, reaso
     (crypto.encode_ke_message(0x07, MAC_HIGH, b""), "unknown message type 0x07"),
     (crypto.encode_ke_message(crypto.KE_CIPHER_ON, MAC_HIGH, b""), "message type 0x03 with no session"),
     (crypto.encode_ke_message(crypto.KE_SYMKEY, MAC_HIGH, bytes(5)), "message type 0x02 with no session"),
-], ids=["unknown_type", "cipher_on", "short_secret"])
+    (crypto.encode_ke_message(crypto.KE_PUBKEY, MAC_HIGH, b"\x00"), "public key blob truncated"),
+], ids=["unknown_type", "cipher_on", "short_secret", "truncated_public_key"])
 def test_only_a_public_key_makes_a_session(message, reason):
     # Encryption on and no session: anything but a peer's public key is
     # refused before it changes any state.  Each used to make a key pair.
