@@ -84,7 +84,7 @@ class GatewayPair(RuleBasedStateMachine):
         self.delivered = {"ab": [], "ba": []}
         self.desyncs = {"ab": 0, "ba": 0}
         self.position = {"ab": 0, "ba": len(self.frames) // 2}
-        self.reset = False
+        self.was_reset = False
         self.faulted = False
 
     def _ends(self, direction):
@@ -139,7 +139,7 @@ class GatewayPair(RuleBasedStateMachine):
     @rule(side=st.sampled_from("ab"))
     def reset(self, side):
         (self.a if side == "a" else self.b).reset_session()
-        self.reset = True
+        self.was_reset = True
 
     @rule()
     def drain(self):
@@ -148,7 +148,7 @@ class GatewayPair(RuleBasedStateMachine):
                 break
             self._pass("ab", 1)
             self._pass("ba", 1)
-        if self.a.idle and self.b.idle and not (self.reset or self.faulted):
+        if self.a.idle and self.b.idle and not (self.was_reset or self.faulted):
             assert self.delivered == self.sent
 
     @rule(direction=st.sampled_from(("ab", "ba")), damage=st.sampled_from(("drop", "swap", "flip")),
@@ -191,7 +191,7 @@ class GatewayPair(RuleBasedStateMachine):
             return
         for direction in ("ab", "ba"):
             sent, delivered = self.sent[direction], self.delivered[direction]
-            if not self.reset:
+            if not self.was_reset:
                 assert delivered == sent[: len(delivered)] and self.desyncs[direction] == 0
                 continue
             # A subsequence, in order; a secret skipped, or left behind
@@ -209,5 +209,5 @@ class GatewayPair(RuleBasedStateMachine):
 
 
 TestGatewayPair = GatewayPair.TestCase
-TestGatewayPair.settings = settings(max_examples=40, stateful_step_count=30, deadline=None,
+TestGatewayPair.settings = settings(max_examples=80, stateful_step_count=30, deadline=None,
                                     suppress_health_check=[HealthCheck.too_slow])
