@@ -111,7 +111,7 @@ def _with_ns_bit(frame: bytes) -> bytes:
     return bytes(f)
 
 
-@pytest.mark.parametrize("handlers", [(1, 2, 4), (2,)])
+@pytest.mark.parametrize("handlers", [(1, 2, 4), (2,)], ids=["handlers_1_2_4", "handler_2"])
 def test_tcp_reserved_bits_leave_an_idle_pair_as_they_came(handlers):
     # The codec used to drop the reserved nibble, so each such segment
     # left with the bit cleared and a checksum that no longer verified.
