@@ -43,6 +43,12 @@ Design constraints drive some unusual choices here:
   plaintext so capacity accounting is identical with and without
   encryption: full blocks are chained normally, in one CBC call, and a
   trailing partial block is XORed with the encryption of the chain.
+* The key is expanded once per session, into one CBC encryptor and one
+  CBC decryptor that live as long as the session.  Each context keeps
+  chaining on the last ciphertext block X it saw, so an item rewinds
+  the chain to its IV through X: the first block goes in as
+  P1 ^ IV ^ X, since CBC makes C1 = E(P1 ^ IV) (NIST SP 800-38A, 6.2),
+  and the decryptor's first block comes out XORed with X ^ IV.
 * The chain runs across all segments of one stream item and resets at
   the next item, so a desynchronized item never poisons the session.
 
@@ -59,8 +65,8 @@ import os
 import random
 import struct
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Generator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Deque, Generator, Optional, Tuple, Union
 
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -72,6 +78,9 @@ BLOCK = 16
 RSA_BITS = 2048
 RSA_BYTES = RSA_BITS // 8
 SECRET_LEN = 16
+# The shortest modulus rsa_encrypt pads a secret to: 00 02, eight
+# octets of padding, 00, then the secret.
+MIN_MODULUS_BYTES = SECRET_LEN + 11
 
 KE_PUBKEY = 0x01
 KE_SYMKEY = 0x02
@@ -413,29 +422,63 @@ def derive_iv(key: bytes, role: str) -> bytes:
 # Length-preserving CBC stream
 
 
-def _tail(key: bytes, chain: bytes, tail: bytes) -> bytes:
-    """The partial last block XORed with the encryption of ``chain``,
-    the last full ciphertext block or the IV; its own inverse."""
-    if not tail:
-        return b""
-    pad = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(chain)
-    return bytes(x ^ y for x, y in zip(tail, pad))
+def _xor(a: bytes, b: bytes) -> bytes:
+    """``a`` XOR the first ``len(a)`` octets of ``b``."""
+    n = len(a)
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b[:n], "big")).to_bytes(n, "big")
 
 
-def encrypt_stream(key: bytes, iv: bytes, data: bytes) -> bytes:
+class StreamKey:
+    """A stream key expanded once: a CBC encryptor and a CBC decryptor
+    over one ``algorithms.AES``, each with the last ciphertext block it
+    chained on, from which every item rewinds to its own IV."""
+
+    __slots__ = ("_enc", "_dec", "_enc_x", "_dec_x")
+
+    def __init__(self, key: bytes):
+        aes = algorithms.AES(key)
+        self._enc_x = self._dec_x = bytes(BLOCK)
+        self._enc = Cipher(aes, modes.CBC(self._enc_x)).encryptor()
+        self._dec = Cipher(aes, modes.CBC(self._dec_x)).decryptor()
+
+    def _tail(self, chain: bytes, tail: bytes) -> bytes:
+        """The partial last block XORed with E(``chain``), the last full
+        ciphertext block or the IV; its own inverse.  E(chain) is one
+        more block through the encryptor, fed chain ^ X."""
+        if not tail:
+            return b""
+        self._enc_x = self._enc.update(_xor(chain, self._enc_x))
+        return _xor(tail, self._enc_x)
+
+    def encrypt(self, iv: bytes, data: bytes) -> bytes:
+        full = len(data) - len(data) % BLOCK
+        if not full:
+            return self._tail(iv, data)
+        body = self._enc.update(_xor(data[:BLOCK], _xor(iv, self._enc_x)) + data[BLOCK:full])
+        self._enc_x = body[-BLOCK:]
+        return body + self._tail(self._enc_x, data[full:])
+
+    def decrypt(self, iv: bytes, data: bytes) -> bytes:
+        full = len(data) - len(data) % BLOCK
+        if not full:
+            return self._tail(iv, data)
+        body = self._dec.update(data[:full])
+        head = _xor(body[:BLOCK], _xor(iv, self._dec_x))
+        self._dec_x = data[full - BLOCK : full]
+        return head + body[BLOCK:] + self._tail(self._dec_x, data[full:])
+
+
+def encrypt_stream(key: Union[bytes, StreamKey], iv: bytes, data: bytes) -> bytes:
     """CBC over full blocks; the trailing partial block is XORed with
     the encryption of the chain value.  Output length equals input
     length, and the transform is independent of how the stream was cut
-    into carrier segments."""
-    full = len(data) - (len(data) % BLOCK)
-    body = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor().update(data[:full])
-    return body + _tail(key, body[-BLOCK:] or iv, data[full:])
+    into carrier segments.  ``key`` is the raw key, expanded for this
+    call, or a ``StreamKey`` that keeps its expansion."""
+    return (key if isinstance(key, StreamKey) else StreamKey(key)).encrypt(iv, data)
 
 
-def decrypt_stream(key: bytes, iv: bytes, data: bytes) -> bytes:
-    full = len(data) - (len(data) % BLOCK)
-    body = Cipher(algorithms.AES(key), modes.CBC(iv)).decryptor().update(data[:full])
-    return body + _tail(key, data[full - BLOCK : full] or iv, data[full:])
+def decrypt_stream(key: Union[bytes, StreamKey], iv: bytes, data: bytes) -> bytes:
+    return (key if isinstance(key, StreamKey) else StreamKey(key)).decrypt(iv, data)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +519,9 @@ class CryptoSession:
 
     ``tx_iv`` seeds the chain for items this side emits, ``rx_iv`` for
     items it receives; the generator role octet feeds the generator's
-    transmit IV so the two directions never share a chain.
+    transmit IV so the two directions never share a chain.  The key is
+    expanded once, when the secret is installed, and the expansion goes
+    with the session.
     """
 
     keypair: RsaKeyPair
@@ -486,11 +531,13 @@ class CryptoSession:
     key: Optional[bytes] = None
     tx_iv: Optional[bytes] = None
     rx_iv: Optional[bytes] = None
+    _stream: Optional[StreamKey] = field(default=None, init=False, repr=False, compare=False)
 
     def install_secret(self, secret: bytes, role: str) -> None:
         self.role = role
         self.secret = secret
         self.key = derive_cipher_key(secret)
+        self._stream = StreamKey(self.key)
         peer_role = ROLE_RECEIVER if role == ROLE_GENERATOR else ROLE_GENERATOR
         self.tx_iv = derive_iv(self.key, role)
         self.rx_iv = derive_iv(self.key, peer_role)
@@ -502,10 +549,10 @@ class CryptoSession:
     def encrypt_item(self, plaintext: bytes) -> bytes:
         if not self.established:
             raise NotEstablished("no symmetric key installed")
-        return encrypt_stream(self.key, self.tx_iv, plaintext)
+        return encrypt_stream(self._stream, self.tx_iv, plaintext)
 
     def decrypt_item(self, ciphertext: bytes) -> bytes:
         if not self.established:
             raise NotEstablished("no symmetric key installed")
-        return decrypt_stream(self.key, self.rx_iv, ciphertext)
+        return decrypt_stream(self._stream, self.rx_iv, ciphertext)
 

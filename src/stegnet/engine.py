@@ -537,13 +537,17 @@ class CovertGateway:
     def _handle_key_exchange(self, blob: bytes) -> None:
         msg_type, mac, payload = crypto.decode_ke_message(blob)
         # The peer sends one public key per session (a reset drops the
-        # session), answers only a session this side holds, and never
-        # sends the generator a secret: anything else is refused before
-        # it changes any state.  Only a public key makes a session.
+        # session), long enough to encrypt a secret to, answers only a
+        # session this side holds, and never sends the generator a
+        # secret: anything else is refused before it changes any state.
+        # Only a public key makes a session.
         session = self._session
         if msg_type == crypto.KE_PUBKEY:
             if session is not None and session.peer_public is not None:
                 raise crypto.CryptoError("public key already received in this session")
+            peer_public = crypto.RsaPublicKey.from_bytes(payload)
+            if (peer_public.n.bit_length() + 7) // 8 < crypto.MIN_MODULUS_BYTES:
+                raise crypto.CryptoError("public key modulus under %d octets" % crypto.MIN_MODULUS_BYTES)
         elif msg_type not in (crypto.KE_SYMKEY, crypto.KE_CIPHER_ON):
             raise crypto.CryptoError("unknown message type %#04x" % msg_type)
         elif session is None:
@@ -551,7 +555,6 @@ class CovertGateway:
         elif msg_type == crypto.KE_SYMKEY and session.role == crypto.ROLE_GENERATOR:
             raise crypto.CryptoError("secret sent to the generator")
         if msg_type == crypto.KE_PUBKEY:
-            peer_public = crypto.RsaPublicKey.from_bytes(payload)
             session = self._ensure_session()
             session.peer_public = peer_public
             if crypto.choose_generator(self.local_mac, mac):

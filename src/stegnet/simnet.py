@@ -228,6 +228,7 @@ class _WorkloadClient:
         self.emitted_octets = 0
         self.kind_counts: Dict[str, int] = {k: 0 for k in DEFAULT_MIX}
         self.icmp_seq = 0
+        self.ping_id = _child_seed("ping", host) & 0x7FFF
         self.addresses = sim._addresses(host, target)
 
     def start(self, offset_us: int) -> None:
@@ -256,7 +257,7 @@ class _WorkloadClient:
         else:
             payload = self.rng.randbytes(self.spec.icmp_payload)
             self.icmp_seq += 1
-            p = pk.build_icmp_echo(src_ip, dst_ip, identifier=_child_seed("ping", self.host) & 0x7FFF,
+            p = pk.build_icmp_echo(src_ip, dst_ip, identifier=self.ping_id,
                                    sequence=self.icmp_seq & 0xFFFF, payload=payload,
                                    src_mac=src_mac, dst_mac=dst_mac)
         size = p.wire_len

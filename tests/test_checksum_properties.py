@@ -1,7 +1,9 @@
-"""Properties of the IPv4 header checksum summed from field values.
+"""Properties of the IPv4 header checksum of rebuilt packets.
 
-``fix_ipv4_checksum`` and ``with_ipv4`` add the header's 16-bit words
-from the fields instead of packing the header; the packed reference is
+``fix_ipv4_checksum`` and ``with_ipv4`` rebuild through
+``packet._rebuild``, which packs the header with ``_IPV4``, its checksum
+field zero, and sums that packing; the reference they must match sums
+the header as ``serialize_packet`` lays it out,
 ``ipv4_checksum(_ipv4_header_bytes(p, checksum=0))``.  The rewrites on
 the carrier path recompute the checksum in full: a carrier that arrives
 with a wrong checksum leaves with a right one.

@@ -436,6 +436,53 @@ def test_stream_cipher_independent_of_segmentation():
             assert cr.decrypt_stream(key, iv, whole[:cut]) + cr.decrypt_stream(key, chain, whole[cut:]) == data
 
 
+def test_session_items_match_the_one_shot_stream_and_the_reference():
+    # One expansion per session serves every item: encrypt and decrypt
+    # items interleave under both roles' IVs, with pad-only items between
+    # the full-block ones, and each gives the octets of a fresh expansion
+    # and of the per-block reference.
+    secret = bytes(range(cr.SECRET_LEN))
+    gen, rcv = cr.CryptoSession(keypair=PAIR_A), cr.CryptoSession(keypair=PAIR_B)
+    gen.install_secret(secret, cr.ROLE_GENERATOR)
+    rcv.install_secret(secret, cr.ROLE_RECEIVER)
+    key = gen.key
+    rng = random.Random(33)
+    for size in STREAM_LENGTHS:
+        for data in (rng.randbytes(size), rng.randbytes(rng.randint(1, cr.BLOCK - 1))):
+            for session in (gen, rcv):
+                tx, rx = session.tx_iv, session.rx_iv
+                assert session.encrypt_item(data) == cr.encrypt_stream(key, tx, data) \
+                    == _reference_stream(key, tx, data, decrypt=False)
+                assert session.decrypt_item(data) == cr.decrypt_stream(key, rx, data) \
+                    == _reference_stream(key, rx, data, decrypt=True)
+            assert rcv.decrypt_item(gen.encrypt_item(data)) == data
+            assert gen.decrypt_item(rcv.encrypt_item(data)) == data
+
+
+def test_items_build_no_cipher_context_after_the_secret(monkeypatch):
+    # install_secret expands the key into two contexts; items build none.
+    # A second session with the same secret expands it again: no cache
+    # outlives a session.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return Cipher(*args, **kwargs)
+
+    monkeypatch.setattr(cr, "Cipher", counting)
+    rng = random.Random(34)
+    for _ in range(2):
+        session = cr.CryptoSession(keypair=PAIR_A)
+        session.install_secret(bytes(range(cr.SECRET_LEN)), cr.ROLE_GENERATOR)
+        assert len(built) == 2
+        built.clear()
+        for size in STREAM_LENGTHS:
+            data = rng.randbytes(size)
+            session.encrypt_item(data)
+            session.decrypt_item(data)
+        assert built == []
+
+
 def _seed_rsa_decrypt(pair, ciphertext):
     """The decoder over the plain private power, before OpenSSL, kept as the reference."""
     key_bytes = (pair.public.n.bit_length() + 7) // 8

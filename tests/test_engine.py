@@ -652,6 +652,28 @@ def test_cipher_on_after_the_generators_reset_makes_no_key():
     assert keygens[0] == 0 and a.session is None and not a._rx_cipher_active
 
 
+def test_a_public_key_too_short_for_a_secret_makes_no_session():
+    # rsa_encrypt cannot pad a 16-octet secret to a modulus under 27
+    # octets.  The generator used to refuse such a key only after making
+    # a key pair, a session and a secret, and then refused the genuine
+    # key after it as the session's second.
+    cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID,), encryption=True, seed=101)
+    a = CovertGateway("gw_a", "gw_b", cfg, local_mac=MAC_HIGH)
+    b = CovertGateway("gw_b", "gw_a", replace(cfg, seed=202), local_mac=MAC_LOW)
+    message = crypto.encode_ke_message(crypto.KE_PUBKEY, MAC_LOW, crypto.RsaPublicKey(n=3, e=65537).to_bytes())
+    opening = wire.encode_sync(wire.SyncHeader(wire.CODE_KEY_EXCHANGE, len(message)))
+    draws = a._rng.getstate()
+    with _calls(crypto.generate_keypair) as keygens:
+        with pytest.raises(DesyncError, match="undecodable key_exchange item: public key modulus under 27 octets"):
+            a.extract(_crafted(opening + message))
+    assert keygens[0] == 0 and a.session is None and a.idle
+    assert a._rng.getstate() == draws
+    a.start_key_exchange()
+    b.start_key_exchange()
+    _drive_key_exchange(a, b)
+    assert a.session.role == crypto.ROLE_GENERATOR and a.session.secret == b.session.secret
+
+
 def test_isn_rewrite_translates_and_sends_nothing():
     cfg = EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True)
     tx, rx = _pair(cfg)
