@@ -7,6 +7,7 @@ same machinery over arbitrary carrier mixes.
 
 import contextlib
 import dataclasses
+import hashlib
 import random
 import sys
 from dataclasses import replace
@@ -979,6 +980,40 @@ def test_idle_gateway_builds_no_candidate_list():
                 gateway.fuse(carrier)
         assert calls[0] == len(carriers)
     assert busy.pending_octets > 0 and diverting.idle
+
+
+# SHA-256 of the repr of every CarrierStats that fuse and extract return
+# over the two trace passes of tests/test_oracle.py: handlers 1, 2 and 4,
+# then all five with a quarter of the eligible carriers diverted to the
+# ISN channel.
+CARRIER_STATS_DIGEST = "418f5573d9a268a026bc16af9f169f307c6e3904c892c8bc0d110db75f4cbdc4"
+
+
+def _recording(method, seen):
+    """``method``, appending the stats of each call to ``seen``."""
+    def call(carrier):
+        result = method(carrier)
+        seen.append((method.__name__, result[-1]))
+        return result
+    return call
+
+
+def test_carrier_stats_of_the_oracle_passes():
+    records = tr.synthesize_mixed_trace(3000, seed=3).records
+    passes = ((dict(enabled_handlers=(1, 2, 4)), 40_000),
+              (dict(enabled_handlers=(1, 2, 3, 4, 5), augmented_allowed=True, augment_probability=0.25), 20_000))
+    seen = []
+    for options, octets in passes:
+        tx = CovertGateway("a", "b", config=EngineConfig(seed=7, **options))
+        rx = CovertGateway("b", "a", config=EngineConfig(seed=8, **options))
+        payload = random.Random(11).randbytes(octets)
+        tx.enqueue_payload(payload)
+        tx.fuse, rx.extract = _recording(tx.fuse, seen), _recording(rx.extract, seen)
+        fused, _ = tr.fuse_records(tx, records)
+        _, tally = tr.extract_records(rx, fused)
+        assert tx.idle and b"".join(tally.chunks) == payload
+    assert len(seen) == 4 * len(records)
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == CARRIER_STATS_DIGEST
 
 
 def test_gateway_nat_path_calls_no_dataclass_replace():
