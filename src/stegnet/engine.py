@@ -17,7 +17,10 @@ selection on its own.
 Augmented correction lets a carrier divert to the sequence-number
 channel, which overwrites a pure SYN's initial sequence number.  The
 fusing gateway corrects that flow itself (``flow_deltas`` and
-``adjust_flow``) and sends its peer nothing about the rewrite.
+``adjust_flow``) and sends its peer nothing about the rewrite.  A SYN
+that repeats the rewritten one's initial sequence number is a
+retransmission and keeps the correction; a SYN on the same 5-tuple
+with another one opens a new flow and ends it.
 
 The receive side never guesses blindly: it consults the same registry
 and selection policy, and scans only the regions the sender could have
@@ -113,10 +116,12 @@ class EngineConfig:
             raise ValueError("augment probability outside [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CarrierStats:
     """What ``fuse`` or ``extract`` did with one carrier.  ``modified``
-    is set only by ``fuse``."""
+    is set only by ``fuse``.  A carrier that moves no segment gets one
+    of the shared values below; one that moves a segment gets its own,
+    built by ``_new_stats``."""
 
     matched: bool = False
     modified: bool = False
@@ -126,6 +131,15 @@ class CarrierStats:
     data_octets: int = 0
     item_kind: Optional[str] = None
     item_completed: bool = False
+
+
+_new_stats = pk._constructor(CarrierStats)
+_UNMATCHED = CarrierStats()
+# fuse's exclusion marker, and extract clearing it.
+_EXCLUDED = CarrierStats(matched=True, modified=True, excluded=True)
+_CLEARED = CarrierStats(excluded=True)
+# A carrier extract matched but the sender would have excluded.
+_UNSELECTED = CarrierStats(matched=True)
 
 
 @dataclass(eq=False)  # leaves the queue by identity: equal items may wait in it
@@ -195,6 +209,8 @@ class CovertGateway:
         self._session: Optional[crypto.CryptoSession] = None
 
         self.flow_deltas: Dict[tuple, int] = {}
+        # The original initial sequence number of each rewritten SYN.
+        self._flow_isns: Dict[tuple, int] = {}
 
         # Counters for reporting; data octets are split by item kind.
         self.counters = {
@@ -303,23 +319,20 @@ class CovertGateway:
         the candidate list or selecting: the marker is the same
         whichever handler matched.
         """
-        stats = CarrierStats()
         self.counters["carriers_seen"] += 1
         if self._tx_item is None and not self._queue and not self._divert:
             if not self.registry.matches(carrier):
-                return carrier, stats
-            stats.matched = True
-            return self._exclude(carrier, stats)
+                return carrier, _UNMATCHED
+            return self._exclude(carrier)
         candidates = self.registry.match(carrier)
         if not candidates:
-            return carrier, stats
-        stats.matched = True
+            return carrier, _UNMATCHED
         # The item in flight, or the next one _next_item opens, starts here.
         opening = self._tx_item is None or self._tx_item.sent == 0
         picked = self.registry.select(
             candidates, carrier, self._tx_cursor, opening, self.config.augmented_allowed)
         if picked is None:
-            return self._exclude(carrier, stats)
+            return self._exclude(carrier)
         spec, capacity = picked
         isn = self._isn
         if (
@@ -332,11 +345,11 @@ class CovertGateway:
             capacity = isn.capacity(carrier)
         item = self._next_item()
         if item is None:
-            return self._exclude(carrier, stats)
+            return self._exclude(carrier)
         room = self._tx_cursor.room(spec.id, capacity, len(candidates), opening)
         if room < 1:
             # Only a diverted carrier can lack room: select skipped the rest.
-            return self._exclude(carrier, stats)
+            return self._exclude(carrier)
         sync = b""
         if opening:
             sync = wire.encode_sync(wire.SyncHeader(_KINDS[item.kind][0], len(item.wire_bytes)))
@@ -351,48 +364,46 @@ class CovertGateway:
             self._record_isn_rewrite(carrier, modified)
 
         item.sent += n
-        stats.modified = True
-        stats.handler_id = spec.id
-        stats.sync_octets = len(sync)
-        stats.data_octets = n
-        stats.item_kind = item.kind
         self.counters["carriers_modified"] += 1
-        self.counters["sync_octets"] += stats.sync_octets
+        self.counters["sync_octets"] += len(sync)
         self.counters["data_octets"] += n
         if item.kind == ITEM_DATA:
             self.counters["secret_octets_sent"] += n
         else:
             self.counters["mgmt_octets_sent"] += n
-        if item.sent == len(item.wire_bytes):
-            stats.item_completed = True
+        completed = item.sent == len(item.wire_bytes)
+        if completed:
             if item.kind == ITEM_DATA:
                 self.counters["secret_packets_sent"] += 1
             self._tx_item = None
-        return modified, stats
+        return modified, _new_stats(True, True, False, spec.id, len(sync), n, item.kind, completed)
 
-    def _exclude(self, carrier: pk.ParsedPacket, stats: CarrierStats) -> Tuple[pk.ParsedPacket, CarrierStats]:
-        stats.excluded = True
-        stats.modified = True
+    def _exclude(self, carrier: pk.ParsedPacket) -> Tuple[pk.ParsedPacket, CarrierStats]:
         self.counters["carriers_excluded"] += 1
-        return wire.mark_excluded(carrier), stats
+        return wire.mark_excluded(carrier), _EXCLUDED
 
     def _record_isn_rewrite(self, original: pk.ParsedPacket, modified: pk.ParsedPacket) -> None:
         key = pk.flow_key(original)  # a TCP SYN's, never None
         self.flow_deltas[key] = (modified.tcp.seq - original.tcp.seq) & _SEQ_MASK
+        self._flow_isns[key] = original.tcp.seq
 
     def adjust_flow(self, p: pk.ParsedPacket) -> pk.ParsedPacket:
         """Seq/ack rewriting for flows whose initial sequence number was
         overwritten here.  Forward packets shift into the rewritten
         space before they leave; reverse acknowledgements shift back so
-        the near endpoint never notices."""
+        the near endpoint never notices.  A pure SYN of such a flow
+        passes through to fuse; one that brings another initial sequence
+        number opens a new flow on the same tuple and ends the old one's
+        correction."""
         if not self.flow_deltas or p.tcp is None:
             return p
         key = pk.flow_key(p)
         if key in self.flow_deltas:
-            delta = self.flow_deltas[key]
             if _is_pure_syn(p):
-                return p  # the rewritten SYN itself passes through fuse
-            return pk.with_tcp_seq_ack(p, (p.tcp.seq + delta) & _SEQ_MASK, p.tcp.ack)
+                if p.tcp.seq != self._flow_isns[key]:
+                    del self.flow_deltas[key], self._flow_isns[key]
+                return p
+            return pk.with_tcp_seq_ack(p, (p.tcp.seq + self.flow_deltas[key]) & _SEQ_MASK, p.tcp.ack)
         rkey = pk.reverse_flow_key(key) if key is not None else None
         if rkey in self.flow_deltas and p.tcp.flags & pk.TCP_ACK:
             delta = self.flow_deltas[rkey]
@@ -411,19 +422,16 @@ class CovertGateway:
         Returns the repaired carrier to forward, any secret packets
         completed by this carrier, and per-carrier accounting.
         """
-        stats = CarrierStats()
         if wire.is_excluded(carrier):
-            stats.excluded = True
-            return wire.clear_exclusion(carrier), [], stats
+            return wire.clear_exclusion(carrier), [], _CLEARED
         candidates = self.registry.match(carrier)
         if not candidates:
-            return carrier, [], stats
-        stats.matched = True
+            return carrier, [], _UNMATCHED
         picked = self.registry.select(
             candidates, carrier, self._rx_cursor, self._rx_item is None, self.config.augmented_allowed)
         if picked is None:
             # Fusion would have excluded this carrier; nothing rides it.
-            return carrier, [], stats
+            return carrier, [], _UNSELECTED
         sel = picked[0]
 
         scan = [sel]
@@ -443,15 +451,11 @@ class CovertGateway:
         grab = region[consumed : consumed + item.expected - len(item.buf)]
         item.buf += grab
 
-        stats.handler_id = spec.id
-        stats.sync_octets = consumed
-        stats.data_octets = len(grab)
-        stats.item_kind = item.kind
         self.counters["rx_sync_octets"] += consumed
         self.counters["rx_data_octets"] += len(grab)
 
-        if len(item.buf) == item.expected:
-            stats.item_completed = True
+        completed = len(item.buf) == item.expected
+        if completed:
             self._rx_item = None
             try:
                 data = bytes(item.buf)
@@ -473,7 +477,8 @@ class CovertGateway:
             except crypto.CryptoError as exc:
                 self._desync(self._repair(carrier, spec), "undecodable %s item: %s" % (item.kind, exc))
 
-        return self._repair(carrier, spec), secrets, stats
+        return (self._repair(carrier, spec), secrets,
+                _new_stats(True, False, False, spec.id, consumed, len(grab), item.kind, completed))
 
     def _open_item(self, header: wire.SyncHeader, carrier: pk.ParsedPacket) -> _RxItem:
         # _rx_open passes no switch; every other code opens an item of the length it announces.

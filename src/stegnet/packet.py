@@ -33,7 +33,8 @@ and derives its length from its layers.
 
 Inside this module and ``trace``, layers and captured records are
 built by positional constructors (``_new_ipv4`` and its siblings) made
-once at import by ``_constructor``.  Each takes every field in
+once at import by ``_constructor``, which ``engine`` uses for its
+``CarrierStats`` too.  Each takes every field in
 declaration order, stores them into a bare slotted twin of the class by
 plain attribute assignment and then sets the object's ``__class__``,
 where the dataclass ``__init__`` of a frozen class goes through

@@ -149,8 +149,9 @@ def _each_carrier(records: Sequence[RawPacket],
 
 def fuse_records(gateway: CovertGateway, records: Sequence[RawPacket]) -> Tuple[List[RawPacket], PassTally]:
     """The records fused by ``gateway``, whose counters say what was
-    fused and excluded."""
-    return _each_carrier(records, lambda carrier, tally: gateway.fuse(carrier)[0])
+    fused and excluded.  Each carrier first passes ``adjust_flow``, as
+    at a gateway, so a flow whose SYN was rewritten stays in step."""
+    return _each_carrier(records, lambda carrier, tally: gateway.fuse(gateway.adjust_flow(carrier))[0])
 
 
 def extract_records(gateway: CovertGateway, records: Sequence[RawPacket]) -> Tuple[List[RawPacket], PassTally]:

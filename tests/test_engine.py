@@ -15,9 +15,10 @@ from dataclasses import replace
 import pytest
 
 from stegnet import packet as pk
-from stegnet import wire
+from stegnet import engine, wire
 from stegnet.engine import (
     ITEM_KEY_EXCHANGE,
+    CarrierStats,
     CovertGateway,
     DesyncError,
     EngineConfig,
@@ -710,6 +711,31 @@ def test_isn_rewrite_translates_and_sends_nothing():
     assert rx.adjust_flow(data_pkt).tcp.seq == 0x11111112
 
 
+def test_a_new_flow_on_a_rewritten_flows_tuple_is_not_shifted():
+    """A pure SYN that brings another initial sequence number opens a
+    new flow on the same 5-tuple, so the old flow's correction ends."""
+    tx = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(ICMP_PAYLOAD_ID, TCP_ISN_ID),
+                                                     augmented_allowed=True, augment_probability=1.0, seed=1))
+    tx.enqueue_secret(b"hi")
+
+    def send(p):
+        return tx.fuse(tx.adjust_flow(p))
+
+    first = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x10000000, flags=pk.TCP_SYN)
+    rewritten, stats = send(first)
+    assert stats.handler_id == TCP_ISN_ID and rewritten.tcp.seq != 0x10000000
+    send(_icmp())
+    assert tx.idle
+    # A retransmission of the rewritten SYN keeps the correction.
+    assert tx.adjust_flow(first) is first and pk.flow_key(first) in tx.flow_deltas
+    second = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x20000000, flags=pk.TCP_SYN)
+    fused, stats = send(second)
+    assert stats.excluded and fused.tcp.seq == 0x20000000
+    assert tx.flow_deltas == {}
+    segment = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x20000001, payload=bytes(100))
+    assert send(segment)[0].tcp.seq == 0x20000001
+
+
 def test_augmented_channel_gated_by_config():
     tx, _ = _pair(EngineConfig(enabled_handlers=(TCP_OPTIONS_ID, ICMP_PAYLOAD_ID, TCP_ISN_ID)))
     tx.enqueue_secret(b"\x42")
@@ -1014,6 +1040,32 @@ def test_carrier_stats_of_the_oracle_passes():
         assert tx.idle and b"".join(tally.chunks) == payload
     assert len(seen) == 4 * len(records)
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == CARRIER_STATS_DIGEST
+
+
+def test_carriers_that_move_no_segment_build_no_stats():
+    """fuse and extract return one shared, frozen value for each outcome
+    that moves no segment, and build one for each carrier that moves one."""
+    carriers = [pk.parse_packet(r.data) for r in tr.synthesize_mixed_trace(300, seed=17).records]
+    for octets in (0, 6000):
+        config = EngineConfig(enabled_handlers=(1, 2), seed=17)
+        tx, rx = CovertGateway("a", "b", config=config), CovertGateway("b", "a", config=config)
+        payload = random.Random(17).randbytes(octets)
+        tx.enqueue_payload(payload)
+        with _calls(CarrierStats.__init__, engine._new_stats) as built:
+            fused = [tx.fuse(c) for c in carriers]
+            extracted = [rx.extract(out) for out, _ in fused]
+        assert b"".join(chunk for _, chunks, _ in extracted for chunk in chunks) == payload
+        assert tx.counters["carriers_excluded"] > 0
+        stats = [s for _, s in fused] + [s for _, _, s in extracted]
+        moved = [s for s in stats if s.handler_id is not None]
+        assert len(moved) == 2 * tx.counters["carriers_modified"]
+        assert built[0] == len(moved) == len({id(s) for s in moved})
+        assert len({id(s) for s in stats if s.handler_id is None}) <= 4
+    assert tx.idle and moved
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        moved[0].data_octets = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stats[-1].matched = False
 
 
 def test_gateway_nat_path_calls_no_dataclass_replace():

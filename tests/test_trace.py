@@ -1,3 +1,4 @@
+import itertools
 import random
 import struct
 import sys
@@ -111,18 +112,50 @@ def _with_ns_bit(frame: bytes) -> bytes:
     return bytes(f)
 
 
-@pytest.mark.parametrize("handlers", [(1, 2, 4), (2,)], ids=["handlers_1_2_4", "handler_2"])
-def test_tcp_reserved_bits_leave_an_idle_pair_as_they_came(handlers):
+# Every non-empty set of the stock handlers, and each set that holds
+# the ISN channel once more with a quarter of its carriers diverted to it.
+_HANDLER_SETS = [handlers for size in range(1, 6) for handlers in itertools.combinations(range(1, 6), size)]
+_IDLE_CONFIGS = [(handlers, {}) for handlers in _HANDLER_SETS] + [
+    (handlers, {"augmented_allowed": True, "augment_probability": 0.25}) for handlers in _HANDLER_SETS if 5 in handlers]
+
+
+def _config_id(config):
+    handlers, options = config
+    name = ("handler_" if len(handlers) == 1 else "handlers_") + "_".join(map(str, handlers))
+    return name + ("_augmented" if options else "")
+
+
+@pytest.mark.parametrize("handlers, options", _IDLE_CONFIGS, ids=map(_config_id, _IDLE_CONFIGS))
+def test_tcp_reserved_bits_leave_an_idle_pair_as_they_came(handlers, options):
     # The codec used to drop the reserved nibble, so each such segment
     # left with the bit cleared and a checksum that no longer verified.
     records = [pk.RawPacket(_with_ns_bit(r.data) if r.data[23] == pk.PROTO_TCP else r.data, r.capture_time_us)
                for r in tr.synthesize_mixed_trace(2000, seed=11).records]
     assert sum(r.data[46] & 0x01 for r in records if r.data[23] == pk.PROTO_TCP) == 1338
     assert all(pk.validate_checksums(pk.parse_packet(r.data)) for r in records)
-    config = EngineConfig(enabled_handlers=handlers)
+    config = EngineConfig(enabled_handlers=handlers, **options)
     fused, _ = tr.fuse_records(CovertGateway("a", "b", config=config), records)
-    repaired, _ = tr.extract_records(CovertGateway("b", "a", config=config), fused)
+    repaired, tally = tr.extract_records(CovertGateway("b", "a", config=config), fused)
     assert [r.data for r in repaired] == [r.data for r in records]
+    assert tally.desyncs == 0
+
+
+def test_fuse_pass_carries_a_rewritten_isn_through_its_flow():
+    """The fuse pass shifts the segments after a SYN whose initial
+    sequence number it rewrote, as a gateway in the simulator does."""
+    syn = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x10000000, flags=pk.TCP_SYN)
+    segments = [pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x10000001 + 100 * i, payload=bytes(100))
+                for i in range(3)]
+    records = [pk.RawPacket(pk.serialize_packet(p), 1000 * i) for i, p in enumerate([syn] + segments)]
+    gateway = CovertGateway("a", "b", config=EngineConfig(enabled_handlers=(2, 5), augmented_allowed=True,
+                                                          augment_probability=1.0, seed=1))
+    gateway.enqueue_secret(b"hello")
+    fused, _ = tr.fuse_records(gateway, records)
+    out = [pk.parse_packet(r.data) for r in fused]
+    isn = out[0].tcp.seq
+    assert isn != 0x10000000 and gateway.flow_deltas == {pk.flow_key(syn): (isn - 0x10000000) & 0xFFFFFFFF}
+    assert [p.tcp.seq for p in out[1:]] == [(isn + 1 + 100 * i) & 0xFFFFFFFF for i in range(3)]
+    assert all(pk.validate_checksums(p) for p in out)
 
 
 @settings(max_examples=40, deadline=None)
