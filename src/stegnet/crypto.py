@@ -26,18 +26,18 @@ Design constraints drive some unusual choices here:
   fails modulo n in the same round: the search returns the same
   verdict after the same draws, only without the 1024-bit power.
 * The full-width powers run in forked worker processes, one per CPU
-  the process may run on, or in the calling process when it may run on
-  one CPU only; every draw and every cheap screen stays in the calling
-  process, in the sequential order.  That process draws
-  ahead on the guess that each candidate fails its first full-width
-  round, as a random composite almost always does, and keeps the rng
-  state after each base.  The first round that passes voids the
-  guesses behind it: the rng goes back to that state, the candidate's
-  other bases are drawn and their rounds run together, and a failure
-  among them rewinds the rng to just after its base.  The search so
-  ends on the same prime, with the rng where the sequential search
-  leaves it, and the worker count never changes a key.  It needs the
-  ``fork`` start method (Linux).
+  the process may run on, or in one worker thread when it may run on
+  one CPU only, so that nothing is forked or pickled there.  Every draw
+  and every cheap screen stays in the calling thread, in the sequential
+  order.  It draws ahead on the guess that each candidate fails its
+  first full-width round, as a random composite almost always does,
+  and keeps the rng state after each base.  The first round that
+  passes voids the guesses behind it: the rng goes back to that state,
+  the candidate's other bases are drawn and their rounds run together,
+  and a failure among them rewinds the rng to just after its base.
+  The search so ends on the same prime, with the rng where the
+  sequential search leaves it, and the worker count never changes a
+  key.  It needs the ``fork`` start method (Linux).
 * Symmetric encryption is AES-256 in CBC mode, keyed by the SHA-256 of
   a 16-octet negotiated secret.  Ciphertext must be exactly as long as
   plaintext so capacity accounting is identical with and without
@@ -261,26 +261,6 @@ def _gen_prime(bits: int, rng: random.Random, pool: Executor, window: int) -> in
             return n
 
 
-class _InProcess:
-    """The executor of a search on one CPU: ``submit`` makes the call at
-    once, so a call that raises raises there, and returns its completed
-    future.  No process is started and no round is pickled."""
-
-    def __enter__(self) -> "_InProcess":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-    @staticmethod
-    def submit(fn, *args) -> Future:
-        from concurrent.futures import Future
-
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 _keypair_cache: dict = {}
 
 
@@ -290,10 +270,10 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
     ``bits`` must be even, so that two ``bits // 2``-bit primes can
     multiply to exactly ``bits`` bits, and at least 256, so that the two
     primes differ and ``rsa_encrypt`` can pad a secret (216 bits needed).
-    A key not yet made opens a pool of forked workers, one per CPU this
-    process may run on, for the prime search; it is shut down, its
-    workers joined, when the key is made or the search raises.  On one
-    CPU the search runs in this process, one candidate at a time.
+    A key not yet made opens a pool for the prime search: forked
+    workers, one per CPU this process may run on, or on one CPU a single
+    thread that takes one candidate at a time.  The pool is shut down,
+    its workers joined, when the key is made or the search raises.
     """
     if bits % 2 or bits < 256:
         raise ValueError("RSA modulus bits must be even and at least 256, got %r" % (bits,))
@@ -307,7 +287,7 @@ def generate_keypair(seed: int, bits: int = RSA_BITS) -> RsaKeyPair:
     e = 65537
     workers = len(os.sched_getaffinity(0))
     if workers == 1:
-        pool, window = _InProcess(), 1
+        pool, window = concurrent.futures.ThreadPoolExecutor(1), 1
     else:
         pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         window = 2 * workers

@@ -19,8 +19,9 @@ channel, which overwrites a pure SYN's initial sequence number.  The
 fusing gateway corrects that flow itself (``flow_deltas`` and
 ``adjust_flow``) and sends its peer nothing about the rewrite.  A SYN
 that repeats the rewritten one's initial sequence number is a
-retransmission and keeps the correction; a SYN on the same 5-tuple
-with another one opens a new flow and ends it.
+retransmission: it leaves with the first rewrite's number and carries
+nothing.  A SYN on the same 5-tuple with another one opens a new flow
+and ends the correction.
 
 The receive side never guesses blindly: it consults the same registry
 and selection policy, and scans only the regions the sender could have
@@ -278,8 +279,10 @@ class CovertGateway:
 
     def start_key_exchange(self) -> None:
         """Queue this side's public key; call on both gateways."""
-        session = self._ensure_session()
-        message = crypto.encode_ke_message(crypto.KE_PUBKEY, self.local_mac, session.keypair.public.to_bytes())
+        self._queue_key_exchange(crypto.KE_PUBKEY, self._ensure_session().keypair.public.to_bytes())
+
+    def _queue_key_exchange(self, msg_type: int, payload: bytes) -> None:
+        message = crypto.encode_ke_message(msg_type, self.local_mac, payload)
         self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
 
     def _next_item(self) -> Optional[_TxItem]:
@@ -335,14 +338,14 @@ class CovertGateway:
             return self._exclude(carrier)
         spec, capacity = picked
         isn = self._isn
-        if (
-            self._divert
-            and spec is not isn
-            and isn.match(carrier)
-            and self._rng.random() < self.config.augment_probability
-        ):
-            spec = isn
-            capacity = isn.capacity(carrier)
+        divert = (self._divert and spec is not isn and isn.match(carrier)
+                  and self._rng.random() < self.config.augment_probability)
+        if self.flow_deltas and isn.match(carrier) and pk.flow_key(carrier) in self.flow_deltas:
+            # A copy of a rewritten SYN, given the first rewrite's ISN by adjust_flow.  That ISN
+            # stays, and the peer may read its octets as a switch header, so nothing rides the copy.
+            return self._exclude(carrier)
+        if divert:
+            spec, capacity = isn, isn.capacity(carrier)
         item = self._next_item()
         if item is None:
             return self._exclude(carrier)
@@ -391,17 +394,17 @@ class CovertGateway:
         """Seq/ack rewriting for flows whose initial sequence number was
         overwritten here.  Forward packets shift into the rewritten
         space before they leave; reverse acknowledgements shift back so
-        the near endpoint never notices.  A pure SYN of such a flow
-        passes through to fuse; one that brings another initial sequence
-        number opens a new flow on the same tuple and ends the old one's
-        correction."""
+        the near endpoint never notices.  A pure SYN that repeats the
+        flow's original initial sequence number is a retransmission and
+        leaves with the rewritten one; a pure SYN that brings another
+        opens a new flow on the same tuple, ends the old one's
+        correction and passes through to fuse."""
         if not self.flow_deltas or p.tcp is None:
             return p
         key = pk.flow_key(p)
         if key in self.flow_deltas:
-            if _is_pure_syn(p):
-                if p.tcp.seq != self._flow_isns[key]:
-                    del self.flow_deltas[key], self._flow_isns[key]
+            if _is_pure_syn(p) and p.tcp.seq != self._flow_isns[key]:
+                del self.flow_deltas[key], self._flow_isns[key]
                 return p
             return pk.with_tcp_seq_ack(p, (p.tcp.seq + self.flow_deltas[key]) & _SEQ_MASK, p.tcp.ack)
         rkey = pk.reverse_flow_key(key) if key is not None else None
@@ -553,31 +556,25 @@ class CovertGateway:
             peer_public = crypto.RsaPublicKey.from_bytes(payload)
             if (peer_public.n.bit_length() + 7) // 8 < crypto.MIN_MODULUS_BYTES:
                 raise crypto.CryptoError("public key modulus under %d octets" % crypto.MIN_MODULUS_BYTES)
-        elif msg_type not in (crypto.KE_SYMKEY, crypto.KE_CIPHER_ON):
-            raise crypto.CryptoError("unknown message type %#04x" % msg_type)
-        elif session is None:
-            raise crypto.CryptoError("message type %#04x with no session" % msg_type)
-        elif msg_type == crypto.KE_SYMKEY and session.role == crypto.ROLE_GENERATOR:
-            raise crypto.CryptoError("secret sent to the generator")
-        if msg_type == crypto.KE_PUBKEY:
             session = self._ensure_session()
             session.peer_public = peer_public
             if crypto.choose_generator(self.local_mac, mac):
                 secret = self._rng.randbytes(crypto.SECRET_LEN)
                 session.install_secret(secret, crypto.ROLE_GENERATOR)
-                message = crypto.encode_ke_message(
-                    crypto.KE_SYMKEY, self.local_mac, crypto.rsa_encrypt(session.peer_public, secret)
-                )
-                self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
+                self._queue_key_exchange(crypto.KE_SYMKEY, crypto.rsa_encrypt(peer_public, secret))
             else:
                 session.role = crypto.ROLE_RECEIVER
-        elif msg_type == crypto.KE_SYMKEY:
-            secret = crypto.rsa_decrypt(session.keypair, payload)
-            session.install_secret(secret, crypto.ROLE_RECEIVER)
-            message = crypto.encode_ke_message(crypto.KE_CIPHER_ON, self.local_mac, b"")
-            self._queue.append(_TxItem(kind=ITEM_KEY_EXCHANGE, payload=message))
-            self._rx_cipher_active = True
+        elif msg_type not in (crypto.KE_SYMKEY, crypto.KE_CIPHER_ON):
+            raise crypto.CryptoError("unknown message type %#04x" % msg_type)
+        elif session is None:
+            raise crypto.CryptoError("message type %#04x with no session" % msg_type)
         elif msg_type == crypto.KE_CIPHER_ON:
+            self._rx_cipher_active = True
+        elif session.role == crypto.ROLE_GENERATOR:
+            raise crypto.CryptoError("secret sent to the generator")
+        else:
+            session.install_secret(crypto.rsa_decrypt(session.keypair, payload), crypto.ROLE_RECEIVER)
+            self._queue_key_exchange(crypto.KE_CIPHER_ON, b"")
             self._rx_cipher_active = True
 
     @property

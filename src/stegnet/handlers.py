@@ -172,6 +172,8 @@ class HandlerRegistry:
             raise RegistryError("handler id %d out of 8-bit range" % spec.id)
         if not 0.0 <= spec.carrier_cost <= 1.0:
             raise RegistryError("carrier cost %r outside [0, 1]" % spec.carrier_cost)
+        if spec.manipulation is ManipulationClass.DESTRUCTIVE and spec.recovery is RecoveryClass.NO_RECOVERY:
+            raise RegistryError("destructive handler %r has no recovery" % spec.name)
         if id(spec) not in _PASSED:
             _self_test(spec)
             _PASSED[id(spec)] = spec

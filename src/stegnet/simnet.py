@@ -286,38 +286,53 @@ class _WorkloadClient:
         return p
 
 
-class _BulkTransfer:
-    """Covert payload drain from port ``sport``: all packets offered up
-    front.  ``finished_us`` stays None until the last octet has arrived."""
+class _Transfer:
+    """A covert transfer from port ``sport`` of ``src`` to ``SECRET_PORT``
+    of ``dst``.  It stays in the simulation's ``_flows`` until it
+    finishes; ``finished_us`` stays None until then."""
 
-    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, sport: int):
+    def __init__(self, sim: "Simulation", src: str, dst: str, sport: int):
         self.sim = sim
         self.src = src
         self.dst = dst
         self.sport = sport
+        self.delivered_packets = 0
+        self.finished_us: Optional[int] = None
+
+    def _send(self, seq: int, payload: bytes) -> None:
+        src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
+        self.sim.send_from(self.src, pk.build_tcp(src_ip, dst_ip, self.sport, SECRET_PORT, seq=seq & 0xFFFFFFFF,
+                                                  flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
+                                                  src_mac=src_mac, dst_mac=dst_mac))
+
+    def _finish(self) -> None:
+        self.finished_us = self.sim.now
+        del self.sim._flows[self.sport]
+
+
+class _BulkTransfer(_Transfer):
+    """Covert payload drain: all packets offered up front.  It finishes
+    when the last octet has arrived."""
+
+    def __init__(self, sim: "Simulation", src: str, dst: str, payload_octets: int, packet_size: int, sport: int):
+        super().__init__(sim, src, dst, sport)
         self.payload_octets = payload_octets
         self.packet_size = packet_size
         self.sent_packets = 0
         self.delivered_octets = 0
-        self.delivered_packets = 0
-        self.finished_us: Optional[int] = None
         self.digest_parts: List[bytes] = []
         self.delivered_parts: List[bytes] = []
 
     def start(self) -> None:
         rng = _child_rng(self.sim.seed, "bulk:%s:%s" % (self.src, self.dst))
-        src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         remaining = self.payload_octets
         seq = _safe_isn(self.src, "bulk")
         while remaining > 0:
             size = min(self.packet_size, remaining)
             payload = rng.randbytes(size)
             self.digest_parts.append(payload)
-            p = pk.build_tcp(src_ip, dst_ip, self.sport, SECRET_PORT, seq=seq,
-                             flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                             src_mac=src_mac, dst_mac=dst_mac)
-            seq = (seq + size) & 0xFFFFFFFF
-            self.sim.send_from(self.src, p)
+            self._send(seq, payload)
+            seq += size
             self.sent_packets += 1
             remaining -= size
 
@@ -328,8 +343,7 @@ class _BulkTransfer:
             self.delivered_packets += 1
             self.delivered_parts.append(p.app_payload)
             if self.delivered_octets >= self.payload_octets:
-                self.finished_us = self.sim.now
-                del self.sim._flows[self.sport]
+                self._finish()
 
     @property
     def sent_digest(self) -> str:
@@ -340,8 +354,8 @@ class _BulkTransfer:
         return hashlib.sha256(b"".join(self.delivered_parts)).hexdigest()
 
 
-class _PacedTransfer:
-    """Stop-and-wait covert sender from port ``sport``, with a fixed retransmission timeout.
+class _PacedTransfer(_Transfer):
+    """Stop-and-wait covert sender with a fixed retransmission timeout.
 
     Sends request ``delivered_packets``, waits for its acknowledgement to
     come back through the channel to ``src``, and retransmits when the
@@ -354,15 +368,10 @@ class _PacedTransfer:
     RTO_US = 400_000
 
     def __init__(self, sim: "Simulation", src: str, dst: str, packets: int, sport: int):
-        self.sim = sim
-        self.src = src
-        self.dst = dst
-        self.sport = sport
+        super().__init__(sim, src, dst, sport)
         self.packets = packets
         self.base_seq = _safe_isn(src, "paced")
         self.retransmissions = 0
-        self.delivered_packets = 0
-        self.finished_us: Optional[int] = None
         self.send_times: List[int] = []
 
     def start(self) -> None:
@@ -370,18 +379,13 @@ class _PacedTransfer:
         if self.delivered_packets < self.packets:
             self._emit(self.delivered_packets)
         else:
-            self.finished_us = self.sim.now
-            del self.sim._flows[self.sport]
+            self._finish()
 
     def _emit(self, index: int) -> None:
-        src_ip, dst_ip, src_mac, dst_mac = self.sim._addresses(self.src, self.dst)
         rng = _child_rng(self.sim.seed, "paced:%s:%d" % (self.src, index))
         payload = rng.randbytes(self.PACKET_SIZE)
-        p = pk.build_tcp(src_ip, dst_ip, self.sport, SECRET_PORT, seq=(self.base_seq + index) & 0xFFFFFFFF,
-                         flags=pk.TCP_ACK | pk.TCP_PSH, payload=payload,
-                         src_mac=src_mac, dst_mac=dst_mac)
         self.send_times.append(self.sim.now)
-        self.sim.send_from(self.src, p)
+        self._send(self.base_seq + index, payload)
         self.sim._schedule(self.sim.now + self.RTO_US, self._timeout, index)
 
     def _timeout(self, index: int) -> None:
@@ -481,7 +485,7 @@ class Simulation:
 
         self.clients: Dict[str, _WorkloadClient] = {}
         # Covert transfers not yet finished, by the source port each sends from.
-        self._flows: Dict[int, _BulkTransfer | _PacedTransfer] = {}
+        self._flows: Dict[int, _Transfer] = {}
         self._flow_ports = itertools.cycle(range(41000, 42000))
         # Each node's forwarding table: destination address -> (pipe to
         # the next hop, that hop's receive function, which takes the

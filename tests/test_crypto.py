@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import random
+import threading
 from unittest import mock
 
 import pytest
@@ -324,6 +325,32 @@ def test_no_worker_outlives_key_generation():
                 cr.generate_keypair(4, bits=256)
         assert multiprocessing.active_children() == []
         assert (4, 256) not in cr._keypair_cache
+
+
+def test_no_thread_or_process_outlives_a_one_cpu_key_search():
+    # On one CPU the rounds run in one worker thread, which is joined
+    # when the key is made and when the search raises.
+    threads = set()
+
+    def spy(a, d, r, m):
+        threads.add(threading.current_thread())
+        return _real_strong_round(a, d, r, m)
+
+    before = set(threading.enumerate())
+    _CountingPool.workers.clear()
+    with mock.patch.dict(cr._keypair_cache, clear=True), \
+            mock.patch.object(cr.os, "sched_getaffinity", return_value={0}), \
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _CountingPool):
+        with mock.patch.object(cr, "_strong_round", spy):
+            cr.generate_keypair(3, bits=256)
+        assert threads - {threading.current_thread()}, "no full-width round ran in the worker thread"
+        assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
+        with mock.patch.object(cr, "_strong_round", _broken_round):
+            with pytest.raises(ArithmeticError):
+                cr.generate_keypair(4, bits=256)
+        assert set(threading.enumerate()) == before and multiprocessing.active_children() == []
+        assert (4, 256) not in cr._keypair_cache
+    assert _CountingPool.workers == []
 
 
 def test_rsa_round_trip_and_determinism():

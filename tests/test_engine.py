@@ -690,11 +690,11 @@ def test_isn_rewrite_translates_and_sends_nothing():
     delta = (fused_syn.tcp.seq - 0x11111111) & 0xFFFFFFFF
     assert tx.flow_deltas[key] == delta
 
-    # Forward packets shift into the rewritten space, pure SYNs do not,
-    # and reverse acknowledgements shift back.
+    # Forward packets shift into the rewritten space, a retransmitted
+    # SYN with them, and reverse acknowledgements shift back.
     data_pkt = pk.build_tcp("10.0.1.5", "10.0.2.9", 40000, 80, seq=0x11111112, payload=b"hello")
     assert tx.adjust_flow(data_pkt).tcp.seq == (0x11111112 + delta) & 0xFFFFFFFF
-    assert tx.adjust_flow(syn).tcp.seq == 0x11111111
+    assert tx.adjust_flow(syn).tcp.seq == fused_syn.tcp.seq
     ack_pkt = pk.build_tcp(
         "10.0.2.9", "10.0.1.5", 80, 40000,
         seq=0x500, ack=(0x11111112 + delta) & 0xFFFFFFFF, flags=pk.TCP_ACK,
@@ -727,13 +727,66 @@ def test_a_new_flow_on_a_rewritten_flows_tuple_is_not_shifted():
     send(_icmp())
     assert tx.idle
     # A retransmission of the rewritten SYN keeps the correction.
-    assert tx.adjust_flow(first) is first and pk.flow_key(first) in tx.flow_deltas
+    assert tx.adjust_flow(first).tcp.seq == rewritten.tcp.seq and pk.flow_key(first) in tx.flow_deltas
     second = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x20000000, flags=pk.TCP_SYN)
     fused, stats = send(second)
     assert stats.excluded and fused.tcp.seq == 0x20000000
     assert tx.flow_deltas == {}
     segment = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x20000001, payload=bytes(100))
     assert send(segment)[0].tcp.seq == 0x20000001
+
+
+def test_a_retransmitted_syn_keeps_its_first_rewrite():
+    # Handler 5 is the only one that matches a SYN, so the sender used to
+    # rewrite the copy's ISN again and switch flow_deltas to that rewrite:
+    # an endpoint that answered the first copy got acknowledgements
+    # shifted back by the wrong delta.
+    tx, rx = _pair(EngineConfig(enabled_handlers=(ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True,
+                                augment_probability=1.0, seed=1))
+    tx.enqueue_secret(b"hello world")
+    syn = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x10000000, flags=pk.TCP_SYN)
+    fused, got = [], []
+    for carrier in [syn, syn] + [_icmp(i) for i in range(3)]:
+        fused.append(tx.fuse(tx.adjust_flow(carrier)))
+        got += rx.extract(fused[-1][0])[1]  # raises DesyncError on a desync
+    (first, first_stats), (copy, copy_stats) = fused[:2]
+    assert first.tcp.seq == copy.tcp.seq == 0x01000B68
+    assert first_stats.handler_id == TCP_ISN_ID and copy_stats.excluded
+    assert tx.flow_deltas == {pk.flow_key(syn): 0xF1000B68}
+    assert tx.idle and got == [b"hello world"]
+
+
+def test_a_retransmitted_syn_carries_nothing():
+    # The copy's ISN holds the first rewrite's octets, here a switch
+    # header to handler 5.  Written to handler 7 while 7 is active, the
+    # copy would make the peer take those octets for a switch and desync;
+    # it is excluded instead.  The diversion draw is still made.
+    def _registry():
+        reg = build_registry(enabled=(ICMP_PAYLOAD_ID, TCP_ISN_ID))
+        spec = make_tcp_options_handler(handler_id=7, cost=0.05)
+        reg.register(replace(spec, name="tcp_options_any", match=lambda p: p.tcp is not None))
+        return reg
+
+    cfg = EngineConfig(enabled_handlers=(ICMP_PAYLOAD_ID, TCP_ISN_ID), augmented_allowed=True,
+                       augment_probability=1.0, seed=3)
+    tx, rx = _pair(cfg, registry=_registry(), peer_registry=_registry())
+    secret = bytes(range(1, 201))
+    tx.enqueue_secret(secret)
+    syn = pk.build_tcp("10.1.0.2", "10.2.0.3", 40000, 80, seq=0x10000000, flags=pk.TCP_SYN)
+    data = [pk.build_tcp("10.1.0.9", "10.2.0.3", 40001, 80, seq=100 + i, ack=1, payload=b"x" * 20) for i in range(8)]
+    got, fused = [], []
+    for carrier in [data[0], syn, data[1], syn] + data[2:]:
+        draws = random.Random()
+        draws.setstate(tx._rng.getstate())
+        fused.append(tx.fuse(tx.adjust_flow(carrier)))
+        if carrier is syn:
+            draws.random()
+            assert tx._rng.getstate() == draws.getstate()
+        got += rx.extract(fused[-1][0])[1]  # raises DesyncError on a desync
+    assert [(fs.handler_id, fs.sync_octets) for _, fs in fused[:3]] == [(7, 3), (TCP_ISN_ID, 3), (7, 3)]
+    (first, _), (copy, copy_stats) = fused[1], fused[3]
+    assert copy_stats.excluded and copy.tcp.seq == first.tcp.seq != syn.tcp.seq
+    assert tx.idle and got == [secret] and len(tx.flow_deltas) == 1
 
 
 def test_augmented_channel_gated_by_config():

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import itertools
 import random
@@ -116,6 +117,17 @@ def test_registry_rejects_duplicate_id():
     reg.register(hd.make_tcp_options_handler())
     with pytest.raises(hd.DuplicateId):
         reg.register(hd.make_tcp_options_handler())
+
+
+@pytest.mark.parametrize("make", [hd.make_ipv4_checksum_handler, hd.make_tcp_isn_handler])
+def test_registry_refuses_a_destructive_handler_with_no_recovery(make):
+    # A destructive write must be repaired from the packet or corrected
+    # by the fusing gateway; with neither it would damage every carrier it rides.
+    unrepaired = dataclasses.replace(make(), recovery=hd.RecoveryClass.NO_RECOVERY)
+    reg = hd.HandlerRegistry()
+    with pytest.raises(hd.RegistryError, match="destructive handler %r has no recovery" % unrepaired.name):
+        reg.register(unrepaired)
+    assert reg.ids == [] and id(unrepaired) not in hd._PASSED
 
 
 def test_self_test_catches_broken_reader():

@@ -1,4 +1,5 @@
-"""Every name a ``stegnet`` module imports is used in that module.
+"""Every name a ``stegnet`` module imports is used in that module, and
+no module reaches the parser-token step.
 
 A dependency-free stand-in for a linter's unused-import rule.  The
 package ``__init__`` is skipped because its imports are re-exports, and
@@ -6,6 +7,7 @@ package ``__init__`` is skipped because its imports are re-exports, and
 """
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,19 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = ["line %d: %s" % (line, name) for line, name in _imported(tree) if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (path.name, ", ".join(unused))
+
+
+# CPython's compile peak for a module steps up by about 0.45 MB once it
+# reaches 8,192 parser tokens (every token but comments and blank
+# lines), and perfbench imports stegnet without bytecode, so crossing
+# the step costs peak memory on every workload and changes no
+# behaviour.  ROADMAP V, moving the traffic layer out of simnet.py, is
+# the way out when the largest module needs the room.
+PARSER_TOKEN_STEP = 8192
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reaches_the_parser_token_step(path):
+    with path.open("rb") as source:
+        tokens = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokenize.tokenize(source.readline))
+    assert tokens < PARSER_TOKEN_STEP, "%s has %d parser tokens" % (path.name, tokens)
